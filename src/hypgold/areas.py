@@ -13,7 +13,6 @@ import math
 from dataclasses import dataclass
 
 from mpmath import mp, mpf
-from scipy.integrate import quad
 
 from .coding import PrimeCoding
 from .errors import (
@@ -110,6 +109,10 @@ def area_closed(rtype: RegionType, n: int, n_prime: int, k: Number,
 def _quad(f, lo: float, hi: float) -> float:
     if hi <= lo:
         return 0.0
+    # scipy serves only the test oracles; importing it here keeps it off
+    # the CLI's start-up path.
+    from scipy.integrate import quad
+
     value, err = quad(f, lo, hi, epsabs=1e-13, epsrel=1e-12, limit=200)
     if err > QUAD_ABS_TOL:
         raise QuadratureError(f"quadrature error estimate {err} above {QUAD_ABS_TOL}")
@@ -275,6 +278,8 @@ def hat_strip_quadrature(c: PrimeCoding, k_lo, k_hi: Number) -> float:
             if overlap > 0:
                 total += slopes[n_p] * overlap
         return slopes[math.floor(x)] * total
+
+    from scipy.integrate import quad
 
     cuts = _strip_breakpoints(k_lo_f, k_hi)
     total = 0.0

@@ -224,8 +224,7 @@ def _alpha_range(text: str) -> list:
     return [a for a in range(max(start, 16), hi + 1, 2)]
 
 
-def _sweep_one(args):
-    coding, alpha, tol, want_timing = args
+def _sweep_one(coding, alpha, tol, want_timing):
     t0 = time.perf_counter()
     try:
         k0_list = goldbach_characterization(coding, alpha, rel_tol=tol)
@@ -247,6 +246,21 @@ def _sweep_one(args):
     return record
 
 
+# Set once in each pool worker by _init_sweep_worker, so tasks carry only
+# their alpha and every worker builds a single point table for the coding.
+_worker_sweep = None
+
+
+def _init_sweep_worker(coding, tol, want_timing):
+    global _worker_sweep
+    _worker_sweep = (coding, tol, want_timing)
+
+
+def _sweep_worker(alpha):
+    coding, tol, want_timing = _worker_sweep
+    return _sweep_one(coding, alpha, tol, want_timing)
+
+
 @cli.command(name="goldbach-check")
 @click.option("--alpha-range", "alpha_range", type=str, required=True,
               help="Even alphas 'a..b' to reconcile against the sieve.")
@@ -264,12 +278,12 @@ def goldbach_check(alpha_range, coding_path, workers, timing, config_path, **kwa
     if not alphas:
         raise click.UsageError("no even alpha >= 16 in the requested range")
     coding = _load_coding(coding_path, cfg, fallback_index=max(alphas[-1] - 4, 16))
-    tasks = [(coding, a, cfg.tolerance_rel, timing) for a in alphas]
     if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            records = list(pool.map(_sweep_one, tasks, chunksize=8))
+        with ProcessPoolExecutor(max_workers=workers, initializer=_init_sweep_worker,
+                                 initargs=(coding, cfg.tolerance_rel, timing)) as pool:
+            records = list(pool.map(_sweep_worker, alphas, chunksize=8))
     else:
-        records = [_sweep_one(t) for t in tasks]
+        records = [_sweep_one(coding, a, cfg.tolerance_rel, timing) for a in alphas]
     records.sort(key=lambda r: r["alpha"])
     all_agree = all(r["sieve_agreement"] for r in records)
     payload = {

@@ -69,6 +69,11 @@ class PrimeCoding:
             self.__dict__["_hash"] = cached
         return cached
 
+    def __getstate__(self):
+        # Only the fields travel: the hash and the tables cached in
+        # __dict__ are rebuilt on demand by the receiving process.
+        return {name: self.__dict__[name] for name in ("slopes", "mode", "precision")}
+
     def context(self):
         """Working-precision context for float mode, no-op for rational."""
         if self.mode == MODE_FLOAT:
@@ -172,9 +177,26 @@ class PrimeCoding:
 
     @cached_property
     def identifies_primes(self) -> bool:
-        """Exhaustive check of xi_i*xi_j != xi_{i+1}*xi_{j+1} for all i <= j."""
+        """True when xi_i*xi_j != xi_{i+1}*xi_{j+1} for all i <= j < N.
+
+        In rational mode a strict coding has the property (0 < a < b and
+        0 < c < d give ac < bd); otherwise the condition reads
+        r_i*r_j != 1 for the ratios r_i = xi_{i+1}/xi_i, which one set of
+        the ratios seen so far decides.  Float mode keeps the exhaustive
+        scan, because rounded products can collide where the ratios do not.
+        """
+        xs = self.slopes
+        if self.mode == MODE_RATIONAL:
+            if self.strict:
+                return True
+            ratios = set()
+            for a, b in zip(xs, xs[1:]):
+                r = b / a
+                ratios.add(r)
+                if 1 / r in ratios:
+                    return False
+            return True
         with self.context():
-            xs = self.slopes
             n = len(xs) - 1
             for i in range(n):
                 for j in range(i, n):

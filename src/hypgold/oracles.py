@@ -14,8 +14,8 @@ from .errors import DomainError
 
 
 @lru_cache(maxsize=32)
-def sieve(n: int) -> tuple[bool, ...]:
-    """Primality table ``t[0..n]`` by the sieve of Eratosthenes."""
+def sieve(n: int) -> bytes:
+    """Primality table ``t[0..n]`` (1 = prime) by the sieve of Eratosthenes."""
     if n < 2:
         raise DomainError("sieve needs n >= 2")
     table = bytearray([1]) * (n + 1)
@@ -25,20 +25,29 @@ def sieve(n: int) -> tuple[bool, ...]:
         if table[p]:
             table[p * p :: p] = bytearray(len(range(p * p, n + 1, p)))
         p += 1
-    return tuple(bool(b) for b in table)
+    return bytes(table)
+
+
+def _table(n: int) -> bytes:
+    """A sieve covering n, sized to the next power of two (at least 64).
+
+    Rounding the bound up keeps the cache to about log2(n) tables, so
+    callers asking about ever larger n re-sieve only when n doubles.
+    """
+    return sieve(max(64, 1 << (n - 1).bit_length()))
 
 
 def is_prime(n: int) -> bool:
     if n < 2:
         return False
-    return sieve(max(n, 2))[n]
+    return bool(_table(n)[n])
 
 
 def primes_in(lo: int, hi: int) -> list[int]:
     """Primes p with lo <= p <= hi (empty when hi < lo)."""
     if hi < lo or hi < 2:
         return []
-    table = sieve(hi)
+    table = _table(hi)
     return [p for p in range(max(lo, 2), hi + 1) if table[p]]
 
 
@@ -59,7 +68,7 @@ def goldbach_partitions_oracle(alpha: int) -> PartitionReport:
     """Exhaustive sieve scan for k <= alpha/2 with k and alpha-k both prime."""
     if alpha < 4 or alpha % 2:
         raise DomainError("goldbach partitions need an even alpha >= 4")
-    table = sieve(alpha)
+    table = _table(alpha)
     hits = [k for k in range(2, alpha // 2 + 1) if table[k] and table[alpha - k]]
     inside = tuple(k for k in hits if 5 <= k <= alpha // 2 - 1)
     outside = tuple(k for k in hits if k not in inside)

@@ -138,19 +138,21 @@ def _check_alpha(alpha: int) -> None:
         raise DomainError("alpha must be an even number >= 16")
 
 
-def _check_coding(c: PrimeCoding, alpha: int) -> None:
+def _check_coding(c: PrimeCoding, alpha: int) -> "PointTable":
+    """The coding's point table, once the coding is adapted to alpha."""
     if c.max_index < alpha - 5:
         raise RangeError(
             f"coding defines slopes through {c.max_index}, need index {alpha - 5}"
         )
+    table = _point_table(c)
     # The repetition dichotomies need strictly increasing slopes through
     # alpha/2 - 1 (the coding "adapted to alpha"); constructed codings are
     # allowed to dip above that, which the essential points never see.
-    head = c.slopes[: alpha // 2]
-    if any(a >= b for a, b in zip(head, head[1:])):
+    if table.strict_through < alpha // 2 - 1:
         raise DomainError(
             f"essential points need slopes strictly increasing through {alpha // 2 - 1}"
         )
+    return table
 
 
 @lru_cache(maxsize=65536)
@@ -170,6 +172,105 @@ def essential_points(c: PrimeCoding, alpha: int) -> list:
         y = -lower_value(c, alpha - k0 - 1)
         out.append(EssentialPoint(k0=k0, x=x, y=y))
     return out
+
+
+class PointTable:
+    """x_4 .. x_top of one coding, and the facts every alpha's checks read.
+
+    x_{k0} depends only on the coding and k0, and y_{k0} = -x_{alpha-k0-1},
+    so one table serves every alpha <= top + 5.  Growing it records the
+    indices j that break the sign condition (x_j <= 0) or the ordering
+    (x_j < x_{j-1}); per tolerance it keeps the repeat bitmap
+    R[j] = [x_{j-1} == x_j] and the indices where R disagrees with
+    is_prime(j).  An alpha's checks then look only for recorded indices
+    inside its window.
+    """
+
+    def __init__(self, c: PrimeCoding):
+        self.coding = c
+        self.x = [None] * 4   # x[k0] for 4 <= k0 <= top, from lower_value
+        self.sign_bad = []    # j with not x_j > 0
+        self.order_bad = []   # j with x_j < x_{j-1}
+        self._repeats = {}    # rel_tol -> (R, [j with R[j] != is_prime(j)])
+        slopes = c.slopes
+        # slopes[0..strict_through] increase strictly.
+        self.strict_through = next(
+            (i for i, (a, b) in enumerate(zip(slopes, slopes[1:])) if a >= b),
+            c.max_index,
+        )
+
+    def grow(self, top: int) -> None:
+        """Extend x through index top."""
+        x, c = self.x, self.coding
+        for j in range(len(x), top + 1):
+            value = lower_value(c, j)
+            if not value > 0:
+                self.sign_bad.append(j)
+            if j > 4 and value < x[j - 1]:
+                self.order_bad.append(j)
+            x.append(value)
+
+    def repeats(self, rel_tol: float) -> tuple:
+        """(R, mismatches) through top, each R[j] checked once against is_prime(j)."""
+        bits, mismatches = self._repeats.setdefault(rel_tol, (bytearray(5), []))
+        x, mode = self.x, self.coding.mode
+        for j in range(len(bits), len(x)):
+            repeat = numbers_equal(x[j - 1], x[j], mode, rel_tol)
+            bits.append(repeat)
+            if repeat != is_prime(j):
+                mismatches.append(j)
+        return bits, mismatches
+
+    def check(self, alpha: int, rel_tol: float) -> bytearray:
+        """Raise the first sign, ordering or dichotomy failure in alpha's window.
+
+        Failures surface in the order a scan over k0 = 4 .. alpha/2 - 1
+        meets them: every sign first, then per k0 the ordering before the
+        dichotomy.  Returns the repeat bitmap R.
+        """
+        self.grow(alpha - 5)
+        x = self.x
+        k0 = _first_in_window(self.sign_bad, alpha, alpha - 1)
+        if k0 is not None:
+            raise TheoremViolationError(
+                f"essential point sign violated at k0={k0}: "
+                f"x={x[k0]}, y={-x[alpha - k0 - 1]}"
+            )
+        bits, mismatches = self.repeats(rel_tol)
+        unordered = _first_in_window(self.order_bad, alpha, alpha)
+        mismatched = _first_in_window(mismatches, alpha, alpha)
+        if unordered is not None and (mismatched is None or unordered <= mismatched):
+            raise TheoremViolationError(
+                f"essential point ordering violated between k0={unordered - 1} and {unordered}"
+            )
+        if mismatched is not None:
+            rec = _comparison(bits, alpha, mismatched)
+            raise TheoremViolationError(
+                f"repetition dichotomy violated at alpha={alpha}, k0={mismatched}: {rec}"
+            )
+        return bits
+
+
+def _point_table(c: PrimeCoding) -> PointTable:
+    # Cached on the coding, as its hash is, so the table lives exactly as
+    # long as the coding; a dict keyed by id() would hand a reused id a
+    # stale table.
+    table = c.__dict__.get("_point_table")
+    if table is None:
+        table = c.__dict__["_point_table"] = PointTable(c)
+    return table
+
+
+def _first_in_window(indices: list, alpha: int, mirror: int):
+    """Smallest k0 < alpha/2 whose x index k0 or y index mirror - k0 is listed.
+
+    mirror is alpha - 1 for the point P_{k0} itself and alpha for the step
+    from P_{k0-1} to P_{k0}; None when no listed index falls in the window.
+    """
+    half = alpha // 2
+    hits = [j if j < half else mirror - j for j in indices
+            if j <= alpha - 5 and (j < half or mirror - j < half)]
+    return min(hits, default=None)
 
 
 @dataclass(frozen=True)
@@ -192,33 +293,19 @@ def monotonicity_report(c: PrimeCoding, alpha: int,
     prime.  Any failure raises TheoremViolationError: with a strict coding
     these are theorems, so a failure flags an implementation bug.
     """
-    pts = essential_points(c, alpha)
-    records = []
-    for pt in pts:
-        if not (pt.x > 0 and pt.y < 0):
-            raise TheoremViolationError(
-                f"essential point sign violated at k0={pt.k0}: x={pt.x}, y={pt.y}"
-            )
-    for prev, cur in zip(pts, pts[1:]):
-        if cur.x < prev.x or cur.y < prev.y:
-            raise TheoremViolationError(
-                f"essential point ordering violated between k0={prev.k0} and {cur.k0}"
-            )
-        x_rep = numbers_equal(prev.x, cur.x, c.mode, rel_tol)
-        y_rep = numbers_equal(prev.y, cur.y, c.mode, rel_tol)
-        rec = IndexComparison(
-            k0=cur.k0,
-            x_repeats=x_rep,
-            k0_prime=is_prime(cur.k0),
-            y_repeats=y_rep,
-            complement_prime=is_prime(alpha - cur.k0),
-        )
-        if rec.x_repeats != rec.k0_prime or rec.y_repeats != rec.complement_prime:
-            raise TheoremViolationError(
-                f"repetition dichotomy violated at alpha={alpha}, k0={rec.k0}: {rec}"
-            )
-        records.append(rec)
-    return records
+    _check_alpha(alpha)
+    bits = _check_coding(c, alpha).check(alpha, rel_tol)
+    return [_comparison(bits, alpha, k0) for k0 in range(5, alpha // 2)]
+
+
+def _comparison(bits: bytearray, alpha: int, k0: int) -> IndexComparison:
+    return IndexComparison(
+        k0=k0,
+        x_repeats=bool(bits[k0]),
+        k0_prime=is_prime(k0),
+        y_repeats=bool(bits[alpha - k0]),
+        complement_prime=is_prime(alpha - k0),
+    )
 
 
 def goldbach_characterization(c: PrimeCoding, alpha: int,
@@ -228,8 +315,9 @@ def goldbach_characterization(c: PrimeCoding, alpha: int,
     The result is reconciled against the sieve; a mismatch raises
     TheoremViolationError.
     """
-    records = monotonicity_report(c, alpha, rel_tol=rel_tol)
-    repeated = [r.k0 for r in records if r.x_repeats and r.y_repeats]
+    _check_alpha(alpha)
+    bits = _check_coding(c, alpha).check(alpha, rel_tol)
+    repeated = [k for k in range(5, alpha // 2) if bits[k] and bits[alpha - k]]
     expected = [
         p for p in primes_in(5, alpha // 2 - 1) if is_prime(alpha - p)
     ]

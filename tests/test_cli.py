@@ -2,10 +2,14 @@
 precedence, and the exit-code contract."""
 
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 
+import hypgold
 import hypgold.cli as cli_mod
 from hypgold.cli import main
 from hypgold.coding import coding_from_json, coding_to_json, default_coding
@@ -204,6 +208,18 @@ def test_classify_with_coding_file(tmp_path, capsys):
     rc, out, _ = run(capsys, ["classify", "--k", "25", "--coding", str(path)])
     assert rc == 0
     assert json.loads(out)["kind"] == "composite_natural"
+
+
+def test_cli_import_leaves_scipy_out():
+    # Only the quadrature oracles need scipy; the CLI's start-up must not pay for it.
+    src = os.path.dirname(os.path.dirname(hypgold.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, hypgold.cli; print('scipy' in sys.modules)"],
+        env=env, capture_output=True, text=True, timeout=120, check=True,
+    )
+    assert proc.stdout.strip() == "False"
 
 
 def test_help_exits_zero(capsys):

@@ -2,6 +2,7 @@
 prime/natural identification conditions."""
 
 import json
+import pickle
 import random
 from fractions import Fraction
 
@@ -17,6 +18,7 @@ from hypgold.coding import (
 )
 from hypgold.errors import DomainError, RangeError
 from hypgold.numeric import MODE_FLOAT, rel_diff
+from hypgold.points import goldbach_characterization
 
 from conftest import arith_coding, harmonic_coding, identity_coding, pow2_coding, seeded_coding
 
@@ -172,6 +174,54 @@ def test_identifies_primes_collision():
     # xi_0 * xi_2 = 1 * 4 = 2 * 2 = xi_1 * xi_3
     c = PrimeCoding(slopes=(1, 2, 4, 2))
     assert not c.identifies_primes
+
+
+def identifies_primes_oracle(c) -> bool:
+    """The defining O(N^2) scan of xi_i*xi_j != xi_{i+1}*xi_{j+1}, i <= j."""
+    xs = c.slopes
+    n = len(xs) - 1
+    return all(xs[i] * xs[j] != xs[i + 1] * xs[j + 1]
+               for i in range(n) for j in range(i, n))
+
+
+def _strict_slopes(increments):
+    return [Fraction(1) + Fraction(sum(increments[:m]), 397) for m in range(len(increments) + 1)]
+
+
+codings_to_identify = st.one_of(
+    st.lists(st.integers(min_value=1, max_value=400), min_size=1, max_size=14).map(_strict_slopes),
+    st.tuples(st.integers(min_value=1, max_value=9), st.integers(min_value=1, max_value=14))
+    .map(lambda vn: [Fraction(vn[0])] * (vn[1] + 1)),
+    st.lists(st.integers(min_value=1, max_value=12), min_size=2, max_size=14)
+    .map(lambda raw: [Fraction(v, 3) for v in raw]),
+)
+
+
+@given(codings_to_identify)
+@settings(max_examples=150, deadline=None)
+def test_identifies_primes_matches_exhaustive_scan(slopes):
+    c = PrimeCoding(slopes=tuple(slopes))
+    assert c.identifies_primes == identifies_primes_oracle(c)
+
+
+def test_identifies_primes_long_non_strict_coding():
+    # Decreasing slopes: no collision, and no strictness shortcut either.
+    c = PrimeCoding(slopes=tuple(Fraction(1, m + 1) for m in range(4000)))
+    assert not c.strict
+    assert c.identifies_primes
+    bumped = PrimeCoding(slopes=c.slopes[:3000] + (c.slopes[2999] * 2,) + c.slopes[3001:])
+    assert not bumped.identifies_primes
+
+
+def test_pickle_carries_fields_only():
+    c = seeded_coding(60, 4)
+    fresh = pickle.dumps(seeded_coding(60, 4))
+    hash(c)
+    assert goldbach_characterization(c, 60) == [7, 13, 17, 19, 23, 29]
+    again = pickle.loads(pickle.dumps(c))
+    assert pickle.dumps(c) == fresh
+    assert again == c and hash(again) == hash(c)
+    assert goldbach_characterization(again, 60) == [7, 13, 17, 19, 23, 29]
 
 
 def test_identifies_naturals():

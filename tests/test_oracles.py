@@ -37,6 +37,15 @@ def test_sieve_matches_trial_division():
         assert table[n] == trial_division_prime(n), n
 
 
+def test_increasing_is_prime_sieves_once_per_doubling():
+    # Each new n used to re-sieve; rounding the bound up to a power of two
+    # leaves one table per doubling of n.
+    sieve.cache_clear()
+    for n in range(2, 20001):
+        assert is_prime(n) == trial_division_prime(n), n
+    assert sieve.cache_info().misses <= 16
+
+
 def test_prime_counting():
     assert sum(1 for n in range(101) if trial_division_prime(n)) == 25
     assert len(primes_in(2, 100)) == 25

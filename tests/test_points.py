@@ -3,14 +3,21 @@ repetition theorems, and the Goldbach characterization."""
 
 import random
 from fractions import Fraction
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import hypgold.points as points_mod
 
 from hypgold.coding import PrimeCoding, default_coding
 from hypgold.errors import DomainError, RangeError, TheoremViolationError
 from hypgold.oracles import is_prime, primes_in
+from hypgold.numeric import DEFAULT_REL_TOL, MODE_FLOAT, MODE_RATIONAL, numbers_equal
 from hypgold.points import (
     EssentialPolynomial,
+    IndexComparison,
     essential_points,
     eval_poly,
     goldbach_characterization,
@@ -163,3 +170,149 @@ def test_variables_within_window():
             upper = upper_essential_poly(alpha, k0)
             for v in upper.variables():
                 assert 2 <= v <= (alpha - k0 - 1) // 2
+
+
+def trial_division_prime(n: int) -> bool:
+    return n >= 2 and all(n % d for d in range(2, int(n ** 0.5) + 1))
+
+
+def scan_monotonicity(c, alpha, rel_tol=DEFAULT_REL_TOL):
+    """Per-alpha oracle: the sign, ordering and repetition scan over essential_points."""
+    pts = essential_points(c, alpha)
+    for pt in pts:
+        if not (pt.x > 0 and pt.y < 0):
+            raise TheoremViolationError(
+                f"essential point sign violated at k0={pt.k0}: x={pt.x}, y={pt.y}"
+            )
+    records = []
+    for prev, cur in zip(pts, pts[1:]):
+        if cur.x < prev.x or cur.y < prev.y:
+            raise TheoremViolationError(
+                f"essential point ordering violated between k0={prev.k0} and {cur.k0}"
+            )
+        rec = IndexComparison(
+            k0=cur.k0,
+            x_repeats=numbers_equal(prev.x, cur.x, c.mode, rel_tol),
+            k0_prime=trial_division_prime(cur.k0),
+            y_repeats=numbers_equal(prev.y, cur.y, c.mode, rel_tol),
+            complement_prime=trial_division_prime(alpha - cur.k0),
+        )
+        if rec.x_repeats != rec.k0_prime or rec.y_repeats != rec.complement_prime:
+            raise TheoremViolationError(
+                f"repetition dichotomy violated at alpha={alpha}, k0={rec.k0}: {rec}"
+            )
+        records.append(rec)
+    return records
+
+
+def scan_characterization(c, alpha):
+    records = scan_monotonicity(c, alpha)
+    repeated = [r.k0 for r in records if r.x_repeats and r.y_repeats]
+    expected = [p for p in range(5, alpha // 2)
+                if trial_division_prime(p) and trial_division_prime(alpha - p)]
+    if repeated != expected:
+        raise TheoremViolationError(f"scan mismatch at alpha={alpha}")
+    return repeated
+
+
+def outcome(fn, *args):
+    try:
+        return fn(*args)
+    except TheoremViolationError as exc:
+        return type(exc), str(exc)
+
+
+def corrupt(index, kind):
+    """A stand-in for lower_value that spoils x_index in one way."""
+    real = points_mod.lower_value
+
+    def fake(c, k0):
+        if k0 != index:
+            return real(c, k0)
+        value = real(c, k0)
+        if kind == "negate":
+            return -value
+        if kind == "repeat":
+            return real(c, k0 - 1)
+        if kind == "halve":
+            return value / 2
+        return value + value / 1000
+    return fake
+
+
+@given(
+    increments=st.lists(st.integers(min_value=1, max_value=1000), min_size=30, max_size=70),
+    mode=st.sampled_from([MODE_RATIONAL, MODE_FLOAT]),
+    picks=st.lists(st.integers(min_value=0, max_value=10 ** 6), min_size=1, max_size=6),
+    damage=st.none() | st.tuples(st.integers(min_value=4, max_value=10 ** 6),
+                                 st.sampled_from(["negate", "repeat", "halve", "bump"])),
+)
+@settings(max_examples=60, deadline=None)
+def test_table_matches_per_alpha_scan(increments, mode, picks, damage):
+    # One coding serves several alphas in random order, so the shared table
+    # grows between checks; an optional spoiled x_j must surface for exactly
+    # the alphas whose window reads it, with the scan's message.
+    acc, slopes = Fraction(1), [Fraction(1)]
+    for inc in increments:
+        acc += Fraction(inc, 997)
+        slopes.append(acc)
+    c = PrimeCoding(slopes=tuple(slopes), mode=mode, precision=128)
+    alphas = [16 + 2 * (p % ((c.max_index + 5 - 16) // 2 + 1)) for p in picks]
+    patch = mock.patch.object(points_mod, "lower_value",
+                              corrupt(4 + damage[0] % (c.max_index - 3), damage[1])
+                              if damage else points_mod.lower_value)
+    with patch:
+        for alpha in alphas:
+            assert outcome(monotonicity_report, c, alpha) == outcome(scan_monotonicity, c, alpha)
+            assert (outcome(goldbach_characterization, c, alpha)
+                    == outcome(scan_characterization, c, alpha))
+
+
+def test_violation_messages_pinned():
+    c = default_coding(16)
+    with mock.patch.object(points_mod, "lower_value", corrupt(6, "repeat")):
+        with pytest.raises(TheoremViolationError) as info:
+            goldbach_characterization(c, 18)
+    assert str(info.value) == (
+        "repetition dichotomy violated at alpha=18, k0=6: IndexComparison(k0=6, "
+        "x_repeats=True, k0_prime=False, y_repeats=False, complement_prime=False)"
+    )
+    # Halving x_7 breaks the ordering and the dichotomy at the same k0; the
+    # ordering is reported, as the scan checks it first.
+    c = default_coding(16)
+    with mock.patch.object(points_mod, "lower_value", corrupt(7, "halve")):
+        with pytest.raises(TheoremViolationError,
+                           match=r"^essential point ordering violated between k0=6 and 7$"):
+            monotonicity_report(c, 18)
+    c = default_coding(16)
+    with mock.patch.object(points_mod, "lower_value", corrupt(12, "halve")):
+        with pytest.raises(TheoremViolationError) as info:
+            monotonicity_report(c, 18)
+        assert str(info.value) == (
+            "repetition dichotomy violated at alpha=18, k0=5: IndexComparison(k0=5, "
+            "x_repeats=True, k0_prime=True, y_repeats=False, complement_prime=True)"
+        )
+        # x_12 is y_5 at alpha 18 but lies outside alpha 16's window.
+        assert goldbach_characterization(c, 16) == [5]
+    c = default_coding(16)
+    with mock.patch.object(points_mod, "lower_value", corrupt(11, "negate")):
+        with pytest.raises(TheoremViolationError) as info:
+            goldbach_characterization(c, 16)
+    assert str(info.value) == (
+        f"essential point sign violated at k0=4: x={lower_value(c, 4)}, y={lower_value(c, 11)}"
+    )
+
+
+def test_non_strict_coding_errors_pinned():
+    slopes = list(default_coding(24).slopes)
+    slopes[9] = slopes[8]
+    c = PrimeCoding(slopes=tuple(slopes))
+    for fn in (essential_points, monotonicity_report, goldbach_characterization):
+        with pytest.raises(DomainError) as info:
+            fn(c, 20)
+        assert str(info.value) == "essential points need slopes strictly increasing through 9"
+        with pytest.raises(RangeError) as info:
+            fn(default_coding(10), 18)
+        assert str(info.value) == "coding defines slopes through 10, need index 13"
+    # The dip lies above alpha/2 - 1 = 8, where the essential points never look.
+    assert goldbach_characterization(c, 18) == [5, 7]
