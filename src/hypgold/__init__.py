@@ -20,18 +20,15 @@ from .construction import (
 )
 from .areas import (
     AreaFormulaResult,
-    SecondDerivativeTerm,
     ab_coefficients,
     area_closed,
     area_quadrature_oracle,
     bounds_chain,
     hat_AI_quadrature,
-    hat_AS_quadrature,
     hat_AT_second_derivative,
     hat_lower_sweep,
     hat_area,
     hat_strip_quadrature,
-    second_derivative_term,
 )
 from .errors import (
     ChainViolationError,

@@ -155,16 +155,6 @@ def _check_alpha_coding(c: PrimeCoding, alpha: int, need_index: int) -> None:
         )
 
 
-@dataclass(frozen=True)
-class SecondDerivativeTerm:
-    """The coefficient pair multiplying the essential-point coordinates on
-    [k0, k0+1]; for strict codings B_k0(k) < A_k0(k) throughout."""
-
-    k0: int
-    A_k0: object  # 1 / (xi_{k0}^2 * k)
-    B_k0: object  # 1 / (xi_{alpha-k0-1}^2 * (alpha - k))
-
-
 def ab_coefficients(c: PrimeCoding, alpha: int, k0: int, k: Number):
     """(A_{k0}(k), B_{k0}(k)) = (1/(xi_{k0}^2 k), 1/(xi_{alpha-k0-1}^2 (alpha-k)))."""
     _check_alpha_coding(c, alpha, alpha - 5)
@@ -175,11 +165,6 @@ def ab_coefficients(c: PrimeCoding, alpha: int, k0: int, k: Number):
         xi_l = c.slope(k0)
         xi_u = c.slope(alpha - k0 - 1)
         return (1 / (xi_l * xi_l * kv), 1 / (xi_u * xi_u * (alpha - kv)))
-
-
-def second_derivative_term(c: PrimeCoding, alpha: int, k0: int, k: Number) -> SecondDerivativeTerm:
-    a_coef, b_coef = ab_coefficients(c, alpha, k0, k)
-    return SecondDerivativeTerm(k0=k0, A_k0=a_coef, B_k0=b_coef)
 
 
 def hat_AT_second_derivative(c: PrimeCoding, alpha: int, k: Number, side: str = "+"):
@@ -296,15 +281,6 @@ def hat_strip_quadrature(c: PrimeCoding, k_lo, k_hi: Number) -> float:
 def hat_AI_quadrature(c: PrimeCoding, k: Number) -> float:
     """Deformed lower area (x >= 2, y >= x, xy <= k); quadrature oracle."""
     return hat_strip_quadrature(c, None, k)
-
-
-def hat_AS_quadrature(c: PrimeCoding, alpha: int, k: Number) -> float:
-    """Deformed upper area (x >= 2, y >= x, alpha-k <= xy <= alpha-4)."""
-    if alpha < 16 or alpha % 2:
-        raise DomainError("alpha must be an even number >= 16")
-    if not 4 <= float(k) <= alpha / 2:
-        raise DomainError(f"k={k} outside [4, {alpha // 2}]")
-    return hat_strip_quadrature(c, alpha - to_fraction(k), alpha - 4)
 
 
 @dataclass(frozen=True)

@@ -94,22 +94,31 @@ def emit(payload: dict, records: list, cfg: RunConfig, out: str | None) -> None:
         click.echo(text, nl=False)
 
 
-def _common(f):
-    for opt in reversed([
-        click.option("--config", "config_path", type=click.Path(exists=True, dir_okay=False),
-                     default=None, help="JSON config file mirroring the run configuration."),
-        click.option("--mode", type=click.Choice([MODE_RATIONAL, MODE_FLOAT]), default=None),
-        click.option("--precision", "precision_bits", type=int, default=None,
-                     help="Float-mode mantissa bits (>= 53)."),
-        click.option("--tol", "tolerance_rel", type=float, default=None,
-                     help="Relative tolerance for float-mode comparisons."),
-        click.option("--seed", type=int, default=None),
-        click.option("--json", "output_format", flag_value="json", default=None),
-        click.option("--csv", "output_format", flag_value="csv", default=None),
-        click.option("--out", type=click.Path(dir_okay=False, writable=True), default=None),
-    ]):
+_SHARED_OPTIONS = [
+    click.option("--config", "config_path", type=click.Path(exists=True, dir_okay=False),
+                 default=None, help="JSON config file mirroring the run configuration."),
+    click.option("--mode", type=click.Choice([MODE_RATIONAL, MODE_FLOAT]), default=None),
+    click.option("--precision", "precision_bits", type=int, default=None,
+                 help="Float-mode mantissa bits (>= 53)."),
+    click.option("--tol", "tolerance_rel", type=float, default=None,
+                 help="Relative tolerance for float-mode comparisons."),
+    click.option("--seed", type=int, default=None),
+    click.option("--json", "output_format", flag_value="json", default=None),
+    click.option("--csv", "output_format", flag_value="csv", default=None),
+]
+
+
+def _shared(f):
+    """The run-configuration options every command takes."""
+    for opt in reversed(_SHARED_OPTIONS):
         f = opt(f)
     return f
+
+
+def _common(f):
+    """The shared options, then --out for the command's records."""
+    return _shared(click.option("--out", type=click.Path(dir_okay=False, writable=True),
+                                default=None)(f))
 
 
 def _resolve(config_path, **kwargs) -> RunConfig:
@@ -307,13 +316,7 @@ def goldbach_check(alpha_range, coding_path, workers, timing, config_path, **kwa
 @click.option("--out", "coding_out", type=click.Path(dir_okay=False, writable=True),
               default="coding.json", show_default=True,
               help="Where to write the constructed coding JSON.")
-@click.option("--config", "config_path", type=click.Path(exists=True, dir_okay=False), default=None)
-@click.option("--mode", type=click.Choice([MODE_RATIONAL, MODE_FLOAT]), default=None)
-@click.option("--precision", "precision_bits", type=int, default=None)
-@click.option("--tol", "tolerance_rel", type=float, default=None)
-@click.option("--seed", type=int, default=None)
-@click.option("--json", "output_format", flag_value="json", default=None)
-@click.option("--csv", "output_format", flag_value="csv", default=None)
+@_shared
 def build_g(alpha, scalar_u, xi2_text, xi_half_text, coding_out, config_path, **kwargs):
     """Construct a coding with a continuous total-area second derivative."""
     cfg = _resolve(config_path, **kwargs)

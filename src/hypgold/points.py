@@ -20,7 +20,7 @@ from functools import lru_cache
 
 from .coding import PrimeCoding
 from .errors import DomainError, RangeError, TheoremViolationError
-from .numeric import DEFAULT_REL_TOL, numbers_equal
+from .numeric import DEFAULT_REL_TOL, MODE_RATIONAL, numbers_equal
 from .oracles import is_prime, primes_in
 from .regions import TYPE_COEFFICIENT, enumerate_regions
 
@@ -108,22 +108,30 @@ def lower_point_value(xi, k0: int):
     x_{k0} = sum_n xi_n*(xi_{floor(k0/n)} - xi_{floor(k0/(n+1))}) over
     n = 2 .. isqrt(k0)-1, plus the tail xi_r**2/2 when r = floor(k0/r)
     (r = isqrt(k0)) and xi_r*(xi_{floor(k0/r)} - xi_r/2) otherwise.
-    Kept as an independent code path for cross-checking eval_poly.
+    Rational-mode lower_value runs the same loop on integer-scaled slopes;
+    eval_poly of the region polynomial is the independent oracle for both.
     """
     if k0 < 4:
         raise DomainError("lower point values need k0 >= 4")
-    getter = _slope_getter(xi)
+    return _twice_lower_value(_slope_getter(xi), k0) / 2
+
+
+def _twice_lower_value(getter, k0: int):
+    """2*x_{k0} by the telescoped form, in O(sqrt(k0)) slope reads.
+
+    Doubling clears the 1/2 of the tail, so integer slopes give an integer.
+    Both tail cases are 2*xi_r*xi_{floor(k0/r)} - xi_r**2, as
+    floor(k0/r) = r on the diagonal; after the loop, hi holds that slope.
+    """
     root = math.isqrt(k0)
     total = 0
+    hi = getter(k0 // 2)
     for n in range(2, root):
-        total = total + getter(n) * (getter(k0 // n) - getter(k0 // (n + 1)))
+        lo = getter(k0 // (n + 1))
+        total = total + getter(n) * (hi - lo)
+        hi = lo
     r = getter(root)
-    hi = k0 // root
-    if root == hi:
-        total = total + r * r / 2
-    else:
-        total = total + r * getter(hi) - r * r / 2
-    return total
+    return 2 * (total + r * hi) - r * r
 
 
 @dataclass(frozen=True)
@@ -157,9 +165,40 @@ def _check_coding(c: PrimeCoding, alpha: int) -> "PointTable":
 
 @lru_cache(maxsize=65536)
 def lower_value(c: PrimeCoding, k0: int):
-    """x_{k0}: the lower essential polynomial evaluated at the coding (memoized)."""
-    with c.context():
-        return lower_essential_poly(k0).evaluate(c)
+    """x_{k0}: the lower essential polynomial evaluated at the coding (memoized).
+
+    Rational mode evaluates the telescoped form on the integer-scaled
+    slopes and returns the exact Fraction; float mode evaluates the region
+    polynomial at the working precision.
+    """
+    if c.mode != MODE_RATIONAL:
+        with c.context():
+            return lower_essential_poly(k0).evaluate(c)
+    if not isinstance(k0, int) or k0 < 4:
+        raise DomainError("essential regions need an integer k0 >= 4")
+    ints, scale = _scaled_slopes(c)
+    if k0 // 2 >= len(ints):
+        # Name the index EssentialPolynomial.evaluate fails on first: its
+        # sorted terms open with (2, k0//3), (2, k0//2), or with (2, 2)
+        # when k0 < 9, where k0//3 <= 2.
+        missing = next(i for i in (2, k0 // 3, k0 // 2) if i >= len(ints))
+        raise RangeError(f"slope index {missing} outside 0..{c.max_index}")
+    return Fraction(_twice_lower_value(ints.__getitem__, k0), scale)
+
+
+def _scaled_slopes(c: PrimeCoding) -> tuple:
+    """(L*xi_0, ..., L*xi_N) as ints and 2*L**2, L the lcm of the denominators.
+
+    x_{k0} is a degree-2 form with coefficients in {+-1, +-1/2}, so
+    x_{k0} = (2*x_{k0} at the scaled slopes) / (2*L**2) exactly.  Cached on
+    the coding, as its hash and point table are.
+    """
+    cached = c.__dict__.get("_scaled_slopes")
+    if cached is None:
+        lcm = math.lcm(*(s.denominator for s in c.slopes))
+        ints = tuple(s.numerator * (lcm // s.denominator) for s in c.slopes)
+        cached = c.__dict__["_scaled_slopes"] = (ints, 2 * lcm * lcm)
+    return cached
 
 
 def essential_points(c: PrimeCoding, alpha: int) -> list:
@@ -167,10 +206,11 @@ def essential_points(c: PrimeCoding, alpha: int) -> list:
     _check_alpha(alpha)
     _check_coding(c, alpha)
     out = []
-    for k0 in range(4, alpha // 2):
-        x = lower_value(c, k0)
-        y = -lower_value(c, alpha - k0 - 1)
-        out.append(EssentialPoint(k0=k0, x=x, y=y))
+    with c.context():
+        for k0 in range(4, alpha // 2):
+            x = lower_value(c, k0)
+            y = -lower_value(c, alpha - k0 - 1)
+            out.append(EssentialPoint(k0=k0, x=x, y=y))
     return out
 
 

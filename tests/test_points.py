@@ -5,6 +5,7 @@ import random
 from fractions import Fraction
 from unittest import mock
 
+import mpmath
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -29,7 +30,14 @@ from hypgold.points import (
 )
 from hypgold.regions import TYPE_COEFFICIENT, enumerate_regions
 
-from conftest import harmonic_coding, identity_coding, seeded_coding, strict_families
+from conftest import (
+    arith_coding,
+    harmonic_coding,
+    identity_coding,
+    pow2_coding,
+    seeded_coding,
+    strict_families,
+)
 
 H = Fraction(1, 2)
 
@@ -112,6 +120,16 @@ def test_essential_points_signs_alpha18():
     assert pts[0].y == -lower_value(c, 13)
 
 
+def test_float_y_keeps_working_precision():
+    # The CLI runs at mpmath's 53-bit default; y must still be the exact
+    # negative of the coding's 128-bit x, not a rounded copy.
+    c = PrimeCoding(slopes=seeded_coding(40, 3).slopes, mode=MODE_FLOAT, precision=128)
+    with mpmath.workprec(53):
+        pts = essential_points(c, 40)
+    with c.context():
+        assert -pts[0].y == lower_value(c, 35)
+
+
 def test_essential_points_preconditions():
     with pytest.raises(RangeError):
         essential_points(default_coding(10), 18)
@@ -142,6 +160,70 @@ def test_characterization_sweep_multiple_codings():
         for alpha in range(16, 121, 2):
             expected = [p for p in primes_in(5, alpha // 2 - 1) if is_prime(alpha - p)]
             assert goldbach_characterization(c, alpha) == expected, (alpha,)
+
+
+def value_or_error(fn, *args):
+    try:
+        return fn(*args)
+    except (DomainError, RangeError) as exc:
+        return type(exc), str(exc)
+
+
+def poly_oracle(c, k0):
+    return eval_poly(lower_essential_poly(k0), c)
+
+
+@st.composite
+def rational_codings(draw):
+    """Positive slopes with unrelated denominators, runs of equal slopes and dips."""
+    slopes = []
+    for _ in range(draw(st.integers(min_value=1, max_value=160))):
+        if slopes and draw(st.integers(min_value=0, max_value=3)) == 0:
+            slopes.append(slopes[-1])
+        else:
+            slopes.append(Fraction(draw(st.integers(min_value=1, max_value=10 ** 6)),
+                                   draw(st.integers(min_value=1, max_value=10 ** 4))))
+    return PrimeCoding(slopes=tuple(slopes))
+
+
+@given(c=rational_codings(),
+       k0s=st.lists(st.integers(min_value=-2, max_value=400), min_size=1, max_size=12))
+@settings(max_examples=200, deadline=None)
+def test_int_kernel_matches_region_polynomial(c, k0s):
+    # k0 past 2*max_index must raise the RangeError the polynomial meets first.
+    for k0 in k0s:
+        assert value_or_error(lower_value, c, k0) == value_or_error(poly_oracle, c, k0), k0
+
+
+def test_int_kernel_matches_region_polynomial_on_families():
+    for c in (harmonic_coding(150), pow2_coding(150), arith_coding(150),
+              default_coding(150), identity_coding(150)):
+        for k0 in range(0, 310):
+            assert value_or_error(lower_value, c, k0) == value_or_error(poly_oracle, c, k0), k0
+
+
+def test_int_kernel_errors_pinned():
+    c = default_coding(10)
+    with pytest.raises(DomainError, match=r"^essential regions need an integer k0 >= 4$"):
+        lower_value(c, 3)
+    with pytest.raises(RangeError, match=r"^slope index 11 outside 0\.\.10$"):
+        lower_value(c, 35)  # terms (2, 11), (2, 17): index 11 comes first
+    with pytest.raises(RangeError, match=r"^slope index 2 outside 0\.\.1$"):
+        lower_value(default_coding(1), 4)
+
+
+def test_rational_sweep_bypasses_region_polynomial():
+    # Table values come from the integer kernel: with both caches emptied,
+    # every k0 is fresh, and the sweep must build no region set and no
+    # region polynomial.
+    c = seeded_coding(1200, 29)
+    enumerate_regions.cache_clear()
+    lower_essential_poly.cache_clear()
+    for alpha in range(16, 1206, 2):
+        goldbach_characterization(c, alpha)
+    assert enumerate_regions.cache_info().misses == 0
+    assert lower_essential_poly.cache_info().misses == 0
+    assert points_mod._point_table(c).x[1199] == poly_oracle(c, 1199)
 
 
 def test_scale_invariance():
