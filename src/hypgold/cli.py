@@ -52,25 +52,15 @@ from .points import essential_points, goldbach_characterization
 from .regions import enumerate_regions
 
 
-def _jsonable(obj):
-    if isinstance(obj, dict):
-        return {str(k): _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
+def _scalar(obj):
+    """json.dumps hook: Fractions as exact "p/q", mpf and other numbers as decimals."""
     if isinstance(obj, Fraction):
         return format_exact(obj)
-    if isinstance(obj, bool) or obj is None:
-        return obj
-    if isinstance(obj, (int, str)):
-        return obj
-    if isinstance(obj, float):
-        return obj
-    # mpf and anything else numeric: deterministic decimal rendering
     return format_real(obj)
 
 
 def canonical_json(payload: dict) -> str:
-    return json.dumps(_jsonable(payload), sort_keys=True, indent=2,
+    return json.dumps(payload, default=_scalar, sort_keys=True, indent=2,
                       separators=(",", ": ")) + "\n"
 
 
@@ -81,7 +71,8 @@ def records_csv(records: list) -> str:
                                 lineterminator="\n")
         writer.writeheader()
         for row in records:
-            writer.writerow({k: _jsonable(v) for k, v in row.items()})
+            writer.writerow({k: v if v is None or isinstance(v, (str, int, float, list))
+                             else _scalar(v) for k, v in row.items()})
     return buf.getvalue()
 
 

@@ -34,7 +34,7 @@ from .numeric import (
     to_mpf,
 )
 from .oracles import is_prime, primes_in
-from .points import lower_essential_poly
+from .points import lower_point_value
 
 PROV_RANDOM = "random-prime-choice"
 PROV_COMPOSITE = "forced-composite-ratio"
@@ -137,10 +137,8 @@ class LowerState:
 
 
 def _poly_value(xi: dict, j: int):
-    poly = lower_essential_poly(j)
-    for v in poly.variables():
-        assert v in xi, f"x_{j} needs slope index {v} before it is defined"
-    return poly.evaluate(xi)
+    """x_j from the slopes defined so far; a missing one raises KeyError."""
+    return lower_point_value(xi, j)
 
 
 def build_lower(spec: GoldbachSpec, precision: int = DEFAULT_PRECISION) -> LowerState:

@@ -9,6 +9,11 @@ the mirrored upper form gives y_{k0} = -x_{alpha-k0-1}; the pair
 (x_{k0}, y_{k0}) is the essential point.  Repetition of consecutive
 essential points characterizes the Goldbach partitions of alpha inside
 the window {5, ..., alpha/2 - 1}.
+
+x_{k0} has one evaluator, ``_twice_lower_value``: it sums the form's
+terms in the polynomial's sorted order in O(sqrt(k0)), building no
+region set, so float values round exactly as ``EssentialPolynomial``
+rounds them.  The region polynomial stays the definition and the oracle.
 """
 
 from __future__ import annotations
@@ -21,7 +26,7 @@ from functools import lru_cache
 from .coding import PrimeCoding
 from .errors import DomainError, RangeError, TheoremViolationError
 from .numeric import DEFAULT_REL_TOL, MODE_RATIONAL, numbers_equal
-from .oracles import is_prime, primes_in
+from .oracles import goldbach_partitions_oracle, is_prime
 from .regions import TYPE_COEFFICIENT, enumerate_regions
 
 
@@ -103,13 +108,10 @@ def eval_poly(p: EssentialPolynomial, xi):
 
 
 def lower_point_value(xi, k0: int):
-    """Telescoped closed form of the lower polynomial's value.
+    """x_{k0} at slopes given as a coding, a mapping, or a callable.
 
-    x_{k0} = sum_n xi_n*(xi_{floor(k0/n)} - xi_{floor(k0/(n+1))}) over
-    n = 2 .. isqrt(k0)-1, plus the tail xi_r**2/2 when r = floor(k0/r)
-    (r = isqrt(k0)) and xi_r*(xi_{floor(k0/r)} - xi_r/2) otherwise.
-    Rational-mode lower_value runs the same loop on integer-scaled slopes;
-    eval_poly of the region polynomial is the independent oracle for both.
+    No precision context is entered, and a missing slope fails as the
+    mapping reports it (a KeyError for the construction's dict).
     """
     if k0 < 4:
         raise DomainError("lower point values need k0 >= 4")
@@ -117,21 +119,26 @@ def lower_point_value(xi, k0: int):
 
 
 def _twice_lower_value(getter, k0: int):
-    """2*x_{k0} by the telescoped form, in O(sqrt(k0)) slope reads.
+    """2*x_{k0}: the lower polynomial's terms, summed in its sorted order.
 
-    Doubling clears the 1/2 of the tail, so integer slopes give an integer.
-    Both tail cases are 2*xi_r*xi_{floor(k0/r)} - xi_r**2, as
-    floor(k0/r) = r on the diagonal; after the loop, hi holds that slope.
+    Column n < r = isqrt(k0) holds -xi_n*xi_{k0//(n+1)}, then
+    +xi_n*xi_{k0//n}; column r holds +-xi_r**2/2 (+ iff k0//r = r), then
+    xi_r*xi_{k0//r} when k0//r > r.  Doubling is exact, so integer slopes
+    give an integer and each float product and sum rounds as in
+    EssentialPolynomial.evaluate: the build-g coding bytes depend on it.
     """
     root = math.isqrt(k0)
     total = 0
-    hi = getter(k0 // 2)
     for n in range(2, root):
-        lo = getter(k0 // (n + 1))
-        total = total + getter(n) * (hi - lo)
-        hi = lo
+        xn = getter(n)
+        total = total - xn * getter(k0 // (n + 1))
+        total = total + xn * getter(k0 // n)
     r = getter(root)
-    return 2 * (total + r * hi) - r * r
+    top = k0 // root
+    total = 2 * total + (r * r if top == root else -(r * r))
+    if top > root:
+        total = total + 2 * r * getter(top)
+    return total
 
 
 @dataclass(frozen=True)
@@ -165,25 +172,21 @@ def _check_coding(c: PrimeCoding, alpha: int) -> "PointTable":
 
 @lru_cache(maxsize=65536)
 def lower_value(c: PrimeCoding, k0: int):
-    """x_{k0}: the lower essential polynomial evaluated at the coding (memoized).
-
-    Rational mode evaluates the telescoped form on the integer-scaled
-    slopes and returns the exact Fraction; float mode evaluates the region
-    polynomial at the working precision.
-    """
-    if c.mode != MODE_RATIONAL:
-        with c.context():
-            return lower_essential_poly(k0).evaluate(c)
+    """x_{k0} at the coding (memoized): an exact Fraction from the
+    integer-scaled slopes, or an mpf at the coding's precision."""
     if not isinstance(k0, int) or k0 < 4:
         raise DomainError("essential regions need an integer k0 >= 4")
-    ints, scale = _scaled_slopes(c)
-    if k0 // 2 >= len(ints):
+    if k0 // 2 > c.max_index:
         # Name the index EssentialPolynomial.evaluate fails on first: its
         # sorted terms open with (2, k0//3), (2, k0//2), or with (2, 2)
         # when k0 < 9, where k0//3 <= 2.
-        missing = next(i for i in (2, k0 // 3, k0 // 2) if i >= len(ints))
+        missing = next(i for i in (2, k0 // 3, k0 // 2) if i > c.max_index)
         raise RangeError(f"slope index {missing} outside 0..{c.max_index}")
-    return Fraction(_twice_lower_value(ints.__getitem__, k0), scale)
+    if c.mode == MODE_RATIONAL:
+        ints, scale = _scaled_slopes(c)
+        return Fraction(_twice_lower_value(ints.__getitem__, k0), scale)
+    with c.context():
+        return _twice_lower_value(c.slopes.__getitem__, k0) / 2
 
 
 def _scaled_slopes(c: PrimeCoding) -> tuple:
@@ -358,9 +361,7 @@ def goldbach_characterization(c: PrimeCoding, alpha: int,
     _check_alpha(alpha)
     bits = _check_coding(c, alpha).check(alpha, rel_tol)
     repeated = [k for k in range(5, alpha // 2) if bits[k] and bits[alpha - k]]
-    expected = [
-        p for p in primes_in(5, alpha // 2 - 1) if is_prime(alpha - p)
-    ]
+    expected = list(goldbach_partitions_oracle(alpha).inside_window)
     if repeated != expected:
         raise TheoremViolationError(
             f"characterization/sieve mismatch at alpha={alpha}: "

@@ -1,6 +1,7 @@
 """CLI surface: worked-example outputs, determinism, configuration
 precedence, and the exit-code contract."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -220,6 +221,26 @@ def test_cli_import_leaves_scipy_out():
         env=env, capture_output=True, text=True, timeout=120, check=True,
     )
     assert proc.stdout.strip() == "False"
+
+
+def test_float_output_digests_pinned(tmp_path):
+    # The sha256 values perfbench/digests.json records for the same
+    # commands: a change in how x_k0 rounds shows here without a bench run.
+    src = os.path.dirname(os.path.dirname(hypgold.__file__))
+    env = {k: v for k, v in os.environ.items() if not k.startswith("ER_")}
+    env["PYTHONPATH"] = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
+
+    def hypgold_cli(*args):
+        return subprocess.run([sys.executable, "-m", "hypgold", *args], env=env,
+                              capture_output=True, timeout=120, check=True).stdout
+
+    coding = tmp_path / "build-g-coding.json"
+    hypgold_cli("build-g", "--alpha", "30", "--seed", "916", "--out", str(coding))
+    assert hashlib.sha256(coding.read_bytes()).hexdigest() == (
+        "66640ac551486cae86dd2ecf690a1ebf933410cb29d68fa6f9ca906b49e877e0")
+    out = hypgold_cli("scalar-limit", "--alpha", "30", "--u", "1e-1,1e-2,1e-3,1e-4,1e-5,1e-6")
+    assert hashlib.sha256(out).hexdigest() == (
+        "a9acd2ae808db9be31f9c85432cbe9ceac23e32d8031c23b0db6b6e4f25824be")
 
 
 def test_help_exits_zero(capsys):

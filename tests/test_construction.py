@@ -22,10 +22,19 @@ from hypgold.construction import (
     scalar_limit_sweep,
     verify_continuity,
 )
+from hypgold.coding import PrimeCoding
 from hypgold.errors import ConstructionFailureError, DomainError
-from hypgold.numeric import rel_diff, to_mpf
+from hypgold.numeric import MODE_FLOAT, rel_diff, to_mpf
 from hypgold.oracles import is_prime, primes_in
-from hypgold.points import goldbach_characterization
+from hypgold.points import (
+    essential_points,
+    goldbach_characterization,
+    lower_essential_poly,
+    lower_value,
+)
+from hypgold.regions import enumerate_regions
+
+from conftest import seeded_coding
 
 from helpers18 import alpha18_expected
 
@@ -231,6 +240,31 @@ def test_characterization_survives_construction():
         pc = cc.prime_coding()
         expected = [p for p in primes_in(5, alpha // 2 - 1) if is_prime(alpha - p)]
         assert goldbach_characterization(pc, alpha) == expected
+
+
+@pytest.mark.parametrize("spec", [
+    GoldbachSpec(alpha=480, seed=916),
+    GoldbachSpec(alpha=96, scalar_u=Fraction(101, 100)),
+])
+def test_lower_x_is_region_polynomial_bit_for_bit(spec):
+    # The constructed slopes are serialized exactly, so every x must round
+    # as the region polynomial's term-by-term sum does.
+    lower = build_lower(spec)
+    with mp.workprec(lower.precision):
+        for j, value in lower.x.items():
+            assert lower_essential_poly(j).evaluate(lower.xi) == value, j
+
+
+def test_construction_and_float_points_build_no_region_set():
+    enumerate_regions.cache_clear()
+    lower_essential_poly.cache_clear()
+    lower_value.cache_clear()
+    build_goldbach(GoldbachSpec(alpha=120, seed=5))
+    scalar_limit_sweep(60, [Fraction(11, 10), Fraction(101, 100)])
+    c = PrimeCoding(slopes=seeded_coding(200, 41).slopes, mode=MODE_FLOAT, precision=96)
+    essential_points(c, 200)
+    assert enumerate_regions.cache_info().misses == 0
+    assert lower_essential_poly.cache_info().misses == 0
 
 
 def test_scalar_family_formulas():

@@ -173,6 +173,12 @@ def poly_oracle(c, k0):
     return eval_poly(lower_essential_poly(k0), c)
 
 
+def with_float_copies(c):
+    """c, then the same slopes as 53-, 128- and 256-bit float codings."""
+    return [c] + [PrimeCoding(slopes=c.slopes, mode=MODE_FLOAT, precision=p)
+                  for p in (53, 128, 256)]
+
+
 @st.composite
 def rational_codings(draw):
     """Positive slopes with unrelated denominators, runs of equal slopes and dips."""
@@ -186,30 +192,36 @@ def rational_codings(draw):
     return PrimeCoding(slopes=tuple(slopes))
 
 
-@given(c=rational_codings(),
+@given(c=rational_codings(), precision=st.sampled_from([None, 53, 128, 256]),
        k0s=st.lists(st.integers(min_value=-2, max_value=400), min_size=1, max_size=12))
 @settings(max_examples=200, deadline=None)
-def test_int_kernel_matches_region_polynomial(c, k0s):
+def test_int_kernel_matches_region_polynomial(c, precision, k0s):
     # k0 past 2*max_index must raise the RangeError the polynomial meets first.
+    # Float values must match bit for bit: both sum the terms in one order.
+    if precision is not None:
+        c = PrimeCoding(slopes=c.slopes, mode=MODE_FLOAT, precision=precision)
     for k0 in k0s:
         assert value_or_error(lower_value, c, k0) == value_or_error(poly_oracle, c, k0), k0
 
 
 def test_int_kernel_matches_region_polynomial_on_families():
-    for c in (harmonic_coding(150), pow2_coding(150), arith_coding(150),
-              default_coding(150), identity_coding(150)):
-        for k0 in range(0, 310):
-            assert value_or_error(lower_value, c, k0) == value_or_error(poly_oracle, c, k0), k0
+    for family in (harmonic_coding(150), pow2_coding(150), arith_coding(150),
+                   default_coding(150), identity_coding(150)):
+        for c in with_float_copies(family):
+            for k0 in range(0, 310):
+                assert (value_or_error(lower_value, c, k0)
+                        == value_or_error(poly_oracle, c, k0)), (c.mode, c.precision, k0)
 
 
 def test_int_kernel_errors_pinned():
-    c = default_coding(10)
-    with pytest.raises(DomainError, match=r"^essential regions need an integer k0 >= 4$"):
-        lower_value(c, 3)
-    with pytest.raises(RangeError, match=r"^slope index 11 outside 0\.\.10$"):
-        lower_value(c, 35)  # terms (2, 11), (2, 17): index 11 comes first
-    with pytest.raises(RangeError, match=r"^slope index 2 outside 0\.\.1$"):
-        lower_value(default_coding(1), 4)
+    for c in with_float_copies(default_coding(10)):
+        with pytest.raises(DomainError, match=r"^essential regions need an integer k0 >= 4$"):
+            lower_value(c, 3)
+        with pytest.raises(RangeError, match=r"^slope index 11 outside 0\.\.10$"):
+            lower_value(c, 35)  # terms (2, 11), (2, 17): index 11 comes first
+    for c in with_float_copies(default_coding(1)):
+        with pytest.raises(RangeError, match=r"^slope index 2 outside 0\.\.1$"):
+            lower_value(c, 4)
 
 
 def test_rational_sweep_bypasses_region_polynomial():
@@ -315,7 +327,8 @@ def corrupt(index, kind):
         if kind == "negate":
             return -value
         if kind == "repeat":
-            return real(c, k0 - 1)
+            # x_4 has no predecessor: copy its successor instead.
+            return real(c, k0 - 1 if k0 > 4 else k0 + 1)
         if kind == "halve":
             return value / 2
         return value + value / 1000
