@@ -62,7 +62,7 @@ def _require_region(rtype: RegionType, n: int, n_prime: int, k) -> None:
         # [k-1, k] as well as the left endpoint of [k, k+1].
         candidates.append(enumerate_regions(k0 - 1))
     entry = (n, n_prime, rtype)
-    if not any(entry in rs.entries for rs in candidates):
+    if not any(entry in rs.entry_set for rs in candidates):
         raise RegionMismatchError(
             f"({n},{n_prime}) typed {rtype.value} is not an essential region at k={k}"
         )

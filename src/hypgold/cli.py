@@ -10,9 +10,11 @@ sieve mismatch).
 from __future__ import annotations
 
 import csv
+import functools
 import io
 import json
 import math
+import os
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -37,13 +39,12 @@ from .errors import (
     TheoremViolationError,
     VerificationError,
 )
-from .hyperbola import classify_number, classify_point
+from .hyperbola import lattice_witnesses, number_kind
 from .numeric import (
     MODE_FLOAT,
     MODE_RATIONAL,
     format_exact,
     format_real,
-    is_integral,
     parse_exact,
     to_fraction,
 )
@@ -100,20 +101,21 @@ _SHARED_OPTIONS = [
 
 
 def _shared(f):
-    """The run-configuration options every command takes."""
+    """The run-configuration options every command takes, resolved into one ``cfg``."""
+    @functools.wraps(f)
+    def command(config_path, **kwargs):
+        overrides = {name: kwargs.pop(name) for name in RunConfig().as_dict()}
+        return f(cfg=resolve_config(cli_overrides=overrides, config_path=config_path),
+                 **kwargs)
     for opt in reversed(_SHARED_OPTIONS):
-        f = opt(f)
-    return f
+        command = opt(command)
+    return command
 
 
 def _common(f):
     """The shared options, then --out for the command's records."""
     return _shared(click.option("--out", type=click.Path(dir_okay=False, writable=True),
                                 default=None)(f))
-
-
-def _resolve(config_path, **kwargs) -> RunConfig:
-    return resolve_config(cli_overrides=kwargs, config_path=config_path)
 
 
 def _load_coding(path: str | None, cfg: RunConfig, fallback_index: int) -> PrimeCoding:
@@ -131,10 +133,8 @@ def cli():
 @cli.command()
 @click.option("--k0", type=int, required=True)
 @_common
-def regions(k0, config_path, **kwargs):
+def regions(k0, cfg, out):
     """Enumerate the typed essential regions of k0."""
-    out = kwargs.pop("out", None)
-    cfg = _resolve(config_path, **kwargs)
     region_set = enumerate_regions(k0)
     records = [
         {"n": n, "n_prime": np_, "type": t.value} for n, np_, t in region_set
@@ -156,10 +156,8 @@ def regions(k0, config_path, **kwargs):
 @click.option("--coding", "coding_path", type=click.Path(exists=True, dir_okay=False),
               default=None, help="Coding JSON for deformed-plane areas (default: identity).")
 @_common
-def areas(k0, k_text, coding_path, config_path, **kwargs):
+def areas(k0, k_text, coding_path, cfg, out):
     """Closed-form areas and derivatives over the essential regions of k0."""
-    out = kwargs.pop("out", None)
-    cfg = _resolve(config_path, **kwargs)
     k = parse_exact(k_text)
     region_set = enumerate_regions(k0)
     if coding_path:
@@ -196,10 +194,8 @@ def areas(k0, k_text, coding_path, config_path, **kwargs):
 @click.option("--coding", "coding_path", type=click.Path(exists=True, dir_okay=False),
               default=None, help="Coding JSON (default: the strict default coding).")
 @_common
-def points(alpha, coding_path, config_path, **kwargs):
+def points(alpha, coding_path, cfg, out):
     """Essential points (x_k0, y_k0) for k0 = 4 .. alpha/2 - 1."""
-    out = kwargs.pop("out", None)
-    cfg = _resolve(config_path, **kwargs)
     coding = _load_coding(coding_path, cfg, fallback_index=max(alpha - 4, 16))
     pts = essential_points(coding, alpha)
     records = [{"k0": p.k0, "x": p.x, "y": p.y} for p in pts]
@@ -270,21 +266,20 @@ def _sweep_worker(alpha):
 @click.option("--timing", is_flag=True, default=False,
               help="Include per-alpha timing (breaks byte-determinism).")
 @_common
-def goldbach_check(alpha_range, coding_path, workers, timing, config_path, **kwargs):
+def goldbach_check(alpha_range, coding_path, workers, timing, cfg, out):
     """Reconcile the essential-point characterization with the sieve."""
-    out = kwargs.pop("out", None)
-    cfg = _resolve(config_path, **kwargs)
     alphas = _alpha_range(alpha_range)
     if not alphas:
         raise click.UsageError("no even alpha >= 16 in the requested range")
     coding = _load_coding(coding_path, cfg, fallback_index=max(alphas[-1] - 4, 16))
+    # The pool forks all its workers at the first submit: only as many as can work.
+    workers = min(workers, len(alphas), os.cpu_count() or 1)
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers, initializer=_init_sweep_worker,
                                  initargs=(coding, cfg.tolerance_rel, timing)) as pool:
             records = list(pool.map(_sweep_worker, alphas, chunksize=8))
     else:
         records = [_sweep_one(coding, a, cfg.tolerance_rel, timing) for a in alphas]
-    records.sort(key=lambda r: r["alpha"])
     all_agree = all(r["sieve_agreement"] for r in records)
     payload = {
         "command": "goldbach-check",
@@ -308,9 +303,8 @@ def goldbach_check(alpha_range, coding_path, workers, timing, config_path, **kwa
               default="coding.json", show_default=True,
               help="Where to write the constructed coding JSON.")
 @_shared
-def build_g(alpha, scalar_u, xi2_text, xi_half_text, coding_out, config_path, **kwargs):
+def build_g(alpha, scalar_u, xi2_text, xi_half_text, coding_out, cfg):
     """Construct a coding with a continuous total-area second derivative."""
-    cfg = _resolve(config_path, **kwargs)
     spec = GoldbachSpec(
         alpha=alpha,
         xi2_sq=parse_exact(xi2_text),
@@ -349,10 +343,8 @@ def build_g(alpha, scalar_u, xi2_text, xi_half_text, coding_out, config_path, **
               help="Comma list; values <= 1 are offsets h (u = 1 + h), values > 1 are u.")
 @click.option("--xi2", "xi2_text", type=str, default="1", show_default=True)
 @_common
-def scalar_limit(alpha, u_text, xi2_text, config_path, **kwargs):
+def scalar_limit(alpha, u_text, xi2_text, cfg, out):
     """Tabulate x_k0(u), y_k0(u) for the scalar family along u -> 1+."""
-    out = kwargs.pop("out", None)
-    cfg = _resolve(config_path, **kwargs)
     u_values = []
     for part in u_text.split(","):
         h = parse_exact(part)
@@ -387,28 +379,20 @@ def scalar_limit(alpha, u_text, xi2_text, config_path, **kwargs):
 @click.option("--coding", "coding_path", type=click.Path(exists=True, dir_okay=False),
               default=None)
 @_common
-def classify(k_text, coding_path, config_path, **kwargs):
+def classify(k_text, coding_path, cfg, out):
     """Hyperbolic classification of k: prime, composite natural, or non-natural."""
-    out = kwargs.pop("out", None)
-    cfg = _resolve(config_path, **kwargs)
     k = parse_exact(k_text)
     if k <= 1:
         raise DomainError("classification needs k > 1")
     fallback = max(math.ceil(k) + 1, 16)
     coding = _load_coding(coding_path, cfg, fallback_index=fallback)
-    kind = classify_number(coding, k, rel_tol=cfg.tolerance_rel)
-    witnesses = []
-    if is_integral(k):
-        kn = int(k)
-        for d in range(1, math.isqrt(kn) + 1):
-            if kn % d == 0:
-                pk = classify_point(coding, k, coding.psi(d), rel_tol=cfg.tolerance_rel)
-                witnesses.append({"x": d, "y": kn // d, "kind": pk.value})
+    lattice = lattice_witnesses(coding, k, rel_tol=cfg.tolerance_rel)
+    witnesses = [{"x": x, "y": y, "kind": pk.value} for x, y, pk in lattice]
     payload = {
         "command": "classify",
         "config": cfg.as_dict(),
         "k": format_exact(k),
-        "kind": kind.value,
+        "kind": number_kind(lattice).value,
         "witnesses": witnesses,
     }
     emit(payload, witnesses, cfg, out)
@@ -427,9 +411,6 @@ def main(argv=None) -> int:
     except click.exceptions.Exit as exc:
         return exc.exit_code
     except click.Abort:
-        return 1
-    except click.UsageError as exc:
-        click.echo(_error_payload(exc), err=True)
         return 1
     except click.ClickException as exc:
         click.echo(_error_payload(exc), err=True)

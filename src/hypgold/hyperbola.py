@@ -141,15 +141,14 @@ def classify_point(c: PrimeCoding, k: Number, u: Number,
     return PointKind.VORTEX
 
 
-def classify_number(c: PrimeCoding, k: Number,
-                    rel_tol: float = DEFAULT_REL_TOL) -> NumberKind:
-    """Classify k > 1 from derivative jumps of its deformed hyperbola.
+def lattice_witnesses(c: PrimeCoding, k: Number,
+                      rel_tol: float = DEFAULT_REL_TOL) -> tuple:
+    """The verified lattice points ``(d, k // d, PointKind)`` of xy = k, 1 <= d <= sqrt(k).
 
     Scans the curve restricted to 1 <= x <= sqrt(k) for lattice points
     (the only points whose jumps distinguish k: points with exactly one
     natural coordinate jump on every curve) and verifies each candidate
-    jump.  k is natural iff the boundary lattice point (1, k) exists,
-    prime iff no interior lattice point accompanies it.
+    jump.  Returns an empty tuple when k is not natural.
     """
     if not c.identifies_primes:
         raise DomainError("number classification needs a coding that identifies primes")
@@ -160,10 +159,9 @@ def classify_number(c: PrimeCoding, k: Number,
         if kv > c.max_index:
             raise RangeError(f"k={k} beyond slope index {c.max_index}")
         if not is_integral(kv):
-            return NumberKind.NON_NATURAL
+            return ()
         kn = int(kv)
-        semi = 0
-        vortex = 0
+        witnesses = []
         for d in range(1, math.isqrt(kn) + 1):
             if kn % d:
                 continue
@@ -172,12 +170,27 @@ def classify_number(c: PrimeCoding, k: Number,
                 raise TheoremViolationError(
                     f"no derivative jump at lattice point ({d}, {kn // d}) on xy={kn}"
                 )
-            if kind is PointKind.SEMI_VORTEX:
-                semi += 1
-            else:
-                vortex += 1
+            witnesses.append((d, kn // d, kind))
+        semi = sum(kind is PointKind.SEMI_VORTEX for _, _, kind in witnesses)
         if semi != 1:
             raise TheoremViolationError(
                 f"expected exactly one boundary lattice point on xy={kn}, saw {semi}"
             )
-        return NumberKind.COMPOSITE_NATURAL if vortex else NumberKind.PRIME
+        return tuple(witnesses)
+
+
+def number_kind(witnesses: tuple) -> NumberKind:
+    """Non-natural without lattice points, prime with the boundary point alone."""
+    if not witnesses:
+        return NumberKind.NON_NATURAL
+    return NumberKind.PRIME if len(witnesses) == 1 else NumberKind.COMPOSITE_NATURAL
+
+
+def classify_number(c: PrimeCoding, k: Number,
+                    rel_tol: float = DEFAULT_REL_TOL) -> NumberKind:
+    """Classify k > 1 from derivative jumps of its deformed hyperbola.
+
+    k is natural iff the boundary lattice point (1, k) exists, prime iff
+    no interior lattice point accompanies it (see :func:`lattice_witnesses`).
+    """
+    return number_kind(lattice_witnesses(c, k, rel_tol=rel_tol))

@@ -64,6 +64,8 @@ class PartitionReport:
         return tuple(sorted(self.inside_window + self.outside_window))
 
 
+# A sweep asks for each alpha twice in a row: once to reconcile, once for its record.
+@lru_cache(maxsize=1)
 def goldbach_partitions_oracle(alpha: int) -> PartitionReport:
     """Exhaustive sieve scan for k <= alpha/2 with k and alpha-k both prime."""
     if alpha < 4 or alpha % 2:
@@ -71,7 +73,7 @@ def goldbach_partitions_oracle(alpha: int) -> PartitionReport:
     table = _table(alpha)
     hits = [k for k in range(2, alpha // 2 + 1) if table[k] and table[alpha - k]]
     inside = tuple(k for k in hits if 5 <= k <= alpha // 2 - 1)
-    outside = tuple(k for k in hits if k not in inside)
+    outside = tuple(k for k in hits if not 5 <= k <= alpha // 2 - 1)
     return PartitionReport(alpha=alpha, inside_window=inside, outside_window=outside)
 
 

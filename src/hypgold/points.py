@@ -54,9 +54,6 @@ class EssentialPolynomial:
     def negated(self) -> "EssentialPolynomial":
         return EssentialPolynomial(terms=tuple((pair, -c) for pair, c in self.terms))
 
-    def is_zero(self) -> bool:
-        return not self.terms
-
     def evaluate(self, xi):
         """Substitute x_i := xi(i).  xi is a coding, a mapping, or a callable."""
         getter = _slope_getter(xi)

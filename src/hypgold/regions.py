@@ -20,7 +20,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from .errors import DomainError, RegionMismatchError
 from .numeric import is_integral, to_fraction
@@ -60,6 +60,11 @@ class EssentialRegionSet:
 
     def types(self) -> dict:
         return {(n, np_): t for n, np_, t in self.entries}
+
+    @cached_property
+    def entry_set(self) -> frozenset:
+        """The entries as a set, built once, for constant-time membership."""
+        return frozenset(self.entries)
 
     def __iter__(self):
         return iter(self.entries)

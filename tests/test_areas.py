@@ -3,12 +3,14 @@ differences, Jacobian scaling, the assembled second derivative, and the
 bounds chain."""
 
 import random
+import time
 from fractions import Fraction
 
 import pytest
 from mpmath import mp, mpf
 
 from hypgold.areas import (
+    _require_region,
     ab_coefficients,
     area_closed,
     area_quadrature_oracle,
@@ -110,6 +112,18 @@ def test_region_membership_errors():
         area_closed(T3, 4, 4, 18.5)  # square type on the diagonal
     with pytest.raises(DomainError):
         area_closed(T7, 2, 2, 3.5)
+
+
+def test_region_validation_is_linear():
+    # One lookup per region: at the parent each lookup scanned the region
+    # tuple, and validating the 19,999 regions of k0 = 40000 took ~6 s.
+    k = Fraction(80001, 2)
+    start = time.perf_counter()
+    for n, n_prime, rtype in enumerate_regions(40000):
+        _require_region(rtype, n, n_prime, k)
+    assert time.perf_counter() - start < 1.0
+    with pytest.raises(RegionMismatchError, match=r"\(2,20000\) typed T3 is not an essential"):
+        _require_region(T3, 2, 20000, k)
 
 
 def test_integer_k_closed_interval_extension():

@@ -12,10 +12,12 @@ import pytest
 
 import hypgold
 import hypgold.cli as cli_mod
+import hypgold.hyperbola as hyperbola_mod
 from hypgold.cli import main
 from hypgold.coding import coding_from_json, coding_to_json, default_coding
 from hypgold.construction import GoldbachSpec, build_goldbach, verify_continuity
 from hypgold.errors import TheoremViolationError
+from hypgold.oracles import goldbach_partitions_oracle
 
 
 def run(capsys, args):
@@ -72,6 +74,21 @@ def test_classify_composite(capsys):
     assert {(w["x"], w["y"]) for w in payload["witnesses"]} == {(1, 12), (2, 6), (3, 4)}
 
 
+def test_classify_walks_each_lattice_point_once(capsys, monkeypatch):
+    calls = []
+    original = hyperbola_mod.classify_point
+
+    def spy(c, k, u, **kwargs):
+        calls.append(u)
+        return original(c, k, u, **kwargs)
+
+    monkeypatch.setattr(hyperbola_mod, "classify_point", spy)
+    monkeypatch.setattr(cli_mod, "classify_point", spy, raising=False)
+    rc, out, _ = run(capsys, ["classify", "--k", "12"])
+    assert rc == 0 and json.loads(out)["kind"] == "composite_natural"
+    assert len(calls) == 3  # (1, 12), (2, 6), (3, 4)
+
+
 def test_classify_non_natural(capsys):
     rc, out, _ = run(capsys, ["classify", "--k", "15/2"])
     assert json.loads(out)["kind"] == "non_natural"
@@ -107,6 +124,16 @@ def test_goldbach_check(capsys):
     assert "timing_ms" not in rec18
 
 
+def test_goldbach_check_scans_each_alpha_once(capsys):
+    goldbach_partitions_oracle.cache_clear()
+    rc, out, _ = run(capsys, ["goldbach-check", "--alpha-range", "16..60"])
+    assert rc == 0
+    alphas = len(json.loads(out)["records"])
+    info = goldbach_partitions_oracle.cache_info()
+    # One scan per alpha; the record reuses the report the reconciliation used.
+    assert (info.misses, info.hits) == (alphas, alphas) == (23, 23)
+
+
 def test_goldbach_check_timing_flag(capsys):
     rc, out, _ = run(capsys, ["goldbach-check", "--alpha-range", "18..20", "--timing"])
     payload = json.loads(out)
@@ -120,6 +147,41 @@ def test_goldbach_check_workers_match(capsys):
                                 "--workers", "2"])
     assert rc1 == rc2 == 0
     assert out1 == out2
+
+
+def test_goldbach_check_caps_workers(capsys, monkeypatch):
+    pools = []
+
+    class InlinePool:
+        """Records the pool size and runs the tasks here, starting no process."""
+
+        def __init__(self, max_workers, initializer, initargs):
+            pools.append(max_workers)
+            initializer(*initargs)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items, chunksize=1):
+            return map(fn, items)
+
+    monkeypatch.setattr(cli_mod, "ProcessPoolExecutor", InlinePool)
+    monkeypatch.setattr(cli_mod, "_worker_sweep", None)
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)
+    rc, serial, _ = run(capsys, ["goldbach-check", "--alpha-range", "16..60"])
+    for workers, alpha_range in (("5000", "16..60"), ("3", "16..60"), ("5000", "16..18")):
+        rc, out, _ = run(capsys, ["goldbach-check", "--alpha-range", alpha_range,
+                                  "--workers", workers])
+        assert rc == 0
+        if alpha_range == "16..60":
+            assert out == serial
+    assert pools == [4, 3, 2]
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    run(capsys, ["goldbach-check", "--alpha-range", "16..60", "--workers", "5000"])
+    assert pools == [4, 3, 2]  # one CPU known: the sweep runs serially
 
 
 def test_build_g_writes_verifiable_coding(tmp_path, capsys):
@@ -223,24 +285,38 @@ def test_cli_import_leaves_scipy_out():
     assert proc.stdout.strip() == "False"
 
 
-def test_float_output_digests_pinned(tmp_path):
-    # The sha256 values perfbench/digests.json records for the same
-    # commands: a change in how x_k0 rounds shows here without a bench run.
+def _hypgold_cli(*args) -> bytes:
+    """Stdout of ``python -m hypgold ARGS`` in a fresh process without ER_* variables."""
     src = os.path.dirname(os.path.dirname(hypgold.__file__))
     env = {k: v for k, v in os.environ.items() if not k.startswith("ER_")}
     env["PYTHONPATH"] = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
+    return subprocess.run([sys.executable, "-m", "hypgold", *args], env=env,
+                          capture_output=True, timeout=120, check=True).stdout
 
-    def hypgold_cli(*args):
-        return subprocess.run([sys.executable, "-m", "hypgold", *args], env=env,
-                              capture_output=True, timeout=120, check=True).stdout
 
+def test_float_output_digests_pinned(tmp_path):
+    # The sha256 values perfbench/digests.json records for the same
+    # commands: a change in how x_k0 rounds shows here without a bench run.
     coding = tmp_path / "build-g-coding.json"
-    hypgold_cli("build-g", "--alpha", "30", "--seed", "916", "--out", str(coding))
+    _hypgold_cli("build-g", "--alpha", "30", "--seed", "916", "--out", str(coding))
     assert hashlib.sha256(coding.read_bytes()).hexdigest() == (
         "66640ac551486cae86dd2ecf690a1ebf933410cb29d68fa6f9ca906b49e877e0")
-    out = hypgold_cli("scalar-limit", "--alpha", "30", "--u", "1e-1,1e-2,1e-3,1e-4,1e-5,1e-6")
+    out = _hypgold_cli("scalar-limit", "--alpha", "30", "--u", "1e-1,1e-2,1e-3,1e-4,1e-5,1e-6")
     assert hashlib.sha256(out).hexdigest() == (
         "a9acd2ae808db9be31f9c85432cbe9ceac23e32d8031c23b0db6b6e4f25824be")
+
+
+@pytest.mark.parametrize("args, digest", [
+    ("classify --k 42", "665258e058afc943cca91560cdd35e89f224ccc0bec45ad2913ed491aaed208e"),
+    ("classify --k 59", "8e24da704bc3c3c773793a0329449a1a00fb61a06498786da49b85ff76d6cdda"),
+    ("goldbach-check --alpha-range 16..40 --workers 1",
+     "fffc5ac62c3be5f5411bf5ca0a63cc18c12565f3317143f48dad8e9e7dd1c0f7"),
+    ("goldbach-check --alpha-range 16..30 --workers 2",
+     "56a28e95045b51996a6af5bd83fa7f6a15218679cefd8058dedbf569a6744e5c"),
+])
+def test_classify_and_sweep_digests_pinned(args, digest):
+    # The sha256 values perfbench/digests.json records for the same commands.
+    assert hashlib.sha256(_hypgold_cli(*args.split())).hexdigest() == digest
 
 
 def test_help_exits_zero(capsys):
