@@ -28,7 +28,6 @@ from .config import RunConfig, resolve_config
 from .construction import (
     GoldbachSpec,
     build_goldbach,
-    junction_gaps,
     scalar_limit_sweep,
     verify_continuity,
 )
@@ -46,7 +45,6 @@ from .numeric import (
     format_exact,
     format_real,
     parse_exact,
-    to_fraction,
 )
 from .oracles import goldbach_partitions_oracle
 from .points import essential_points, goldbach_characterization
@@ -93,7 +91,7 @@ _SHARED_OPTIONS = [
     click.option("--precision", "precision_bits", type=int, default=None,
                  help="Float-mode mantissa bits (>= 53)."),
     click.option("--tol", "tolerance_rel", type=float, default=None,
-                 help="Relative tolerance for float-mode comparisons."),
+                 help="Bound on build-g's relative junction gap."),
     click.option("--seed", type=int, default=None),
     click.option("--json", "output_format", flag_value="json", default=None),
     click.option("--csv", "output_format", flag_value="csv", default=None),
@@ -220,10 +218,10 @@ def _alpha_range(text: str) -> list:
     return [a for a in range(max(start, 16), hi + 1, 2)]
 
 
-def _sweep_one(coding, alpha, tol, want_timing):
+def _sweep_one(coding, alpha, want_timing):
     t0 = time.perf_counter()
     try:
-        k0_list = goldbach_characterization(coding, alpha, rel_tol=tol)
+        k0_list = goldbach_characterization(coding, alpha)
         agreement, error = True, None
     except TheoremViolationError as exc:
         k0_list, agreement, error = [], False, str(exc)
@@ -247,14 +245,14 @@ def _sweep_one(coding, alpha, tol, want_timing):
 _worker_sweep = None
 
 
-def _init_sweep_worker(coding, tol, want_timing):
+def _init_sweep_worker(coding, want_timing):
     global _worker_sweep
-    _worker_sweep = (coding, tol, want_timing)
+    _worker_sweep = (coding, want_timing)
 
 
 def _sweep_worker(alpha):
-    coding, tol, want_timing = _worker_sweep
-    return _sweep_one(coding, alpha, tol, want_timing)
+    coding, want_timing = _worker_sweep
+    return _sweep_one(coding, alpha, want_timing)
 
 
 @cli.command(name="goldbach-check")
@@ -276,10 +274,10 @@ def goldbach_check(alpha_range, coding_path, workers, timing, cfg, out):
     workers = min(workers, len(alphas), os.cpu_count() or 1)
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers, initializer=_init_sweep_worker,
-                                 initargs=(coding, cfg.tolerance_rel, timing)) as pool:
+                                 initargs=(coding, timing)) as pool:
             records = list(pool.map(_sweep_worker, alphas, chunksize=8))
     else:
-        records = [_sweep_one(coding, a, cfg.tolerance_rel, timing) for a in alphas]
+        records = [_sweep_one(coding, a, timing) for a in alphas]
     all_agree = all(r["sieve_agreement"] for r in records)
     payload = {
         "command": "goldbach-check",
@@ -386,7 +384,7 @@ def classify(k_text, coding_path, cfg, out):
         raise DomainError("classification needs k > 1")
     fallback = max(math.ceil(k) + 1, 16)
     coding = _load_coding(coding_path, cfg, fallback_index=fallback)
-    lattice = lattice_witnesses(coding, k, rel_tol=cfg.tolerance_rel)
+    lattice = lattice_witnesses(coding, k)
     witnesses = [{"x": x, "y": y, "kind": pk.value} for x, y, pk in lattice]
     payload = {
         "command": "classify",

@@ -70,8 +70,8 @@ class PrimeCoding:
         return cached
 
     def __getstate__(self):
-        # Only the fields travel: the hash and the tables cached in
-        # __dict__ are rebuilt on demand by the receiving process.
+        # Only the fields travel: the hash, the exact twin and the tables
+        # cached in __dict__ are rebuilt on demand by the receiving process.
         return {name: self.__dict__[name] for name in ("slopes", "mode", "precision")}
 
     def context(self):
@@ -176,33 +176,38 @@ class PrimeCoding:
         return (self.slopes[k - 1], self.slopes[k])
 
     @cached_property
+    def exact(self) -> "PrimeCoding":
+        """The rational coding with exactly these slopes; self in rational mode.
+
+        Every mpf is m*2**e, so the twin loses nothing, and every decision
+        (repeats, derivative jumps, identifies_primes) is made on it: float
+        mode decides as rational mode does, with no tolerance.
+        """
+        if self.mode == MODE_RATIONAL:
+            return self
+        return PrimeCoding(self.slopes)
+
+    @cached_property
     def identifies_primes(self) -> bool:
         """True when xi_i*xi_j != xi_{i+1}*xi_{j+1} for all i <= j < N.
 
-        In rational mode a strict coding has the property (0 < a < b and
-        0 < c < d give ac < bd); otherwise the condition reads
-        r_i*r_j != 1 for the ratios r_i = xi_{i+1}/xi_i, which one set of
-        the ratios seen so far decides.  Float mode keeps the exhaustive
-        scan, because rounded products can collide where the ratios do not.
+        Decided on the exact slopes.  A strict coding has the property
+        (0 < a < b and 0 < c < d give ac < bd); otherwise the condition
+        reads r_i*r_j != 1 for the ratios r_i = xi_{i+1}/xi_i, which one set
+        of the ratios seen so far decides.
         """
+        if self.mode == MODE_FLOAT:
+            return self.exact.identifies_primes
+        if self.strict:
+            return True
         xs = self.slopes
-        if self.mode == MODE_RATIONAL:
-            if self.strict:
-                return True
-            ratios = set()
-            for a, b in zip(xs, xs[1:]):
-                r = b / a
-                ratios.add(r)
-                if 1 / r in ratios:
-                    return False
-            return True
-        with self.context():
-            n = len(xs) - 1
-            for i in range(n):
-                for j in range(i, n):
-                    if xs[i] * xs[j] == xs[i + 1] * xs[j + 1]:
-                        return False
-            return True
+        ratios = set()
+        for a, b in zip(xs, xs[1:]):
+            r = b / a
+            ratios.add(r)
+            if 1 / r in ratios:
+                return False
+        return True
 
     def identifies_naturals(self, alpha: int) -> bool:
         """a_m*a_{alpha-m} != b_m*b_{alpha-m} for every m = 1..alpha-1."""

@@ -17,7 +17,7 @@ from enum import Enum
 
 from .coding import PrimeCoding
 from .errors import DomainError, RangeError, TheoremViolationError
-from .numeric import DEFAULT_REL_TOL, Number, floor_int, is_integral, numbers_equal
+from .numeric import Number, floor_int, is_integral
 
 
 class PointKind(Enum):
@@ -115,8 +115,7 @@ def hhat_one_sided(c: PrimeCoding, k: Number, u: Number) -> tuple:
         return (factor * b_np / a_n, factor * a_np / b_n)
 
 
-def classify_point(c: PrimeCoding, k: Number, u: Number,
-                   rel_tol: float = DEFAULT_REL_TOL) -> PointKind:
+def classify_point(c: PrimeCoding, k: Number, u: Number) -> PointKind:
     """Classify one on-curve point in the working quadrant x >= 1, y >= x.
 
     smooth: both one-sided derivatives agree.  semi_vortex: the jump sits
@@ -132,7 +131,7 @@ def classify_point(c: PrimeCoding, k: Number, u: Number,
             f"point ({pt.x}, {pt.y}) outside the working quadrant x >= 1, y >= x"
         )
     left, right = hhat_one_sided(c, k, u)
-    if numbers_equal(left, right, c.mode, rel_tol):
+    if left == right:
         return PointKind.SMOOTH
     x_nat = is_integral(pt.x)
     y_nat = is_integral(pt.y)
@@ -141,42 +140,42 @@ def classify_point(c: PrimeCoding, k: Number, u: Number,
     return PointKind.VORTEX
 
 
-def lattice_witnesses(c: PrimeCoding, k: Number,
-                      rel_tol: float = DEFAULT_REL_TOL) -> tuple:
+def lattice_witnesses(c: PrimeCoding, k: Number) -> tuple:
     """The verified lattice points ``(d, k // d, PointKind)`` of xy = k, 1 <= d <= sqrt(k).
 
     Scans the curve restricted to 1 <= x <= sqrt(k) for lattice points
     (the only points whose jumps distinguish k: points with exactly one
     natural coordinate jump on every curve) and verifies each candidate
-    jump.  Returns an empty tuple when k is not natural.
+    jump on the coding's exact twin.  k is read at the coding's precision.
+    Returns an empty tuple when k is not natural.
     """
     if not c.identifies_primes:
         raise DomainError("number classification needs a coding that identifies primes")
-    with c.context():
-        kv = c._coerce(k)
-        if kv <= 1:
-            raise DomainError("classification needs k > 1")
-        if kv > c.max_index:
-            raise RangeError(f"k={k} beyond slope index {c.max_index}")
-        if not is_integral(kv):
-            return ()
-        kn = int(kv)
-        witnesses = []
-        for d in range(1, math.isqrt(kn) + 1):
-            if kn % d:
-                continue
-            kind = classify_point(c, kv, c.psi(d), rel_tol=rel_tol)
-            if kind is PointKind.SMOOTH:
-                raise TheoremViolationError(
-                    f"no derivative jump at lattice point ({d}, {kn // d}) on xy={kn}"
-                )
-            witnesses.append((d, kn // d, kind))
-        semi = sum(kind is PointKind.SEMI_VORTEX for _, _, kind in witnesses)
-        if semi != 1:
+    kv = c._coerce(k)
+    if kv <= 1:
+        raise DomainError("classification needs k > 1")
+    if kv > c.max_index:
+        raise RangeError(f"k={k} beyond slope index {c.max_index}")
+    if not is_integral(kv):
+        return ()
+    kn = int(kv)
+    exact = c.exact
+    witnesses = []
+    for d in range(1, math.isqrt(kn) + 1):
+        if kn % d:
+            continue
+        kind = classify_point(exact, kn, exact.psi(d))
+        if kind is PointKind.SMOOTH:
             raise TheoremViolationError(
-                f"expected exactly one boundary lattice point on xy={kn}, saw {semi}"
+                f"no derivative jump at lattice point ({d}, {kn // d}) on xy={kn}"
             )
-        return tuple(witnesses)
+        witnesses.append((d, kn // d, kind))
+    semi = sum(kind is PointKind.SEMI_VORTEX for _, _, kind in witnesses)
+    if semi != 1:
+        raise TheoremViolationError(
+            f"expected exactly one boundary lattice point on xy={kn}, saw {semi}"
+        )
+    return tuple(witnesses)
 
 
 def number_kind(witnesses: tuple) -> NumberKind:
@@ -186,11 +185,10 @@ def number_kind(witnesses: tuple) -> NumberKind:
     return NumberKind.PRIME if len(witnesses) == 1 else NumberKind.COMPOSITE_NATURAL
 
 
-def classify_number(c: PrimeCoding, k: Number,
-                    rel_tol: float = DEFAULT_REL_TOL) -> NumberKind:
+def classify_number(c: PrimeCoding, k: Number) -> NumberKind:
     """Classify k > 1 from derivative jumps of its deformed hyperbola.
 
     k is natural iff the boundary lattice point (1, k) exists, prime iff
     no interior lattice point accompanies it (see :func:`lattice_witnesses`).
     """
-    return number_kind(lattice_witnesses(c, k, rel_tol=rel_tol))
+    return number_kind(lattice_witnesses(c, k))

@@ -113,10 +113,3 @@ def rel_diff(a: Number, b: Number) -> float:
     fa, fb = to_fraction(a), to_fraction(b)
     scale = max(abs(fa), abs(fb))
     return float(abs(fa - fb) / scale)
-
-
-def numbers_equal(a: Number, b: Number, mode: str, rel_tol: float = DEFAULT_REL_TOL) -> bool:
-    """Equality decision: exact in rational mode, tolerance in float mode."""
-    if mode == MODE_RATIONAL:
-        return to_fraction(a) == to_fraction(b)
-    return rel_diff(a, b) <= rel_tol

@@ -25,7 +25,7 @@ from functools import lru_cache
 
 from .coding import PrimeCoding
 from .errors import DomainError, RangeError, TheoremViolationError
-from .numeric import DEFAULT_REL_TOL, MODE_RATIONAL, numbers_equal
+from .numeric import MODE_RATIONAL
 from .oracles import goldbach_partitions_oracle, is_prime
 from .regions import TYPE_COEFFICIENT, enumerate_regions
 
@@ -151,12 +151,12 @@ def _check_alpha(alpha: int) -> None:
 
 
 def _check_coding(c: PrimeCoding, alpha: int) -> "PointTable":
-    """The coding's point table, once the coding is adapted to alpha."""
+    """The point table of the coding's exact twin, once the coding is adapted to alpha."""
     if c.max_index < alpha - 5:
         raise RangeError(
             f"coding defines slopes through {c.max_index}, need index {alpha - 5}"
         )
-    table = _point_table(c)
+    table = _point_table(c.exact)
     # The repetition dichotomies need strictly increasing slopes through
     # alpha/2 - 1 (the coding "adapted to alpha"); constructed codings are
     # allowed to dip above that, which the essential points never see.
@@ -215,15 +215,15 @@ def essential_points(c: PrimeCoding, alpha: int) -> list:
 
 
 class PointTable:
-    """x_4 .. x_top of one coding, and the facts every alpha's checks read.
+    """x_4 .. x_top of one rational coding, and the facts every alpha's checks read.
 
     x_{k0} depends only on the coding and k0, and y_{k0} = -x_{alpha-k0-1},
     so one table serves every alpha <= top + 5.  Growing it records the
     indices j that break the sign condition (x_j <= 0) or the ordering
-    (x_j < x_{j-1}); per tolerance it keeps the repeat bitmap
-    R[j] = [x_{j-1} == x_j] and the indices where R disagrees with
-    is_prime(j).  An alpha's checks then look only for recorded indices
-    inside its window.
+    (x_j < x_{j-1}), the repeat bitmap R[j] = [x_{j-1} == x_j], and the
+    indices where R disagrees with is_prime(j).  An alpha's checks then
+    look only for recorded indices inside its window.  The values are
+    exact, so every comparison is too.
     """
 
     def __init__(self, c: PrimeCoding):
@@ -231,7 +231,8 @@ class PointTable:
         self.x = [None] * 4   # x[k0] for 4 <= k0 <= top, from lower_value
         self.sign_bad = []    # j with not x_j > 0
         self.order_bad = []   # j with x_j < x_{j-1}
-        self._repeats = {}    # rel_tol -> (R, [j with R[j] != is_prime(j)])
+        self.bits = bytearray(5)  # R[j] for 5 <= j < len(bits)
+        self.mismatches = []  # j with R[j] != is_prime(j)
         slopes = c.slopes
         # slopes[0..strict_through] increase strictly.
         self.strict_through = next(
@@ -240,28 +241,22 @@ class PointTable:
         )
 
     def grow(self, top: int) -> None:
-        """Extend x through index top."""
+        """Extend x and R through index top, each R[j] checked once against is_prime(j)."""
         x, c = self.x, self.coding
         for j in range(len(x), top + 1):
             value = lower_value(c, j)
             if not value > 0:
                 self.sign_bad.append(j)
-            if j > 4 and value < x[j - 1]:
-                self.order_bad.append(j)
+            if j > 4:
+                if value < x[j - 1]:
+                    self.order_bad.append(j)
+                repeat = value == x[j - 1]
+                self.bits.append(repeat)
+                if repeat != is_prime(j):
+                    self.mismatches.append(j)
             x.append(value)
 
-    def repeats(self, rel_tol: float) -> tuple:
-        """(R, mismatches) through top, each R[j] checked once against is_prime(j)."""
-        bits, mismatches = self._repeats.setdefault(rel_tol, (bytearray(5), []))
-        x, mode = self.x, self.coding.mode
-        for j in range(len(bits), len(x)):
-            repeat = numbers_equal(x[j - 1], x[j], mode, rel_tol)
-            bits.append(repeat)
-            if repeat != is_prime(j):
-                mismatches.append(j)
-        return bits, mismatches
-
-    def check(self, alpha: int, rel_tol: float) -> bytearray:
+    def check(self, alpha: int) -> bytearray:
         """Raise the first sign, ordering or dichotomy failure in alpha's window.
 
         Failures surface in the order a scan over k0 = 4 .. alpha/2 - 1
@@ -276,19 +271,18 @@ class PointTable:
                 f"essential point sign violated at k0={k0}: "
                 f"x={x[k0]}, y={-x[alpha - k0 - 1]}"
             )
-        bits, mismatches = self.repeats(rel_tol)
         unordered = _first_in_window(self.order_bad, alpha, alpha)
-        mismatched = _first_in_window(mismatches, alpha, alpha)
+        mismatched = _first_in_window(self.mismatches, alpha, alpha)
         if unordered is not None and (mismatched is None or unordered <= mismatched):
             raise TheoremViolationError(
                 f"essential point ordering violated between k0={unordered - 1} and {unordered}"
             )
         if mismatched is not None:
-            rec = _comparison(bits, alpha, mismatched)
+            rec = _comparison(self.bits, alpha, mismatched)
             raise TheoremViolationError(
                 f"repetition dichotomy violated at alpha={alpha}, k0={mismatched}: {rec}"
             )
-        return bits
+        return self.bits
 
 
 def _point_table(c: PrimeCoding) -> PointTable:
@@ -324,17 +318,17 @@ class IndexComparison:
     complement_prime: bool  # alpha - k0 prime; expected iff y repeats
 
 
-def monotonicity_report(c: PrimeCoding, alpha: int,
-                        rel_tol: float = DEFAULT_REL_TOL) -> list:
+def monotonicity_report(c: PrimeCoding, alpha: int) -> list:
     """Verify the ordering and the repetition dichotomies of both coordinates.
 
     Checks 0 < x_4 <= ... <= x_{alpha/2-1} and y_4 <= ... <= y_{alpha/2-1} < 0,
     plus x_{k0-1} = x_{k0} iff k0 prime and y_{k0-1} = y_{k0} iff alpha - k0
     prime.  Any failure raises TheoremViolationError: with a strict coding
-    these are theorems, so a failure flags an implementation bug.
+    these are theorems, so a failure flags an implementation bug.  Float
+    codings are checked on their exact twin, so the equalities are exact.
     """
     _check_alpha(alpha)
-    bits = _check_coding(c, alpha).check(alpha, rel_tol)
+    bits = _check_coding(c, alpha).check(alpha)
     return [_comparison(bits, alpha, k0) for k0 in range(5, alpha // 2)]
 
 
@@ -348,15 +342,14 @@ def _comparison(bits: bytearray, alpha: int, k0: int) -> IndexComparison:
     )
 
 
-def goldbach_characterization(c: PrimeCoding, alpha: int,
-                              rel_tol: float = DEFAULT_REL_TOL) -> list:
+def goldbach_characterization(c: PrimeCoding, alpha: int) -> list:
     """All k0 in {5, ..., alpha/2 - 1} whose essential point repeats the previous one.
 
     The result is reconciled against the sieve; a mismatch raises
     TheoremViolationError.
     """
     _check_alpha(alpha)
-    bits = _check_coding(c, alpha).check(alpha, rel_tol)
+    bits = _check_coding(c, alpha).check(alpha)
     repeated = [k for k in range(5, alpha // 2) if bits[k] and bits[alpha - k]]
     expected = list(goldbach_partitions_oracle(alpha).inside_window)
     if repeated != expected:

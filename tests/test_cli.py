@@ -199,6 +199,18 @@ def test_build_g_writes_verifiable_coding(tmp_path, capsys):
     assert all(a == b for a, b in zip(coding.slopes, cc.prime_coding().slopes))
 
 
+def test_build_g_coding_passes_goldbach_check(tmp_path, capsys):
+    # At alpha 410, seed 0, x_404 and x_405 differ by a relative 8.5e-10: a
+    # tolerance of 1e-9 read that as a repeat and failed the check.
+    target = tmp_path / "coding.json"
+    rc, _, _ = run(capsys, ["build-g", "--alpha", "410", "--out", str(target)])
+    assert rc == 0
+    rc, out, err = run(capsys, ["goldbach-check", "--coding", str(target),
+                                "--alpha-range", "410..410"])
+    assert (rc, err) == (0, "")
+    assert json.loads(out)["all_agree"]
+
+
 def test_build_g_deterministic(tmp_path, capsys):
     a, b = tmp_path / "a.json", tmp_path / "b.json"
     run(capsys, ["build-g", "--alpha", "24", "--seed", "5", "--out", str(a)])

@@ -197,11 +197,14 @@ codings_to_identify = st.one_of(
 )
 
 
-@given(codings_to_identify)
+@given(codings_to_identify, st.sampled_from([None, 53, 128, 256]))
 @settings(max_examples=150, deadline=None)
-def test_identifies_primes_matches_exhaustive_scan(slopes):
+def test_identifies_primes_matches_exhaustive_scan(slopes, precision):
+    # A float coding answers for the exact values of its rounded slopes.
     c = PrimeCoding(slopes=tuple(slopes))
-    assert c.identifies_primes == identifies_primes_oracle(c)
+    if precision is not None:
+        c = PrimeCoding(slopes=c.slopes, mode=MODE_FLOAT, precision=precision)
+    assert c.identifies_primes == identifies_primes_oracle(c.exact)
 
 
 def test_identifies_primes_long_non_strict_coding():

@@ -2,6 +2,7 @@
 classification of points and numbers."""
 
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -18,6 +19,7 @@ from hypgold.hyperbola import (
     fhat_one_sided,
     hhat,
     hhat_one_sided,
+    lattice_witnesses,
 )
 from hypgold.oracles import is_prime
 
@@ -218,8 +220,18 @@ def test_classify_number_non_integers():
 def test_classify_number_float_mode():
     c = default_coding(40, mode="float")
     for k, expected in ((13, NumberKind.PRIME), (36, NumberKind.COMPOSITE_NATURAL)):
-        assert classify_number(c, k, rel_tol=1e-9) is expected
-    assert classify_number(c, 7.5, rel_tol=1e-9) is NumberKind.NON_NATURAL
+        assert classify_number(c, k) is expected
+    assert classify_number(c, 7.5) is NumberKind.NON_NATURAL
+
+
+def test_float_classification_is_linear():
+    # Float identifies_primes is decided on the exact twin: the O(N^2)
+    # scan of rounded products took about 10 s at N = 2000.
+    started = time.perf_counter()
+    c = default_coding(2000, mode="float")
+    assert c.identifies_primes
+    assert [(x, y) for x, y, _ in lattice_witnesses(c, 1999)] == [(1, 1999)]
+    assert time.perf_counter() - started < 2.0
 
 
 def test_classify_number_domain():

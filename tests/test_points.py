@@ -14,8 +14,9 @@ import hypgold.points as points_mod
 
 from hypgold.coding import PrimeCoding, default_coding
 from hypgold.errors import DomainError, RangeError, TheoremViolationError
+from hypgold.hyperbola import classify_number
 from hypgold.oracles import is_prime, primes_in
-from hypgold.numeric import DEFAULT_REL_TOL, MODE_FLOAT, MODE_RATIONAL, numbers_equal
+from hypgold.numeric import MODE_FLOAT, MODE_RATIONAL
 from hypgold.points import (
     EssentialPolynomial,
     IndexComparison,
@@ -213,6 +214,38 @@ def test_int_kernel_matches_region_polynomial_on_families():
                         == value_or_error(poly_oracle, c, k0)), (c.mode, c.precision, k0)
 
 
+@st.composite
+def strict_rational_codings(draw):
+    """Strictly increasing slopes with unrelated denominators."""
+    parts = draw(st.lists(st.tuples(st.integers(min_value=1, max_value=10 ** 4),
+                                    st.integers(min_value=1, max_value=10 ** 3)),
+                          min_size=31, max_size=90))
+    acc, slopes = Fraction(0), []
+    for n, d in parts:
+        acc += Fraction(n, d)
+        slopes.append(acc)
+    return PrimeCoding(slopes=tuple(slopes))
+
+
+@given(c=strict_rational_codings())
+@settings(max_examples=30, deadline=None)
+def test_float_copies_decide_as_the_rational_coding(c):
+    # Float codings are decided on their exact twins, with no tolerance:
+    # each copy must give the rational coding's verdicts.
+    n = c.max_index
+    alphas = range(16, n + 6, 2)
+    ks = [*range(2, n + 1), *(k + Fraction(1, 3) for k in range(2, n))]
+
+    def verdicts(coding):
+        return ([goldbach_characterization(coding, alpha) for alpha in alphas],
+                [classify_number(coding, k) for k in ks],
+                coding.identifies_primes)
+
+    expected = verdicts(c)
+    for copy in with_float_copies(c)[1:]:
+        assert verdicts(copy) == expected, copy.precision
+
+
 def test_int_kernel_errors_pinned():
     for c in with_float_copies(default_coding(10)):
         with pytest.raises(DomainError, match=r"^essential regions need an integer k0 >= 4$"):
@@ -270,7 +303,7 @@ def trial_division_prime(n: int) -> bool:
     return n >= 2 and all(n % d for d in range(2, int(n ** 0.5) + 1))
 
 
-def scan_monotonicity(c, alpha, rel_tol=DEFAULT_REL_TOL):
+def scan_monotonicity(c, alpha):
     """Per-alpha oracle: the sign, ordering and repetition scan over essential_points."""
     pts = essential_points(c, alpha)
     for pt in pts:
@@ -286,9 +319,9 @@ def scan_monotonicity(c, alpha, rel_tol=DEFAULT_REL_TOL):
             )
         rec = IndexComparison(
             k0=cur.k0,
-            x_repeats=numbers_equal(prev.x, cur.x, c.mode, rel_tol),
+            x_repeats=prev.x == cur.x,
             k0_prime=trial_division_prime(cur.k0),
-            y_repeats=numbers_equal(prev.y, cur.y, c.mode, rel_tol),
+            y_repeats=prev.y == cur.y,
             complement_prime=trial_division_prime(alpha - cur.k0),
         )
         if rec.x_repeats != rec.k0_prime or rec.y_repeats != rec.complement_prime:
@@ -346,7 +379,8 @@ def corrupt(index, kind):
 def test_table_matches_per_alpha_scan(increments, mode, picks, damage):
     # One coding serves several alphas in random order, so the shared table
     # grows between checks; an optional spoiled x_j must surface for exactly
-    # the alphas whose window reads it, with the scan's message.
+    # the alphas whose window reads it, with the scan's message.  A float
+    # coding is decided on its exact twin, so the scan runs on the twin.
     acc, slopes = Fraction(1), [Fraction(1)]
     for inc in increments:
         acc += Fraction(inc, 997)
@@ -358,9 +392,10 @@ def test_table_matches_per_alpha_scan(increments, mode, picks, damage):
                               if damage else points_mod.lower_value)
     with patch:
         for alpha in alphas:
-            assert outcome(monotonicity_report, c, alpha) == outcome(scan_monotonicity, c, alpha)
+            assert (outcome(monotonicity_report, c, alpha)
+                    == outcome(scan_monotonicity, c.exact, alpha))
             assert (outcome(goldbach_characterization, c, alpha)
-                    == outcome(scan_characterization, c, alpha))
+                    == outcome(scan_characterization, c.exact, alpha))
 
 
 def test_violation_messages_pinned():
