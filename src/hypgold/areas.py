@@ -54,10 +54,8 @@ def _require_region(rtype: RegionType, n: int, n_prime: int, k) -> None:
     if k < 4:
         raise DomainError("areas are defined for k >= 4")
     k0 = floor_int(k)
-    candidates = []
-    if k0 >= 4:
-        candidates.append(enumerate_regions(k0))
-    if is_integral(k) and k0 - 1 >= 4:
+    candidates = [enumerate_regions(k0)]
+    if is_integral(k) and k0 > 4:
         # Closed-interval extension: an integer k is the right endpoint of
         # [k-1, k] as well as the left endpoint of [k, k+1].
         candidates.append(enumerate_regions(k0 - 1))
@@ -138,12 +136,13 @@ def area_quadrature_oracle(rtype: RegionType, n: int, n_prime: int, k: Number) -
     raise RegionMismatchError(f"unknown region type {rtype}")
 
 
-def hat_area(c: PrimeCoding, rtype: RegionType, n: int, n_prime: int, k: Number,
-             check: bool = True):
-    """Deformed-plane area: the Jacobian is constant per cell, xi_n * xi_{n'}."""
-    result = area_closed(rtype, n, n_prime, k, precision=c.precision, check=check)
+def hat_area(c: PrimeCoding, n: int, n_prime: int, area):
+    """Deformed-plane area of the cell (n, n') with real-plane area ``area``.
+
+    psi is affine on the cell, so the Jacobian is the constant xi_n * xi_{n'}.
+    """
     with mp.workprec(c.precision):
-        return to_mpf(c.slope(n), c.precision) * to_mpf(c.slope(n_prime), c.precision) * result.area
+        return to_mpf(c.slope(n), c.precision) * to_mpf(c.slope(n_prime), c.precision) * area
 
 
 def _check_alpha_coding(c: PrimeCoding, alpha: int, need_index: int) -> None:
@@ -212,7 +211,8 @@ def hat_lower_sweep(c: PrimeCoding, khat: Number):
             k0 -= 1  # interval endpoints belong to the closed interval below
         total = to_mpf(0, c.precision)
         for n, n_prime, rtype in enumerate_regions(k0):
-            total = total + hat_area(c, rtype, n, n_prime, k, check=False)
+            area = area_closed(rtype, n, n_prime, k, precision=c.precision, check=False).area
+            total = total + hat_area(c, n, n_prime, area)
         return total
 
 

@@ -24,7 +24,7 @@ import click
 
 from .areas import area_closed, hat_area
 from .coding import PrimeCoding, coding_from_json, coding_to_json, default_coding
-from .config import RunConfig, resolve_config
+from .config import RunConfig, read_json, resolve_config
 from .construction import (
     GoldbachSpec,
     build_goldbach,
@@ -118,8 +118,7 @@ def _common(f):
 
 def _load_coding(path: str | None, cfg: RunConfig, fallback_index: int) -> PrimeCoding:
     if path:
-        with open(path, "r", encoding="utf-8") as fh:
-            return coding_from_json(json.load(fh))
+        return coding_from_json(read_json(path, "coding file"))
     return default_coding(fallback_index, mode=cfg.mode, precision=cfg.precision_bits)
 
 
@@ -158,13 +157,7 @@ def areas(k0, k_text, coding_path, cfg, out):
     """Closed-form areas and derivatives over the essential regions of k0."""
     k = parse_exact(k_text)
     region_set = enumerate_regions(k0)
-    if coding_path:
-        with open(coding_path, "r", encoding="utf-8") as fh:
-            coding = coding_from_json(json.load(fh))
-    else:
-        top = max(np_ for _, np_, _ in region_set)
-        coding = PrimeCoding(slopes=(Fraction(1),) * (top + 1), mode=cfg.mode,
-                             precision=cfg.precision_bits)
+    coding = coding_from_json(read_json(coding_path, "coding file")) if coding_path else None
     records = []
     for n, np_, t in region_set:
         res = area_closed(t, n, np_, k, precision=cfg.precision_bits)
@@ -175,7 +168,8 @@ def areas(k0, k_text, coding_path, cfg, out):
             "area": res.area,
             "d1": res.d1,
             "d2": res.d2,
-            "hat_area": hat_area(coding, t, n, np_, k),
+            # The identity coding's Jacobian is 1.
+            "hat_area": hat_area(coding, n, np_, res.area) if coding else res.area,
         })
     payload = {
         "command": "areas",

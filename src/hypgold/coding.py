@@ -210,15 +210,12 @@ class PrimeCoding:
         return True
 
     def identifies_naturals(self, alpha: int) -> bool:
-        """a_m*a_{alpha-m} != b_m*b_{alpha-m} for every m = 1..alpha-1."""
+        """a_m*a_{alpha-m} != b_m*b_{alpha-m} for every m = 1..alpha-1, on the exact slopes."""
         if not 2 <= alpha <= self.max_index:
             raise RangeError(f"identifies_naturals needs 2 <= alpha <= {self.max_index}")
-        with self.context():
-            xs = self.slopes
-            for m in range(1, alpha):
-                if xs[m - 1] * xs[alpha - m - 1] == xs[m] * xs[alpha - m]:
-                    return False
-            return True
+        xs = self.exact.slopes
+        return all(xs[m - 1] * xs[alpha - m - 1] != xs[m] * xs[alpha - m]
+                   for m in range(1, alpha))
 
 
 def default_coding(max_index: int, mode: str = MODE_RATIONAL,
@@ -239,11 +236,12 @@ def coding_to_json(c: PrimeCoding) -> dict:
 
 
 def coding_from_json(payload: dict) -> PrimeCoding:
-    try:
-        raw = payload["slopes"]
-        mode = payload.get("mode", MODE_RATIONAL)
-    except (TypeError, KeyError) as exc:
-        raise DomainError("coding JSON needs a 'slopes' list") from exc
-    precision = int(payload.get("precision", DEFAULT_PRECISION))
-    slopes = tuple(parse_exact(str(s)) for s in raw)
-    return PrimeCoding(slopes=slopes, mode=mode, precision=precision)
+    """The coding a coding_to_json object describes; DomainError on any other shape."""
+    if not isinstance(payload, dict) or not isinstance(payload.get("slopes"), list):
+        raise DomainError("coding JSON needs a 'slopes' list")
+    precision = payload.get("precision", DEFAULT_PRECISION)
+    if not isinstance(precision, int) or isinstance(precision, bool) or precision < 1:
+        raise DomainError(f"coding JSON 'precision' must be a positive integer, got {precision!r}")
+    slopes = tuple(parse_exact(str(s)) for s in payload["slopes"])
+    return PrimeCoding(slopes=slopes, mode=payload.get("mode", MODE_RATIONAL),
+                       precision=precision)

@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import os
 from dataclasses import dataclass, replace
+from numbers import Real
 
 from .errors import DomainError
 from .numeric import DEFAULT_PRECISION, DEFAULT_REL_TOL, MODE_RATIONAL, MODES
@@ -30,6 +31,10 @@ class RunConfig:
     output_format: str = "json"
 
     def __post_init__(self):
+        for name, kind in (("precision_bits", int), ("seed", int), ("tolerance_rel", Real)):
+            value = getattr(self, name)
+            if not isinstance(value, kind) or isinstance(value, bool):
+                raise DomainError(f"{name} must be of type {kind.__name__}, got {value!r}")
         if self.precision_bits < 53:
             raise DomainError("precision_bits must be at least 53")
         if not self.tolerance_rel > 0:
@@ -49,12 +54,17 @@ class RunConfig:
         }
 
 
-def _from_file(path: str) -> dict:
+def read_json(path: str, what: str):
+    """The JSON value stored at ``path``; DomainError naming ``what`` when unreadable."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise DomainError(f"cannot read config file {path}: {exc}") from exc
+            return json.load(fh)
+    except (OSError, ValueError) as exc:
+        raise DomainError(f"cannot read {what} {path}: {exc}") from exc
+
+
+def _from_file(path: str) -> dict:
+    data = read_json(path, "config file")
     if not isinstance(data, dict):
         raise DomainError(f"config file {path} must hold a JSON object")
     unknown = set(data) - set(RunConfig().as_dict())

@@ -254,7 +254,8 @@ def build_upper(spec: GoldbachSpec, lower: LowerState) -> ConstructedCoding:
             target = alpha - k0
             prev = xi_sq[target - 1]
             if is_prime(k0):
-                if rel_diff(lower.x[k0 - 1], lower.x[k0]) > 1e-25:
+                # x_{k0-1} and x_{k0} sum the same terms in the same order.
+                if lower.x[k0 - 1] != lower.x[k0]:
                     raise ConstructionFailureError(
                         f"x_{k0 - 1} != x_{k0} at prime junction {k0}"
                     )

@@ -85,34 +85,31 @@ def hhat(c: PrimeCoding, k: Number, u: Number):
     return curve_point(c, k, u).v
 
 
+def _side_slopes(c: PrimeCoding, t):
+    """Slopes of psi left and right of t: (a_t, b_t) at a natural t, xi_floor(t) twice otherwise."""
+    if is_integral(t) and t >= 1:
+        return c.one_sided_slopes(int(t))
+    s = c.slope(floor_int(t))
+    return (s, s)
+
+
+def _curve_one_sided(c: PrimeCoding, pt: CurvePoint) -> tuple:
+    with c.context():
+        a_x, b_x = _side_slopes(c, pt.x)
+        a_y, b_y = _side_slopes(c, pt.y)
+        factor = -pt.k / (pt.x * pt.x)
+        return (factor * b_y / a_x, factor * a_y / b_x)
+
+
 def hhat_one_sided(c: PrimeCoding, k: Number, u: Number) -> tuple:
     """One-sided derivatives (left, right) of hhat at u.
 
-    Four cases, split by naturality of the pre-image coordinates: away from
-    natural coordinates both sides agree; a natural ordinate splits the
-    numerator slope into (b_{n'}, a_{n'}), a natural abscissa splits the
-    denominator into (a_n, b_n), and a lattice point splits both.
+    With x = psi_inv(u), y = k/x and the slopes (a_t, b_t) of psi on each
+    side of t, these are -k/x**2 * b_y/a_x and -k/x**2 * a_y/b_x.  A
+    coordinate with no natural value has a_t = b_t = xi_floor(t), so the
+    two sides differ only where x or y is natural.
     """
-    pt = curve_point(c, k, u)
-    with c.context():
-        x, y = pt.x, pt.y
-        factor = -pt.k / (x * x)
-        x_nat = is_integral(x) and x >= 1
-        y_nat = is_integral(y) and y >= 1
-        if not x_nat and not y_nat:
-            d = factor * c.slope(floor_int(y)) / c.slope(floor_int(x))
-            return (d, d)
-        if not x_nat and y_nat:
-            a_np, b_np = c.one_sided_slopes(int(y))
-            denom = c.slope(floor_int(x))
-            return (factor * b_np / denom, factor * a_np / denom)
-        if x_nat and not y_nat:
-            a_n, b_n = c.one_sided_slopes(int(x))
-            numer = c.slope(floor_int(y))
-            return (factor * numer / a_n, factor * numer / b_n)
-        a_n, b_n = c.one_sided_slopes(int(x))
-        a_np, b_np = c.one_sided_slopes(int(y))
-        return (factor * b_np / a_n, factor * a_np / b_n)
+    return _curve_one_sided(c, curve_point(c, k, u))
 
 
 def classify_point(c: PrimeCoding, k: Number, u: Number) -> PointKind:
@@ -130,12 +127,10 @@ def classify_point(c: PrimeCoding, k: Number, u: Number) -> PointKind:
         raise DomainError(
             f"point ({pt.x}, {pt.y}) outside the working quadrant x >= 1, y >= x"
         )
-    left, right = hhat_one_sided(c, k, u)
+    left, right = _curve_one_sided(c, pt)
     if left == right:
         return PointKind.SMOOTH
-    x_nat = is_integral(pt.x)
-    y_nat = is_integral(pt.y)
-    if x_nat and y_nat and pt.x == 1:
+    if pt.x == 1 and is_integral(pt.y):
         return PointKind.SEMI_VORTEX
     return PointKind.VORTEX
 

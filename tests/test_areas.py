@@ -136,7 +136,8 @@ def test_hat_area_identity():
     c = identity_coding(10)
     k = Fraction(37, 2)
     for n, np_, t in enumerate_regions(18):
-        assert hat_area(c, t, n, np_, k) == area_closed(t, n, np_, k).area
+        area = area_closed(t, n, np_, k).area
+        assert hat_area(c, n, np_, area) == area
 
 
 def test_hat_area_doubling():
@@ -144,7 +145,8 @@ def test_hat_area_doubling():
     c2 = PrimeCoding(slopes=tuple(2 * s for s in c1.slopes))
     k = Fraction(37, 2)
     for n, np_, t in enumerate_regions(18):
-        assert rel_diff(hat_area(c2, t, n, np_, k), 4 * hat_area(c1, t, n, np_, k)) < 1e-30
+        area = area_closed(t, n, np_, k).area
+        assert rel_diff(hat_area(c2, n, np_, area), 4 * hat_area(c1, n, np_, area)) < 1e-30
 
 
 def test_hat_area_example():
@@ -153,7 +155,7 @@ def test_hat_area_example():
     c = PrimeCoding(slopes=tuple(slopes))
     k = Fraction(37, 2)
     plain = area_closed(T2, 2, 9, k).area
-    assert rel_diff(hat_area(c, T2, 2, 9, k), 2 * plain) < 1e-30
+    assert rel_diff(hat_area(c, 2, 9, plain), 2 * plain) < 1e-30
 
 
 def test_hat_at_identity_reduction():
@@ -238,8 +240,8 @@ def test_additivity_strip():
         total = mpf(0)
         with mp.workprec(128):
             for n, np_, t in enumerate_regions(k0):
-                grown = hat_area(c, t, n, np_, k, check=False)
-                base = hat_area(c, t, n, np_, k0, check=False)
+                grown = hat_area(c, n, np_, area_closed(t, n, np_, k, check=False).area)
+                base = hat_area(c, n, np_, area_closed(t, n, np_, k0, check=False).area)
                 total += grown - base
         strip = hat_strip_quadrature(c, k0, k)
         assert rel_diff(total, strip) < 1e-7, k0

@@ -11,6 +11,7 @@ from fractions import Fraction
 import pytest
 
 import hypgold
+import hypgold.areas as areas_mod
 import hypgold.cli as cli_mod
 import hypgold.hyperbola as hyperbola_mod
 from hypgold.cli import main
@@ -102,6 +103,21 @@ def test_areas_command(capsys):
     t2 = by_cell[(2, 9)]
     assert abs(float(t2["area"]) - 0.006881022480117189) < 1e-12
     assert t2["hat_area"] == t2["area"]  # identity coding by default
+
+
+def test_areas_evaluates_each_region_once(capsys, monkeypatch):
+    calls = []
+    original = areas_mod.area_closed
+
+    def spy(rtype, n, n_prime, *args, **kwargs):
+        calls.append((n, n_prime))
+        return original(rtype, n, n_prime, *args, **kwargs)
+
+    monkeypatch.setattr(areas_mod, "area_closed", spy)
+    monkeypatch.setattr(cli_mod, "area_closed", spy)
+    rc, out, _ = run(capsys, ["areas", "--k0", "400", "--k", "400.5"])
+    assert rc == 0
+    assert calls == [(r["n"], r["n_prime"]) for r in json.loads(out)["records"]]
 
 
 def test_points_command(capsys):
@@ -258,6 +274,30 @@ def test_domain_error_exit_1(capsys):
     rc, out, err = run(capsys, ["regions", "--k0", "3"])
     assert rc == 1
     assert "error" in json.loads(err)
+
+
+@pytest.mark.parametrize("option, content", [
+    pytest.param("--coding", b'{"slopes": ["1", "2"', id="coding-truncated"),
+    pytest.param("--coding", b"\xff\xfe", id="coding-not-utf8"),
+    pytest.param("--coding", b'[1, 2, 3]', id="coding-not-object"),
+    pytest.param("--coding", b'{"slopes": "123"}', id="coding-slopes-string"),
+    pytest.param("--coding", b'{"slopes": ["1", "2"], "mode": "float", "precision": "abc"}',
+                 id="coding-precision-string"),
+    pytest.param("--config", b'{"seed": 1', id="config-truncated"),
+    pytest.param("--config", b'{"tolerance_rel": "x"}', id="config-tol-string"),
+    pytest.param("--config", b'{"precision_bits": "x"}', id="config-precision-string"),
+    pytest.param("--config", b'{"seed": "x"}', id="config-seed-string"),
+])
+@pytest.mark.parametrize("command", [["areas", "--k0", "18", "--k", "37/2"],
+                                     ["classify", "--k", "91"]], ids=["areas", "classify"])
+def test_malformed_input_file_exit_1(tmp_path, capsys, option, content, command):
+    path = tmp_path / "input.json"
+    path.write_bytes(content)
+    rc, out, err = run(capsys, command + [option, str(path)])
+    assert rc == 1 and out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0])["error"] == "DomainError"
 
 
 def test_verification_error_exit_2(capsys, monkeypatch):

@@ -238,6 +238,15 @@ def test_identifies_naturals():
         c.identifies_naturals(13)
 
 
+def test_float_identifies_naturals_decides_on_exact_slopes():
+    # At m = 1 the products (1+e)(1+3e) and (1+2e)**2 differ by e**2, which
+    # rounds away at 53 bits: only the exact slopes tell them apart.
+    e = Fraction(1, 2**52)
+    slopes = (1 + e, 1 + 2 * e, 1 + 3 * e, 1 + 2 * e, 2)
+    assert PrimeCoding(slopes).identifies_naturals(4)
+    assert PrimeCoding(slopes, mode=MODE_FLOAT, precision=53).identifies_naturals(4)
+
+
 @given(st.lists(st.integers(min_value=1, max_value=400), min_size=2, max_size=12))
 @settings(max_examples=60, deadline=None)
 def test_strictly_increasing_implies_identifies(increments):
@@ -284,6 +293,13 @@ def test_serialization_rejects_garbage():
         coding_from_json({"mode": "rational"})
     with pytest.raises(DomainError):
         coding_from_json({"slopes": ["1", "zebra"]})
+    with pytest.raises(DomainError, match="'slopes' list"):
+        coding_from_json({"slopes": "123"})
+    with pytest.raises(DomainError, match="'slopes' list"):
+        coding_from_json(["1", "2"])
+    for precision in ("abc", "128", 128.0, True, 0):
+        with pytest.raises(DomainError, match="'precision'"):
+            coding_from_json({"slopes": ["1", "2"], "mode": "float", "precision": precision})
 
 
 def test_invalid_codings():

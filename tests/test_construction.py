@@ -245,6 +245,24 @@ def test_characterization_survives_construction():
         assert goldbach_characterization(pc, alpha) == expected, (alpha, seed)
 
 
+def test_prime_junction_values_are_bit_identical():
+    # At a prime p no n <= isqrt(p) divides p and isqrt(p - 1) = isqrt(p),
+    # so x_{p-1} and x_p sum the same terms in the same order.
+    for alpha in (18, 96, 480):
+        lower = build_lower(GoldbachSpec(alpha=alpha))
+        for p in primes_in(5, alpha - 5):
+            assert lower.x[p - 1] == lower.x[p], (alpha, p)
+
+
+def test_prime_junction_check_is_exact():
+    spec = GoldbachSpec(alpha=96)
+    lower = build_lower(spec)
+    with mp.workprec(lower.precision):
+        lower.x[7] = lower.x[7] * (1 + mpf(2) ** -120)
+    with pytest.raises(ConstructionFailureError, match="prime junction 7"):
+        build_upper(spec, lower)
+
+
 @pytest.mark.parametrize("spec", [
     GoldbachSpec(alpha=480, seed=916),
     GoldbachSpec(alpha=96, scalar_u=Fraction(101, 100)),

@@ -1,0 +1,40 @@
+"""The package names that perfbench/tracer.py reads.
+
+The tracer wraps these functions by name and reports the lru_cache
+statistics of the cached ones, so moving one, renaming it or dropping its
+cache silently empties a per-layer benchmark metric.  Changing one of them
+needs a matching change to the tracer.
+"""
+
+from functools import cached_property
+
+import pytest
+
+from hypgold import construction, hyperbola, oracles, points, regions
+from hypgold.coding import PrimeCoding
+
+
+@pytest.mark.parametrize("module, name", [
+    (oracles, "sieve"),
+    (points, "lower_value"),
+    (regions, "enumerate_regions"),
+    (points, "lower_essential_poly"),
+])
+def test_cached_functions_report_cache_info(module, name):
+    info = getattr(module, name).cache_info()
+    assert info.hits >= 0 and info.misses >= 0
+
+
+@pytest.mark.parametrize("module, name", [
+    (construction, "_poly_value"),
+    (hyperbola, "classify_number"),
+    (hyperbola, "classify_point"),
+])
+def test_wrapped_functions_live_in_their_layer(module, name):
+    fn = getattr(module, name)
+    assert callable(fn) and fn.__module__ == module.__name__
+
+
+def test_identifies_primes_is_a_cached_property():
+    prop = PrimeCoding.__dict__["identifies_primes"]
+    assert isinstance(prop, cached_property) and callable(prop.func)
