@@ -5,7 +5,6 @@ from .coding import PrimeCoding, coding_from_json, coding_to_json, default_codin
 from .construction import (
     ConstructedCoding,
     GoldbachSpec,
-    LowerState,
     F_term,
     build_goldbach,
     build_lower,

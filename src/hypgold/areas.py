@@ -32,7 +32,7 @@ from .numeric import (
     to_mpf,
 )
 from .points import lower_value
-from .regions import DIAGONAL_TYPES, RegionType, enumerate_regions
+from .regions import DIAGONAL_TYPES, TYPE_COEFFICIENT, RegionType, enumerate_regions
 
 QUAD_ABS_TOL = 1e-10
 
@@ -77,30 +77,27 @@ def area_closed(rtype: RegionType, n: int, n_prime: int, k: Number,
         nn = mpf(n)
         np_ = mpf(n_prime)
         if rtype is RegionType.T2:
-            area = kk * mp.log(kk / (nn * np_)) + nn * np_ - kk
             d1 = mp.log(kk / (nn * np_))
-            d2 = 1 / kk
+            area = kk * d1 + nn * np_ - kk
         elif rtype is RegionType.T3:
-            area = (kk / (np_ + 1) - nn + kk * mp.log((np_ + 1) / np_)
-                    - np_ * (1 / np_ - 1 / (np_ + 1)) * kk)
             d1 = mp.log((np_ + 1) / np_)
-            d2 = mpf(0)
+            area = (kk / (np_ + 1) - nn + kk * d1
+                    - np_ * (1 / np_ - 1 / (np_ + 1)) * kk)
         elif rtype is RegionType.T5:
-            area = (kk / (np_ + 1) - nn + kk * mp.log((nn + 1) * (np_ + 1) / kk)
-                    - np_ * (nn + 1 - kk / (np_ + 1)))
             d1 = mp.log((nn + 1) * (np_ + 1) / kk)
-            d2 = -1 / kk
+            area = (kk / (np_ + 1) - nn + kk * d1
+                    - np_ * (nn + 1 - kk / (np_ + 1)))
         elif rtype is RegionType.T7:
-            area = kk / 2 * mp.log(kk) - kk / 2 - kk * mp.log(nn) + nn * nn / 2
-            d1 = mp.log(kk) / 2 - mp.log(nn)
-            d2 = 1 / (2 * kk)
+            log_k, log_n = mp.log(kk), mp.log(nn)
+            d1 = log_k / 2 - log_n
+            area = kk / 2 * log_k - kk / 2 - kk * log_n + nn * nn / 2
         elif rtype is RegionType.T8:
-            area = (kk / 2 - nn * (nn + 1) + nn * nn / 2
-                    + kk * mp.log((nn + 1) / mp.sqrt(kk)))
             d1 = mp.log((nn + 1) / mp.sqrt(kk))
-            d2 = -1 / (2 * kk)
+            area = kk / 2 - nn * (nn + 1) + nn * nn / 2 + kk * d1
         else:  # pragma: no cover
             raise RegionMismatchError(f"unknown region type {rtype}")
+        coeff = TYPE_COEFFICIENT[rtype]
+        d2 = coeff.numerator / (coeff.denominator * kk)
         return AreaFormulaResult(area=area, d1=d1, d2=d2)
 
 

@@ -40,6 +40,7 @@ from .errors import (
 )
 from .hyperbola import lattice_witnesses, number_kind
 from .numeric import (
+    MIN_PRECISION,
     MODE_FLOAT,
     MODE_RATIONAL,
     format_exact,
@@ -89,7 +90,7 @@ _SHARED_OPTIONS = [
                  default=None, help="JSON config file mirroring the run configuration."),
     click.option("--mode", type=click.Choice([MODE_RATIONAL, MODE_FLOAT]), default=None),
     click.option("--precision", "precision_bits", type=int, default=None,
-                 help="Float-mode mantissa bits (>= 53)."),
+                 help=f"Float-mode mantissa bits (>= {MIN_PRECISION})."),
     click.option("--tol", "tolerance_rel", type=float, default=None,
                  help="Bound on build-g's relative junction gap."),
     click.option("--seed", type=int, default=None),
@@ -343,19 +344,16 @@ def scalar_limit(alpha, u_text, xi2_text, cfg, out):
         u_values.append(1 + h if h <= 1 else h)
     result = scalar_limit_sweep(alpha, u_values, xi2_sq=parse_exact(xi2_text),
                                 precision=cfg.precision_bits)
-    records = [
-        {"u": format_exact(r.u), "k0": r.k0, "x_k0": r.x_k0, "y_k0": r.y_k0}
-        for r in result.rows
-    ]
+    records = [{"u": r.u, "k0": r.k0, "x_k0": r.x_k0, "y_k0": r.y_k0} for r in result.rows]
     payload = {
         "command": "scalar-limit",
         "config": cfg.as_dict(),
         "alpha": alpha,
-        "xi2_sq": format_exact(parse_exact(xi2_text)),
+        "xi2_sq": result.xi2_sq,
         "monotone": result.monotone,
         "final_below": result.final_below,
         "converged": result.converged,
-        "max_deviation": [format_real(d) for d in result.max_deviation],
+        "max_deviation": result.max_deviation,
         "records": records,
     }
     emit(payload, records, cfg, out)

@@ -29,6 +29,7 @@ from mpmath import mp
 from .errors import DomainError, RangeError
 from .numeric import (
     DEFAULT_PRECISION,
+    MIN_PRECISION,
     MODE_FLOAT,
     MODE_RATIONAL,
     MODES,
@@ -51,6 +52,12 @@ class PrimeCoding:
     def __post_init__(self):
         if self.mode not in MODES:
             raise DomainError(f"unknown mode {self.mode!r}")
+        p = self.precision
+        if not isinstance(p, int) or isinstance(p, bool) or p < MIN_PRECISION:
+            raise DomainError(
+                f"coding 'precision' must be an integer of at least {MIN_PRECISION} bits, "
+                f"got {p!r}"
+            )
         if not self.slopes:
             raise DomainError("a coding needs at least one slope")
         if self.mode == MODE_RATIONAL:
@@ -239,9 +246,6 @@ def coding_from_json(payload: dict) -> PrimeCoding:
     """The coding a coding_to_json object describes; DomainError on any other shape."""
     if not isinstance(payload, dict) or not isinstance(payload.get("slopes"), list):
         raise DomainError("coding JSON needs a 'slopes' list")
-    precision = payload.get("precision", DEFAULT_PRECISION)
-    if not isinstance(precision, int) or isinstance(precision, bool) or precision < 1:
-        raise DomainError(f"coding JSON 'precision' must be a positive integer, got {precision!r}")
     slopes = tuple(parse_exact(str(s)) for s in payload["slopes"])
     return PrimeCoding(slopes=slopes, mode=payload.get("mode", MODE_RATIONAL),
-                       precision=precision)
+                       precision=payload.get("precision", DEFAULT_PRECISION))

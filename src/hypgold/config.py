@@ -8,7 +8,7 @@ from dataclasses import dataclass, replace
 from numbers import Real
 
 from .errors import DomainError
-from .numeric import DEFAULT_PRECISION, DEFAULT_REL_TOL, MODE_RATIONAL, MODES
+from .numeric import DEFAULT_PRECISION, DEFAULT_REL_TOL, MIN_PRECISION, MODE_RATIONAL, MODES
 
 OUTPUT_FORMATS = ("json", "csv")
 
@@ -35,8 +35,8 @@ class RunConfig:
             value = getattr(self, name)
             if not isinstance(value, kind) or isinstance(value, bool):
                 raise DomainError(f"{name} must be of type {kind.__name__}, got {value!r}")
-        if self.precision_bits < 53:
-            raise DomainError("precision_bits must be at least 53")
+        if self.precision_bits < MIN_PRECISION:
+            raise DomainError(f"precision_bits must be at least {MIN_PRECISION}")
         if not self.tolerance_rel > 0:
             raise DomainError("tolerance_rel must be positive")
         if self.mode not in MODES:

@@ -8,16 +8,22 @@ take the ratio step xi_i^2 = (x_i / x_{i-1}) xi_{i-1}^2, the upper side
 descends through ratio steps at composite junctions and the junction
 formula at prime junctions.  Square roots enter through x-values, so this
 module runs in high-precision floats (128-bit mantissa by default).
+
+One state, ``ConstructedCoding``, runs through both passes: the ascending
+pass (``build_lower``) fills the slopes through alpha/2 - 1 and every
+x-value through alpha - 5; the descending pass (``build_upper``) returns a
+copy with the slopes extended through alpha - 5.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
 from mpmath import mp, mpf
 
+from .areas import hat_AT_second_derivative
 from .coding import PrimeCoding
 from .errors import (
     ConstructionFailureError,
@@ -118,41 +124,20 @@ def _resolve_lambdas(spec: GoldbachSpec, precision: int) -> tuple:
     return lam, half_mult
 
 
-@dataclass
-class LowerState:
-    """Lower coefficients (through alpha/2 - 1) and every x-value through alpha - 5."""
-
-    alpha: int
-    precision: int
-    xi_sq: dict
-    xi: dict
-    x: dict
-    lambda_sq: dict
-    provenance: dict
-    half_multiplier: object = None
-
-    def abs_y(self, k0: int):
-        """|y_{k0}| = x_{alpha - k0 - 1}."""
-        return self.x[self.alpha - k0 - 1]
-
-
 def _poly_value(xi: dict, j: int):
     """x_j from the slopes defined so far; a missing one raises KeyError."""
     return lower_point_value(xi, j)
 
 
-def build_lower(spec: GoldbachSpec, precision: int = DEFAULT_PRECISION) -> LowerState:
-    """Ascending pass: free multipliers at prime indices, ratio steps at
-    composite indices, x-values computed as soon as their slopes exist."""
+def build_lower(spec: GoldbachSpec, precision: int = DEFAULT_PRECISION) -> ConstructedCoding:
+    """Ascending pass: free multipliers at the free indices, ratio steps at
+    the others, x-values computed as soon as their slopes exist."""
     alpha = spec.alpha
     with mp.workprec(precision):
         lam, half_mult = _resolve_lambdas(spec, precision)
         xi_sq = {2: to_mpf(spec.xi2_sq, precision)}
+        xi = {2: mp.sqrt(xi_sq[2])}
         provenance = {2: PROV_RANDOM}
-        for i in (3, 4, 5):
-            xi_sq[i] = lam[i] * xi_sq[i - 1]
-            provenance[i] = PROV_RANDOM
-        xi = {i: mp.sqrt(v) for i, v in xi_sq.items()}
         x: dict = {}
 
         def ensure_x(j: int):
@@ -160,8 +145,8 @@ def build_lower(spec: GoldbachSpec, precision: int = DEFAULT_PRECISION) -> Lower
                 x[j] = _poly_value(xi, j)
             return x[j]
 
-        for i in range(6, alpha // 2):
-            if is_prime(i):
+        for i in range(3, alpha // 2):
+            if i in lam:
                 xi_sq[i] = lam[i] * xi_sq[i - 1]
                 provenance[i] = PROV_RANDOM
             else:
@@ -175,9 +160,10 @@ def build_lower(spec: GoldbachSpec, precision: int = DEFAULT_PRECISION) -> Lower
             xi[i] = mp.sqrt(xi_sq[i])
         for j in range(4, alpha - 4):
             ensure_x(j)
-        return LowerState(
+        return ConstructedCoding(
             alpha=alpha,
             precision=precision,
+            spec=spec,
             xi_sq=xi_sq,
             xi=xi,
             x=x,
@@ -187,7 +173,7 @@ def build_lower(spec: GoldbachSpec, precision: int = DEFAULT_PRECISION) -> Lower
         )
 
 
-def F_term(state: LowerState, r0: int):
+def F_term(state: ConstructedCoding, r0: int):
     """F_{r0} = ((alpha - r0)/r0) * x_{r0-1} * (1/xi_{r0-1}^2 - 1/xi_{r0}^2)."""
     if not is_prime(r0) or not 5 <= r0 <= state.alpha // 2 - 1:
         raise DomainError(f"F terms are defined for primes in [5, {state.alpha // 2 - 1}]")
@@ -200,7 +186,9 @@ def F_term(state: LowerState, r0: int):
 
 @dataclass
 class ConstructedCoding:
-    """A fully built coding (slopes through alpha - 5) plus its provenance."""
+    """The construction's state: slopes through alpha/2 - 1 after the lower
+    pass, through alpha - 5 after the upper one, every x-value through
+    alpha - 5, and the provenance of each slope."""
 
     alpha: int
     precision: int
@@ -210,9 +198,11 @@ class ConstructedCoding:
     x: dict
     lambda_sq: dict
     provenance: dict
+    half_multiplier: object = None  # upper seed multiplier when xi_half_sq is unpinned
     _coding: PrimeCoding = field(default=None, repr=False)
 
     def abs_y(self, k0: int):
+        """|y_{k0}| = x_{alpha - k0 - 1}."""
         return self.x[self.alpha - k0 - 1]
 
     def y(self, k0: int):
@@ -236,9 +226,10 @@ class ConstructedCoding:
         return self._coding
 
 
-def build_upper(spec: GoldbachSpec, lower: LowerState) -> ConstructedCoding:
+def build_upper(spec: GoldbachSpec, lower: ConstructedCoding) -> ConstructedCoding:
     """Descending pass over k0 = alpha/2 - 1 .. 5: the upper seed, ratio
-    steps at composite k0, the junction formula at prime k0."""
+    steps at composite k0, the junction formula at prime k0.  ``lower`` is
+    left as it was."""
     alpha = spec.alpha
     with mp.workprec(lower.precision):
         xi_sq = dict(lower.xi_sq)
@@ -266,16 +257,7 @@ def build_upper(spec: GoldbachSpec, lower: LowerState) -> ConstructedCoding:
                 xi_sq[target] = (lower.abs_y(k0 - 1) / lower.abs_y(k0)) * prev
                 provenance[target] = PROV_UPPER_RATIO
             xi[target] = mp.sqrt(xi_sq[target])
-        return ConstructedCoding(
-            alpha=alpha,
-            precision=lower.precision,
-            spec=spec,
-            xi_sq=xi_sq,
-            xi=xi,
-            x=dict(lower.x),
-            lambda_sq=dict(lower.lambda_sq),
-            provenance=provenance,
-        )
+        return replace(lower, spec=spec, xi_sq=xi_sq, xi=xi, provenance=provenance)
 
 
 def build_goldbach(spec: GoldbachSpec, precision: int = DEFAULT_PRECISION) -> ConstructedCoding:
@@ -325,8 +307,6 @@ def verify_continuity(cc: ConstructedCoding, rel_tol: float = DEFAULT_REL_TOL) -
 
 def eval_G(cc: ConstructedCoding, khat: Number):
     """The constructed function itself: the total-area second derivative at khat."""
-    from .areas import hat_AT_second_derivative
-
     coding = cc.prime_coding()
     with coding.context():
         k = coding.psi_inv(khat)
@@ -352,15 +332,7 @@ def reduced_form_check(spec: GoldbachSpec, scale, rel_tol: float = 1e-25) -> Sca
     if c <= 0:
         raise DomainError("scale must be positive")
     base = build_lower(spec, DEFAULT_PRECISION)
-    scaled_spec = GoldbachSpec(
-        alpha=spec.alpha,
-        xi2_sq=to_fraction(spec.xi2_sq) * c,
-        xi_half_sq=spec.xi_half_sq,
-        lambda_sq=spec.lambda_sq,
-        scalar_u=spec.scalar_u,
-        seed=spec.seed,
-    )
-    scaled = build_lower(scaled_spec, DEFAULT_PRECISION)
+    scaled = build_lower(replace(spec, xi2_sq=to_fraction(spec.xi2_sq) * c), DEFAULT_PRECISION)
     with mp.workprec(DEFAULT_PRECISION):
         cf = to_mpf(c, DEFAULT_PRECISION)
         xi_err = max(

@@ -23,6 +23,7 @@ MODE_FLOAT = "float"
 MODES = (MODE_RATIONAL, MODE_FLOAT)
 
 DEFAULT_PRECISION = 128  # mantissa bits for float mode
+MIN_PRECISION = 53  # a double's mantissa: the least a run or a coding may ask for
 DEFAULT_REL_TOL = 1e-9
 
 Number = Union[int, Fraction, float, mpf]

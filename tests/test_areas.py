@@ -9,6 +9,7 @@ from fractions import Fraction
 import pytest
 from mpmath import mp, mpf
 
+import hypgold.areas as areas_mod
 from hypgold.areas import (
     _require_region,
     ab_coefficients,
@@ -101,6 +102,28 @@ def test_d2_values_by_type():
     assert rel_diff(area_closed(T7, 4, 4, k).d2, Fraction(1, 37)) < 1e-35
     k8 = Fraction(17, 2)
     assert rel_diff(area_closed(T8, 2, 2, k8).d2, Fraction(-1, 17)) < 1e-35
+
+
+def test_each_logarithm_evaluated_once(monkeypatch):
+    # d1 is the area's logarithm, so each type takes one log (T7 takes log k and log n).
+    logs = []
+
+    class CountingMp:
+        def __getattr__(self, name):
+            return getattr(mp, name)
+
+        def log(self, x):
+            logs.append(x)
+            return mp.log(x)
+
+    monkeypatch.setattr(areas_mod, "mp", CountingMp())
+    cases = {T2: (2, 9, Fraction(37, 2)), T3: (2, 8, Fraction(37, 2)),
+             T5: (2, 6, Fraction(37, 2)), T7: (4, 4, Fraction(37, 2)),
+             T8: (2, 2, Fraction(17, 2))}
+    for rtype, (n, n_prime, k) in cases.items():
+        logs.clear()
+        area_closed(rtype, n, n_prime, k)
+        assert len(logs) == (2 if rtype is T7 else 1), rtype
 
 
 def test_region_membership_errors():

@@ -283,6 +283,8 @@ def test_domain_error_exit_1(capsys):
     pytest.param("--coding", b'{"slopes": "123"}', id="coding-slopes-string"),
     pytest.param("--coding", b'{"slopes": ["1", "2"], "mode": "float", "precision": "abc"}',
                  id="coding-precision-string"),
+    pytest.param("--coding", b'{"slopes": ["1", "2"], "mode": "float", "precision": 8}',
+                 id="coding-precision-8"),
     pytest.param("--config", b'{"seed": 1', id="config-truncated"),
     pytest.param("--config", b'{"tolerance_rel": "x"}', id="config-tol-string"),
     pytest.param("--config", b'{"precision_bits": "x"}', id="config-precision-string"),
@@ -298,6 +300,15 @@ def test_malformed_input_file_exit_1(tmp_path, capsys, option, content, command)
     lines = err.splitlines()
     assert len(lines) == 1
     assert json.loads(lines[0])["error"] == "DomainError"
+
+
+@pytest.mark.parametrize("alpha_range", ["abc", "30..20", "1..10"])
+def test_bad_alpha_range_exit_1(capsys, alpha_range):
+    rc, out, err = run(capsys, ["goldbach-check", "--alpha-range", alpha_range])
+    assert rc == 1 and out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0])["error"] == "UsageError"
 
 
 def test_verification_error_exit_2(capsys, monkeypatch):
@@ -356,6 +367,31 @@ def test_float_output_digests_pinned(tmp_path):
     out = _hypgold_cli("scalar-limit", "--alpha", "30", "--u", "1e-1,1e-2,1e-3,1e-4,1e-5,1e-6")
     assert hashlib.sha256(out).hexdigest() == (
         "a9acd2ae808db9be31f9c85432cbe9ceac23e32d8031c23b0db6b6e4f25824be")
+
+
+@pytest.mark.parametrize("args, digest", [
+    ("areas --k0 400 --k 400.5",
+     "3d5f625b802db463667f469a44cff3270153c33383b24eca5055c0673f93f604"),
+    ("areas --k0 97 --k 97", "77a81ca49f1634085e1c6b277f18b6905fc84d6bebc4bab8bc0a632438c7bd5f"),
+    ("areas --k0 18 --k 37/2 --precision 256",
+     "5e30cbcd1ecb67dfe2fde9d295bd117dad2f6390754f7a3d8f473bc3334ffd49"),
+])
+def test_areas_digests_pinned(args, digest):
+    # Each type's area, d1 and d2 at 128 and 256 bits, and at an integer k.
+    assert hashlib.sha256(_hypgold_cli(*args.split())).hexdigest() == digest
+
+
+@pytest.mark.parametrize("args, digest", [
+    ("--alpha 36 --scalar-u 11/10",
+     "612beb27c9f9c7be25d2194f229c851ac79fe143dc38acebf4c17f0ff554bf34"),
+    ("--alpha 36 --xi2 3/2 --xi-half 40 --seed 2",
+     "40858c038ecd811166a507be6678002a09ad42d2f8eb8aaa1951cc44989236c6"),
+])
+def test_build_g_coding_digests_pinned(tmp_path, args, digest):
+    # The scalar family and a pinned upper seed, written byte for byte.
+    coding = tmp_path / "coding.json"
+    _hypgold_cli("build-g", *args.split(), "--out", str(coding))
+    assert hashlib.sha256(coding.read_bytes()).hexdigest() == digest
 
 
 @pytest.mark.parametrize("args, digest", [

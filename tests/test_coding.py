@@ -17,7 +17,7 @@ from hypgold.coding import (
     default_coding,
 )
 from hypgold.errors import DomainError, RangeError
-from hypgold.numeric import MODE_FLOAT, rel_diff
+from hypgold.numeric import MODE_FLOAT, MODE_RATIONAL, rel_diff
 from hypgold.points import goldbach_characterization
 
 from conftest import arith_coding, harmonic_coding, identity_coding, pow2_coding, seeded_coding
@@ -300,6 +300,13 @@ def test_serialization_rejects_garbage():
     for precision in ("abc", "128", 128.0, True, 0):
         with pytest.raises(DomainError, match="'precision'"):
             coding_from_json({"slopes": ["1", "2"], "mode": "float", "precision": precision})
+
+
+@pytest.mark.parametrize("mode", [MODE_RATIONAL, MODE_FLOAT])
+@pytest.mark.parametrize("precision", [0, 8, 52, True, "128"])
+def test_precision_below_a_double_rejected(mode, precision):
+    with pytest.raises(DomainError, match="'precision'"):
+        PrimeCoding(slopes=(1, 2, 3), mode=mode, precision=precision)
 
 
 def test_invalid_codings():

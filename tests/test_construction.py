@@ -121,6 +121,14 @@ def test_forced_ratio_identities():
             assert rel_diff(left, right) < 1e-30
 
 
+def test_increase_guard_covers_the_first_free_index():
+    # u^2 rounds to 1 at 128 bits, so xi_3^2 = xi_2^2 and the first index already stalls.
+    spec = GoldbachSpec(alpha=18, scalar_u=1 + Fraction(1, 10 ** 40))
+    with pytest.raises(ConstructionFailureError,
+                       match="^slope squares failed to increase at index 3$"):
+        build_lower(spec)
+
+
 def test_perturbation_breaks_continuity():
     cc = build_goldbach(GoldbachSpec(alpha=18, seed=2))
     assert cc.provenance[11] == "forced-prime-junction"

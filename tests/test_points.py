@@ -2,6 +2,7 @@
 repetition theorems, and the Goldbach characterization."""
 
 import random
+from dataclasses import replace
 from fractions import Fraction
 from unittest import mock
 
@@ -15,7 +16,7 @@ import hypgold.points as points_mod
 from hypgold.coding import PrimeCoding, default_coding
 from hypgold.errors import DomainError, RangeError, TheoremViolationError
 from hypgold.hyperbola import classify_number
-from hypgold.oracles import is_prime, primes_in
+from hypgold.oracles import goldbach_partitions_oracle, is_prime, primes_in
 from hypgold.numeric import MODE_FLOAT, MODE_RATIONAL
 from hypgold.points import (
     EssentialPolynomial,
@@ -430,6 +431,20 @@ def test_violation_messages_pinned():
             goldbach_characterization(c, 16)
     assert str(info.value) == (
         f"essential point sign violated at k0=4: x={lower_value(c, 4)}, y={lower_value(c, 11)}"
+    )
+
+
+def test_sieve_mismatch_message_pinned():
+    # A sieve that forgets 7 must make the characterization raise, not agree.
+    def forgetful_oracle(alpha):
+        report = goldbach_partitions_oracle(alpha)
+        return replace(report, inside_window=tuple(k for k in report.inside_window if k != 7))
+
+    with mock.patch.object(points_mod, "goldbach_partitions_oracle", forgetful_oracle):
+        with pytest.raises(TheoremViolationError) as info:
+            goldbach_characterization(default_coding(16), 18)
+    assert str(info.value) == (
+        "characterization/sieve mismatch at alpha=18: points gave [5, 7], sieve gives [5]"
     )
 
 
