@@ -117,6 +117,9 @@ def _resolve_lambdas(spec: GoldbachSpec, precision: int) -> tuple:
             lam[i] = to_mpf(pinned[i], precision)
         else:
             lam[i] = to_mpf(1 + 3 * (1 - rng.random()), precision)
+        if not lam[i] > 1:
+            # The spec's exact check passed, so only the rounding stalls it.
+            raise DomainError(f"lambda_{i}^2 rounds to 1 at {precision} bits; raise --precision")
     if spec.xi_half_sq is not None:
         half_mult = None
     else:

@@ -10,10 +10,15 @@ the mirrored upper form gives y_{k0} = -x_{alpha-k0-1}; the pair
 essential points characterizes the Goldbach partitions of alpha inside
 the window {5, ..., alpha/2 - 1}.
 
-x_{k0} has one evaluator, ``_twice_lower_value``: it sums the form's
-terms in the polynomial's sorted order in O(sqrt(k0)), building no
-region set, so float values round exactly as ``EssentialPolynomial``
-rounds them.  The region polynomial stays the definition and the oracle.
+x_{k0} is summed in one term order, the polynomial's sorted order, in
+O(sqrt(k0)) steps and with no region set built, by two loops:
+``_twice_lower_value`` sums exactly, on the integer-scaled slopes of a
+rational coding or on Fractions; ``_rounded_twice_lower`` sums on
+(int mantissa, exponent) pairs and rounds each product and sum to
+nearest, ties to even, as mpf arithmetic rounds it.  So a float x_{k0}
+has the bits ``EssentialPolynomial.evaluate`` gives at the same
+precision, with no mpf arithmetic.  The region polynomial stays the
+definition and the oracle.
 """
 
 from __future__ import annotations
@@ -22,6 +27,9 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+
+from mpmath import mp, mpf
+from mpmath.libmp import from_man_exp
 
 from .coding import PrimeCoding
 from .errors import DomainError, RangeError, TheoremViolationError
@@ -107,22 +115,29 @@ def eval_poly(p: EssentialPolynomial, xi):
 def lower_point_value(xi, k0: int):
     """x_{k0} at slopes given as a coding, a mapping, or a callable.
 
-    No precision context is entered, and a missing slope fails as the
-    mapping reports it (a KeyError for the construction's dict).
+    mpf slopes are summed on their mantissas and rounded at the ambient
+    mp.prec; other slopes are summed exactly.  No precision context is
+    entered, and a missing slope fails as the mapping reports it (a
+    KeyError for the construction's dict).
     """
     if k0 < 4:
         raise DomainError("lower point values need k0 >= 4")
-    return _twice_lower_value(_slope_getter(xi), k0) / 2
+    getter = _slope_getter(xi)
+    if isinstance(getter(2), mpf):
+        twice = _rounded_twice_lower(lambda i: _mantissa_pair(getter(i)), k0, mp.prec)
+        return _half_mpf(twice)
+    return _twice_lower_value(getter, k0) / 2
 
 
 def _twice_lower_value(getter, k0: int):
-    """2*x_{k0}: the lower polynomial's terms, summed in its sorted order.
+    """2*x_{k0}, summed exactly: the lower polynomial's terms in its sorted order.
 
     Column n < r = isqrt(k0) holds -xi_n*xi_{k0//(n+1)}, then
     +xi_n*xi_{k0//n}; column r holds +-xi_r**2/2 (+ iff k0//r = r), then
     xi_r*xi_{k0//r} when k0//r > r.  Doubling is exact, so integer slopes
-    give an integer and each float product and sum rounds as in
-    EssentialPolynomial.evaluate: the build-g coding bytes depend on it.
+    give an integer.  This is the loop for ints and Fractions;
+    ``_rounded_twice_lower`` takes the same steps in the same order on
+    mantissas, rounding each one.
     """
     root = math.isqrt(k0)
     total = 0
@@ -136,6 +151,79 @@ def _twice_lower_value(getter, k0: int):
     if top > root:
         total = total + 2 * r * getter(top)
     return total
+
+
+def _rounded_twice_lower(pair, k0: int, prec: int) -> tuple:
+    """2*x_{k0} as (mantissa, exponent), every product and sum rounded to prec bits.
+
+    pair(i) gives xi_i as (signed int mantissa, exponent).  The steps are
+    ``_twice_lower_value``'s, in its order, each rounded to nearest with
+    ties to even, as the mpf operations there round them: every such
+    operation is correctly rounded, so the bits are the mpf loop's.
+    Doubling only moves the exponent; ``2*xi_r`` rounds xi_r first, as
+    mpf's multiplication by an int does.
+    """
+    root = math.isqrt(k0)
+    total = (0, 0)
+    for n in range(2, root):
+        xn = pair(n)
+        m, e = _mul(xn, pair(k0 // (n + 1)), prec)
+        total = _add(total, (-m, e), prec)
+        total = _add(total, _mul(xn, pair(k0 // n), prec), prec)
+    r = pair(root)
+    top = k0 // root
+    m, e = _mul(r, r, prec)
+    total = _add((total[0], total[1] + 1), (m if top == root else -m, e), prec)
+    if top > root:
+        total = _add(total, _mul(_round(r[0], r[1] + 1, prec), pair(top), prec), prec)
+    return total
+
+
+def _round(m: int, e: int, prec: int) -> tuple:
+    """m*2**e rounded to prec bits, to nearest with ties to even."""
+    n = m.bit_length() - prec
+    if n <= 0:
+        return m, e
+    half = 1 << (n - 1)
+    t = m + half
+    q = t >> n
+    if q & 1 and not t & ((half << 1) - 1):
+        q -= 1  # a tie went up to odd; the even neighbour is below
+    return q, e + n
+
+
+def _mul(a: tuple, b: tuple, prec: int) -> tuple:
+    """a*b rounded to prec bits: one exact int product."""
+    return _round(a[0] * b[0], a[1] + b[1], prec)
+
+
+def _add(a: tuple, b: tuple, prec: int) -> tuple:
+    """a+b rounded to prec bits, for operands of at most prec significant bits.
+
+    The exact sum of the aligned mantissas is rounded, unless the exponent
+    gap passes 2*prec + 8: the operand with the smaller exponent then lies
+    far below half the other's last place, so the sum rounds to the larger
+    operand, as mpf_add's sticky rule rounds it, and no int grows past
+    O(prec) bits.
+    """
+    (am, ae), (bm, be) = a, b
+    d = ae - be
+    if d < 0:
+        am, ae, bm, be, d = bm, be, am, ae, -d
+    if d > 2 * prec + 8 and am:
+        return am, ae
+    return _round((am << d) + bm, be, prec)
+
+
+def _mantissa_pair(v) -> tuple:
+    """An mpf as (signed int mantissa, exponent); int() also reads a gmpy mantissa."""
+    sign, man, exp, _ = v._mpf_
+    return (-int(man) if sign else int(man)), exp
+
+
+def _half_mpf(twice: tuple):
+    m, e = twice
+    return mp.make_mpf(from_man_exp(m, e - 1))
 
 
 @dataclass(frozen=True)
@@ -170,7 +258,8 @@ def _check_coding(c: PrimeCoding, alpha: int) -> "PointTable":
 @lru_cache(maxsize=65536)
 def lower_value(c: PrimeCoding, k0: int):
     """x_{k0} at the coding (memoized): an exact Fraction from the
-    integer-scaled slopes, or an mpf at the coding's precision."""
+    integer-scaled slopes, or an mpf rounded at the coding's precision
+    from the slopes' mantissas."""
     if not isinstance(k0, int) or k0 < 4:
         raise DomainError("essential regions need an integer k0 >= 4")
     if k0 // 2 > c.max_index:
@@ -182,8 +271,7 @@ def lower_value(c: PrimeCoding, k0: int):
     if c.mode == MODE_RATIONAL:
         ints, scale = _scaled_slopes(c)
         return Fraction(_twice_lower_value(ints.__getitem__, k0), scale)
-    with c.context():
-        return _twice_lower_value(c.slopes.__getitem__, k0) / 2
+    return _half_mpf(_rounded_twice_lower(_mantissa_pairs(c).__getitem__, k0, c.precision))
 
 
 def _scaled_slopes(c: PrimeCoding) -> tuple:
@@ -198,6 +286,14 @@ def _scaled_slopes(c: PrimeCoding) -> tuple:
         lcm = math.lcm(*(s.denominator for s in c.slopes))
         ints = tuple(s.numerator * (lcm // s.denominator) for s in c.slopes)
         cached = c.__dict__["_scaled_slopes"] = (ints, 2 * lcm * lcm)
+    return cached
+
+
+def _mantissa_pairs(c: PrimeCoding) -> tuple:
+    """A float coding's slopes as (mantissa, exponent) pairs, cached on the coding."""
+    cached = c.__dict__.get("_mantissa_pairs")
+    if cached is None:
+        cached = c.__dict__["_mantissa_pairs"] = tuple(map(_mantissa_pair, c.slopes))
     return cached
 
 

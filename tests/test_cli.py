@@ -311,6 +311,20 @@ def test_bad_alpha_range_exit_1(capsys, alpha_range):
     assert json.loads(lines[0])["error"] == "UsageError"
 
 
+@pytest.mark.parametrize("command", [
+    ["build-g", "--alpha", "18", "--scalar-u", "1.00000000000000000000000000000000000000001"],
+    ["scalar-limit", "--alpha", "18", "--u", "1e-40"],
+], ids=["build-g", "scalar-limit"])
+def test_u_that_rounds_to_one_exit_1(capsys, command):
+    # u > 1 exactly, but u^2 rounds to 1 at 128 bits: the input needs more
+    # precision, which is a domain error, not a failed verification.
+    rc, out, err = run(capsys, command)
+    assert rc == 1 and out == ""
+    payload = json.loads(err)
+    assert payload["error"] == "DomainError"
+    assert payload["message"] == "lambda_3^2 rounds to 1 at 128 bits; raise --precision"
+
+
 def test_verification_error_exit_2(capsys, monkeypatch):
     def explode(*args, **kwargs):
         raise TheoremViolationError("forced failure for the exit-code contract")
@@ -367,6 +381,24 @@ def test_float_output_digests_pinned(tmp_path):
     out = _hypgold_cli("scalar-limit", "--alpha", "30", "--u", "1e-1,1e-2,1e-3,1e-4,1e-5,1e-6")
     assert hashlib.sha256(out).hexdigest() == (
         "a9acd2ae808db9be31f9c85432cbe9ceac23e32d8031c23b0db6b6e4f25824be")
+
+
+@pytest.mark.parametrize("args, digest", [
+    ("--alpha 102 --seed 5 --precision 53",
+     "40419211f312fb4fa5054d3adbd9c1bbdf7603f6f94b5b3f122c8df07a75c40f"),
+    ("--alpha 102 --seed 5 --precision 256",
+     "39fbe8eddbb70ffb163f562e3a1bca12a22b8473504c65e93da8503b54200ab9"),
+    ("--alpha 480 --seed 916",
+     "ce160af10d577ca948401fe66207e6ae8761d1e801a4135dd958e5c99f6b873d"),
+])
+def test_float_construction_coding_digests_pinned(tmp_path, args, digest):
+    # Float points and scalar-limit stdout carry 53 bits at most; the coding
+    # file carries every bit of each slope, so a change in how any x_k0
+    # rounds at 53, 128 or 256 bits shows here.  The 480 value is the one
+    # perfbench/digests.json records.
+    coding = tmp_path / "coding.json"
+    _hypgold_cli("build-g", *args.split(), "--out", str(coding))
+    assert hashlib.sha256(coding.read_bytes()).hexdigest() == digest
 
 
 @pytest.mark.parametrize("args, digest", [

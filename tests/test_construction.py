@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 from mpmath import mp, mpf
 
+import hypgold.construction as construction
 from hypgold.construction import (
     ConstructedCoding,
     GoldbachSpec,
@@ -122,11 +123,29 @@ def test_forced_ratio_identities():
 
 
 def test_increase_guard_covers_the_first_free_index():
-    # u^2 rounds to 1 at 128 bits, so xi_3^2 = xi_2^2 and the first index already stalls.
+    # u^2 rounds to 1 at 128 bits, so xi_3^2 would equal xi_2^2: the input
+    # needs more precision, which is a domain error, not a failed construction.
     spec = GoldbachSpec(alpha=18, scalar_u=1 + Fraction(1, 10 ** 40))
-    with pytest.raises(ConstructionFailureError,
-                       match="^slope squares failed to increase at index 3$"):
+    with pytest.raises(DomainError,
+                       match=r"^lambda_3\^2 rounds to 1 at 128 bits; raise --precision$"):
         build_lower(spec)
+    pinned = GoldbachSpec(alpha=18, lambda_sq={5: 1 + Fraction(1, 10 ** 40)})
+    with pytest.raises(DomainError, match=r"^lambda_5\^2 rounds to 1 at 128 bits"):
+        build_lower(pinned)
+    build_lower(spec, precision=256)
+
+
+def test_increase_guard_catches_a_stalled_ratio(monkeypatch):
+    # x_6 = x_5 gives the ratio 1 at the composite index 6.
+    real = construction._poly_value
+
+    def stalled(xi, j):
+        return real(xi, 5 if j == 6 else j)
+
+    monkeypatch.setattr(construction, "_poly_value", stalled)
+    with pytest.raises(ConstructionFailureError,
+                       match="^slope squares failed to increase at index 6$"):
+        build_lower(GoldbachSpec(alpha=18, seed=1))
 
 
 def test_perturbation_breaks_continuity():

@@ -2,6 +2,7 @@
 repetition theorems, and the Goldbach characterization."""
 
 import random
+import time
 from dataclasses import replace
 from fractions import Fraction
 from unittest import mock
@@ -10,6 +11,7 @@ import mpmath
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from mpmath.libmp import from_man_exp, mpf_add, mpf_mul
 
 import hypgold.points as points_mod
 
@@ -245,6 +247,111 @@ def test_float_copies_decide_as_the_rational_coding(c):
     expected = verdicts(c)
     for copy in with_float_copies(c)[1:]:
         assert verdicts(copy) == expected, copy.precision
+
+
+PRECS = st.integers(min_value=53, max_value=300)
+
+
+@st.composite
+def near_ties(draw, prec):
+    """A mantissa whose bits below its top prec are a tie, a near-tie or random."""
+    n = draw(st.integers(min_value=0, max_value=2 * prec))
+    q = draw(st.integers(min_value=1 << (prec - 1), max_value=(1 << prec) - 1))
+    below = draw(st.sampled_from(["tie", "above", "under", "random"])) if n else "random"
+    if below == "random":
+        low = draw(st.integers(min_value=0, max_value=(1 << n) - 1))
+    else:
+        low = (1 << (n - 1)) + {"tie": 0, "above": 1, "under": -1}[below]
+    return draw(st.sampled_from([1, -1])) * ((q << n) + low)
+
+
+@given(data=st.data(), prec=PRECS, e=st.integers(min_value=-10 ** 5, max_value=10 ** 5))
+@settings(max_examples=400, deadline=None)
+def test_round_matches_mpmath(data, prec, e):
+    m = data.draw(near_ties(prec))
+    assert from_man_exp(*points_mod._round(m, e, prec)) == from_man_exp(m, e, prec, "n")
+
+
+@st.composite
+def operands(draw, prec):
+    """(mantissa, exponent) of at most prec bits, as the rounded kernel feeds them."""
+    kind = draw(st.sampled_from(["random", "small", "zero"]))
+    if kind == "zero":
+        m = 0
+    elif kind == "small":  # small odd factors make ties in products
+        m = draw(st.sampled_from([1, 3, 5, 7, 9, 2 ** 20 + 1]))
+    else:
+        bits = draw(st.integers(min_value=1, max_value=prec))
+        m = draw(st.integers(min_value=1 << (bits - 1), max_value=(1 << bits) - 1))
+    sign = draw(st.sampled_from([1, -1]))
+    return sign * m, draw(st.integers(min_value=-400, max_value=400))
+
+
+@given(data=st.data(), prec=PRECS)
+@settings(max_examples=400, deadline=None)
+def test_mul_matches_mpf_mul(data, prec):
+    a, b = data.draw(operands(prec)), data.draw(operands(prec))
+    expected = mpf_mul(from_man_exp(*a), from_man_exp(*b), prec, "n")
+    assert from_man_exp(*points_mod._mul(a, b, prec)) == expected
+
+
+@given(data=st.data(), prec=PRECS,
+       gap=st.one_of(st.integers(min_value=0, max_value=700),
+                     st.integers(min_value=0, max_value=10 ** 5)),
+       tie=st.booleans())
+@settings(max_examples=600, deadline=None)
+def test_add_matches_mpf_add(data, prec, gap, tie):
+    a = data.draw(operands(prec))
+    if tie:
+        # b puts a single 1 just under a's last bit: an exact tie when a has
+        # prec bits, a far-gap sum when it lies far below.
+        b = (data.draw(st.sampled_from([1, -1])), a[1] - 1 - gap)
+    else:
+        m, e = data.draw(operands(prec))
+        b = (m, e - gap)
+    for x, y in ((a, b), (b, a)):
+        expected = mpf_add(from_man_exp(*x), from_man_exp(*y), prec, "n")
+        assert from_man_exp(*points_mod._add(x, y, prec)) == expected
+
+
+@given(seed=st.integers(min_value=0, max_value=2 ** 32), prec=PRECS,
+       wider=st.integers(min_value=0, max_value=64), spread=st.sampled_from([4, 300]))
+@settings(max_examples=150, deadline=None)
+def test_rounded_kernel_matches_the_mpf_loop(seed, prec, wider, spread):
+    # The same steps summed in mpf arithmetic, on random mantissas of up to
+    # prec + wider bits: slopes wider than prec round 2*xi_r before its product.
+    rng = random.Random(seed)
+    slopes = {}
+    for i in range(rng.randrange(3, 80)):
+        bits = rng.randrange(1, prec + wider + 1)
+        m = rng.getrandbits(bits) | (1 << (bits - 1))
+        slopes[i] = mpmath.mp.make_mpf(from_man_exp(m, rng.randrange(-spread, spread + 1)))
+    with mpmath.workprec(prec):
+        for k0 in range(4, 2 * max(slopes) + 2):
+            expected = points_mod._twice_lower_value(slopes.__getitem__, k0) / 2
+            assert lower_point_value(slopes, k0) == expected, k0
+
+
+def test_far_apart_slopes_stay_in_precision_sized_ints():
+    # Slopes near 2**-100000 below slopes near 1: the rounded kernel must
+    # equal the region polynomial and never align the two exactly.
+    tiny = [Fraction(i + 1, 2 ** 100000) for i in range(12)]
+    c = PrimeCoding(slopes=(*tiny, *(Fraction(i) for i in range(12, 70))),
+                    mode=MODE_FLOAT, precision=128)
+    widest = []
+    real_round = points_mod._round
+
+    def watched(m, e, prec):
+        widest.append(m.bit_length())
+        return real_round(m, e, prec)
+
+    lower_value.cache_clear()
+    start = time.perf_counter()
+    with mock.patch.object(points_mod, "_round", watched):
+        values = [lower_value(c, k0) for k0 in range(4, 140)]
+    assert time.perf_counter() - start < 1
+    assert max(widest) <= 3 * 128 + 12
+    assert values == [poly_oracle(c, k0) for k0 in range(4, 140)]
 
 
 def test_int_kernel_errors_pinned():
