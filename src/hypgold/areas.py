@@ -24,14 +24,13 @@ from .errors import (
 )
 from .numeric import (
     DEFAULT_PRECISION,
-    MODE_RATIONAL,
     Number,
     floor_int,
     is_integral,
     to_fraction,
     to_mpf,
 )
-from .points import lower_value
+from .points import _check_alpha, _check_coding_length, lower_value
 from .regions import DIAGONAL_TYPES, TYPE_COEFFICIENT, RegionType, enumerate_regions
 
 QUAD_ABS_TOL = 1e-10
@@ -143,12 +142,8 @@ def hat_area(c: PrimeCoding, n: int, n_prime: int, area):
 
 
 def _check_alpha_coding(c: PrimeCoding, alpha: int, need_index: int) -> None:
-    if alpha < 16 or alpha % 2:
-        raise DomainError("alpha must be an even number >= 16")
-    if c.max_index < need_index:
-        raise RangeError(
-            f"coding defines slopes through {c.max_index}, need index {need_index}"
-        )
+    _check_alpha(alpha)
+    _check_coding_length(c, need_index)
 
 
 def ab_coefficients(c: PrimeCoding, alpha: int, k0: int, k: Number):
@@ -172,7 +167,7 @@ def hat_AT_second_derivative(c: PrimeCoding, alpha: int, k: Number, side: str = 
     _check_alpha_coding(c, alpha, alpha - 4)
     if side not in ("+", "-"):
         raise DomainError("side must be '+' or '-'")
-    kf = to_fraction(k) if c.mode == MODE_RATIONAL else to_mpf(k, c.precision)
+    kf = c._coerce(k)
     if kf < 4 or kf > alpha // 2:
         raise DomainError(f"k={k} outside [4, {alpha // 2}]")
     k0 = floor_int(kf)
@@ -304,17 +299,12 @@ def bounds_chain(c: PrimeCoding, alpha: int) -> list:
     if not c.strict:
         raise DomainError("the bounds chain requires a strict prime coding")
     entries = []
+    for k0 in range(4, alpha // 2):
+        # A_{k0} falls and B_{k0} rises in k.
+        M_A, m_B = ab_coefficients(c, alpha, k0, k0)
+        m_A, M_B = ab_coefficients(c, alpha, k0, k0 + 1)
+        entries.append(ChainEntry(k0=k0, m_B=m_B, M_B=M_B, m_A=m_A, M_A=M_A))
     with c.context():
-        for k0 in range(4, alpha // 2):
-            xi_l = c.slope(k0)
-            xi_u = c.slope(alpha - k0 - 1)
-            entries.append(ChainEntry(
-                k0=k0,
-                m_B=1 / ((alpha - k0) * xi_u * xi_u),
-                M_B=1 / ((alpha - k0 - 1) * xi_u * xi_u),
-                m_A=1 / ((k0 + 1) * xi_l * xi_l),
-                M_A=1 / (k0 * xi_l * xi_l),
-            ))
         chain = []
         for e in entries:
             chain.extend([(e.m_B, f"m_B{e.k0}"), (e.M_B, f"M_B{e.k0}")])

@@ -76,11 +76,19 @@ def records_csv(records: list) -> str:
     return buf.getvalue()
 
 
+def _write_text(path: str, text: str, what: str) -> None:
+    """Write text to path; DomainError naming ``what`` when the write fails."""
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise DomainError(f"cannot write {what} {path}: {exc}") from exc
+
+
 def emit(payload: dict, records: list, cfg: RunConfig, out: str | None) -> None:
     text = records_csv(records) if cfg.output_format == "csv" else canonical_json(payload)
     if out:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        _write_text(out, text, "output file")
     else:
         click.echo(text, nl=False)
 
@@ -255,7 +263,7 @@ def _sweep_worker(alpha):
               help="Even alphas 'a..b' to reconcile against the sieve.")
 @click.option("--coding", "coding_path", type=click.Path(exists=True, dir_okay=False),
               default=None)
-@click.option("--workers", type=int, default=1, show_default=True)
+@click.option("--workers", type=click.IntRange(min=1), default=1, show_default=True)
 @click.option("--timing", is_flag=True, default=False,
               help="Include per-alpha timing (breaks byte-determinism).")
 @_common
@@ -317,8 +325,7 @@ def build_g(alpha, scalar_u, xi2_text, xi_half_text, coding_out, cfg):
         "provenance": {str(i): v for i, v in sorted(cc.provenance.items())},
         "max_junction_gap": format_real(max_gap),
     })
-    with open(coding_out, "w", encoding="utf-8") as fh:
-        fh.write(canonical_json(coding_payload))
+    _write_text(coding_out, canonical_json(coding_payload), "coding file")
     report = {
         "command": "build-g",
         "config": cfg.as_dict(),

@@ -101,7 +101,7 @@ class PrimeCoding:
     def breakpoints(self) -> tuple:
         """B_0 = 0, B_m = xi_0 + ... + xi_{m-1}, up to B_{N+1}."""
         with self.context():
-            acc = Fraction(0) if self.mode == MODE_RATIONAL else to_mpf(0, self.precision)
+            acc = self._coerce(0)
             points = [acc]
             for s in self.slopes:
                 acc = acc + s
@@ -114,9 +114,16 @@ class PrimeCoding:
         return self.breakpoints[-1]
 
     @cached_property
+    def strict_through(self) -> int:
+        """The largest i with xi_0 < ... < xi_i; exact on mpf slopes too."""
+        slopes = self.slopes
+        return next((i for i, (a, b) in enumerate(zip(slopes, slopes[1:])) if a >= b),
+                    self.max_index)
+
+    @property
     def strict(self) -> bool:
         """True when the slopes increase strictly (a prime coding proper)."""
-        return all(a < b for a, b in zip(self.slopes, self.slopes[1:]))
+        return self.strict_through == self.max_index
 
     def _coerce(self, x: Number):
         if self.mode == MODE_RATIONAL:
@@ -203,11 +210,9 @@ class PrimeCoding:
         reads r_i*r_j != 1 for the ratios r_i = xi_{i+1}/xi_i, which one set
         of the ratios seen so far decides.
         """
-        if self.mode == MODE_FLOAT:
-            return self.exact.identifies_primes
         if self.strict:
             return True
-        xs = self.slopes
+        xs = self.exact.slopes
         ratios = set()
         for a, b in zip(xs, xs[1:]):
             r = b / a

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from numbers import Real
 
 from .errors import DomainError
@@ -45,13 +45,7 @@ class RunConfig:
             raise DomainError(f"output_format must be one of {OUTPUT_FORMATS}")
 
     def as_dict(self) -> dict:
-        return {
-            "precision_bits": self.precision_bits,
-            "mode": self.mode,
-            "tolerance_rel": self.tolerance_rel,
-            "seed": self.seed,
-            "output_format": self.output_format,
-        }
+        return asdict(self)
 
 
 def read_json(path: str, what: str):

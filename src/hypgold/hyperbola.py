@@ -17,7 +17,7 @@ from enum import Enum
 
 from .coding import PrimeCoding
 from .errors import DomainError, RangeError, TheoremViolationError
-from .numeric import Number, floor_int, is_integral
+from .numeric import Number, floor_int, is_integral, to_fraction
 
 
 class PointKind(Enum):
@@ -141,12 +141,13 @@ def lattice_witnesses(c: PrimeCoding, k: Number) -> tuple:
     Scans the curve restricted to 1 <= x <= sqrt(k) for lattice points
     (the only points whose jumps distinguish k: points with exactly one
     natural coordinate jump on every curve) and verifies each candidate
-    jump on the coding's exact twin.  k is read at the coding's precision.
-    Returns an empty tuple when k is not natural.
+    jump on the coding's exact twin.  k is read exactly in both modes, so a
+    float coding never rounds a non-natural k onto an integer.  Returns an
+    empty tuple when k is not natural.
     """
     if not c.identifies_primes:
         raise DomainError("number classification needs a coding that identifies primes")
-    kv = c._coerce(k)
+    kv = to_fraction(k)
     if kv <= 1:
         raise DomainError("classification needs k > 1")
     if kv > c.max_index:

@@ -40,13 +40,18 @@ def to_fraction(x: Number) -> Fraction:
     if isinstance(x, mpf):
         if not mpmath.isfinite(x):
             raise DomainError(f"cannot convert non-finite value {x} to a rational")
-        sign, man, exp, _ = x._mpf_
-        if man == 0:
-            return Fraction(0)
-        # int() strips the gmpy2 mpz the backend may hand out.
-        value = Fraction(int(man)) * Fraction(2) ** int(exp)
-        return -value if sign else value
+        man, exp = mantissa_pair(x)
+        return Fraction(man) * Fraction(2) ** exp
     raise TypeError(f"unsupported numeric type {type(x).__name__}")
+
+
+def mantissa_pair(x: mpf) -> tuple:
+    """A finite mpf as (signed int mantissa, exponent): x = man * 2**exp.
+
+    int() strips the gmpy2 mpz the backend may hand out.
+    """
+    sign, man, exp, _ = x._mpf_
+    return (-int(man) if sign else int(man)), int(exp)
 
 
 def to_mpf(x: Number, precision: int = DEFAULT_PRECISION) -> mpf:

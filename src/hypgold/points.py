@@ -33,9 +33,9 @@ from mpmath.libmp import from_man_exp
 
 from .coding import PrimeCoding
 from .errors import DomainError, RangeError, TheoremViolationError
-from .numeric import MODE_RATIONAL
+from .numeric import MODE_RATIONAL, mantissa_pair
 from .oracles import goldbach_partitions_oracle, is_prime
-from .regions import TYPE_COEFFICIENT, enumerate_regions
+from .regions import TYPE_COEFFICIENT, _check_k0, enumerate_regions
 
 
 @dataclass(frozen=True)
@@ -120,11 +120,10 @@ def lower_point_value(xi, k0: int):
     entered, and a missing slope fails as the mapping reports it (a
     KeyError for the construction's dict).
     """
-    if k0 < 4:
-        raise DomainError("lower point values need k0 >= 4")
+    _check_k0(k0)
     getter = _slope_getter(xi)
     if isinstance(getter(2), mpf):
-        twice = _rounded_twice_lower(lambda i: _mantissa_pair(getter(i)), k0, mp.prec)
+        twice = _rounded_twice_lower(lambda i: mantissa_pair(getter(i)), k0, mp.prec)
         return _half_mpf(twice)
     return _twice_lower_value(getter, k0) / 2
 
@@ -215,12 +214,6 @@ def _add(a: tuple, b: tuple, prec: int) -> tuple:
     return _round((am << d) + bm, be, prec)
 
 
-def _mantissa_pair(v) -> tuple:
-    """An mpf as (signed int mantissa, exponent); int() also reads a gmpy mantissa."""
-    sign, man, exp, _ = v._mpf_
-    return (-int(man) if sign else int(man)), exp
-
-
 def _half_mpf(twice: tuple):
     m, e = twice
     return mp.make_mpf(from_man_exp(m, e - 1))
@@ -238,21 +231,24 @@ def _check_alpha(alpha: int) -> None:
         raise DomainError("alpha must be an even number >= 16")
 
 
-def _check_coding(c: PrimeCoding, alpha: int) -> "PointTable":
-    """The point table of the coding's exact twin, once the coding is adapted to alpha."""
-    if c.max_index < alpha - 5:
+def _check_coding_length(c: PrimeCoding, need_index: int) -> None:
+    if c.max_index < need_index:
         raise RangeError(
-            f"coding defines slopes through {c.max_index}, need index {alpha - 5}"
+            f"coding defines slopes through {c.max_index}, need index {need_index}"
         )
-    table = _point_table(c.exact)
+
+
+def _check_coding(c: PrimeCoding, alpha: int) -> None:
+    """alpha is valid and the coding is adapted to it."""
+    _check_alpha(alpha)
+    _check_coding_length(c, alpha - 5)
     # The repetition dichotomies need strictly increasing slopes through
     # alpha/2 - 1 (the coding "adapted to alpha"); constructed codings are
     # allowed to dip above that, which the essential points never see.
-    if table.strict_through < alpha // 2 - 1:
+    if c.strict_through < alpha // 2 - 1:
         raise DomainError(
             f"essential points need slopes strictly increasing through {alpha // 2 - 1}"
         )
-    return table
 
 
 @lru_cache(maxsize=65536)
@@ -260,8 +256,7 @@ def lower_value(c: PrimeCoding, k0: int):
     """x_{k0} at the coding (memoized): an exact Fraction from the
     integer-scaled slopes, or an mpf rounded at the coding's precision
     from the slopes' mantissas."""
-    if not isinstance(k0, int) or k0 < 4:
-        raise DomainError("essential regions need an integer k0 >= 4")
+    _check_k0(k0)
     if k0 // 2 > c.max_index:
         # Name the index EssentialPolynomial.evaluate fails on first: its
         # sorted terms open with (2, k0//3), (2, k0//2), or with (2, 2)
@@ -293,13 +288,12 @@ def _mantissa_pairs(c: PrimeCoding) -> tuple:
     """A float coding's slopes as (mantissa, exponent) pairs, cached on the coding."""
     cached = c.__dict__.get("_mantissa_pairs")
     if cached is None:
-        cached = c.__dict__["_mantissa_pairs"] = tuple(map(_mantissa_pair, c.slopes))
+        cached = c.__dict__["_mantissa_pairs"] = tuple(map(mantissa_pair, c.slopes))
     return cached
 
 
 def essential_points(c: PrimeCoding, alpha: int) -> list:
     """P_{k0} = (x_{k0}, y_{k0}) for k0 = 4 .. alpha/2 - 1."""
-    _check_alpha(alpha)
     _check_coding(c, alpha)
     out = []
     with c.context():
@@ -329,12 +323,6 @@ class PointTable:
         self.order_bad = []   # j with x_j < x_{j-1}
         self.bits = bytearray(5)  # R[j] for 5 <= j < len(bits)
         self.mismatches = []  # j with R[j] != is_prime(j)
-        slopes = c.slopes
-        # slopes[0..strict_through] increase strictly.
-        self.strict_through = next(
-            (i for i, (a, b) in enumerate(zip(slopes, slopes[1:])) if a >= b),
-            c.max_index,
-        )
 
     def grow(self, top: int) -> None:
         """Extend x and R through index top, each R[j] checked once against is_prime(j)."""
@@ -423,8 +411,8 @@ def monotonicity_report(c: PrimeCoding, alpha: int) -> list:
     these are theorems, so a failure flags an implementation bug.  Float
     codings are checked on their exact twin, so the equalities are exact.
     """
-    _check_alpha(alpha)
-    bits = _check_coding(c, alpha).check(alpha)
+    _check_coding(c, alpha)
+    bits = _point_table(c.exact).check(alpha)
     return [_comparison(bits, alpha, k0) for k0 in range(5, alpha // 2)]
 
 
@@ -444,8 +432,8 @@ def goldbach_characterization(c: PrimeCoding, alpha: int) -> list:
     The result is reconciled against the sieve; a mismatch raises
     TheoremViolationError.
     """
-    _check_alpha(alpha)
-    bits = _check_coding(c, alpha).check(alpha)
+    _check_coding(c, alpha)
+    bits = _point_table(c.exact).check(alpha)
     repeated = [k for k in range(5, alpha // 2) if bits[k] and bits[alpha - k]]
     expected = list(goldbach_partitions_oracle(alpha).inside_window)
     if repeated != expected:

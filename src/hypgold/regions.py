@@ -73,6 +73,11 @@ class EssentialRegionSet:
         return len(self.entries)
 
 
+def _check_k0(k0) -> None:
+    if not isinstance(k0, int) or k0 < 4:
+        raise DomainError("essential regions need an integer k0 >= 4")
+
+
 @lru_cache(maxsize=4096)
 def enumerate_regions(k0: int) -> EssentialRegionSet:
     """All essential regions shared by the hyperbolas xy = k, k0 < k < k0+1.
@@ -83,8 +88,7 @@ def enumerate_regions(k0: int) -> EssentialRegionSet:
     through the diagonal, so the bottom cell is triangular (T7 when it is
     also the top cell, T8 otherwise) and no T5 arises.
     """
-    if not isinstance(k0, int) or k0 < 4:
-        raise DomainError("essential regions need an integer k0 >= 4")
+    _check_k0(k0)
     root = math.isqrt(k0)
     entries = []
     for n in range(2, root):

@@ -29,7 +29,7 @@ from hypgold.oracles import finite_difference_d1, finite_difference_d2
 from hypgold.points import lower_value
 from hypgold.regions import RegionType, enumerate_regions
 
-from conftest import arith_coding, identity_coding, seeded_coding
+from conftest import arith_coding, identity_coding, seeded_coding, strict_families
 
 T2, T3, T5, T7, T8 = (RegionType.T2, RegionType.T3, RegionType.T5,
                       RegionType.T7, RegionType.T8)
@@ -315,3 +315,15 @@ def test_bounds_chain_detects_corruption():
     bad = PrimeCoding(slopes=tuple(slopes))
     with pytest.raises((ChainViolationError, DomainError)):
         bounds_chain(bad, 16)
+
+
+def test_bounds_chain_entries_are_ab_at_the_endpoints():
+    for c in strict_families(60):
+        for alpha in (16, 38, 60):
+            for e in bounds_chain(c, alpha):
+                k0 = e.k0
+                assert (e.M_A, e.m_B) == ab_coefficients(c, alpha, k0, k0)
+                assert (e.m_A, e.M_B) == ab_coefficients(c, alpha, k0, k0 + 1)
+                xi_l, xi_u = c.slope(k0), c.slope(alpha - k0 - 1)
+                assert e.M_A == 1 / (k0 * xi_l ** 2)
+                assert e.m_B == 1 / ((alpha - k0) * xi_u ** 2)

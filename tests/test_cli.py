@@ -325,6 +325,42 @@ def test_u_that_rounds_to_one_exit_1(capsys, command):
     assert payload["message"] == "lambda_3^2 rounds to 1 at 128 bits; raise --precision"
 
 
+@pytest.mark.parametrize("command", [["points", "--alpha", "18"], ["build-g", "--alpha", "18"]],
+                         ids=["points", "build-g"])
+def test_failed_write_exit_1(tmp_path, capsys, command):
+    target = tmp_path / "missing" / "out.json"
+    rc, out, err = run(capsys, command + ["--out", str(target)])
+    assert rc == 1 and out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1
+    payload = json.loads(lines[0])
+    assert payload["error"] == "DomainError"
+    assert str(target) in payload["message"]
+
+
+@pytest.mark.parametrize("workers", ["0", "-3"])
+def test_workers_below_one_exit_1(capsys, workers):
+    rc, out, err = run(capsys, ["goldbach-check", "--alpha-range", "16..20",
+                                "--workers", workers])
+    assert rc == 1 and out == ""
+    assert json.loads(err)["error"] == "BadParameter"
+
+
+@pytest.mark.parametrize("offset, precision", [(60, "53"), (200, "128")])
+def test_float_classify_reads_k_exactly(capsys, offset, precision):
+    # k = 1000 + 2**-offset lies within half an ulp of 1000 at the coding's
+    # precision; rounding it would classify 1000 instead.
+    k = str(1000 + Fraction(1, 2 ** offset))
+    kinds = []
+    for mode in ("rational", "float"):
+        rc, out, _ = run(capsys, ["classify", "--k", k, "--mode", mode,
+                                  "--precision", precision])
+        payload = json.loads(out)
+        assert rc == 0 and payload["witnesses"] == []
+        kinds.append(payload["kind"])
+    assert kinds == ["non_natural", "non_natural"]
+
+
 def test_verification_error_exit_2(capsys, monkeypatch):
     def explode(*args, **kwargs):
         raise TheoremViolationError("forced failure for the exit-code contract")

@@ -17,7 +17,7 @@ from hypgold.coding import (
     default_coding,
 )
 from hypgold.errors import DomainError, RangeError
-from hypgold.numeric import MODE_FLOAT, MODE_RATIONAL, rel_diff
+from hypgold.numeric import MODE_FLOAT, MODE_RATIONAL, rel_diff, to_fraction
 from hypgold.points import goldbach_characterization
 
 from conftest import arith_coding, harmonic_coding, identity_coding, pow2_coding, seeded_coding
@@ -316,3 +316,26 @@ def test_invalid_codings():
         PrimeCoding(slopes=(1, 0, 2))
     with pytest.raises(DomainError):
         PrimeCoding(slopes=(1, 2), mode="decimal")
+
+
+def strict_prefix_oracle(slopes):
+    """Largest i with slopes[0] < ... < slopes[i], by the exact values."""
+    xs = [to_fraction(s) for s in slopes]
+    return max(i for i in range(len(xs)) if all(xs[j] < xs[j + 1] for j in range(i)))
+
+
+# Steps of 0..3 times 2**-60: distinct slopes stay distinct at 128 and 256
+# bits and collapse at 53.
+_close_slopes = st.lists(st.integers(min_value=0, max_value=3), min_size=1, max_size=14).map(
+    lambda steps: [1 + Fraction(sum(steps[:m]), 2**60) for m in range(len(steps))]
+)
+
+
+@given(st.one_of(codings_to_identify, _close_slopes), st.sampled_from([None, 53, 128, 256]))
+@settings(max_examples=150, deadline=None)
+def test_strict_through_matches_a_prefix_scan(slopes, precision):
+    c = PrimeCoding(slopes=tuple(slopes))
+    if precision is not None:
+        c = PrimeCoding(slopes=c.slopes, mode=MODE_FLOAT, precision=precision)
+    assert c.strict_through == strict_prefix_oracle(c.slopes)
+    assert c.strict == (c.strict_through == c.max_index)

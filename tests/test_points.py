@@ -568,3 +568,10 @@ def test_non_strict_coding_errors_pinned():
         assert str(info.value) == "coding defines slopes through 10, need index 13"
     # The dip lies above alpha/2 - 1 = 8, where the essential points never look.
     assert goldbach_characterization(c, 18) == [5, 7]
+
+
+def test_float_essential_points_skip_the_exact_twin():
+    # Strictness is read on the mpf slopes themselves, which compare exactly.
+    c = default_coding(120, mode=MODE_FLOAT)
+    essential_points(c, 120)
+    assert "exact" not in c.__dict__
