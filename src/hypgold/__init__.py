@@ -21,13 +21,10 @@ from .areas import (
     AreaFormulaResult,
     ab_coefficients,
     area_closed,
-    area_quadrature_oracle,
     bounds_chain,
-    hat_AI_quadrature,
     hat_AT_second_derivative,
     hat_lower_sweep,
     hat_area,
-    hat_strip_quadrature,
 )
 from .errors import (
     ChainViolationError,
@@ -54,10 +51,15 @@ from .hyperbola import (
     hhat_one_sided,
 )
 from .oracles import (
+    area_quadrature_oracle,
     finite_difference_d1,
     finite_difference_d2,
+    geometric_region_oracle,
     goldbach_partitions_oracle,
+    hat_AI_quadrature,
+    hat_strip_quadrature,
     is_prime,
+    oracle_region_set,
     primes_in,
     sieve,
 )
@@ -77,8 +79,6 @@ from .regions import (
     EssentialRegionSet,
     RegionType,
     enumerate_regions,
-    geometric_region_oracle,
-    oracle_region_set,
     regions_equal,
 )
 

@@ -9,7 +9,6 @@ stays exact for rational codings and rational k.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 from mpmath import mp, mpf
@@ -18,7 +17,6 @@ from .coding import PrimeCoding
 from .errors import (
     ChainViolationError,
     DomainError,
-    QuadratureError,
     RangeError,
     RegionMismatchError,
 )
@@ -32,8 +30,6 @@ from .numeric import (
 )
 from .points import _check_alpha, _check_coding_length, lower_value
 from .regions import DIAGONAL_TYPES, TYPE_COEFFICIENT, RegionType, enumerate_regions
-
-QUAD_ABS_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -100,38 +96,6 @@ def area_closed(rtype: RegionType, n: int, n_prime: int, k: Number,
         return AreaFormulaResult(area=area, d1=d1, d2=d2)
 
 
-def _quad(f, lo: float, hi: float) -> float:
-    if hi <= lo:
-        return 0.0
-    # scipy serves only the test oracles; importing it here keeps it off
-    # the CLI's start-up path.
-    from scipy.integrate import quad
-
-    value, err = quad(f, lo, hi, epsabs=1e-13, epsrel=1e-12, limit=200)
-    if err > QUAD_ABS_TOL:
-        raise QuadratureError(f"quadrature error estimate {err} above {QUAD_ABS_TOL}")
-    return value
-
-
-def area_quadrature_oracle(rtype: RegionType, n: int, n_prime: int, k: Number) -> float:
-    """Defining vertical-slice integral of the region's area; test oracle."""
-    kf = float(k)
-    np1 = n_prime + 1
-    if rtype is RegionType.T2:
-        return _quad(lambda x: kf / x - n_prime, n, kf / n_prime)
-    if rtype is RegionType.T3:
-        return (kf / np1 - n) + _quad(lambda x: kf / x - n_prime, kf / np1, kf / n_prime)
-    if rtype is RegionType.T5:
-        return (kf / np1 - n) + _quad(lambda x: kf / x - n_prime, kf / np1, n + 1)
-    if rtype is RegionType.T7:
-        return _quad(lambda x: kf / x - x, n, math.sqrt(kf))
-    if rtype is RegionType.T8:
-        first = _quad(lambda x: n + 1 - x, n, kf / (n + 1))
-        second = _quad(lambda x: kf / x - x, kf / (n + 1), math.sqrt(kf))
-        return first + second
-    raise RegionMismatchError(f"unknown region type {rtype}")
-
-
 def hat_area(c: PrimeCoding, n: int, n_prime: int, area):
     """Deformed-plane area of the cell (n, n') with real-plane area ``area``.
 
@@ -161,25 +125,26 @@ def ab_coefficients(c: PrimeCoding, alpha: int, k0: int, k: Number):
 def hat_AT_second_derivative(c: PrimeCoding, alpha: int, k: Number, side: str = "+"):
     """(A_T-hat)''(k-hat) = A_{k0}(k) x_{k0} + B_{k0}(k) y_{k0} on [k0, k0+1].
 
-    Exact for rational codings and rational k.  At integer k the default is
-    the right-limit value; side="-" selects the limit from [k-1, k].
+    Exact for rational codings and rational k.  The interval is read off k
+    exactly, in both modes.  At integer k the default is the right-limit
+    value; side="-" selects the limit from [k-1, k].
     """
     _check_alpha_coding(c, alpha, alpha - 4)
     if side not in ("+", "-"):
         raise DomainError("side must be '+' or '-'")
-    kf = c._coerce(k)
-    if kf < 4 or kf > alpha // 2:
+    kq = to_fraction(k)
+    if kq < 4 or kq > alpha // 2:
         raise DomainError(f"k={k} outside [4, {alpha // 2}]")
-    k0 = floor_int(kf)
-    if is_integral(kf) and side == "-":
-        k0 = int(kf) - 1
+    k0 = floor_int(kq)
+    if is_integral(kq) and side == "-":
+        k0 -= 1
         if k0 < 4:
             raise DomainError("no left limit at k = 4")
     k0 = min(max(k0, 4), alpha // 2 - 1)
     with c.context():
         x = lower_value(c, k0)
         y = -lower_value(c, alpha - k0 - 1)
-        a_coef, b_coef = ab_coefficients(c, alpha, k0, kf)
+        a_coef, b_coef = ab_coefficients(c, alpha, k0, k)
         return a_coef * x + b_coef * y
 
 
@@ -206,73 +171,6 @@ def hat_lower_sweep(c: PrimeCoding, khat: Number):
             area = area_closed(rtype, n, n_prime, k, precision=c.precision, check=False).area
             total = total + hat_area(c, n, n_prime, area)
         return total
-
-
-def _strip_breakpoints(k_lo, k_hi: float) -> list:
-    """x-values where the strip integrand between xy=k_lo and xy=k_hi kinks."""
-    x_max = math.sqrt(k_hi)
-    points = {2.0, x_max}
-    for n in range(2, math.floor(x_max) + 1):
-        points.add(float(n))
-    if k_lo is not None:
-        if k_lo > 4:
-            points.add(math.sqrt(k_lo))
-        for m in range(2, math.floor(k_lo / 2) + 1):
-            x = k_lo / m
-            if 2 < x < x_max:
-                points.add(x)
-    for m in range(2, math.floor(k_hi / 2) + 1):
-        x = k_hi / m
-        if 2 < x < x_max:
-            points.add(x)
-    return sorted(points)
-
-
-def hat_strip_quadrature(c: PrimeCoding, k_lo, k_hi: Number) -> float:
-    """Deformed area between the curves xy=k_lo and xy=k_hi in the strip
-    x >= 2, y >= x, by piecewise adaptive quadrature.  Pass k_lo=None for
-    the diagonal (the full region below xy=k_hi).  Test oracle; float64.
-    """
-    k_hi = float(k_hi)
-    k_lo_f = None if k_lo is None else float(k_lo)
-    if k_hi < 4:
-        raise DomainError("strip quadrature needs k_hi >= 4")
-    if k_lo_f is not None and k_lo_f > k_hi:
-        raise DomainError("strip quadrature needs k_lo <= k_hi")
-    slopes = [float(s) for s in c.slopes]
-    top_index = math.floor(k_hi / 2)
-    if top_index > c.max_index:
-        raise RangeError(f"strip reaches y-cells up to {top_index}, coding stops at {c.max_index}")
-
-    def weighted_column(x: float) -> float:
-        y_hi = k_hi / x
-        y_lo = x if k_lo_f is None else max(x, k_lo_f / x)
-        if y_hi <= y_lo:
-            return 0.0
-        total = 0.0
-        for n_p in range(math.floor(y_lo), math.floor(y_hi) + 1):
-            overlap = min(y_hi, n_p + 1.0) - max(y_lo, float(n_p))
-            if overlap > 0:
-                total += slopes[n_p] * overlap
-        return slopes[math.floor(x)] * total
-
-    from scipy.integrate import quad
-
-    cuts = _strip_breakpoints(k_lo_f, k_hi)
-    total = 0.0
-    for lo, hi in zip(cuts, cuts[1:]):
-        if hi - lo < 1e-15:
-            continue
-        value, err = quad(weighted_column, lo, hi, epsabs=1e-12, epsrel=1e-10, limit=200)
-        if err > 1e-8:
-            raise QuadratureError(f"strip quadrature error {err} on [{lo}, {hi}]")
-        total += value
-    return total
-
-
-def hat_AI_quadrature(c: PrimeCoding, k: Number) -> float:
-    """Deformed lower area (x >= 2, y >= x, xy <= k); quadrature oracle."""
-    return hat_strip_quadrature(c, None, k)
 
 
 @dataclass(frozen=True)

@@ -47,6 +47,9 @@ PROV_COMPOSITE = "forced-composite-ratio"
 PROV_UPPER_RATIO = "forced-upper-ratio"
 PROV_JUNCTION = "forced-prime-junction"
 
+HOMOGENEITY_REL_TOL = 1e-25  # reduced_form_check's bound on every relative error
+SCALAR_FINAL_TOL = 1e-4  # scalar_limit_sweep's final deviation bound, relative to xi2_sq
+
 
 def is_in_N(alpha: int) -> bool:
     """Membership in the window set: alpha even, >= 16, with alpha/2 and
@@ -325,7 +328,7 @@ class ScalingReport:
     max_ratio_error: float
 
 
-def reduced_form_check(spec: GoldbachSpec, scale, rel_tol: float = 1e-25) -> ScalingReport:
+def reduced_form_check(spec: GoldbachSpec, scale) -> ScalingReport:
     """Rebuild with xi_2^2 scaled and verify degree-2 homogeneity.
 
     Every lower xi_i^2 and every x_j must scale linearly with the base
@@ -363,7 +366,7 @@ def reduced_form_check(spec: GoldbachSpec, scale, rel_tol: float = 1e-25) -> Sca
         max_x_error=x_err,
         max_ratio_error=ratio_err,
     )
-    if max(xi_err, x_err, ratio_err) > rel_tol:
+    if max(xi_err, x_err, ratio_err) > HOMOGENEITY_REL_TOL:
         raise ScalingViolationError(f"homogeneity violated: {report}")
     return report
 
@@ -391,13 +394,12 @@ class ScalarLimitResult:
 
 
 def scalar_limit_sweep(alpha: int, u_list, xi2_sq=1,
-                       precision: int = DEFAULT_PRECISION,
-                       final_tol: float = 1e-4) -> ScalarLimitResult:
+                       precision: int = DEFAULT_PRECISION) -> ScalarLimitResult:
     """Tabulate x_{k0}(u) and |y_{k0}|(u) for the scalar family along u -> 1+.
 
     The deviation max_{k0} |x_{k0}(u) - xi2_sq/2| must decrease along the
     list (ordered toward 1); when the list reaches u <= 1 + 1e-6 the final
-    deviation must also drop below final_tol * xi2_sq.  Failures are
+    deviation must also drop below SCALAR_FINAL_TOL * xi2_sq.  Failures are
     reported, not raised.
     """
     if any(not to_fraction(u) > 1 for u in u_list):
@@ -421,7 +423,7 @@ def scalar_limit_sweep(alpha: int, u_list, xi2_sq=1,
         reaches_limit = to_fraction(ordered[-1]) <= 1 + Fraction(1, 10 ** 6)
         final_below = None
         if reaches_limit:
-            final_below = bool(deviations[-1] <= final_tol * to_mpf(xi2_sq, precision))
+            final_below = bool(deviations[-1] <= SCALAR_FINAL_TOL * to_mpf(xi2_sq, precision))
     return ScalarLimitResult(
         alpha=alpha,
         xi2_sq=xi2_sq,

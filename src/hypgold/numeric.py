@@ -80,11 +80,11 @@ def format_exact(x: Number) -> str:
     return f"{f.numerator}/{f.denominator}"
 
 
-def format_real(x: Number, digits: int = 17) -> str:
-    """Lossy but deterministic decimal rendering for float-valued reports."""
+def format_real(x: Number) -> str:
+    """Lossy but deterministic 17-digit decimal rendering for float-valued reports."""
     if isinstance(x, Fraction):
         x = to_mpf(x)
-    return mpmath.nstr(mpf(x), digits, strip_zeros=True)
+    return mpmath.nstr(mpf(x), 17, strip_zeros=True)
 
 
 def is_integral(x: Number) -> bool:
@@ -108,14 +108,8 @@ def floor_int(x: Number) -> int:
 
 
 def rel_diff(a: Number, b: Number) -> float:
-    """|a - b| relative to the larger magnitude; 0 when both vanish."""
-    if a == b:
-        return 0.0
-    if isinstance(a, mpf) or isinstance(b, mpf):
-        with mp.workprec(DEFAULT_PRECISION):
-            am, bm = to_mpf(a), to_mpf(b)
-            scale = max(abs(am), abs(bm))
-            return float(abs(am - bm) / scale)
+    """|a - b| over the larger magnitude, exactly, rounded to float once; 0 if both vanish."""
     fa, fb = to_fraction(a), to_fraction(b)
-    scale = max(abs(fa), abs(fb))
-    return float(abs(fa - fb) / scale)
+    if fa == fb:
+        return 0.0
+    return float(abs(fa - fb) / max(abs(fa), abs(fb)))

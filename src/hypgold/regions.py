@@ -22,8 +22,7 @@ from enum import Enum
 from fractions import Fraction
 from functools import cached_property, lru_cache
 
-from .errors import DomainError, RegionMismatchError
-from .numeric import is_integral, to_fraction
+from .errors import DomainError
 
 
 class RegionType(Enum):
@@ -119,59 +118,3 @@ def regions_equal(k0a: int, k0b: int) -> bool:
     """True iff both index sets coincide, types included."""
     a, b = enumerate_regions(k0a), enumerate_regions(k0b)
     return a.entries == b.entries
-
-
-def geometric_region_oracle(k, n: int, n_prime: int):
-    """Brute-force validator: intersect xy = k with one cell analytically.
-
-    Works for non-integer k only (so the curve avoids lattice points) and
-    returns the RegionType implied by the (entry, exit) edge pair, or None
-    when the intersection has at most one point.  Exact in rationals.
-    """
-    k = to_fraction(k)
-    if is_integral(k):
-        raise DomainError("the geometric oracle needs a non-integer k")
-    if k <= 4:
-        raise DomainError("the geometric oracle needs k > 4")
-    if not (2 <= n <= n_prime):
-        raise DomainError("cells live in the strip 2 <= n <= n_prime")
-
-    if n == n_prime:
-        # Triangular cell: the curve runs from the entry edge to (sqrt(k), sqrt(k)).
-        x_in = max(Fraction(n), k / (n + 1))
-        if x_in > n + 1 or x_in * x_in >= k:
-            return None
-        entry = "left" if x_in == n else "top"
-        return RegionType.T7 if entry == "left" else RegionType.T8
-
-    x_in = max(Fraction(n), k / (n_prime + 1))
-    x_out = min(Fraction(n + 1), k / n_prime)
-    if x_in >= x_out:
-        return None
-    entry = "left" if x_in == n else "top"
-    exit_ = "right" if x_out == n + 1 else "bottom"
-    if (entry, exit_) == ("left", "bottom"):
-        return RegionType.T2
-    if (entry, exit_) == ("top", "bottom"):
-        return RegionType.T3
-    if (entry, exit_) == ("top", "right"):
-        return RegionType.T5
-    # A left -> right crossing needs k0 < n(n+1) <= k0, which is impossible
-    # in the strip; reaching here means the enumeration was misread.
-    raise RegionMismatchError(
-        f"cell ({n},{n_prime}) crossed {entry}->{exit_} at k={k}: no such type"
-    )
-
-
-def oracle_region_set(k) -> tuple:
-    """Scan all candidate cells of a non-integer k with the geometric oracle."""
-    k = to_fraction(k)
-    entries = []
-    for n in range(2, math.isqrt(math.floor(k)) + 1):
-        top = math.floor(k / n) + 1
-        for n_prime in range(n, top + 1):
-            t = geometric_region_oracle(k, n, n_prime)
-            if t is not None:
-                entries.append((n, n_prime, t))
-    entries.sort(key=lambda e: (e[0], e[1]))
-    return tuple(entries)

@@ -12,7 +12,7 @@ from fractions import Fraction
 import pytest
 from mpmath import mp, mpf
 
-from hypgold.areas import area_closed, area_quadrature_oracle, bounds_chain
+from hypgold.areas import area_closed, bounds_chain
 from hypgold.cli import main
 from hypgold.coding import default_coding
 from hypgold.construction import (
@@ -27,7 +27,13 @@ from hypgold.construction import (
 )
 from hypgold.hyperbola import NumberKind, classify_number
 from hypgold.numeric import rel_diff, to_mpf
-from hypgold.oracles import finite_difference_d1, finite_difference_d2, is_prime, primes_in
+from hypgold.oracles import (
+    area_quadrature_oracle,
+    finite_difference_d1,
+    finite_difference_d2,
+    is_prime,
+    primes_in,
+)
 from hypgold.points import goldbach_characterization, lower_essential_poly
 from hypgold.regions import enumerate_regions, regions_equal
 

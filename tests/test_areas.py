@@ -14,18 +14,21 @@ from hypgold.areas import (
     _require_region,
     ab_coefficients,
     area_closed,
-    area_quadrature_oracle,
     bounds_chain,
-    hat_AI_quadrature,
     hat_lower_sweep,
     hat_AT_second_derivative,
     hat_area,
-    hat_strip_quadrature,
 )
 from hypgold.coding import PrimeCoding, default_coding
 from hypgold.errors import ChainViolationError, DomainError, RegionMismatchError
 from hypgold.numeric import rel_diff, to_mpf
-from hypgold.oracles import finite_difference_d1, finite_difference_d2
+from hypgold.oracles import (
+    area_quadrature_oracle,
+    finite_difference_d1,
+    finite_difference_d2,
+    hat_AI_quadrature,
+    hat_strip_quadrature,
+)
 from hypgold.points import lower_value
 from hypgold.regions import RegionType, enumerate_regions
 
@@ -254,6 +257,16 @@ def test_hat_at_one_sided_at_integer_k():
     assert hat_AT_second_derivative(c, alpha, 9) == hat_AT_second_derivative(
         c, alpha, 9, side="-"
     )
+
+
+def test_float_hat_at_reads_k_exactly():
+    # k = 5 - 2^-200 rounds to 5 at 128 bits; the interval is still [4, 5].
+    k = 5 - Fraction(1, 2 ** 200)
+    cf = default_coding(40, mode="float")
+    got = hat_AT_second_derivative(cf, 40, k)
+    assert got == hat_AT_second_derivative(cf, 40, 5, side="-")
+    assert got != hat_AT_second_derivative(cf, 40, 5)
+    assert rel_diff(got, hat_AT_second_derivative(default_coding(40), 40, k)) < 1e-30
 
 
 def test_additivity_strip():

@@ -227,6 +227,18 @@ def test_build_g_coding_passes_goldbach_check(tmp_path, capsys):
     assert json.loads(out)["all_agree"]
 
 
+def test_build_g_reports_a_256_bit_junction_gap(tmp_path, capsys):
+    # The gap is measured at the construction's own precision: a 256-bit
+    # build's gaps lie far below 2^-128 but are not zero.
+    target = tmp_path / "coding.json"
+    rc, out, _ = run(capsys, ["build-g", "--alpha", "102", "--seed", "5",
+                              "--precision", "256", "--out", str(target)])
+    assert rc == 0
+    gap = json.loads(out)["max_junction_gap"]
+    assert 0 < float(gap) < 2.0 ** -200
+    assert json.loads(target.read_text())["max_junction_gap"] == gap
+
+
 def test_build_g_deterministic(tmp_path, capsys):
     a, b = tmp_path / "a.json", tmp_path / "b.json"
     run(capsys, ["build-g", "--alpha", "24", "--seed", "5", "--out", str(a)])
@@ -386,16 +398,38 @@ def test_classify_with_coding_file(tmp_path, capsys):
     assert json.loads(out)["kind"] == "composite_natural"
 
 
-def test_cli_import_leaves_scipy_out():
-    # Only the quadrature oracles need scipy; the CLI's start-up must not pay for it.
+_SCIPY_FREE_RUN = """
+import sys
+import hypgold.cli
+print('scipy' in sys.modules)
+sys.modules['scipy'] = None
+from hypgold.cli import main
+for args in sys.argv[1:]:
+    print(main(args.split()), file=sys.stderr)
+"""
+
+
+def test_cli_import_leaves_scipy_out(tmp_path):
+    # scipy is a test-only dependency: the CLI neither imports it at start-up
+    # nor needs it in any command.
     src = os.path.dirname(os.path.dirname(hypgold.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src, os.environ.get("PYTHONPATH", "")]))
+    commands = [
+        "regions --k0 17",
+        "areas --k0 18 --k 37/2",
+        "points --alpha 18",
+        "goldbach-check --alpha-range 16..40",
+        "build-g --alpha 30 --out c.json",
+        "scalar-limit --alpha 18 --u 1e-1,1e-2",
+        "classify --k 91",
+    ]
     proc = subprocess.run(
-        [sys.executable, "-c", "import sys, hypgold.cli; print('scipy' in sys.modules)"],
-        env=env, capture_output=True, text=True, timeout=120, check=True,
+        [sys.executable, "-c", _SCIPY_FREE_RUN, *commands],
+        env=env, cwd=tmp_path, capture_output=True, text=True, timeout=120, check=True,
     )
-    assert proc.stdout.strip() == "False"
+    assert proc.stdout.splitlines()[0] == "False"
+    assert proc.stderr.split() == ["0"] * len(commands)
 
 
 def _hypgold_cli(*args) -> bytes:
@@ -423,7 +457,7 @@ def test_float_output_digests_pinned(tmp_path):
     ("--alpha 102 --seed 5 --precision 53",
      "40419211f312fb4fa5054d3adbd9c1bbdf7603f6f94b5b3f122c8df07a75c40f"),
     ("--alpha 102 --seed 5 --precision 256",
-     "39fbe8eddbb70ffb163f562e3a1bca12a22b8473504c65e93da8503b54200ab9"),
+     "1674a17be8ea0f186b21b95b900db0b3b7226f9c8081b8c6749df21a84256a94"),
     ("--alpha 480 --seed 916",
      "ce160af10d577ca948401fe66207e6ae8761d1e801a4135dd958e5c99f6b873d"),
 ])

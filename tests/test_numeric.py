@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from mpmath import mpf
 
-from hypgold.numeric import mantissa_pair, to_fraction, to_mpf
+from hypgold.numeric import mantissa_pair, rel_diff, to_fraction, to_mpf
 
 
 def test_zero_round_trips():
@@ -27,3 +27,12 @@ def test_binary_rationals_round_trip(man, exp, precision):
     assert Fraction(m) * Fraction(2) ** e == value
     assert to_fraction(x) == value
     assert (m < 0) == (value < 0)
+
+
+def test_rel_diff_sees_the_operands_last_bit():
+    # Two 256-bit values one unit in the last place apart: the gap is about
+    # 2^-255, far below what a 128-bit difference can represent.
+    a = to_mpf(1, 256)
+    b = to_mpf(1 + Fraction(1, 2 ** 255), 256)
+    assert rel_diff(a, b) == float(Fraction(1, 2 ** 255) / (1 + Fraction(1, 2 ** 255)))
+    assert rel_diff(a, a) == 0.0 and rel_diff(0, 0.0) == 0.0

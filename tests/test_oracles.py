@@ -1,16 +1,22 @@
 """The oracles get checked against even more primitive computations."""
 
+import sys
+
 import pytest
 
+from hypgold.coding import default_coding
 from hypgold.errors import DomainError
 from hypgold.oracles import (
+    area_quadrature_oracle,
     finite_difference_d1,
     finite_difference_d2,
     goldbach_partitions_oracle,
+    hat_AI_quadrature,
     is_prime,
     primes_in,
     sieve,
 )
+from hypgold.regions import RegionType
 
 
 def trial_division_prime(n: int) -> bool:
@@ -97,3 +103,13 @@ def test_finite_differences_quadratic():
 def test_finite_differences_linear():
     f = lambda t: 5 * t - 3
     assert finite_difference_d2(f, 0.5, 1e-3) == pytest.approx(0.0, abs=1e-9)
+
+
+def test_quadrature_oracles_name_the_test_extra_without_scipy(monkeypatch):
+    # scipy is a test-only dependency; without it the oracles say how to get it.
+    monkeypatch.setitem(sys.modules, "scipy", None)
+    monkeypatch.setitem(sys.modules, "scipy.integrate", None)
+    with pytest.raises(ImportError, match=r"hypgold\[test\]"):
+        area_quadrature_oracle(RegionType.T2, 2, 9, 18.5)
+    with pytest.raises(ImportError, match=r"hypgold\[test\]"):
+        hat_AI_quadrature(default_coding(10), 18.5)

@@ -8,15 +8,8 @@ from fractions import Fraction
 import pytest
 
 from hypgold.errors import DomainError
-from hypgold.oracles import primes_in
-from hypgold.regions import (
-    DIAGONAL_TYPES,
-    RegionType,
-    enumerate_regions,
-    geometric_region_oracle,
-    oracle_region_set,
-    regions_equal,
-)
+from hypgold.oracles import geometric_region_oracle, oracle_region_set, primes_in
+from hypgold.regions import DIAGONAL_TYPES, RegionType, enumerate_regions, regions_equal
 
 T2, T3, T5, T7, T8 = (RegionType.T2, RegionType.T3, RegionType.T5,
                       RegionType.T7, RegionType.T8)
