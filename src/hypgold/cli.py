@@ -19,6 +19,7 @@ import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 
 import click
 
@@ -59,9 +60,74 @@ def _scalar(obj):
     return format_real(obj)
 
 
+def _key_text(key) -> str:
+    """A dict key, or a None, bool, int or float value, as json.dumps writes it."""
+    if isinstance(key, str):
+        return key
+    if key is None:
+        return "null"
+    if key is True:
+        return "true"
+    if key is False:
+        return "false"
+    if isinstance(key, int):
+        return int.__repr__(key)
+    if isinstance(key, float):
+        if key != key:
+            return "NaN"
+        if key == math.inf:
+            return "Infinity"
+        if key == -math.inf:
+            return "-Infinity"
+        return float.__repr__(key)
+    raise TypeError(f"keys must be str, int, float, bool or None, not {type(key).__name__}")
+
+
+def _encode(o, level: int, out: list) -> None:
+    """Append o as json.dumps(o, default=_scalar, sort_keys=True, indent=2,
+    separators=(",", ": ")) writes it at nesting depth ``level``.
+
+    json.dumps runs its pure-Python encoder whenever it indents; this one
+    takes the same branches but writes a list of plain ints with one join.
+    """
+    if isinstance(o, str):
+        out.append(encode_basestring_ascii(o))
+    elif o is None or isinstance(o, (int, float)):
+        out.append(_key_text(o))
+    elif isinstance(o, (list, tuple)):
+        if not o:
+            out.append("[]")
+            return
+        inner = "\n" + "  " * (level + 1)
+        if set(map(type, o)) == {int}:  # not bools: int.__repr__(True) is "True"
+            out.append("[" + inner + ("," + inner).join(map(int.__repr__, o)))
+        else:
+            sep = "[" + inner
+            for value in o:
+                out.append(sep)
+                _encode(value, level + 1, out)
+                sep = "," + inner
+        out.append("\n" + "  " * level + "]")
+    elif isinstance(o, dict):
+        if not o:
+            out.append("{}")
+            return
+        inner = "\n" + "  " * (level + 1)
+        sep = "{" + inner
+        for key, value in sorted(o.items()):
+            out.append(sep + encode_basestring_ascii(_key_text(key)) + ": ")
+            _encode(value, level + 1, out)
+            sep = "," + inner
+        out.append("\n" + "  " * level + "}")
+    else:
+        _encode(_scalar(o), level, out)
+
+
 def canonical_json(payload: dict) -> str:
-    return json.dumps(payload, default=_scalar, sort_keys=True, indent=2,
-                      separators=(",", ": ")) + "\n"
+    out = []
+    _encode(payload, 0, out)
+    out.append("\n")
+    return "".join(out)
 
 
 def records_csv(records: list) -> str:

@@ -41,7 +41,7 @@ def to_fraction(x: Number) -> Fraction:
         if not mpmath.isfinite(x):
             raise DomainError(f"cannot convert non-finite value {x} to a rational")
         man, exp = mantissa_pair(x)
-        return Fraction(man) * Fraction(2) ** exp
+        return Fraction(man << exp) if exp >= 0 else Fraction(man, 1 << -exp)
     raise TypeError(f"unsupported numeric type {type(x).__name__}")
 
 

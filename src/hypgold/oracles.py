@@ -10,9 +10,11 @@ scipy, a test-only dependency, and imports it on its first call.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import compress
 
 from .coding import PrimeCoding
 from .errors import DomainError, QuadratureError, RangeError, RegionMismatchError
@@ -46,6 +48,12 @@ def _table(n: int) -> bytes:
     return sieve(max(64, 1 << (n - 1).bit_length()))
 
 
+@lru_cache(maxsize=32)
+def _prime_list(n: int) -> list[int]:
+    """The primes p <= n in order, read off sieve(n): one list per sieve bound."""
+    return list(compress(range(n + 1), sieve(n)))
+
+
 def is_prime(n: int) -> bool:
     if n < 2:
         return False
@@ -56,8 +64,8 @@ def primes_in(lo: int, hi: int) -> list[int]:
     """Primes p with lo <= p <= hi (empty when hi < lo)."""
     if hi < lo or hi < 2:
         return []
-    table = _table(hi)
-    return [p for p in range(max(lo, 2), hi + 1) if table[p]]
+    primes = _prime_list(len(_table(hi)) - 1)
+    return primes[bisect_left(primes, lo):bisect_right(primes, hi)]
 
 
 @dataclass(frozen=True)
@@ -76,14 +84,17 @@ class PartitionReport:
 # A sweep asks for each alpha twice in a row: once to reconcile, once for its record.
 @lru_cache(maxsize=1)
 def goldbach_partitions_oracle(alpha: int) -> PartitionReport:
-    """Exhaustive sieve scan for k <= alpha/2 with k and alpha-k both prime."""
+    """Exhaustive sieve scan: every prime p <= alpha/2 whose complement alpha-p is prime."""
     if alpha < 4 or alpha % 2:
         raise DomainError("goldbach partitions need an even alpha >= 4")
     table = _table(alpha)
-    hits = [k for k in range(2, alpha // 2 + 1) if table[k] and table[alpha - k]]
-    inside = tuple(k for k in hits if 5 <= k <= alpha // 2 - 1)
-    outside = tuple(k for k in hits if not 5 <= k <= alpha // 2 - 1)
-    return PartitionReport(alpha=alpha, inside_window=inside, outside_window=outside)
+    primes = _prime_list(len(table) - 1)
+    half = alpha // 2
+    hits = [p for p in primes[:bisect_right(primes, half)] if table[alpha - p]]
+    lo = bisect_left(hits, 5)
+    hi = max(lo, bisect_right(hits, half - 1))  # the window is empty below alpha = 12
+    return PartitionReport(alpha=alpha, inside_window=tuple(hits[lo:hi]),
+                           outside_window=tuple(hits[:lo] + hits[hi:]))
 
 
 def finite_difference_d1(f, k, h):

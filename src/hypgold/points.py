@@ -426,6 +426,24 @@ def _comparison(bits: bytearray, alpha: int, k0: int) -> IndexComparison:
     )
 
 
+def _paired_repeats(bits: bytearray, alpha: int) -> list:
+    """k0 in {5, ..., alpha/2 - 1} with R[k0] and R[alpha - k0] both set.
+
+    R's bytes are 0 or 1, so one big-int AND of the window with its mirror
+    image (R[alpha-5], R[alpha-6], ...) pairs every k0 with alpha - k0 at
+    once, and bytes.find walks the set bytes of the result.
+    """
+    hi = alpha // 2
+    both = (int.from_bytes(bits[5:hi], "big")
+            & int.from_bytes(bits[alpha - 5:alpha - hi:-1], "big")).to_bytes(hi - 5, "big")
+    found = []
+    i = both.find(1)
+    while i >= 0:
+        found.append(i + 5)
+        i = both.find(1, i + 1)
+    return found
+
+
 def goldbach_characterization(c: PrimeCoding, alpha: int) -> list:
     """All k0 in {5, ..., alpha/2 - 1} whose essential point repeats the previous one.
 
@@ -433,8 +451,7 @@ def goldbach_characterization(c: PrimeCoding, alpha: int) -> list:
     TheoremViolationError.
     """
     _check_coding(c, alpha)
-    bits = _point_table(c.exact).check(alpha)
-    repeated = [k for k in range(5, alpha // 2) if bits[k] and bits[alpha - k]]
+    repeated = _paired_repeats(_point_table(c.exact).check(alpha), alpha)
     expected = list(goldbach_partitions_oracle(alpha).inside_window)
     if repeated != expected:
         raise TheoremViolationError(

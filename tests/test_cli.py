@@ -8,7 +8,10 @@ import subprocess
 import sys
 from fractions import Fraction
 
+import mpmath
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import hypgold
 import hypgold.areas as areas_mod
@@ -509,7 +512,59 @@ def test_classify_and_sweep_digests_pinned(args, digest):
     assert hashlib.sha256(_hypgold_cli(*args.split())).hexdigest() == digest
 
 
+@pytest.mark.parametrize("args, digest", [
+    ("goldbach-check --alpha-range 16..2000 --workers 1",
+     "594b13149fb96502ff33c423fea872f02789833e93eefa686ccd506913d4d4d6"),
+    ("goldbach-check --alpha-range 16..2000 --workers 2",
+     "594b13149fb96502ff33c423fea872f02789833e93eefa686ccd506913d4d4d6"),
+    ("points --alpha 200 --mode float",
+     "acd8d855808b1a93115e0766325e98f402a5989252a64540199c4f9802bcc9a9"),
+])
+def test_wide_sweep_and_float_points_digests_pinned(args, digest):
+    # Sizes past the bench's: 827,301 bytes of sweep output, where the
+    # window scans and the encoder's int-list path carry most of the bytes.
+    assert hashlib.sha256(_hypgold_cli(*args.split())).hexdigest() == digest
+
+
 def test_help_exits_zero(capsys):
     rc, out, _ = run(capsys, ["--help"])
     assert rc == 0
     assert "classify" in out
+
+
+def _dumps(payload) -> str:
+    return json.dumps(payload, default=cli_mod._scalar, sort_keys=True, indent=2,
+                      separators=(",", ": ")) + "\n"
+
+
+_LEAVES = (st.none() | st.booleans() | st.integers()
+           | st.floats(allow_nan=True, allow_infinity=True)
+           | st.sampled_from([-0.0, 1e300, float("nan"), float("inf"), float("-inf")])
+           | st.text() | st.text(alphabet=st.characters(max_codepoint=0x20)) | st.text("é\u2028\ud800😀")
+           | st.fractions()
+           | st.builds(lambda m, e: mpmath.mpf((m, e)), st.integers(-2**80, 2**80),
+                        st.integers(-200, 200)))
+_PAYLOADS = st.recursive(
+    _LEAVES | st.lists(st.integers()) | st.lists(st.integers() | st.booleans()),
+    lambda inner: (st.lists(inner) | st.lists(inner).map(tuple)
+                   | st.dictionaries(st.text(), inner) | st.dictionaries(st.integers(), inner)),
+    max_leaves=30)
+
+
+@given(_PAYLOADS)
+@settings(max_examples=200, deadline=None)
+def test_canonical_json_matches_json_dumps(payload):
+    assert cli_mod.canonical_json(payload) == _dumps(payload)
+
+
+@pytest.mark.parametrize("payload", [
+    {}, [], (), {"a": []}, {"a": {}}, [[]], {"a": [True, 1, False]}, [1, True],
+    {"k": [1, 2, -3, 10**30]}, {"x": [-0.0, 1e300, float("nan"), float("inf")]},
+    {3: "c", -1: "a", 2: None}, {"s": "\x00\x1f\u00e9\U0001f600"},
+    {"f": Fraction(-7, 3), "m": mpmath.mpf("0.1"), "t": (Fraction(1), mpmath.mpf(2))},
+    [[1, 2], [3, [4, []]], ({"z": 1, "a": [5]},)],
+])
+def test_canonical_json_matches_json_dumps_on_edges(payload):
+    text = cli_mod.canonical_json(payload)
+    assert isinstance(text, str)
+    assert text == _dumps(payload)

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from mpmath import mpf
+from mpmath import mp, mpf
 
 from hypgold.numeric import mantissa_pair, rel_diff, to_fraction, to_mpf
 
@@ -27,6 +27,17 @@ def test_binary_rationals_round_trip(man, exp, precision):
     assert Fraction(m) * Fraction(2) ** e == value
     assert to_fraction(x) == value
     assert (m < 0) == (value < 0)
+
+
+@given(st.integers(min_value=-2**300, max_value=2**300),
+       st.integers(min_value=-3000, max_value=3000))
+@settings(max_examples=300, deadline=None)
+def test_to_fraction_matches_the_power_product(man, exp):
+    # One shift builds what Fraction(man) * Fraction(2) ** exp builds.
+    with mp.workprec(max(53, abs(man).bit_length())):
+        x = mpf((man, exp))
+    m, e = mantissa_pair(x)
+    assert to_fraction(x) == Fraction(m) * Fraction(2) ** e == Fraction(man) * Fraction(2) ** exp
 
 
 def test_rel_diff_sees_the_operands_last_bit():

@@ -7,6 +7,7 @@ import pytest
 from hypgold.coding import default_coding
 from hypgold.errors import DomainError
 from hypgold.oracles import (
+    _prime_list,
     area_quadrature_oracle,
     finite_difference_d1,
     finite_difference_d2,
@@ -92,6 +93,24 @@ def test_partitions_20():
 def test_partitions_all_partitions_sorted():
     report = goldbach_partitions_oracle(48)
     assert report.all_partitions == (5, 7, 11, 17, 19)
+
+
+def test_partitions_match_the_window_scan():
+    # The comprehension the prime-list scan replaced, kept as its reference.
+    for alpha in range(4, 4001, 2):
+        table = sieve(alpha)
+        hits = [k for k in range(2, alpha // 2 + 1) if table[k] and table[alpha - k]]
+        report = goldbach_partitions_oracle(alpha)
+        assert report.inside_window == tuple(k for k in hits if 5 <= k <= alpha // 2 - 1)
+        assert report.outside_window == tuple(k for k in hits if not 5 <= k <= alpha // 2 - 1)
+
+
+def test_prime_lists_one_per_sieve_bound():
+    _prime_list.cache_clear()
+    for hi in range(2, 20001, 7):
+        assert primes_in(hi - 30, hi) == [p for p in range(max(hi - 30, 0), hi + 1)
+                                          if trial_division_prime(p)], hi
+    assert _prime_list.cache_info().currsize <= 10
 
 
 def test_finite_differences_quadratic():

@@ -555,6 +555,30 @@ def test_sieve_mismatch_message_pinned():
     )
 
 
+def window_comprehension(bits, alpha):
+    """The per-index scan _paired_repeats replaced, kept as its reference."""
+    return [k for k in range(5, alpha // 2) if bits[k] and bits[alpha - k]]
+
+
+@given(data=st.data(), alpha=st.integers(min_value=8, max_value=400).map(lambda h: 2 * h),
+       extra=st.integers(min_value=0, max_value=40))
+@settings(max_examples=200, deadline=None)
+def test_paired_repeats_match_the_comprehension(data, alpha, extra):
+    # The table may have grown past alpha - 5 for a larger alpha earlier.
+    size = alpha - 4 + extra
+    bits = bytearray(b & 1 for b in data.draw(st.binary(min_size=size, max_size=size)))
+    assert points_mod._paired_repeats(bits, alpha) == window_comprehension(bits, alpha)
+
+
+@pytest.mark.parametrize("alpha", [16, 18, 20, 102, 1000, 2002])
+@pytest.mark.parametrize("fill", [0, 1])
+def test_paired_repeats_on_uniform_bitmaps(alpha, fill):
+    bits = bytearray([fill]) * (alpha - 4)
+    found = points_mod._paired_repeats(bits, alpha)
+    assert found == window_comprehension(bits, alpha)
+    assert found == (list(range(5, alpha // 2)) if fill else [])
+
+
 def test_non_strict_coding_errors_pinned():
     slopes = list(default_coding(24).slopes)
     slopes[9] = slopes[8]
