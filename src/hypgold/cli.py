@@ -14,10 +14,8 @@ import functools
 import io
 import json
 import math
-import os
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
 
@@ -309,44 +307,25 @@ def _sweep_one(coding, alpha, want_timing):
     return record
 
 
-# Set once in each pool worker by _init_sweep_worker, so tasks carry only
-# their alpha and every worker builds a single point table for the coding.
-_worker_sweep = None
-
-
-def _init_sweep_worker(coding, want_timing):
-    global _worker_sweep
-    _worker_sweep = (coding, want_timing)
-
-
-def _sweep_worker(alpha):
-    coding, want_timing = _worker_sweep
-    return _sweep_one(coding, alpha, want_timing)
-
-
 @cli.command(name="goldbach-check")
 @click.option("--alpha-range", "alpha_range", type=str, required=True,
               help="Even alphas 'a..b' to reconcile against the sieve.")
 @click.option("--coding", "coding_path", type=click.Path(exists=True, dir_okay=False),
               default=None)
-@click.option("--workers", type=click.IntRange(min=1), default=1, show_default=True)
+@click.option("--workers", type=click.IntRange(min=1), default=1, show_default=True,
+              expose_value=False,
+              help="Checked (>= 1) and accepted for compatibility; the sweep runs "
+                   "in one process.")
 @click.option("--timing", is_flag=True, default=False,
               help="Include per-alpha timing (breaks byte-determinism).")
 @_common
-def goldbach_check(alpha_range, coding_path, workers, timing, cfg, out):
+def goldbach_check(alpha_range, coding_path, timing, cfg, out):
     """Reconcile the essential-point characterization with the sieve."""
     alphas = _alpha_range(alpha_range)
     if not alphas:
         raise click.UsageError("no even alpha >= 16 in the requested range")
     coding = _load_coding(coding_path, cfg, fallback_index=max(alphas[-1] - 4, 16))
-    # The pool forks all its workers at the first submit: only as many as can work.
-    workers = min(workers, len(alphas), os.cpu_count() or 1)
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers, initializer=_init_sweep_worker,
-                                 initargs=(coding, timing)) as pool:
-            records = list(pool.map(_sweep_worker, alphas, chunksize=8))
-    else:
-        records = [_sweep_one(coding, a, timing) for a in alphas]
+    records = [_sweep_one(coding, a, timing) for a in alphas]
     all_agree = all(r["sieve_agreement"] for r in records)
     payload = {
         "command": "goldbach-check",

@@ -160,47 +160,19 @@ def test_goldbach_check_timing_flag(capsys):
     assert all("timing_ms" in r for r in payload["records"])
 
 
-def test_goldbach_check_workers_match(capsys):
+@pytest.mark.parametrize("workers", ["2", "5000"])
+def test_goldbach_check_workers_match(capsys, monkeypatch, workers):
+    # --workers is checked and accepted; the sweep starts no process.
     rc1, out1, _ = run(capsys, ["goldbach-check", "--alpha-range", "16..40"])
+
+    def no_fork():
+        raise AssertionError("goldbach-check forked a process")
+
+    monkeypatch.setattr(os, "fork", no_fork)
     rc2, out2, _ = run(capsys, ["goldbach-check", "--alpha-range", "16..40",
-                                "--workers", "2"])
+                                "--workers", workers])
     assert rc1 == rc2 == 0
     assert out1 == out2
-
-
-def test_goldbach_check_caps_workers(capsys, monkeypatch):
-    pools = []
-
-    class InlinePool:
-        """Records the pool size and runs the tasks here, starting no process."""
-
-        def __init__(self, max_workers, initializer, initargs):
-            pools.append(max_workers)
-            initializer(*initargs)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, items, chunksize=1):
-            return map(fn, items)
-
-    monkeypatch.setattr(cli_mod, "ProcessPoolExecutor", InlinePool)
-    monkeypatch.setattr(cli_mod, "_worker_sweep", None)
-    monkeypatch.setattr(os, "cpu_count", lambda: 4)
-    rc, serial, _ = run(capsys, ["goldbach-check", "--alpha-range", "16..60"])
-    for workers, alpha_range in (("5000", "16..60"), ("3", "16..60"), ("5000", "16..18")):
-        rc, out, _ = run(capsys, ["goldbach-check", "--alpha-range", alpha_range,
-                                  "--workers", workers])
-        assert rc == 0
-        if alpha_range == "16..60":
-            assert out == serial
-    assert pools == [4, 3, 2]
-    monkeypatch.setattr(os, "cpu_count", lambda: None)
-    run(capsys, ["goldbach-check", "--alpha-range", "16..60", "--workers", "5000"])
-    assert pools == [4, 3, 2]  # one CPU known: the sweep runs serially
 
 
 def test_build_g_writes_verifiable_coding(tmp_path, capsys):
@@ -404,7 +376,7 @@ def test_classify_with_coding_file(tmp_path, capsys):
 _SCIPY_FREE_RUN = """
 import sys
 import hypgold.cli
-print('scipy' in sys.modules)
+print([m for m in ('scipy', 'concurrent.futures', 'multiprocessing') if m in sys.modules])
 sys.modules['scipy'] = None
 from hypgold.cli import main
 for args in sys.argv[1:]:
@@ -414,7 +386,8 @@ for args in sys.argv[1:]:
 
 def test_cli_import_leaves_scipy_out(tmp_path):
     # scipy is a test-only dependency: the CLI neither imports it at start-up
-    # nor needs it in any command.
+    # nor needs it in any command.  The sweep runs in one process, so no
+    # process-pool module is imported at start-up either.
     src = os.path.dirname(os.path.dirname(hypgold.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src, os.environ.get("PYTHONPATH", "")]))
@@ -423,6 +396,7 @@ def test_cli_import_leaves_scipy_out(tmp_path):
         "areas --k0 18 --k 37/2",
         "points --alpha 18",
         "goldbach-check --alpha-range 16..40",
+        "goldbach-check --alpha-range 16..40 --workers 2",
         "build-g --alpha 30 --out c.json",
         "scalar-limit --alpha 18 --u 1e-1,1e-2",
         "classify --k 91",
@@ -431,7 +405,7 @@ def test_cli_import_leaves_scipy_out(tmp_path):
         [sys.executable, "-c", _SCIPY_FREE_RUN, *commands],
         env=env, cwd=tmp_path, capture_output=True, text=True, timeout=120, check=True,
     )
-    assert proc.stdout.splitlines()[0] == "False"
+    assert proc.stdout.splitlines()[0] == "[]"
     assert proc.stderr.split() == ["0"] * len(commands)
 
 
