@@ -360,7 +360,7 @@ def build_g(alpha, scalar_u, xi2_text, xi_half_text, coding_out, cfg):
     )
     cc = build_goldbach(spec, precision=cfg.precision_bits)
     max_gap = verify_continuity(cc, rel_tol=cfg.tolerance_rel)
-    coding_payload = coding_to_json(cc.prime_coding())
+    coding_payload = coding_to_json(cc.prime_coding)
     coding_payload.update({
         "alpha": alpha,
         "seed": cfg.seed,
@@ -454,15 +454,9 @@ def main(argv=None) -> int:
         return exc.exit_code
     except click.Abort:
         return 1
-    except click.ClickException as exc:
+    except (click.ClickException, HypgoldError) as exc:
         click.echo(_error_payload(exc), err=True)
-        return 1
-    except VerificationError as exc:
-        click.echo(_error_payload(exc), err=True)
-        return 2
-    except HypgoldError as exc:
-        click.echo(_error_payload(exc), err=True)
-        return 1
+        return 2 if isinstance(exc, VerificationError) else 1
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -18,6 +18,7 @@ realize every behaviour the classification machinery uses.
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_right
 from contextlib import nullcontext
 from dataclasses import dataclass
@@ -35,6 +36,7 @@ from .numeric import (
     MODES,
     Number,
     format_exact,
+    mantissa_pair,
     parse_exact,
     to_fraction,
     to_mpf,
@@ -77,8 +79,10 @@ class PrimeCoding:
         return cached
 
     def __getstate__(self):
-        # Only the fields travel: the hash, the exact twin and the tables
-        # cached in __dict__ are rebuilt on demand by the receiving process.
+        # Only the fields travel.  The hash covers the mode string, and str
+        # hashes are seeded per process, so a cached _hash unpickled in
+        # another process would break the hash/eq contract there.  The
+        # cached views (exact, scaled_slopes, ...) are rebuilt on demand.
         return {name: self.__dict__[name] for name in ("slopes", "mode", "precision")}
 
     def context(self):
@@ -200,6 +204,22 @@ class PrimeCoding:
         if self.mode == MODE_RATIONAL:
             return self
         return PrimeCoding(self.slopes)
+
+    @cached_property
+    def scaled_slopes(self) -> tuple:
+        """(ints, L): the exact slopes times L, the lcm of their denominators.
+
+        x_{k0} is a degree-2 form with coefficients in {+-1, +-1/2}, so it
+        is exactly (2*x_{k0} at the ints) / (2*L**2).
+        """
+        xs = self.exact.slopes
+        lcm = math.lcm(*(s.denominator for s in xs))
+        return tuple(s.numerator * (lcm // s.denominator) for s in xs), lcm
+
+    @cached_property
+    def mantissa_pairs(self) -> tuple:
+        """A float coding's slopes as (int mantissa, exponent) pairs."""
+        return tuple(map(mantissa_pair, self.slopes))
 
     @cached_property
     def identifies_primes(self) -> bool:

@@ -18,8 +18,9 @@ copy with the slopes extended through alpha - 5.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from fractions import Fraction
+from functools import cached_property
 
 from mpmath import mp, mpf
 
@@ -205,7 +206,6 @@ class ConstructedCoding:
     lambda_sq: dict
     provenance: dict
     half_multiplier: object = None  # upper seed multiplier when xi_half_sq is unpinned
-    _coding: PrimeCoding = field(default=None, repr=False)
 
     def abs_y(self, k0: int):
         """|y_{k0}| = x_{alpha - k0 - 1}."""
@@ -214,22 +214,19 @@ class ConstructedCoding:
     def y(self, k0: int):
         return -self.abs_y(k0)
 
+    @cached_property
     def prime_coding(self) -> PrimeCoding:
-        """Wrap the coefficients as a float-mode coding.
+        """The coefficients as a float-mode coding.
 
         Indices 0 and 1 are free below the construction's reach and are
         filled ascending under xi_2; indices above alpha - 5 are irrelevant
         and continue with +1 steps so the coding object stays valid.
         """
-        if self._coding is None:
-            with mp.workprec(self.precision):
-                slopes = [self.xi[2] / 3, 2 * self.xi[2] / 3]
-                slopes.extend(self.xi[i] for i in range(2, self.alpha - 4))
-                slopes.append(self.xi[self.alpha - 5] + 1)
-            self._coding = PrimeCoding(
-                slopes=tuple(slopes), mode=MODE_FLOAT, precision=self.precision
-            )
-        return self._coding
+        with mp.workprec(self.precision):
+            slopes = [self.xi[2] / 3, 2 * self.xi[2] / 3]
+            slopes.extend(self.xi[i] for i in range(2, self.alpha - 4))
+            slopes.append(self.xi[self.alpha - 5] + 1)
+        return PrimeCoding(slopes=tuple(slopes), mode=MODE_FLOAT, precision=self.precision)
 
 
 def build_upper(spec: GoldbachSpec, lower: ConstructedCoding) -> ConstructedCoding:
@@ -313,7 +310,7 @@ def verify_continuity(cc: ConstructedCoding, rel_tol: float = DEFAULT_REL_TOL) -
 
 def eval_G(cc: ConstructedCoding, khat: Number):
     """The constructed function itself: the total-area second derivative at khat."""
-    coding = cc.prime_coding()
+    coding = cc.prime_coding
     with coding.context():
         k = coding.psi_inv(khat)
         return hat_AT_second_derivative(coding, cc.alpha, k)

@@ -264,32 +264,9 @@ def lower_value(c: PrimeCoding, k0: int):
         missing = next(i for i in (2, k0 // 3, k0 // 2) if i > c.max_index)
         raise RangeError(f"slope index {missing} outside 0..{c.max_index}")
     if c.mode == MODE_RATIONAL:
-        ints, scale = _scaled_slopes(c)
-        return Fraction(_twice_lower_value(ints.__getitem__, k0), scale)
-    return _half_mpf(_rounded_twice_lower(_mantissa_pairs(c).__getitem__, k0, c.precision))
-
-
-def _scaled_slopes(c: PrimeCoding) -> tuple:
-    """(L*xi_0, ..., L*xi_N) as ints and 2*L**2, L the lcm of the denominators.
-
-    x_{k0} is a degree-2 form with coefficients in {+-1, +-1/2}, so
-    x_{k0} = (2*x_{k0} at the scaled slopes) / (2*L**2) exactly.  Cached on
-    the coding, as its hash and point table are.
-    """
-    cached = c.__dict__.get("_scaled_slopes")
-    if cached is None:
-        lcm = math.lcm(*(s.denominator for s in c.slopes))
-        ints = tuple(s.numerator * (lcm // s.denominator) for s in c.slopes)
-        cached = c.__dict__["_scaled_slopes"] = (ints, 2 * lcm * lcm)
-    return cached
-
-
-def _mantissa_pairs(c: PrimeCoding) -> tuple:
-    """A float coding's slopes as (mantissa, exponent) pairs, cached on the coding."""
-    cached = c.__dict__.get("_mantissa_pairs")
-    if cached is None:
-        cached = c.__dict__["_mantissa_pairs"] = tuple(map(mantissa_pair, c.slopes))
-    return cached
+        ints, lcm = c.scaled_slopes
+        return Fraction(_twice_lower_value(ints.__getitem__, k0), 2 * lcm * lcm)
+    return _half_mpf(_rounded_twice_lower(c.mantissa_pairs.__getitem__, k0, c.precision))
 
 
 def essential_points(c: PrimeCoding, alpha: int) -> list:

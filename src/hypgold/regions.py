@@ -33,7 +33,6 @@ class RegionType(Enum):
     T8 = "T8"
 
 
-SQUARE_TYPES = frozenset({RegionType.T2, RegionType.T3, RegionType.T5})
 DIAGONAL_TYPES = frozenset({RegionType.T7, RegionType.T8})
 
 # Coefficient of the monomial x_n * x_{n'} (or x_n**2 / 2 on the diagonal)

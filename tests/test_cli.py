@@ -187,7 +187,7 @@ def test_build_g_writes_verifiable_coding(tmp_path, capsys):
     assert coding.mode == "float"
     cc = build_goldbach(GoldbachSpec(alpha=18, seed=1))
     assert verify_continuity(cc) <= 1e-9
-    assert all(a == b for a, b in zip(coding.slopes, cc.prime_coding().slopes))
+    assert all(a == b for a, b in zip(coding.slopes, cc.prime_coding.slopes))
 
 
 def test_build_g_coding_passes_goldbach_check(tmp_path, capsys):

@@ -2,6 +2,7 @@
 prime/natural identification conditions."""
 
 import json
+import math
 import pickle
 import random
 from fractions import Fraction
@@ -9,6 +10,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from mpmath import ldexp
 
 from hypgold.coding import (
     PrimeCoding,
@@ -220,11 +222,43 @@ def test_pickle_carries_fields_only():
     c = seeded_coding(60, 4)
     fresh = pickle.dumps(seeded_coding(60, 4))
     hash(c)
+    c.scaled_slopes
     assert goldbach_characterization(c, 60) == [7, 13, 17, 19, 23, 29]
     again = pickle.loads(pickle.dumps(c))
     assert pickle.dumps(c) == fresh
     assert again == c and hash(again) == hash(c)
     assert goldbach_characterization(again, 60) == [7, 13, 17, 19, 23, 29]
+
+
+POSITIVE_SLOPES = st.lists(
+    st.fractions(min_value=Fraction(1, 10 ** 4), max_value=10 ** 3, max_denominator=10 ** 4),
+    min_size=1, max_size=40)
+
+
+@settings(max_examples=60, deadline=None)
+@given(POSITIVE_SLOPES, st.integers(min_value=0, max_value=10 ** 6),
+       st.integers(min_value=53, max_value=300))
+def test_scaled_slopes_are_the_slopes_over_one_denominator(slopes, seed, precision):
+    rational = PrimeCoding(slopes=tuple(slopes))
+    float_twin = PrimeCoding(slopes=rational.slopes, mode=MODE_FLOAT, precision=precision)
+    for c in (rational, seeded_coding(len(slopes), seed), float_twin):
+        ints, lcm = c.scaled_slopes
+        xs = c.exact.slopes
+        assert lcm == math.lcm(*(s.denominator for s in xs))
+        assert len(ints) == len(xs)
+        assert all(Fraction(n, lcm) == s for n, s in zip(ints, xs))
+
+
+@settings(max_examples=60, deadline=None)
+@given(POSITIVE_SLOPES, st.integers(min_value=53, max_value=300))
+def test_mantissa_pairs_are_the_float_slopes(slopes, precision):
+    c = PrimeCoding(slopes=tuple(slopes), mode=MODE_FLOAT, precision=precision)
+    pairs = c.mantissa_pairs
+    assert len(pairs) == len(c.slopes)
+    for (man, exp), s in zip(pairs, c.slopes):
+        assert isinstance(man, int) and isinstance(exp, int)
+        assert man * Fraction(2) ** exp == to_fraction(s)
+        assert ldexp(man, exp) == s
 
 
 def test_identifies_naturals():

@@ -2,6 +2,7 @@
 continuity, closed-form identities, homogeneity, and the scalar limit."""
 
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -235,7 +236,7 @@ def test_f5_monotone_in_lambda5_with_limit_bound():
 
 def test_eval_G_interior_and_junction():
     cc = build_goldbach(GoldbachSpec(alpha=18, seed=7))
-    coding = cc.prime_coding()
+    coding = cc.prime_coding
     alpha = 18
     with mp.workprec(128):
         k = mpf(13) / 2
@@ -267,7 +268,7 @@ def test_characterization_survives_construction():
     cases = [(24, 3), (36, 8), (98, 2)] + [(a, 0) for a in range(16, 601, 2) if is_in_N(a)]
     for alpha, seed in cases:
         cc = build_goldbach(GoldbachSpec(alpha=alpha, seed=seed))
-        pc = cc.prime_coding()
+        pc = cc.prime_coding
         expected = [p for p in primes_in(5, alpha // 2 - 1) if is_prime(alpha - p)]
         assert goldbach_characterization(pc, alpha) == expected, (alpha, seed)
 
@@ -377,9 +378,20 @@ def test_provenance_tags():
         assert cc.provenance[alpha - k0] == expected
 
 
+def test_replace_rebuilds_the_prime_coding():
+    cc = build_goldbach(GoldbachSpec(alpha=18, seed=4))
+    old = cc.prime_coding
+    with mp.workprec(cc.precision):
+        xi = {i: 2 * v for i, v in cc.xi.items()}
+    changed = replace(cc, xi=xi)
+    assert cc.prime_coding is old
+    with mp.workprec(cc.precision):
+        assert changed.prime_coding.slopes[:-1] == tuple(2 * s for s in old.slopes[:-1])
+
+
 def test_prime_coding_shape():
     cc = build_goldbach(GoldbachSpec(alpha=18, seed=4))
-    pc = cc.prime_coding()
+    pc = cc.prime_coding
     assert pc.max_index == 14  # alpha - 4
     head = pc.slopes[:9]
     assert all(a < b for a, b in zip(head, head[1:]))
