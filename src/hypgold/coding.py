@@ -70,21 +70,6 @@ class PrimeCoding:
             raise DomainError("all slopes must be positive")
         object.__setattr__(self, "slopes", slopes)
 
-    def __hash__(self):
-        # Memoization keys hash codings often; cache the expensive tuple hash.
-        cached = self.__dict__.get("_hash")
-        if cached is None:
-            cached = hash((self.slopes, self.mode, self.precision))
-            self.__dict__["_hash"] = cached
-        return cached
-
-    def __getstate__(self):
-        # Only the fields travel.  The hash covers the mode string, and str
-        # hashes are seeded per process, so a cached _hash unpickled in
-        # another process would break the hash/eq contract there.  The
-        # cached views (exact, scaled_slopes, ...) are rebuilt on demand.
-        return {name: self.__dict__[name] for name in ("slopes", "mode", "precision")}
-
     def context(self):
         """Working-precision context for float mode, no-op for rational."""
         if self.mode == MODE_FLOAT:

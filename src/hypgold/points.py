@@ -251,9 +251,10 @@ def _check_coding(c: PrimeCoding, alpha: int) -> None:
         )
 
 
-@lru_cache(maxsize=65536)
+# Stores nothing: maxsize=0 only counts calls, for perfbench/tracer.py's cache_info().
+@lru_cache(maxsize=0)
 def lower_value(c: PrimeCoding, k0: int):
-    """x_{k0} at the coding (memoized): an exact Fraction from the
+    """x_{k0} at the coding: an exact Fraction from the
     integer-scaled slopes, or an mpf rounded at the coding's precision
     from the slopes' mantissas."""
     _check_k0(k0)
@@ -347,9 +348,8 @@ class PointTable:
 
 
 def _point_table(c: PrimeCoding) -> PointTable:
-    # Cached on the coding, as its hash is, so the table lives exactly as
-    # long as the coding; a dict keyed by id() would hand a reused id a
-    # stale table.
+    # Kept in the coding's __dict__, so the table lives exactly as long as
+    # the coding; a dict keyed by id() would hand a reused id a stale table.
     table = c.__dict__.get("_point_table")
     if table is None:
         table = c.__dict__["_point_table"] = PointTable(c)

@@ -32,7 +32,6 @@ from hypgold.points import (
     essential_points,
     goldbach_characterization,
     lower_essential_poly,
-    lower_value,
 )
 from hypgold.regions import enumerate_regions
 
@@ -307,7 +306,6 @@ def test_lower_x_is_region_polynomial_bit_for_bit(spec):
 def test_construction_and_float_points_build_no_region_set():
     enumerate_regions.cache_clear()
     lower_essential_poly.cache_clear()
-    lower_value.cache_clear()
     build_goldbach(GoldbachSpec(alpha=120, seed=5))
     scalar_limit_sweep(60, [Fraction(11, 10), Fraction(101, 100)])
     c = PrimeCoding(slopes=seeded_coding(200, 41).slopes, mode=MODE_FLOAT, precision=96)

@@ -345,7 +345,6 @@ def test_far_apart_slopes_stay_in_precision_sized_ints():
         widest.append(m.bit_length())
         return real_round(m, e, prec)
 
-    lower_value.cache_clear()
     start = time.perf_counter()
     with mock.patch.object(points_mod, "_round", watched):
         values = [lower_value(c, k0) for k0 in range(4, 140)]
@@ -363,6 +362,26 @@ def test_int_kernel_errors_pinned():
     for c in with_float_copies(default_coding(1)):
         with pytest.raises(RangeError, match=r"^slope index 2 outside 0\.\.1$"):
             lower_value(c, 4)
+
+
+def test_lower_value_stores_nothing():
+    # The point table is the only store of x values: asking lower_value
+    # twice for the same x runs the kernel twice.
+    c = seeded_coding(40, 7)
+    real = points_mod._twice_lower_value
+    calls = []
+
+    def counted(getter, k0):
+        calls.append(k0)
+        return real(getter, k0)
+
+    with mock.patch.object(points_mod, "_twice_lower_value", counted):
+        first = lower_value(c, 20)
+        second = lower_value(c, 20)
+    assert calls == [20, 20]
+    assert first == second == poly_oracle(c, 20)
+    info = lower_value.cache_info()
+    assert info.maxsize == 0 and info.currsize == 0
 
 
 def test_rational_sweep_bypasses_region_polynomial():
