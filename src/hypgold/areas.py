@@ -9,7 +9,7 @@ stays exact for rational codings and rational k.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from mpmath import mp, mpf
 
@@ -32,8 +32,7 @@ from .points import _check_alpha, _check_coding_length, lower_value
 from .regions import DIAGONAL_TYPES, TYPE_COEFFICIENT, RegionType, enumerate_regions
 
 
-@dataclass(frozen=True)
-class AreaFormulaResult:
+class AreaFormulaResult(NamedTuple):
     """Area of one essential region at a given k, with d/dk and d2/dk2."""
 
     area: mpf
@@ -173,8 +172,7 @@ def hat_lower_sweep(c: PrimeCoding, khat: Number):
         return total
 
 
-@dataclass(frozen=True)
-class ChainEntry:
+class ChainEntry(NamedTuple):
     """Endpoint bounds of A_{k0} and B_{k0} over [k0, k0+1]."""
 
     k0: int

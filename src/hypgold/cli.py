@@ -9,7 +9,6 @@ sieve mismatch).
 
 from __future__ import annotations
 
-import csv
 import functools
 import io
 import json
@@ -129,6 +128,8 @@ def canonical_json(payload: dict) -> str:
 
 
 def records_csv(records: list) -> str:
+    import csv  # only --csv needs it; kept off the start-up imports
+
     buf = io.StringIO()
     if records:
         writer = csv.DictWriter(buf, fieldnames=list(records[0].keys()),

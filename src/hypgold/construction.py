@@ -21,6 +21,7 @@ import random
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property
+from typing import NamedTuple
 
 from mpmath import mp, mpf
 
@@ -36,12 +37,13 @@ from .numeric import (
     DEFAULT_REL_TOL,
     MODE_FLOAT,
     Number,
+    mantissa_pair,
     rel_diff,
     to_fraction,
     to_mpf,
 )
 from .oracles import is_prime, primes_in
-from .points import lower_point_value
+from .points import _half_mpf, _rounded_twice_lower
 
 PROV_RANDOM = "random-prime-choice"
 PROV_COMPOSITE = "forced-composite-ratio"
@@ -131,9 +133,12 @@ def _resolve_lambdas(spec: GoldbachSpec, precision: int) -> tuple:
     return lam, half_mult
 
 
-def _poly_value(xi: dict, j: int):
-    """x_j from the slopes defined so far; a missing one raises KeyError."""
-    return lower_point_value(xi, j)
+def _poly_value(pairs: dict, j: int):
+    """x_j at mp.prec from the mantissa pairs of the slopes defined so far.
+
+    ``pairs[i]`` is ``mantissa_pair(xi_i)``; a missing slope raises KeyError.
+    """
+    return _half_mpf(_rounded_twice_lower(pairs.__getitem__, j, mp.prec))
 
 
 def build_lower(spec: GoldbachSpec, precision: int = DEFAULT_PRECISION) -> ConstructedCoding:
@@ -144,12 +149,13 @@ def build_lower(spec: GoldbachSpec, precision: int = DEFAULT_PRECISION) -> Const
         lam, half_mult = _resolve_lambdas(spec, precision)
         xi_sq = {2: to_mpf(spec.xi2_sq, precision)}
         xi = {2: mp.sqrt(xi_sq[2])}
+        pairs = {2: mantissa_pair(xi[2])}  # each slope's mantissa, derived once
         provenance = {2: PROV_RANDOM}
         x: dict = {}
 
         def ensure_x(j: int):
             if j not in x:
-                x[j] = _poly_value(xi, j)
+                x[j] = _poly_value(pairs, j)
             return x[j]
 
         for i in range(3, alpha // 2):
@@ -165,6 +171,7 @@ def build_lower(spec: GoldbachSpec, precision: int = DEFAULT_PRECISION) -> Const
                     f"slope squares failed to increase at index {i}"
                 )
             xi[i] = mp.sqrt(xi_sq[i])
+            pairs[i] = mantissa_pair(xi[i])
         for j in range(4, alpha - 4):
             ensure_x(j)
         return ConstructedCoding(
@@ -268,8 +275,7 @@ def build_goldbach(spec: GoldbachSpec, precision: int = DEFAULT_PRECISION) -> Co
     return build_upper(spec, build_lower(spec, precision))
 
 
-@dataclass(frozen=True)
-class ContinuityReport:
+class ContinuityReport(NamedTuple):
     alpha: int
     max_rel_gap: float
     gaps: dict  # k0 -> relative junction gap
@@ -316,8 +322,7 @@ def eval_G(cc: ConstructedCoding, khat: Number):
         return hat_AT_second_derivative(coding, cc.alpha, k)
 
 
-@dataclass(frozen=True)
-class ScalingReport:
+class ScalingReport(NamedTuple):
     alpha: int
     scale: object
     max_xi_sq_error: float
@@ -368,16 +373,14 @@ def reduced_form_check(spec: GoldbachSpec, scale) -> ScalingReport:
     return report
 
 
-@dataclass(frozen=True)
-class ScalarLimitRow:
+class ScalarLimitRow(NamedTuple):
     u: object
     k0: int
     x_k0: object
     y_k0: object
 
 
-@dataclass(frozen=True)
-class ScalarLimitResult:
+class ScalarLimitResult(NamedTuple):
     alpha: int
     xi2_sq: object
     rows: tuple

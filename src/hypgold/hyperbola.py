@@ -12,8 +12,8 @@ compositeness.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 from .coding import PrimeCoding
 from .errors import DomainError, RangeError, TheoremViolationError
@@ -32,8 +32,7 @@ class NumberKind(Enum):
     NON_NATURAL = "non_natural"
 
 
-@dataclass(frozen=True)
-class CurvePoint:
+class CurvePoint(NamedTuple):
     """A point on the deformed curve, with its real-plane pre-image."""
 
     u: object

@@ -11,10 +11,10 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import compress
+from typing import NamedTuple
 
 from .coding import PrimeCoding
 from .errors import DomainError, QuadratureError, RangeError, RegionMismatchError
@@ -68,8 +68,7 @@ def primes_in(lo: int, hi: int) -> list[int]:
     return primes[bisect_left(primes, lo):bisect_right(primes, hi)]
 
 
-@dataclass(frozen=True)
-class PartitionReport:
+class PartitionReport(NamedTuple):
     """All Goldbach partitions of alpha, split by the k0 window."""
 
     alpha: int

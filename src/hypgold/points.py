@@ -24,9 +24,9 @@ definition and the oracle.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from typing import NamedTuple
 
 from mpmath import mp, mpf
 from mpmath.libmp import from_man_exp
@@ -38,8 +38,7 @@ from .oracles import goldbach_partitions_oracle, is_prime
 from .regions import TYPE_COEFFICIENT, _check_k0, enumerate_regions
 
 
-@dataclass(frozen=True)
-class EssentialPolynomial:
+class EssentialPolynomial(NamedTuple):
     """Sparse homogeneous degree-2 form; terms map (i, j), i <= j, to coefficients."""
 
     terms: tuple  # (((i, j), Fraction), ...) sorted, zero coefficients dropped
@@ -118,7 +117,7 @@ def lower_point_value(xi, k0: int):
     mpf slopes are summed on their mantissas and rounded at the ambient
     mp.prec; other slopes are summed exactly.  No precision context is
     entered, and a missing slope fails as the mapping reports it (a
-    KeyError for the construction's dict).
+    KeyError for a dict).
     """
     _check_k0(k0)
     getter = _slope_getter(xi)
@@ -219,8 +218,7 @@ def _half_mpf(twice: tuple):
     return mp.make_mpf(from_man_exp(m, e - 1))
 
 
-@dataclass(frozen=True)
-class EssentialPoint:
+class EssentialPoint(NamedTuple):
     k0: int
     x: object  # > 0 for strict codings
     y: object  # < 0 for strict codings
@@ -368,8 +366,7 @@ def _first_in_window(indices: list, alpha: int, mirror: int):
     return min(hits, default=None)
 
 
-@dataclass(frozen=True)
-class IndexComparison:
+class IndexComparison(NamedTuple):
     """One junction record from the monotonicity sweep."""
 
     k0: int

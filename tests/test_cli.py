@@ -1,9 +1,12 @@
 """CLI surface: worked-example outputs, determinism, configuration
 precedence, and the exit-code contract."""
 
+import dataclasses
 import hashlib
+import importlib
 import json
 import os
+import pkgutil
 import subprocess
 import sys
 from fractions import Fraction
@@ -376,7 +379,8 @@ def test_classify_with_coding_file(tmp_path, capsys):
 _SCIPY_FREE_RUN = """
 import sys
 import hypgold.cli
-print([m for m in ('scipy', 'concurrent.futures', 'multiprocessing') if m in sys.modules])
+print([m for m in ('scipy', 'concurrent.futures', 'multiprocessing', 'csv')
+       if m in sys.modules])
 sys.modules['scipy'] = None
 from hypgold.cli import main
 for args in sys.argv[1:]:
@@ -387,7 +391,8 @@ for args in sys.argv[1:]:
 def test_cli_import_leaves_scipy_out(tmp_path):
     # scipy is a test-only dependency: the CLI neither imports it at start-up
     # nor needs it in any command.  The sweep runs in one process, so no
-    # process-pool module is imported at start-up either.
+    # process-pool module is imported at start-up either, and csv loads only
+    # when --csv asks for it.
     src = os.path.dirname(os.path.dirname(hypgold.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src, os.environ.get("PYTHONPATH", "")]))
@@ -407,6 +412,22 @@ def test_cli_import_leaves_scipy_out(tmp_path):
     )
     assert proc.stdout.splitlines()[0] == "[]"
     assert proc.stderr.split() == ["0"] * len(commands)
+
+
+def test_dataclasses_are_only_the_five_that_need_it():
+    # A dataclass generates its methods' code at import; plain records are
+    # NamedTuples.  These five need __post_init__, cached_property, replace
+    # or their own __iter__.
+    found = set()
+    for info in pkgutil.iter_modules(hypgold.__path__):
+        if info.name == "__main__":
+            continue
+        module = importlib.import_module(f"hypgold.{info.name}")
+        found.update(name for name, obj in vars(module).items()
+                     if isinstance(obj, type) and dataclasses.is_dataclass(obj)
+                     and obj.__module__ == module.__name__)
+    assert found == {"PrimeCoding", "RunConfig", "GoldbachSpec", "ConstructedCoding",
+                     "EssentialRegionSet"}
 
 
 def _hypgold_cli(*args) -> bytes:

@@ -26,12 +26,13 @@ from hypgold.construction import (
 )
 from hypgold.coding import PrimeCoding
 from hypgold.errors import ConstructionFailureError, DomainError
-from hypgold.numeric import MODE_FLOAT, rel_diff, to_mpf
+from hypgold.numeric import MODE_FLOAT, mantissa_pair, rel_diff, to_mpf
 from hypgold.oracles import is_prime, primes_in
 from hypgold.points import (
     essential_points,
     goldbach_characterization,
     lower_essential_poly,
+    lower_point_value,
 )
 from hypgold.regions import enumerate_regions
 
@@ -301,6 +302,21 @@ def test_lower_x_is_region_polynomial_bit_for_bit(spec):
     with mp.workprec(lower.precision):
         for j, value in lower.x.items():
             assert lower_essential_poly(j).evaluate(lower.xi) == value, j
+
+
+@pytest.mark.parametrize("precision", [53, 128, 256])
+@pytest.mark.parametrize("seed, alpha", [(0, 192), (1, 180), (2, 144), (3, 96)])
+def test_construction_x_is_the_slope_evaluator_bit_for_bit(seed, alpha, precision):
+    # build_lower derives each slope's mantissa pair once and sums those;
+    # lower_point_value derives them from the slopes on every call.
+    for spec in (GoldbachSpec(alpha=alpha, seed=seed),
+                 GoldbachSpec(alpha=alpha, scalar_u=Fraction(11 + seed, 10), seed=seed)):
+        cc = build_goldbach(spec, precision)
+        assert sorted(cc.x) == list(range(4, alpha - 4))
+        with mp.workprec(cc.precision):
+            for j, value in cc.x.items():
+                expected = lower_point_value(cc.xi, j)
+                assert mantissa_pair(value) == mantissa_pair(expected), (spec, j)
 
 
 def test_construction_and_float_points_build_no_region_set():

@@ -3,7 +3,6 @@ repetition theorems, and the Goldbach characterization."""
 
 import random
 import time
-from dataclasses import replace
 from fractions import Fraction
 from unittest import mock
 
@@ -564,7 +563,7 @@ def test_sieve_mismatch_message_pinned():
     # A sieve that forgets 7 must make the characterization raise, not agree.
     def forgetful_oracle(alpha):
         report = goldbach_partitions_oracle(alpha)
-        return replace(report, inside_window=tuple(k for k in report.inside_window if k != 7))
+        return report._replace(inside_window=tuple(k for k in report.inside_window if k != 7))
 
     with mock.patch.object(points_mod, "goldbach_partitions_oracle", forgetful_oracle):
         with pytest.raises(TheoremViolationError) as info:
