@@ -70,7 +70,6 @@ from .points import (
     eval_poly,
     goldbach_characterization,
     lower_essential_poly,
-    lower_point_value,
     lower_value,
     monotonicity_report,
     upper_essential_poly,

@@ -43,7 +43,7 @@ from .numeric import (
     to_mpf,
 )
 from .oracles import is_prime, primes_in
-from .points import _half_mpf, _rounded_twice_lower
+from .points import _rounded_lower
 
 PROV_RANDOM = "random-prime-choice"
 PROV_COMPOSITE = "forced-composite-ratio"
@@ -138,7 +138,7 @@ def _poly_value(pairs: dict, j: int):
 
     ``pairs[i]`` is ``mantissa_pair(xi_i)``; a missing slope raises KeyError.
     """
-    return _half_mpf(_rounded_twice_lower(pairs.__getitem__, j, mp.prec))
+    return _rounded_lower(pairs.__getitem__, j, mp.prec)
 
 
 def build_lower(spec: GoldbachSpec, precision: int = DEFAULT_PRECISION) -> ConstructedCoding:

@@ -15,6 +15,7 @@ from typing import Union
 
 import mpmath
 from mpmath import mp, mpf
+from mpmath.libmp import from_rational, round_nearest
 
 from .errors import DomainError
 
@@ -55,12 +56,12 @@ def mantissa_pair(x: mpf) -> tuple:
 
 
 def to_mpf(x: Number, precision: int = DEFAULT_PRECISION) -> mpf:
-    """Convert to mpf, routing Fractions through an exact ratio."""
+    """Convert to mpf, rounded once to nearest (ties to even) at precision bits."""
+    if isinstance(x, Fraction):
+        return mp.make_mpf(from_rational(x.numerator, x.denominator, precision, round_nearest))
     with mp.workprec(precision):
         if isinstance(x, mpf):
             return +x
-        if isinstance(x, Fraction):
-            return mpf(x.numerator) / mpf(x.denominator)
         return mpf(x)
 
 

@@ -11,14 +11,15 @@ essential points characterizes the Goldbach partitions of alpha inside
 the window {5, ..., alpha/2 - 1}.
 
 x_{k0} is summed in one term order, the polynomial's sorted order, in
-O(sqrt(k0)) steps and with no region set built, by two loops:
-``_twice_lower_value`` sums exactly, on the integer-scaled slopes of a
-rational coding or on Fractions; ``_rounded_twice_lower`` sums on
-(int mantissa, exponent) pairs and rounds each product and sum to
-nearest, ties to even, as mpf arithmetic rounds it.  So a float x_{k0}
-has the bits ``EssentialPolynomial.evaluate`` gives at the same
-precision, with no mpf arithmetic.  The region polynomial stays the
-definition and the oracle.
+O(sqrt(k0)) steps and with no region set built.  ``_twice_lower_value``
+sums exactly, on the integer-scaled slopes of a rational coding;
+``_rounded_lower`` takes the same steps on (int mantissa, exponent)
+pairs and rounds each product and sum to nearest, ties to even, as mpf
+arithmetic rounds it.  So a float x_{k0} has the bits
+``EssentialPolynomial.evaluate`` gives at the same precision, with no
+mpf arithmetic.  ``lower_value`` reads a coding through one or the
+other; the construction calls ``_rounded_lower`` on the slopes it has
+so far.  The region polynomial stays the definition and the oracle.
 """
 
 from __future__ import annotations
@@ -28,12 +29,12 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import NamedTuple
 
-from mpmath import mp, mpf
+from mpmath import mp
 from mpmath.libmp import from_man_exp
 
 from .coding import PrimeCoding
 from .errors import DomainError, RangeError, TheoremViolationError
-from .numeric import MODE_RATIONAL, mantissa_pair
+from .numeric import MODE_RATIONAL
 from .oracles import goldbach_partitions_oracle, is_prime
 from .regions import TYPE_COEFFICIENT, _check_k0, enumerate_regions
 
@@ -62,20 +63,12 @@ class EssentialPolynomial(NamedTuple):
         return EssentialPolynomial(terms=tuple((pair, -c) for pair, c in self.terms))
 
     def evaluate(self, xi):
-        """Substitute x_i := xi(i).  xi is a coding, a mapping, or a callable."""
-        getter = _slope_getter(xi)
+        """Substitute x_i := xi[i].  xi is a coding or a mapping."""
+        slope = xi.slope if isinstance(xi, PrimeCoding) else xi.__getitem__
         total = 0
         for (i, j), coeff in self.terms:
-            total = total + coeff * getter(i) * getter(j)
+            total = total + coeff * slope(i) * slope(j)
         return total
-
-
-def _slope_getter(xi):
-    if isinstance(xi, PrimeCoding):
-        return xi.slope
-    if hasattr(xi, "__getitem__"):
-        return xi.__getitem__
-    return xi
 
 
 @lru_cache(maxsize=4096)
@@ -111,31 +104,14 @@ def eval_poly(p: EssentialPolynomial, xi):
     return p.evaluate(xi)
 
 
-def lower_point_value(xi, k0: int):
-    """x_{k0} at slopes given as a coding, a mapping, or a callable.
-
-    mpf slopes are summed on their mantissas and rounded at the ambient
-    mp.prec; other slopes are summed exactly.  No precision context is
-    entered, and a missing slope fails as the mapping reports it (a
-    KeyError for a dict).
-    """
-    _check_k0(k0)
-    getter = _slope_getter(xi)
-    if isinstance(getter(2), mpf):
-        twice = _rounded_twice_lower(lambda i: mantissa_pair(getter(i)), k0, mp.prec)
-        return _half_mpf(twice)
-    return _twice_lower_value(getter, k0) / 2
-
-
 def _twice_lower_value(getter, k0: int):
     """2*x_{k0}, summed exactly: the lower polynomial's terms in its sorted order.
 
     Column n < r = isqrt(k0) holds -xi_n*xi_{k0//(n+1)}, then
     +xi_n*xi_{k0//n}; column r holds +-xi_r**2/2 (+ iff k0//r = r), then
     xi_r*xi_{k0//r} when k0//r > r.  Doubling is exact, so integer slopes
-    give an integer.  This is the loop for ints and Fractions;
-    ``_rounded_twice_lower`` takes the same steps in the same order on
-    mantissas, rounding each one.
+    give an integer.  ``_rounded_lower`` takes the same steps in the same
+    order on mantissas, rounding each one.
     """
     root = math.isqrt(k0)
     total = 0
@@ -151,30 +127,35 @@ def _twice_lower_value(getter, k0: int):
     return total
 
 
-def _rounded_twice_lower(pair, k0: int, prec: int) -> tuple:
-    """2*x_{k0} as (mantissa, exponent), every product and sum rounded to prec bits.
+def _rounded_lower(pair, k0: int, prec: int):
+    """x_{k0} as an mpf, every product and sum rounded to prec bits.
 
     pair(i) gives xi_i as (signed int mantissa, exponent).  The steps are
     ``_twice_lower_value``'s, in its order, each rounded to nearest with
     ties to even, as the mpf operations there round them: every such
     operation is correctly rounded, so the bits are the mpf loop's.
-    Doubling only moves the exponent; ``2*xi_r`` rounds xi_r first, as
+    A product is one exact int product, rounded.  Doubling and the final
+    halving only move the exponent; ``2*xi_r`` rounds xi_r first, as
     mpf's multiplication by an int does.
     """
     root = math.isqrt(k0)
     total = (0, 0)
     for n in range(2, root):
-        xn = pair(n)
-        m, e = _mul(xn, pair(k0 // (n + 1)), prec)
-        total = _add(total, (-m, e), prec)
-        total = _add(total, _mul(xn, pair(k0 // n), prec), prec)
-    r = pair(root)
+        m, e = pair(n)
+        a, ea = pair(k0 // (n + 1))
+        b, eb = pair(k0 // n)
+        q, eq = _round(m * a, e + ea, prec)
+        total = _add(total, (-q, eq), prec)
+        total = _add(total, _round(m * b, e + eb, prec), prec)
+    m, e = pair(root)
     top = k0 // root
-    m, e = _mul(r, r, prec)
-    total = _add((total[0], total[1] + 1), (m if top == root else -m, e), prec)
+    q, eq = _round(m * m, e + e, prec)
+    total = _add((total[0], total[1] + 1), (q if top == root else -q, eq), prec)
     if top > root:
-        total = _add(total, _mul(_round(r[0], r[1] + 1, prec), pair(top), prec), prec)
-    return total
+        m, e = _round(m, e + 1, prec)
+        b, eb = pair(top)
+        total = _add(total, _round(m * b, e + eb, prec), prec)
+    return mp.make_mpf(from_man_exp(total[0], total[1] - 1))
 
 
 def _round(m: int, e: int, prec: int) -> tuple:
@@ -188,11 +169,6 @@ def _round(m: int, e: int, prec: int) -> tuple:
     if q & 1 and not t & ((half << 1) - 1):
         q -= 1  # a tie went up to odd; the even neighbour is below
     return q, e + n
-
-
-def _mul(a: tuple, b: tuple, prec: int) -> tuple:
-    """a*b rounded to prec bits: one exact int product."""
-    return _round(a[0] * b[0], a[1] + b[1], prec)
 
 
 def _add(a: tuple, b: tuple, prec: int) -> tuple:
@@ -211,11 +187,6 @@ def _add(a: tuple, b: tuple, prec: int) -> tuple:
     if d > 2 * prec + 8 and am:
         return am, ae
     return _round((am << d) + bm, be, prec)
-
-
-def _half_mpf(twice: tuple):
-    m, e = twice
-    return mp.make_mpf(from_man_exp(m, e - 1))
 
 
 class EssentialPoint(NamedTuple):
@@ -265,7 +236,7 @@ def lower_value(c: PrimeCoding, k0: int):
     if c.mode == MODE_RATIONAL:
         ints, lcm = c.scaled_slopes
         return Fraction(_twice_lower_value(ints.__getitem__, k0), 2 * lcm * lcm)
-    return _half_mpf(_rounded_twice_lower(c.mantissa_pairs.__getitem__, k0, c.precision))
+    return _rounded_lower(c.mantissa_pairs.__getitem__, k0, c.precision)
 
 
 def essential_points(c: PrimeCoding, alpha: int) -> list:

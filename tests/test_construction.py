@@ -32,7 +32,7 @@ from hypgold.points import (
     essential_points,
     goldbach_characterization,
     lower_essential_poly,
-    lower_point_value,
+    lower_value,
 )
 from hypgold.regions import enumerate_regions
 
@@ -297,26 +297,27 @@ def test_prime_junction_check_is_exact():
 ])
 def test_lower_x_is_region_polynomial_bit_for_bit(spec):
     # The constructed slopes are serialized exactly, so every x must round
-    # as the region polynomial's term-by-term sum does.
-    lower = build_lower(spec)
-    with mp.workprec(lower.precision):
-        for j, value in lower.x.items():
-            assert lower_essential_poly(j).evaluate(lower.xi) == value, j
+    # as the region polynomial's term-by-term sum does, at every precision.
+    for precision in (53, 128, 256):
+        lower = build_lower(spec, precision)
+        with mp.workprec(lower.precision):
+            for j, value in lower.x.items():
+                assert lower_essential_poly(j).evaluate(lower.xi) == value, (precision, j)
 
 
 @pytest.mark.parametrize("precision", [53, 128, 256])
 @pytest.mark.parametrize("seed, alpha", [(0, 192), (1, 180), (2, 144), (3, 96)])
 def test_construction_x_is_the_slope_evaluator_bit_for_bit(seed, alpha, precision):
-    # build_lower derives each slope's mantissa pair once and sums those;
-    # lower_point_value derives them from the slopes on every call.
+    # build_lower sums the slopes it has so far; the coding build-g writes
+    # must reproduce every x it used, read back through lower_value.
     for spec in (GoldbachSpec(alpha=alpha, seed=seed),
                  GoldbachSpec(alpha=alpha, scalar_u=Fraction(11 + seed, 10), seed=seed)):
         cc = build_goldbach(spec, precision)
         assert sorted(cc.x) == list(range(4, alpha - 4))
-        with mp.workprec(cc.precision):
-            for j, value in cc.x.items():
-                expected = lower_point_value(cc.xi, j)
-                assert mantissa_pair(value) == mantissa_pair(expected), (spec, j)
+        coding = cc.prime_coding
+        for j, value in cc.x.items():
+            expected = lower_value(coding, j)
+            assert mantissa_pair(value) == mantissa_pair(expected), (spec, j)
 
 
 def test_construction_and_float_points_build_no_region_set():

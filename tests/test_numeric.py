@@ -1,5 +1,6 @@
 """Exact conversions between mpf values, mantissa pairs and Fractions."""
 
+import math
 from fractions import Fraction
 
 from hypothesis import given, settings
@@ -38,6 +39,51 @@ def test_to_fraction_matches_the_power_product(man, exp):
         x = mpf((man, exp))
     m, e = mantissa_pair(x)
     assert to_fraction(x) == Fraction(m) * Fraction(2) ** e == Fraction(man) * Fraction(2) ** exp
+
+
+def _nearest_even(f: Fraction, precision: int) -> Fraction:
+    """f rounded to precision significant bits, ties to even, in Fraction arithmetic."""
+    if f == 0:
+        return f
+    a = abs(f)
+    e = a.numerator.bit_length() - a.denominator.bit_length() - precision
+    while a / Fraction(2) ** e >= 2 ** precision:
+        e += 1
+    while a / Fraction(2) ** e < 2 ** (precision - 1):
+        e -= 1
+    scaled = a / Fraction(2) ** e
+    q = math.floor(scaled)
+    rest = scaled - q
+    if rest > Fraction(1, 2) or (rest == Fraction(1, 2) and q % 2):
+        q += 1
+    return (q if f > 0 else -q) * Fraction(2) ** e
+
+
+@st.composite
+def wide_fractions(draw):
+    """Fractions whose parts are wider than the precision, decimals, and exact ties."""
+    kind = draw(st.sampled_from(["wide", "decimal", "tie"]))
+    sign = draw(st.sampled_from([1, -1]))
+    if kind == "wide":
+        p = draw(st.integers(min_value=2 ** 100, max_value=2 ** 300))
+        q = draw(st.integers(min_value=2 ** 100, max_value=2 ** 300))
+        return sign * Fraction(p, q)
+    if kind == "decimal":
+        digits = draw(st.integers(min_value=17, max_value=60))
+        p = draw(st.integers(min_value=10 ** (digits - 1), max_value=10 ** digits - 1))
+        return sign * Fraction(p, 10 ** draw(st.integers(min_value=0, max_value=digits)))
+    # Halfway between two neighbours at 53, 128 or 256 bits.
+    bits = draw(st.sampled_from([53, 128, 256]))
+    q = draw(st.integers(min_value=1 << (bits - 1), max_value=(1 << bits) - 1))
+    return sign * Fraction(2 * q + 1, 2 ** draw(st.integers(min_value=0, max_value=400)))
+
+
+@given(wide_fractions(), st.sampled_from([53, 128, 256]))
+@settings(max_examples=500, deadline=None)
+def test_to_mpf_rounds_a_fraction_once(f, precision):
+    x = to_mpf(f, precision)
+    assert to_fraction(x) == _nearest_even(f, precision)
+    assert abs(mantissa_pair(x)[0]).bit_length() <= precision
 
 
 def test_rel_diff_sees_the_operands_last_bit():

@@ -18,7 +18,7 @@ from hypgold.coding import PrimeCoding, default_coding
 from hypgold.errors import DomainError, RangeError, TheoremViolationError
 from hypgold.hyperbola import classify_number
 from hypgold.oracles import goldbach_partitions_oracle, is_prime, primes_in
-from hypgold.numeric import MODE_FLOAT, MODE_RATIONAL
+from hypgold.numeric import MODE_FLOAT, MODE_RATIONAL, mantissa_pair
 from hypgold.points import (
     EssentialPolynomial,
     IndexComparison,
@@ -26,7 +26,6 @@ from hypgold.points import (
     eval_poly,
     goldbach_characterization,
     lower_essential_poly,
-    lower_point_value,
     lower_value,
     monotonicity_report,
     upper_essential_poly,
@@ -95,7 +94,7 @@ def test_eval_zero_poly():
 def test_eval_identity_coding_gives_half():
     c = identity_coding(200)
     for k0 in range(4, 401):
-        assert lower_point_value(lambda i: Fraction(1), k0) == H
+        assert lower_value(c, k0) == H
     for k0 in range(4, 99):
         assert eval_poly(lower_essential_poly(k0), c) == H
 
@@ -109,7 +108,7 @@ def test_two_evaluation_paths_agree():
             start=Fraction(0),
         )
         assert eval_poly(lower_essential_poly(k0), c) == direct
-        assert lower_point_value(c.slope, k0) == direct
+        assert lower_value(c, k0) == direct
 
 
 def test_essential_points_signs_alpha18():
@@ -289,9 +288,10 @@ def operands(draw, prec):
 @given(data=st.data(), prec=PRECS)
 @settings(max_examples=400, deadline=None)
 def test_mul_matches_mpf_mul(data, prec):
-    a, b = data.draw(operands(prec)), data.draw(operands(prec))
-    expected = mpf_mul(from_man_exp(*a), from_man_exp(*b), prec, "n")
-    assert from_man_exp(*points_mod._mul(a, b, prec)) == expected
+    # The kernel's product: one exact int product, rounded.
+    (a0, a1), (b0, b1) = data.draw(operands(prec)), data.draw(operands(prec))
+    expected = mpf_mul(from_man_exp(a0, a1), from_man_exp(b0, b1), prec, "n")
+    assert from_man_exp(*points_mod._round(a0 * b0, a1 + b1, prec)) == expected
 
 
 @given(data=st.data(), prec=PRECS,
@@ -325,10 +325,11 @@ def test_rounded_kernel_matches_the_mpf_loop(seed, prec, wider, spread):
         bits = rng.randrange(1, prec + wider + 1)
         m = rng.getrandbits(bits) | (1 << (bits - 1))
         slopes[i] = mpmath.mp.make_mpf(from_man_exp(m, rng.randrange(-spread, spread + 1)))
+    pairs = {i: mantissa_pair(v) for i, v in slopes.items()}
     with mpmath.workprec(prec):
         for k0 in range(4, 2 * max(slopes) + 2):
             expected = points_mod._twice_lower_value(slopes.__getitem__, k0) / 2
-            assert lower_point_value(slopes, k0) == expected, k0
+            assert points_mod._rounded_lower(pairs.__getitem__, k0, prec) == expected, k0
 
 
 def test_far_apart_slopes_stay_in_precision_sized_ints():
