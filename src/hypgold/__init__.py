@@ -75,7 +75,6 @@ from .points import (
     upper_essential_poly,
 )
 from .regions import (
-    EssentialRegionSet,
     RegionType,
     enumerate_regions,
     regions_equal,

@@ -9,6 +9,7 @@ stays exact for rational codings and rational k.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from typing import NamedTuple
 
 from mpmath import mp, mpf
@@ -53,11 +54,15 @@ def _require_region(rtype: RegionType, n: int, n_prime: int, k) -> None:
         # Closed-interval extension: an integer k is the right endpoint of
         # [k-1, k] as well as the left endpoint of [k, k+1].
         candidates.append(enumerate_regions(k0 - 1))
-    entry = (n, n_prime, rtype)
-    if not any(entry in rs.entry_set for rs in candidates):
-        raise RegionMismatchError(
-            f"({n},{n_prime}) typed {rtype.value} is not an essential region at k={k}"
-        )
+    for cells in candidates:
+        # The sorted cells hold (n, n') at most once; the pair sorts before
+        # its own (n, n', type), so no RegionType is ever compared.
+        i = bisect_left(cells, (n, n_prime))
+        if i < len(cells) and cells[i] == (n, n_prime, rtype):
+            return
+    raise RegionMismatchError(
+        f"({n},{n_prime}) typed {rtype.value} is not an essential region at k={k}"
+    )
 
 
 def area_closed(rtype: RegionType, n: int, n_prime: int, k: Number,

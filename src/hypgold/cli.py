@@ -230,6 +230,8 @@ def regions(k0, cfg, out):
 def areas(k0, k_text, coding_path, cfg, out):
     """Closed-form areas and derivatives over the essential regions of k0."""
     k = parse_exact(k_text)
+    if not k0 <= k <= k0 + 1:
+        raise DomainError(f"--k must lie in [k0, k0+1] = [{k0}, {k0 + 1}], got {k_text}")
     region_set = enumerate_regions(k0)
     coding = coding_from_json(read_json(coding_path, "coding file")) if coding_path else None
     records = []
@@ -372,15 +374,13 @@ def build_g(alpha, scalar_u, xi2_text, xi_half_text, coding_out, cfg):
         "max_junction_gap": format_real(max_gap),
     })
     _write_text(coding_out, canonical_json(coding_payload), "coding file")
-    report = {
-        "command": "build-g",
-        "config": cfg.as_dict(),
+    record = {
         "alpha": alpha,
         "seed": cfg.seed,
         "max_junction_gap": format_real(max_gap),
         "coding_file": coding_out,
     }
-    click.echo(canonical_json(report), nl=False)
+    emit({"command": "build-g", "config": cfg.as_dict(), **record}, [record], cfg, None)
 
 
 @cli.command(name="scalar-limit")

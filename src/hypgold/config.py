@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import math
 import os
 from dataclasses import asdict, dataclass, replace
 from numbers import Real
@@ -39,6 +40,8 @@ class RunConfig:
             raise DomainError(f"precision_bits must be at least {MIN_PRECISION}")
         if not self.tolerance_rel > 0:
             raise DomainError("tolerance_rel must be positive")
+        if not self.tolerance_rel < math.inf:
+            raise DomainError(f"tolerance_rel must be finite, got {self.tolerance_rel!r}")
         if self.mode not in MODES:
             raise DomainError(f"mode must be one of {MODES}")
         if self.output_format not in OUTPUT_FORMATS:

@@ -151,19 +151,14 @@ def build_lower(spec: GoldbachSpec, precision: int = DEFAULT_PRECISION) -> Const
         xi = {2: mp.sqrt(xi_sq[2])}
         pairs = {2: mantissa_pair(xi[2])}  # each slope's mantissa, derived once
         provenance = {2: PROV_RANDOM}
-        x: dict = {}
-
-        def ensure_x(j: int):
-            if j not in x:
-                x[j] = _poly_value(pairs, j)
-            return x[j]
-
+        # x_j reads slopes 2..j//2, so slope i completes x_{2i} and x_{2i+1}.
+        x = {4: _poly_value(pairs, 4), 5: _poly_value(pairs, 5)}
         for i in range(3, alpha // 2):
             if i in lam:
                 xi_sq[i] = lam[i] * xi_sq[i - 1]
                 provenance[i] = PROV_RANDOM
             else:
-                ratio = ensure_x(i) / ensure_x(i - 1)
+                ratio = x[i] / x[i - 1]
                 xi_sq[i] = ratio * xi_sq[i - 1]
                 provenance[i] = PROV_COMPOSITE
             if not xi_sq[i] > xi_sq[i - 1]:
@@ -172,8 +167,8 @@ def build_lower(spec: GoldbachSpec, precision: int = DEFAULT_PRECISION) -> Const
                 )
             xi[i] = mp.sqrt(xi_sq[i])
             pairs[i] = mantissa_pair(xi[i])
-        for j in range(4, alpha - 4):
-            ensure_x(j)
+            for j in range(2 * i, min(2 * i + 2, alpha - 4)):
+                x[j] = _poly_value(pairs, j)
         return ConstructedCoding(
             alpha=alpha,
             precision=precision,

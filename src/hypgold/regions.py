@@ -17,10 +17,9 @@ Edge pairs (entry, exit) per type:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import lru_cache
 
 from .errors import DomainError
 
@@ -46,45 +45,23 @@ TYPE_COEFFICIENT = {
 }
 
 
-@dataclass(frozen=True)
-class EssentialRegionSet:
-    """The typed index set E_s(k0), sorted lexicographically."""
-
-    k0: int
-    entries: tuple  # ((n, n_prime, RegionType), ...)
-
-    def indices(self) -> tuple:
-        return tuple((n, np_) for n, np_, _ in self.entries)
-
-    def types(self) -> dict:
-        return {(n, np_): t for n, np_, t in self.entries}
-
-    @cached_property
-    def entry_set(self) -> frozenset:
-        """The entries as a set, built once, for constant-time membership."""
-        return frozenset(self.entries)
-
-    def __iter__(self):
-        return iter(self.entries)
-
-    def __len__(self):
-        return len(self.entries)
-
-
 def _check_k0(k0) -> None:
     if not isinstance(k0, int) or k0 < 4:
         raise DomainError("essential regions need an integer k0 >= 4")
 
 
 @lru_cache(maxsize=4096)
-def enumerate_regions(k0: int) -> EssentialRegionSet:
-    """All essential regions shared by the hyperbolas xy = k, k0 < k < k0+1.
+def enumerate_regions(k0: int) -> tuple:
+    """All essential regions shared by the hyperbolas xy = k, k0 < k < k0+1,
+    as the tuple ``((n, n_prime, RegionType), ...)`` sorted by (n, n_prime).
 
     For each column n < isqrt(k0) the curve enters at row floor(k0/n)
     (T2), leaves at row floor(k0/(n+1)) (T5) and passes through the rows
     between (T3).  In the last column n = isqrt(k0) the curve exits
     through the diagonal, so the bottom cell is triangular (T7 when it is
-    also the top cell, T8 otherwise) and no T5 arises.
+    also the top cell, T8 otherwise) and no T5 arises.  Columns and the
+    rows within each are walked upward, so the cells come out sorted, each
+    (n, n_prime) once.
     """
     _check_k0(k0)
     root = math.isqrt(k0)
@@ -109,11 +86,9 @@ def enumerate_regions(k0: int) -> EssentialRegionSet:
         else:
             t = RegionType.T3
         entries.append((root, m, t))
-    entries.sort(key=lambda e: (e[0], e[1]))
-    return EssentialRegionSet(k0=k0, entries=tuple(entries))
+    return tuple(entries)
 
 
 def regions_equal(k0a: int, k0b: int) -> bool:
     """True iff both index sets coincide, types included."""
-    a, b = enumerate_regions(k0a), enumerate_regions(k0b)
-    return a.entries == b.entries
+    return enumerate_regions(k0a) == enumerate_regions(k0b)

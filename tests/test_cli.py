@@ -111,6 +111,23 @@ def test_areas_command(capsys):
     assert t2["hat_area"] == t2["area"]  # identity coding by default
 
 
+@pytest.mark.parametrize("k0, k", [("5", "4"), ("18", "30"), ("18", "191/10")])
+def test_areas_k_outside_the_interval_exit_1(capsys, k0, k):
+    rc, out, err = run(capsys, ["areas", "--k0", k0, "--k", k])
+    assert rc == 1 and out == ""
+    assert json.loads(err) == {
+        "error": "DomainError",
+        "message": f"--k must lie in [k0, k0+1] = [{k0}, {int(k0) + 1}], got {k}",
+    }
+
+
+@pytest.mark.parametrize("k", ["18", "19"])
+def test_areas_at_either_endpoint(capsys, k):
+    rc, out, _ = run(capsys, ["areas", "--k0", "18", "--k", k])
+    assert rc == 0
+    assert len(json.loads(out)["records"]) == 8
+
+
 def test_areas_evaluates_each_region_once(capsys, monkeypatch):
     calls = []
     original = areas_mod.area_closed
@@ -217,6 +234,17 @@ def test_build_g_reports_a_256_bit_junction_gap(tmp_path, capsys):
     assert json.loads(target.read_text())["max_junction_gap"] == gap
 
 
+def test_build_g_csv(tmp_path, capsys):
+    target = tmp_path / "coding.json"
+    rc, out, _ = run(capsys, ["build-g", "--alpha", "18", "--out", str(target)])
+    report = json.loads(out)
+    rc_csv, out_csv, _ = run(capsys, ["build-g", "--alpha", "18", "--out", str(target),
+                                      "--csv"])
+    assert rc == rc_csv == 0
+    assert out_csv == (f"alpha,seed,max_junction_gap,coding_file\n"
+                       f"18,0,{report['max_junction_gap']},{target}\n")
+
+
 def test_build_g_deterministic(tmp_path, capsys):
     a, b = tmp_path / "a.json", tmp_path / "b.json"
     run(capsys, ["build-g", "--alpha", "24", "--seed", "5", "--out", str(a)])
@@ -231,6 +259,16 @@ def test_scalar_limit_csv(capsys):
     assert rc == 0
     assert lines[0] == "u,k0,x_k0,y_k0"
     assert len(lines) == 1 + 3 * 5  # three u values, k0 = 4..8
+
+
+def test_scalar_limit_failure_exit_2_with_payload(capsys):
+    # A repeated u cannot approach 1 strictly: the sweep is not monotone.
+    rc, out, err = run(capsys, ["scalar-limit", "--alpha", "18", "--u", "1e-3,1e-3"])
+    assert rc == 2
+    payload = json.loads(out)
+    assert (payload["monotone"], payload["converged"]) == (False, False)
+    assert len(payload["records"]) == 2 * 5
+    assert json.loads(err)["error"] == "ConstructionFailureError"
 
 
 def test_env_override(tmp_path, capsys, monkeypatch):
@@ -279,6 +317,8 @@ def test_domain_error_exit_1(capsys):
     pytest.param("--config", b'{"tolerance_rel": "x"}', id="config-tol-string"),
     pytest.param("--config", b'{"precision_bits": "x"}', id="config-precision-string"),
     pytest.param("--config", b'{"seed": "x"}', id="config-seed-string"),
+    pytest.param("--config", b'[1, 2]', id="config-not-object"),
+    pytest.param("--config", b'{"seed": 1, "colour": "red"}', id="config-unknown-key"),
 ])
 @pytest.mark.parametrize("command", [["areas", "--k0", "18", "--k", "37/2"],
                                      ["classify", "--k", "91"]], ids=["areas", "classify"])
@@ -414,10 +454,10 @@ def test_cli_import_leaves_scipy_out(tmp_path):
     assert proc.stderr.split() == ["0"] * len(commands)
 
 
-def test_dataclasses_are_only_the_five_that_need_it():
+def test_dataclasses_are_only_the_four_that_need_it():
     # A dataclass generates its methods' code at import; plain records are
-    # NamedTuples.  These five need __post_init__, cached_property, replace
-    # or their own __iter__.
+    # NamedTuples.  These four need __post_init__, cached_property or
+    # replace.
     found = set()
     for info in pkgutil.iter_modules(hypgold.__path__):
         if info.name == "__main__":
@@ -426,8 +466,7 @@ def test_dataclasses_are_only_the_five_that_need_it():
         found.update(name for name, obj in vars(module).items()
                      if isinstance(obj, type) and dataclasses.is_dataclass(obj)
                      and obj.__module__ == module.__name__)
-    assert found == {"PrimeCoding", "RunConfig", "GoldbachSpec", "ConstructedCoding",
-                     "EssentialRegionSet"}
+    assert found == {"PrimeCoding", "RunConfig", "GoldbachSpec", "ConstructedCoding"}
 
 
 def _hypgold_cli(*args) -> bytes:

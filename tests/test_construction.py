@@ -149,6 +149,21 @@ def test_increase_guard_catches_a_stalled_ratio(monkeypatch):
         build_lower(GoldbachSpec(alpha=18, seed=1))
 
 
+def test_each_x_is_computed_once_as_soon_as_its_slopes_exist(monkeypatch):
+    real = construction._poly_value
+    calls = []
+
+    def spy(pairs, j):
+        # x_j reads slopes 2..j//2, and no later slope may exist yet.
+        assert max(pairs) == max(j // 2, 2), j
+        calls.append(j)
+        return real(pairs, j)
+
+    monkeypatch.setattr(construction, "_poly_value", spy)
+    cc = build_lower(GoldbachSpec(alpha=102, seed=3))
+    assert calls == list(range(4, 102 - 4)) == list(cc.x)
+
+
 def test_perturbation_breaks_continuity():
     cc = build_goldbach(GoldbachSpec(alpha=18, seed=2))
     assert cc.provenance[11] == "forced-prime-junction"

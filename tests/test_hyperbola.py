@@ -7,6 +7,7 @@ from fractions import Fraction
 
 import pytest
 
+from hypgold.areas import hat_lower_sweep
 from hypgold.coding import PrimeCoding, default_coding
 from hypgold.errors import DomainError, RangeError
 from hypgold.hyperbola import (
@@ -21,6 +22,7 @@ from hypgold.hyperbola import (
     hhat_one_sided,
     lattice_witnesses,
 )
+from hypgold.numeric import rel_diff
 from hypgold.oracles import is_prime
 
 from conftest import arith_coding, identity_coding, pow2_coding, seeded_coding
@@ -222,6 +224,31 @@ def test_classify_number_float_mode():
     for k, expected in ((13, NumberKind.PRIME), (36, NumberKind.COMPOSITE_NATURAL)):
         assert classify_number(c, k) is expected
     assert classify_number(c, 7.5) is NumberKind.NON_NATURAL
+
+
+def test_float_coding_agrees_with_its_exact_twin():
+    # Dyadic slopes: the float coding and its twin describe the same curve,
+    # so the float path (mpf coordinates through is_integral and floor_int)
+    # must reach the twin's kinds and, to rounding, its one-sided slopes.
+    c = PrimeCoding(slopes=tuple(1 + Fraction(m, 32) for m in range(33)), mode="float")
+    twin = c.exact
+    points = [
+        (17, 1, PointKind.SEMI_VORTEX),                          # boundary lattice point
+        (12, 3, PointKind.VORTEX),                               # interior lattice point
+        (7, 2, PointKind.VORTEX),                                # natural x, y = 7/2
+        (10, Fraction(5, 2), PointKind.VORTEX),                  # natural y = 4
+        (Fraction(21, 4), Fraction(3, 2), PointKind.SMOOTH),     # y = 7/2
+        (Fraction(29, 3), Fraction(9, 4), PointKind.SMOOTH),     # y = 116/27
+    ]
+    for k, x, kind in points:
+        assert classify_point(c, k, c.psi(x)) is kind, (k, x)
+        assert classify_point(twin, k, twin.psi(x)) is kind, (k, x)
+        got = hhat_one_sided(c, k, c.psi(x))
+        want = hhat_one_sided(twin, k, twin.psi(x))
+        assert all(rel_diff(g, w) < 1e-35 for g, w in zip(got, want)), (k, x)
+    for k in (Fraction(37, 2), 10, Fraction(29, 3)):
+        got = hat_lower_sweep(c, c.psi(k))
+        assert rel_diff(got, hat_lower_sweep(twin, twin.psi(k))) < 1e-30, k
 
 
 def test_float_classification_is_linear():

@@ -7,7 +7,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from mpmath import mp, mpf
 
-from hypgold.numeric import mantissa_pair, rel_diff, to_fraction, to_mpf
+from hypgold.numeric import floor_int, is_integral, mantissa_pair, rel_diff, to_fraction, to_mpf
+
+
+def test_integrality_and_floor_of_mpf():
+    for value, integral, floor in ((mpf(3), True, 3), (mpf(-2.5), False, -3),
+                                   (mpf(2) ** 200, True, 2 ** 200),
+                                   (1 + mpf(2) ** -100, False, 1)):
+        assert (is_integral(value), floor_int(value)) == (integral, floor), value
 
 
 def test_zero_round_trips():
