@@ -9,6 +9,7 @@ stays exact for rational codings and rational k.
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_left
 from typing import NamedTuple
 
@@ -24,8 +25,6 @@ from .errors import (
 from .numeric import (
     DEFAULT_PRECISION,
     Number,
-    floor_int,
-    is_integral,
     to_fraction,
     to_mpf,
 )
@@ -46,11 +45,12 @@ def _require_region(rtype: RegionType, n: int, n_prime: int, k) -> None:
         raise RegionMismatchError(f"{rtype.value} is not a diagonal type, got cell ({n},{n})")
     if n != n_prime and rtype in DIAGONAL_TYPES:
         raise RegionMismatchError(f"{rtype.value} lives on the diagonal, got cell ({n},{n_prime})")
-    if k < 4:
+    kq = to_fraction(k)
+    if kq < 4:
         raise DomainError("areas are defined for k >= 4")
-    k0 = floor_int(k)
+    k0 = math.floor(kq)
     candidates = [enumerate_regions(k0)]
-    if is_integral(k) and k0 > 4:
+    if kq.denominator == 1 and k0 > 4:
         # Closed-interval extension: an integer k is the right endpoint of
         # [k-1, k] as well as the left endpoint of [k, k+1].
         candidates.append(enumerate_regions(k0 - 1))
@@ -120,7 +120,7 @@ def ab_coefficients(c: PrimeCoding, alpha: int, k0: int, k: Number):
     if not 4 <= k0 <= alpha // 2 - 1:
         raise RangeError(f"k0={k0} outside 4..{alpha // 2 - 1}")
     with c.context():
-        kv = c._coerce(k)
+        kv = c.rounded(to_fraction(k))
         xi_l = c.slope(k0)
         xi_u = c.slope(alpha - k0 - 1)
         return (1 / (xi_l * xi_l * kv), 1 / (xi_u * xi_u * (alpha - kv)))
@@ -139,8 +139,8 @@ def hat_AT_second_derivative(c: PrimeCoding, alpha: int, k: Number, side: str = 
     kq = to_fraction(k)
     if kq < 4 or kq > alpha // 2:
         raise DomainError(f"k={k} outside [4, {alpha // 2}]")
-    k0 = floor_int(kq)
-    if is_integral(kq) and side == "-":
+    k0 = math.floor(kq)
+    if kq.denominator == 1 and side == "-":
         k0 -= 1
         if k0 < 4:
             raise DomainError("no left limit at k = 4")
@@ -163,13 +163,13 @@ def hat_lower_sweep(c: PrimeCoding, khat: Number):
     so its contribution to the total-area second derivative is this sweep's
     acceleration at psi(alpha - k), subtracted.
     """
-    with c.context():
-        k = c.psi_inv(khat)
-        if k < 4:
-            raise DomainError(f"psi_inv(khat)={k} below 4")
-        k0 = floor_int(k)
-        if is_integral(k) and k0 > 4:
-            k0 -= 1  # interval endpoints belong to the closed interval below
+    k = c.preimage(khat)
+    if k < 4:
+        raise DomainError(f"psi_inv(khat)={k} below 4")
+    k0 = math.floor(k)
+    if k.denominator == 1 and k0 > 4:
+        k0 -= 1  # interval endpoints belong to the closed interval below
+    with mp.workprec(c.precision):  # a rational coding's context would sum at mp.prec
         total = to_mpf(0, c.precision)
         for n, n_prime, rtype in enumerate_regions(k0):
             area = area_closed(rtype, n, n_prime, k, precision=c.precision, check=False).area

@@ -24,6 +24,7 @@ from contextlib import nullcontext
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from itertools import accumulate
 
 from mpmath import mp
 
@@ -88,17 +89,11 @@ class PrimeCoding:
 
     @cached_property
     def breakpoints(self) -> tuple:
-        """B_0 = 0, B_m = xi_0 + ... + xi_{m-1}, up to B_{N+1}."""
-        with self.context():
-            acc = self._coerce(0)
-            points = [acc]
-            for s in self.slopes:
-                acc = acc + s
-                points.append(acc)
-            return tuple(points)
+        """B_0 = 0, B_m = xi_0 + ... + xi_{m-1}, up to B_{N+1}; exact Fractions in both modes."""
+        return (Fraction(0), *accumulate(self.exact.slopes))
 
     @property
-    def deformed_limit(self):
+    def deformed_limit(self) -> Fraction:
         """B_{N+1}: the truncated image is [0, B_{N+1}]."""
         return self.breakpoints[-1]
 
@@ -114,10 +109,11 @@ class PrimeCoding:
         """True when the slopes increase strictly (a prime coding proper)."""
         return self.strict_through == self.max_index
 
-    def _coerce(self, x: Number):
+    def rounded(self, value: Fraction):
+        """A value computed on the exact slopes, rounded once in float mode."""
         if self.mode == MODE_RATIONAL:
-            return to_fraction(x)
-        return to_mpf(x, self.precision)
+            return value
+        return to_mpf(value, self.precision)
 
     def slope(self, m: int):
         if not 0 <= m <= self.max_index:
@@ -126,51 +122,53 @@ class PrimeCoding:
 
     def psi(self, x: Number):
         """The deformation itself: xi_m*(x - m) + B_m on [m, m+1]."""
-        with self.context():
-            x = self._coerce(x)
-            if x < 0 or x > self.domain_limit:
-                raise DomainError(
-                    f"psi argument {x} outside [0, {self.domain_limit}] "
-                    "(truncated coding cannot represent it)"
-                )
-            m = min(int(x), self.max_index)
-            return self.slopes[m] * (x - m) + self.breakpoints[m]
+        x = to_fraction(x)
+        if x < 0 or x > self.domain_limit:
+            raise DomainError(
+                f"psi argument {x} outside [0, {self.domain_limit}] "
+                "(truncated coding cannot represent it)"
+            )
+        m = min(int(x), self.max_index)
+        return self.rounded(self.exact.slopes[m] * (x - m) + self.breakpoints[m])
+
+    def preimage(self, xhat: Number) -> Fraction:
+        """psi_inv(xhat) as the exact Fraction psi_inv rounds.
+
+        A float psi(N+1) may round up past B_{N+1}: inputs up to it read as N+1.
+        """
+        xhat = to_fraction(xhat)
+        top = self.deformed_limit
+        if xhat < 0 or (xhat > top and xhat > to_fraction(self.rounded(top))):
+            raise DomainError(f"psi_inv argument {xhat} outside [0, {top}]")
+        if xhat >= top:
+            return Fraction(self.domain_limit)
+        m = bisect_right(self.breakpoints, xhat) - 1
+        return m + (xhat - self.breakpoints[m]) / self.exact.slopes[m]
 
     def psi_inv(self, xhat: Number):
         """Inverse of psi on [0, B_{N+1}]."""
-        with self.context():
-            xhat = self._coerce(xhat)
-            if xhat < 0 or xhat > self.deformed_limit:
-                raise DomainError(
-                    f"psi_inv argument {xhat} outside [0, {self.deformed_limit}]"
-                )
-            m = min(bisect_right(self.breakpoints, xhat) - 1, self.max_index)
-            return m + (xhat - self.breakpoints[m]) / self.slopes[m]
+        return self.rounded(self.preimage(xhat))
 
-    # Transported arithmetic.  Each operation is conjugation by psi; the
-    # result raises DomainError when the pre-image leaves [0, N+1].
+    # Transported arithmetic: conjugation by psi on the exact pre-images,
+    # rounded once; DomainError when the pre-image leaves [0, N+1].
 
     def hat_add(self, s: Number, t: Number):
-        with self.context():
-            return self.psi(self.psi_inv(s) + self.psi_inv(t))
+        return self.psi(self.preimage(s) + self.preimage(t))
 
     def hat_sub(self, s: Number, t: Number):
-        with self.context():
-            x, y = self.psi_inv(s), self.psi_inv(t)
-            if x < y:
-                raise DomainError("hat_sub needs psi_inv(s) >= psi_inv(t)")
-            return self.psi(x - y)
+        x, y = self.preimage(s), self.preimage(t)
+        if x < y:
+            raise DomainError("hat_sub needs psi_inv(s) >= psi_inv(t)")
+        return self.psi(x - y)
 
     def hat_mul(self, s: Number, t: Number):
-        with self.context():
-            return self.psi(self.psi_inv(s) * self.psi_inv(t))
+        return self.psi(self.preimage(s) * self.preimage(t))
 
     def hat_div(self, s: Number, t: Number):
-        with self.context():
-            x, y = self.psi_inv(s), self.psi_inv(t)
-            if y == 0:
-                raise DomainError("hat_div needs psi_inv(t) != 0")
-            return self.psi(x / y)
+        x, y = self.preimage(s), self.preimage(t)
+        if y == 0:
+            raise DomainError("hat_div needs psi_inv(t) != 0")
+        return self.psi(x / y)
 
     def one_sided_slopes(self, k: int) -> tuple:
         """(a_k, b_k): left and right derivative of psi at the integer k."""

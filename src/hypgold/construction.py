@@ -312,9 +312,7 @@ def verify_continuity(cc: ConstructedCoding, rel_tol: float = DEFAULT_REL_TOL) -
 def eval_G(cc: ConstructedCoding, khat: Number):
     """The constructed function itself: the total-area second derivative at khat."""
     coding = cc.prime_coding
-    with coding.context():
-        k = coding.psi_inv(khat)
-        return hat_AT_second_derivative(coding, cc.alpha, k)
+    return hat_AT_second_derivative(coding, cc.alpha, coding.preimage(khat))
 
 
 class ScalingReport(NamedTuple):

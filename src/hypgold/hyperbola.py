@@ -6,7 +6,8 @@ For codings that identify primes, the transformed curve is differentiable
 exactly at points with no natural coordinate, so lattice points on the
 curve announce themselves through derivative jumps: the boundary lattice
 point (1, k) witnesses that k is natural, interior lattice points witness
-compositeness.
+compositeness.  Curve values are computed on the exact twin and rounded
+once for a float coding; every decision reads the exact values.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from typing import NamedTuple
 
 from .coding import PrimeCoding
 from .errors import DomainError, RangeError, TheoremViolationError
-from .numeric import Number, floor_int, is_integral, to_fraction
+from .numeric import Number, to_fraction
 
 
 class PointKind(Enum):
@@ -46,11 +47,10 @@ def fhat(c: PrimeCoding, alpha: int, u: Number):
     """The transformed anti-diagonal: psi(alpha - psi_inv(u)), u in [0, alpha-hat]."""
     if not 1 <= alpha <= c.domain_limit:
         raise DomainError(f"alpha={alpha} outside the coding's domain")
-    with c.context():
-        x = c.psi_inv(u)
-        if x > alpha:
-            raise DomainError(f"u={u} beyond alpha-hat")
-        return c.psi(alpha - x)
+    x = c.preimage(u)
+    if x > alpha:
+        raise DomainError(f"u={u} beyond alpha-hat")
+    return c.psi(alpha - x)
 
 
 def fhat_one_sided(c: PrimeCoding, alpha: int, m: int) -> tuple:
@@ -61,43 +61,47 @@ def fhat_one_sided(c: PrimeCoding, alpha: int, m: int) -> tuple:
     """
     if not 1 <= m <= alpha - 1:
         raise RangeError(f"m={m} is not interior to [0, {alpha}]")
-    with c.context():
-        a_m, b_m = c.one_sided_slopes(m)
-        a_c, b_c = c.one_sided_slopes(alpha - m)
-        return (-b_c / a_m, -a_c / b_m)
+    a_m, b_m = c.exact.one_sided_slopes(m)
+    a_c, b_c = c.exact.one_sided_slopes(alpha - m)
+    return (c.rounded(-b_c / a_m), c.rounded(-a_c / b_m))
+
+
+def _exact_point(c: PrimeCoding, k: Number, u: Number) -> CurvePoint:
+    """The curve point at u with every field an exact Fraction."""
+    k = to_fraction(k)
+    x = c.preimage(u)
+    if x <= 0:
+        raise DomainError("curve points need psi_inv(u) > 0")
+    y = k / x
+    if y > c.domain_limit:
+        raise DomainError(f"ordinate {y} beyond the coding's domain")
+    return CurvePoint(u=to_fraction(u), v=c.exact.psi(y), x=x, y=y, k=k)
 
 
 def curve_point(c: PrimeCoding, k: Number, u: Number) -> CurvePoint:
-    with c.context():
-        k = c._coerce(k)
-        x = c.psi_inv(u)
-        if x <= 0:
-            raise DomainError("curve points need psi_inv(u) > 0")
-        y = k / x
-        if y > c.domain_limit:
-            raise DomainError(f"ordinate {y} beyond the coding's domain")
-        return CurvePoint(u=u, v=c.psi(y), x=x, y=y, k=k)
+    """The point at u on the image of xy = k, each field rounded once."""
+    return CurvePoint(*map(c.rounded, _exact_point(c, k, u)))
 
 
 def hhat(c: PrimeCoding, k: Number, u: Number):
     """The transformed hyperbola: psi(k / psi_inv(u))."""
-    return curve_point(c, k, u).v
+    return c.rounded(_exact_point(c, k, u).v)
 
 
 def _side_slopes(c: PrimeCoding, t):
-    """Slopes of psi left and right of t: (a_t, b_t) at a natural t, xi_floor(t) twice otherwise."""
-    if is_integral(t) and t >= 1:
-        return c.one_sided_slopes(int(t))
-    s = c.slope(floor_int(t))
+    """Exact slopes of psi either side of t: (a_t, b_t) at a natural t, else xi_floor(t) twice."""
+    if t.denominator == 1 and t >= 1:
+        return c.exact.one_sided_slopes(int(t))
+    s = c.exact.slope(math.floor(t))
     return (s, s)
 
 
 def _curve_one_sided(c: PrimeCoding, pt: CurvePoint) -> tuple:
-    with c.context():
-        a_x, b_x = _side_slopes(c, pt.x)
-        a_y, b_y = _side_slopes(c, pt.y)
-        factor = -pt.k / (pt.x * pt.x)
-        return (factor * b_y / a_x, factor * a_y / b_x)
+    """Exact one-sided derivatives at an exact curve point."""
+    a_x, b_x = _side_slopes(c, pt.x)
+    a_y, b_y = _side_slopes(c, pt.y)
+    factor = -pt.k / (pt.x * pt.x)
+    return (factor * b_y / a_x, factor * a_y / b_x)
 
 
 def hhat_one_sided(c: PrimeCoding, k: Number, u: Number) -> tuple:
@@ -108,7 +112,7 @@ def hhat_one_sided(c: PrimeCoding, k: Number, u: Number) -> tuple:
     coordinate with no natural value has a_t = b_t = xi_floor(t), so the
     two sides differ only where x or y is natural.
     """
-    return _curve_one_sided(c, curve_point(c, k, u))
+    return tuple(map(c.rounded, _curve_one_sided(c, _exact_point(c, k, u))))
 
 
 def classify_point(c: PrimeCoding, k: Number, u: Number) -> PointKind:
@@ -121,7 +125,7 @@ def classify_point(c: PrimeCoding, k: Number, u: Number) -> PointKind:
     """
     if not c.identifies_primes:
         raise DomainError("point classification needs a coding that identifies primes")
-    pt = curve_point(c, k, u)
+    pt = _exact_point(c, k, u)
     if pt.x < 1 or pt.y < pt.x:
         raise DomainError(
             f"point ({pt.x}, {pt.y}) outside the working quadrant x >= 1, y >= x"
@@ -129,7 +133,7 @@ def classify_point(c: PrimeCoding, k: Number, u: Number) -> PointKind:
     left, right = _curve_one_sided(c, pt)
     if left == right:
         return PointKind.SMOOTH
-    if pt.x == 1 and is_integral(pt.y):
+    if pt.x == 1 and pt.y.denominator == 1:
         return PointKind.SEMI_VORTEX
     return PointKind.VORTEX
 
@@ -151,7 +155,7 @@ def lattice_witnesses(c: PrimeCoding, k: Number) -> tuple:
         raise DomainError("classification needs k > 1")
     if kv > c.max_index:
         raise RangeError(f"k={k} beyond slope index {c.max_index}")
-    if not is_integral(kv):
+    if kv.denominator != 1:
         return ()
     kn = int(kv)
     exact = c.exact

@@ -9,7 +9,7 @@ lossless.
 
 from __future__ import annotations
 
-import math
+import sys
 from fractions import Fraction
 from typing import Union
 
@@ -65,20 +65,33 @@ def to_mpf(x: Number, precision: int = DEFAULT_PRECISION) -> mpf:
         return mpf(x)
 
 
+def _digit_limit() -> str:
+    # Values beyond it are refused, the limit never lifted: it keeps typed
+    # input from costing quadratic time.
+    return f"the {sys.get_int_max_str_digits()}-digit limit of Python's int/str conversion"
+
+
 def parse_exact(text: str) -> Fraction:
     """Parse a ``"p/q"`` or decimal string exactly."""
     try:
         return Fraction(text.strip())
     except (ValueError, ZeroDivisionError) as exc:
+        if 0 < sys.get_int_max_str_digits() < len(text):
+            raise DomainError(
+                f"cannot parse a number of {len(text)} characters: beyond {_digit_limit()}"
+            ) from exc
         raise DomainError(f"cannot parse number {text!r}") from exc
 
 
 def format_exact(x: Number) -> str:
     """Serialize as an exact ``"p/q"`` (or plain integer) string."""
     f = to_fraction(x)
-    if f.denominator == 1:
-        return str(f.numerator)
-    return f"{f.numerator}/{f.denominator}"
+    try:
+        if f.denominator == 1:
+            return str(f.numerator)
+        return f"{f.numerator}/{f.denominator}"
+    except ValueError as exc:
+        raise DomainError(f"cannot print an exact value beyond {_digit_limit()}") from exc
 
 
 def format_real(x: Number) -> str:
@@ -86,26 +99,6 @@ def format_real(x: Number) -> str:
     if isinstance(x, Fraction):
         x = to_mpf(x)
     return mpmath.nstr(mpf(x), 17, strip_zeros=True)
-
-
-def is_integral(x: Number) -> bool:
-    if isinstance(x, int):
-        return True
-    if isinstance(x, Fraction):
-        return x.denominator == 1
-    if isinstance(x, float):
-        return x == math.floor(x)
-    if isinstance(x, mpf):
-        return bool(mpmath.isint(x))
-    raise TypeError(f"unsupported numeric type {type(x).__name__}")
-
-
-def floor_int(x: Number) -> int:
-    if isinstance(x, (int, Fraction, float)):
-        return int(math.floor(x))
-    if isinstance(x, mpf):
-        return int(mpmath.floor(x))
-    raise TypeError(f"unsupported numeric type {type(x).__name__}")
 
 
 def rel_diff(a: Number, b: Number) -> float:

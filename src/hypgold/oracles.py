@@ -18,7 +18,7 @@ from typing import NamedTuple
 
 from .coding import PrimeCoding
 from .errors import DomainError, QuadratureError, RangeError, RegionMismatchError
-from .numeric import Number, is_integral, to_fraction
+from .numeric import Number, to_fraction
 from .regions import RegionType
 
 QUAD_ABS_TOL = 1e-10
@@ -114,7 +114,7 @@ def geometric_region_oracle(k, n: int, n_prime: int):
     when the intersection has at most one point.  Exact in rationals.
     """
     k = to_fraction(k)
-    if is_integral(k):
+    if k.denominator == 1:
         raise DomainError("the geometric oracle needs a non-integer k")
     if k <= 4:
         raise DomainError("the geometric oracle needs k > 4")

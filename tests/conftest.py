@@ -1,6 +1,7 @@
 """Shared coding factories for the test suite."""
 
 import random
+import sys
 from fractions import Fraction
 
 import mpmath
@@ -57,3 +58,14 @@ def strict_families(max_index: int) -> list:
 @pytest.fixture(scope="session")
 def default20() -> PrimeCoding:
     return default_coding(20)
+
+
+@pytest.fixture
+def low_digit_limit():
+    """Python's int/str digit limit lowered to its floor, 640, and restored afterwards."""
+    saved = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        yield 640
+    finally:
+        sys.set_int_max_str_digits(saved)

@@ -241,6 +241,16 @@ def test_hat_at_matches_finite_difference_of_area_sums():
             assert rel_diff(fd, exact) < 1e-5, k0
 
 
+def test_hat_lower_sweep_sums_at_the_coding_precision():
+    # A rational coding has no working-precision context of its own: the sum
+    # of its 128-bit deformed areas must not round at mpmath's global 53 bits.
+    c = default_coding(40)
+    khat = c.psi(Fraction(37, 2))
+    with mp.workprec(53):
+        at_53 = hat_lower_sweep(c, khat)
+    assert at_53 == hat_lower_sweep(c, khat)
+
+
 def test_hat_at_one_sided_at_integer_k():
     c = default_coding(24)
     alpha = 18

@@ -304,6 +304,38 @@ def test_domain_error_exit_1(capsys):
     assert "error" in json.loads(err)
 
 
+@pytest.mark.parametrize("command, message", [
+    pytest.param(["classify", "--k", "1"], "classification needs k > 1", id="classify-k-1"),
+    pytest.param(["classify", "--k", "7", "--coding", "ALTERNATING"],
+                 "number classification needs a coding that identifies primes",
+                 id="classify-coding-not-identifying-primes"),
+    pytest.param(["build-g", "--alpha", "18", "--xi-half", "0"],
+                 "xi_half_sq must be positive", id="build-g-xi-half-0"),
+])
+def test_domain_errors_exit_1_with_payload(tmp_path, capsys, command, message):
+    # Slopes 1, 2, 1, 2, ...: xi_0 xi_1 = xi_1 xi_2, so the coding does not identify primes.
+    coding = tmp_path / "alternating.json"
+    coding.write_text(json.dumps({"slopes": [str(1 + i % 2) for i in range(20)]}))
+    command = [str(coding) if arg == "ALTERNATING" else arg for arg in command]
+    rc, out, err = run(capsys, command + ["--out", str(tmp_path / "out.json")])
+    assert rc == 1 and out == ""
+    assert json.loads(err) == {"error": "DomainError", "message": message}
+    assert not (tmp_path / "out.json").exists()
+
+
+@pytest.mark.parametrize("command", [
+    pytest.param(["build-g", "--alpha", "18", "--precision", "2200"], id="build-g-wide-slopes"),
+    pytest.param(["classify", "--k", "7" * 641], id="classify-wide-k"),
+])
+def test_values_beyond_the_digit_limit_exit_1(tmp_path, capsys, low_digit_limit, command):
+    # At 2200 bits the constructed slopes have denominators of 663 digits.
+    rc, out, err = run(capsys, command + ["--out", str(tmp_path / "out.json")])
+    assert rc == 1 and out == ""
+    payload = json.loads(err)
+    assert payload["error"] == "DomainError"
+    assert "640-digit limit" in payload["message"] and len(payload["message"]) < 100
+
+
 @pytest.mark.parametrize("option, content", [
     pytest.param("--coding", b'{"slopes": ["1", "2"', id="coding-truncated"),
     pytest.param("--coding", b"\xff\xfe", id="coding-not-utf8"),

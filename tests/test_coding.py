@@ -77,6 +77,28 @@ def test_round_trip_float_mode():
         assert rel_diff(c.psi_inv(c.psi(x)), x) <= 1e-12
 
 
+def test_float_round_trip_at_the_top():
+    # psi(N+1) rounds B_{N+1} to nearest and lands above it about half the
+    # time: psi_inv takes any input up to that rounded top, reads what lies
+    # above B_{N+1} as N+1, and refuses what lies above both.
+    rng = random.Random(400)
+    above = 0
+    for _ in range(400):
+        slopes = tuple(Fraction(rng.randrange(1, 10 ** 6), rng.randrange(1, 10 ** 6))
+                       for _ in range(rng.randrange(1, 30)))
+        c = PrimeCoding(slopes=slopes, mode=MODE_FLOAT, precision=53)
+        top = c.psi(c.domain_limit)
+        x = c.psi_inv(top)
+        if to_fraction(top) > c.deformed_limit:
+            above += 1
+            assert c.preimage(top) == x == c.domain_limit
+        else:
+            assert c.preimage(top) <= c.domain_limit
+        with pytest.raises(DomainError):
+            c.psi_inv(max(to_fraction(top), c.deformed_limit) + Fraction(1, 2 ** 80))
+    assert above > 100
+
+
 def test_strict_monotonicity():
     c = seeded_coding(10, 9)
     pts = sorted(rational_points(c, 400, seed=3))

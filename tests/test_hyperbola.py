@@ -6,6 +6,9 @@ import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from mpmath import mpf
 
 from hypgold.areas import hat_lower_sweep
 from hypgold.coding import PrimeCoding, default_coding
@@ -22,7 +25,7 @@ from hypgold.hyperbola import (
     hhat_one_sided,
     lattice_witnesses,
 )
-from hypgold.numeric import rel_diff
+from hypgold.numeric import rel_diff, to_mpf
 from hypgold.oracles import is_prime
 
 from conftest import arith_coding, identity_coding, pow2_coding, seeded_coding
@@ -228,8 +231,9 @@ def test_classify_number_float_mode():
 
 def test_float_coding_agrees_with_its_exact_twin():
     # Dyadic slopes: the float coding and its twin describe the same curve,
-    # so the float path (mpf coordinates through is_integral and floor_int)
-    # must reach the twin's kinds and, to rounding, its one-sided slopes.
+    # so the float coding, which decides on exact coordinates and rounds
+    # only what it returns, must reach the twin's kinds and, to rounding,
+    # its one-sided slopes.
     c = PrimeCoding(slopes=tuple(1 + Fraction(m, 32) for m in range(33)), mode="float")
     twin = c.exact
     points = [
@@ -249,6 +253,105 @@ def test_float_coding_agrees_with_its_exact_twin():
     for k in (Fraction(37, 2), 10, Fraction(29, 3)):
         got = hat_lower_sweep(c, c.psi(k))
         assert rel_diff(got, hat_lower_sweep(twin, twin.psi(k))) < 1e-30, k
+
+
+def test_float_point_classification_reads_k_exactly():
+    # k = 30 + 2^-60 rounds to 30 at 53 bits, which would put the lattice
+    # point (1, 30) on the curve and call the non-natural k natural.
+    c = default_coding(40, mode="float", precision=53)
+    k = 30 + Fraction(1, 2 ** 60)
+    assert classify_point(c.exact, k, c.exact.psi(1)) is PointKind.VORTEX
+    assert classify_point(c, k, c.psi(1)) is PointKind.VORTEX
+
+
+def test_float_one_sided_slopes_read_u_exactly():
+    # x = psi_inv(u) = 3 + 2^-60 / xi_3: u rounds onto psi(3) at 53 bits,
+    # which would report the jump of the lattice abscissa x = 3.
+    c = default_coding(40, mode="float", precision=53)
+    u = c.exact.psi(3) + Fraction(1, 2 ** 60)
+    want = hhat_one_sided(c.exact, 7, u)
+    assert want[0] == want[1]
+    assert hhat_one_sided(c, 7, u) == (to_mpf(want[0], 53),) * 2
+
+
+@st.composite
+def float_coding_cases(draw):
+    """A strict float coding of 10..24 slopes and exact points inside its domain."""
+    steps = draw(st.lists(st.tuples(st.integers(min_value=1, max_value=3000),
+                                    st.integers(min_value=1, max_value=1000)),
+                          min_size=10, max_size=24))
+    slopes, acc = [], Fraction(0)
+    for p, q in steps:
+        acc += Fraction(p, q)
+        slopes.append(acc)
+    precision = draw(st.sampled_from([53, 128, 256]))
+    c = PrimeCoding(slopes=tuple(slopes), mode="float", precision=precision)
+
+    def coordinate(lo, hi):
+        # Naturals, short rationals, and points 2^-e off a natural.
+        n = Fraction(draw(st.integers(min_value=lo, max_value=hi)))
+        kind = draw(st.sampled_from(["natural", "rational", "near"]))
+        if kind == "rational":
+            q = draw(st.integers(min_value=1, max_value=50))
+            return min(n + Fraction(draw(st.integers(min_value=0, max_value=q)), q), hi)
+        if kind == "near":
+            return min(n + Fraction(1, 2 ** draw(st.integers(min_value=40, max_value=300))), hi)
+        return n
+
+    x = coordinate(1, 4)
+    y = max(x, coordinate(1, 8))
+    s, t = coordinate(0, 5), coordinate(0, 5)
+    alpha = draw(st.integers(min_value=2, max_value=c.max_index))
+    m = draw(st.integers(min_value=1, max_value=alpha - 1))
+    return c, x, y, s, t, alpha, m
+
+
+def _rounded_twin(c, got, want):
+    """got is want rounded once at c's precision, bit for bit, field by field."""
+    if isinstance(want, tuple):
+        assert len(got) == len(want)
+        for g, w in zip(got, want):
+            _rounded_twin(c, g, w)
+        return
+    assert isinstance(want, Fraction) and isinstance(got, mpf)
+    assert got == to_mpf(want, c.precision), (got, want)
+
+
+@given(float_coding_cases())
+@settings(max_examples=300, deadline=None)
+def test_float_coding_rounds_its_exact_twin_once(case):
+    c, x, y, s, t, alpha, m = case
+    twin = c.exact
+    k = x * y
+    u = twin.psi(x)
+    hats = twin.psi(s), twin.psi(t)
+    top = twin.deformed_limit
+    for got, want in [
+        (c.psi(s), twin.psi(s)),
+        (c.psi_inv(hats[0]), twin.psi_inv(hats[0])),
+        (c.psi_inv(top), twin.psi_inv(top)),
+        (c.psi_inv(top / 3), twin.psi_inv(top / 3)),
+        (c.hat_add(*hats), twin.hat_add(*hats)),
+        (curve_point(c, k, u), curve_point(twin, k, u)),
+        (hhat(c, k, u), hhat(twin, k, u)),
+        (hhat_one_sided(c, k, u), hhat_one_sided(twin, k, u)),
+        (fhat(c, alpha, twin.psi(alpha) / 3), fhat(twin, alpha, twin.psi(alpha) / 3)),
+        (fhat_one_sided(c, alpha, m), fhat_one_sided(twin, alpha, m)),
+    ]:
+        _rounded_twin(c, got, want)
+    if s * t <= c.domain_limit:
+        _rounded_twin(c, c.hat_mul(*hats), twin.hat_mul(*hats))
+    if s >= t:
+        _rounded_twin(c, c.hat_sub(*hats), twin.hat_sub(*hats))
+    if t and s / t <= c.domain_limit:
+        _rounded_twin(c, c.hat_div(*hats), twin.hat_div(*hats))
+    assert classify_point(c, k, u) is classify_point(twin, k, u)
+    # The float coding's own rounded psi(x) lands near x, not on it; the
+    # float coding decides that point as the twin does.
+    u_float = c.psi(x)
+    x_float = twin.psi_inv(u_float)
+    if 1 <= x_float <= k / x_float:
+        assert classify_point(c, k, u_float) is classify_point(twin, k, u_float)
 
 
 def test_float_classification_is_linear():

@@ -3,18 +3,20 @@
 import math
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from mpmath import mp, mpf
 
-from hypgold.numeric import floor_int, is_integral, mantissa_pair, rel_diff, to_fraction, to_mpf
-
-
-def test_integrality_and_floor_of_mpf():
-    for value, integral, floor in ((mpf(3), True, 3), (mpf(-2.5), False, -3),
-                                   (mpf(2) ** 200, True, 2 ** 200),
-                                   (1 + mpf(2) ** -100, False, 1)):
-        assert (is_integral(value), floor_int(value)) == (integral, floor), value
+from hypgold.errors import DomainError
+from hypgold.numeric import (
+    format_exact,
+    mantissa_pair,
+    parse_exact,
+    rel_diff,
+    to_fraction,
+    to_mpf,
+)
 
 
 def test_zero_round_trips():
@@ -100,3 +102,20 @@ def test_rel_diff_sees_the_operands_last_bit():
     b = to_mpf(1 + Fraction(1, 2 ** 255), 256)
     assert rel_diff(a, b) == float(Fraction(1, 2 ** 255) / (1 + Fraction(1, 2 ** 255)))
     assert rel_diff(a, a) == 0.0 and rel_diff(0, 0.0) == 0.0
+
+
+def test_values_beyond_the_digit_limit_are_domain_errors(low_digit_limit):
+    # The limit stays in force: an exact value it refuses is a DomainError
+    # that names the limit, and the refused input is not echoed.
+    wide = "7" * (low_digit_limit + 1)
+    for value in (Fraction(10 ** low_digit_limit), Fraction(1, 3 ** 1400)):
+        with pytest.raises(DomainError, match="640-digit limit") as info:
+            format_exact(value)
+        assert len(str(info.value)) < 100
+    for text in (wide, f"1/{wide}", f"0.{wide}", f"1e{wide}"):
+        with pytest.raises(DomainError, match="640-digit limit") as info:
+            parse_exact(text)
+        assert len(str(info.value)) < 100
+    assert parse_exact("7" * low_digit_limit) == (10 ** low_digit_limit - 1) // 9 * 7
+    with pytest.raises(DomainError, match="cannot parse number 'x7'"):
+        parse_exact("x7")
