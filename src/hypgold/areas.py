@@ -100,13 +100,15 @@ def area_closed(rtype: RegionType, n: int, n_prime: int, k: Number,
         return AreaFormulaResult(area=area, d1=d1, d2=d2)
 
 
-def hat_area(c: PrimeCoding, n: int, n_prime: int, area):
+def hat_area(c: PrimeCoding, n: int, n_prime: int, area,
+             precision: int = DEFAULT_PRECISION):
     """Deformed-plane area of the cell (n, n') with real-plane area ``area``.
 
     psi is affine on the cell, so the Jacobian is the constant xi_n * xi_{n'}.
+    The product is taken at ``precision``, the bits ``area`` was computed at.
     """
-    with mp.workprec(c.precision):
-        return to_mpf(c.slope(n), c.precision) * to_mpf(c.slope(n_prime), c.precision) * area
+    with mp.workprec(precision):
+        return to_mpf(c.slope(n), precision) * to_mpf(c.slope(n_prime), precision) * area
 
 
 def _check_alpha_coding(c: PrimeCoding, alpha: int, need_index: int) -> None:
@@ -173,7 +175,7 @@ def hat_lower_sweep(c: PrimeCoding, khat: Number):
         total = to_mpf(0, c.precision)
         for n, n_prime, rtype in enumerate_regions(k0):
             area = area_closed(rtype, n, n_prime, k, precision=c.precision, check=False).area
-            total = total + hat_area(c, n, n_prime, area)
+            total = total + hat_area(c, n, n_prime, area, c.precision)
         return total
 
 

@@ -245,7 +245,8 @@ def areas(k0, k_text, coding_path, cfg, out):
             "d1": res.d1,
             "d2": res.d2,
             # The identity coding's Jacobian is 1.
-            "hat_area": hat_area(coding, n, np_, res.area) if coding else res.area,
+            "hat_area": (hat_area(coding, n, np_, res.area, cfg.precision_bits)
+                         if coding else res.area),
         })
     payload = {
         "command": "areas",

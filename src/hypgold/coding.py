@@ -8,6 +8,11 @@ finitely many slopes.  When the slopes increase strictly the coding
 *identifies primes*: deformed hyperbolas are differentiable exactly at
 points with no natural coordinate.
 
+The exact slopes are held as integers over one denominator L, the lcm of
+their reduced denominators: ``xi_m = ints[m] / L``.  psi, psi_inv, the
+breakpoints and every decision run on those integers, and a ``Fraction``
+is built only for a value a caller receives.
+
 Only the piecewise-affine family is implemented.  A general coding would
 present the same surface: ``psi``/``psi_inv`` as a strictly increasing
 bijection of the truncated half-line fixing 0, one-sided derivatives
@@ -21,10 +26,9 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from contextlib import nullcontext
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import accumulate
+from itertools import accumulate, islice
 
 from mpmath import mp
 
@@ -36,6 +40,7 @@ from .numeric import (
     MODE_RATIONAL,
     MODES,
     Number,
+    bounded_str,
     format_exact,
     mantissa_pair,
     parse_exact,
@@ -44,32 +49,85 @@ from .numeric import (
 )
 
 
-@dataclass(frozen=True)
 class PrimeCoding:
-    """Immutable truncated piecewise-affine coding; all methods are pure."""
+    """Immutable truncated piecewise-affine coding; all methods are pure.
 
-    slopes: tuple
-    mode: str = MODE_RATIONAL
-    precision: int = DEFAULT_PRECISION
+    A rational coding is its ``scaled_slopes`` ``(ints, L)``, and its
+    ``slopes`` Fractions ``ints[m]/L`` are built only when read.  A float
+    coding is its mpf ``slopes``; its exact twin ``exact`` is built from
+    their mantissas, with L a power of two, when a decision first needs it.
+    Two codings are equal, and hash equal, when mode, precision and these
+    values are.
+    """
 
-    def __post_init__(self):
-        if self.mode not in MODES:
-            raise DomainError(f"unknown mode {self.mode!r}")
-        p = self.precision
-        if not isinstance(p, int) or isinstance(p, bool) or p < MIN_PRECISION:
-            raise DomainError(
-                f"coding 'precision' must be an integer of at least {MIN_PRECISION} bits, "
-                f"got {p!r}"
-            )
-        if not self.slopes:
-            raise DomainError("a coding needs at least one slope")
-        if self.mode == MODE_RATIONAL:
-            slopes = tuple(to_fraction(s) for s in self.slopes)
+    def __init__(self, slopes, mode: str = MODE_RATIONAL, precision: int = DEFAULT_PRECISION):
+        _check_settings(slopes, mode, precision)
+        if mode == MODE_FLOAT:
+            self._freeze(mode, precision, "slopes", tuple(to_mpf(s, precision) for s in slopes))
         else:
-            slopes = tuple(to_mpf(s, self.precision) for s in self.slopes)
-        if any(s <= 0 for s in slopes):
+            fs = [to_fraction(s) for s in slopes]
+            lcm = math.lcm(*(f.denominator for f in fs))
+            self._freeze(mode, precision, "scaled_slopes",
+                         (tuple(f.numerator * (lcm // f.denominator) for f in fs), lcm))
+
+    @classmethod
+    def from_scaled(cls, ints, scale: int, precision: int = DEFAULT_PRECISION) -> "PrimeCoding":
+        """The rational coding with slopes ints[m]/scale, for integers ints[m] and scale > 0."""
+        ints = tuple(ints)
+        _check_settings(ints, MODE_RATIONAL, precision)
+        if scale < 1:
+            raise DomainError("a coding's scale must be a positive integer")
+        g = math.gcd(scale, *ints)
+        if g > 1:
+            ints, scale = tuple(a // g for a in ints), scale // g
+        c = cls.__new__(cls)
+        c._freeze(MODE_RATIONAL, precision, "scaled_slopes", (ints, scale))
+        return c
+
+    def _freeze(self, mode: str, precision: int, name: str, value: tuple) -> None:
+        if min(value[0] if name == "scaled_slopes" else value) <= 0:
             raise DomainError("all slopes must be positive")
-        object.__setattr__(self, "slopes", slopes)
+        self.__dict__.update({"mode": mode, "precision": precision, name: value})
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r} of an immutable coding")
+
+    __delattr__ = __setattr__
+
+    @property
+    def _key(self) -> tuple:
+        values = self.slopes if self.mode == MODE_FLOAT else self.scaled_slopes
+        return values, self.mode, self.precision
+
+    def __eq__(self, other):
+        return self._key == other._key if other.__class__ is self.__class__ else NotImplemented
+
+    def __hash__(self):
+        return hash(self._key)
+
+    def __reduce__(self):
+        if self.mode == MODE_FLOAT:
+            return PrimeCoding, (self.slopes, self.mode, self.precision)
+        return PrimeCoding.from_scaled, (*self.scaled_slopes, self.precision)
+
+    def __repr__(self):
+        return f"PrimeCoding(slopes={self.slopes!r}, mode={self.mode!r}, precision={self.precision})"
+
+    @cached_property
+    def slopes(self) -> tuple:
+        """xi_0 .. xi_N: mpf in float mode, Fractions built on first read in rational mode."""
+        ints, lcm = self.scaled_slopes
+        return tuple(Fraction(a, lcm) for a in ints)
+
+    @cached_property
+    def scaled_slopes(self) -> tuple:
+        """(ints, L): the exact slopes times L, the lcm of their denominators.
+
+        x_{k0} is a degree-2 form with coefficients in {+-1, +-1/2}, so it
+        is exactly (2*x_{k0} at the ints) / (2*L**2).  A float coding reads
+        its exact twin's.
+        """
+        return self.exact.scaled_slopes
 
     def context(self):
         """Working-precision context for float mode, no-op for rational."""
@@ -80,28 +138,34 @@ class PrimeCoding:
     @property
     def max_index(self) -> int:
         """N: the largest slope index."""
-        return len(self.slopes) - 1
+        return len(self.slopes if self.mode == MODE_FLOAT else self.scaled_slopes[0]) - 1
 
     @property
     def domain_limit(self) -> int:
         """N + 1: largest representable real-line value."""
-        return len(self.slopes)
+        return self.max_index + 1
 
     @cached_property
+    def _scaled_breakpoints(self) -> tuple:
+        """L*B_0 = 0, ..., L*B_{N+1}: partial sums of the scaled slopes, as ints."""
+        return tuple(accumulate(self.scaled_slopes[0], initial=0))
+
+    @property
     def breakpoints(self) -> tuple:
         """B_0 = 0, B_m = xi_0 + ... + xi_{m-1}, up to B_{N+1}; exact Fractions in both modes."""
-        return (Fraction(0), *accumulate(self.exact.slopes))
+        lcm = self.scaled_slopes[1]
+        return tuple(Fraction(b, lcm) for b in self.exact._scaled_breakpoints)
 
     @property
     def deformed_limit(self) -> Fraction:
         """B_{N+1}: the truncated image is [0, B_{N+1}]."""
-        return self.breakpoints[-1]
+        return Fraction(self.exact._scaled_breakpoints[-1], self.scaled_slopes[1])
 
     @cached_property
     def strict_through(self) -> int:
         """The largest i with xi_0 < ... < xi_i; exact on mpf slopes too."""
-        slopes = self.slopes
-        return next((i for i, (a, b) in enumerate(zip(slopes, slopes[1:])) if a >= b),
+        xs = self.slopes if self.mode == MODE_FLOAT else self.scaled_slopes[0]
+        return next((i for i, (a, b) in enumerate(zip(xs, islice(xs, 1, None))) if a >= b),
                     self.max_index)
 
     @property
@@ -118,18 +182,23 @@ class PrimeCoding:
     def slope(self, m: int):
         if not 0 <= m <= self.max_index:
             raise RangeError(f"slope index {m} outside 0..{self.max_index}")
-        return self.slopes[m]
+        if self.mode == MODE_FLOAT:
+            return self.slopes[m]
+        ints, lcm = self.scaled_slopes
+        return Fraction(ints[m], lcm)
 
     def psi(self, x: Number):
         """The deformation itself: xi_m*(x - m) + B_m on [m, m+1]."""
         x = to_fraction(x)
         if x < 0 or x > self.domain_limit:
             raise DomainError(
-                f"psi argument {x} outside [0, {self.domain_limit}] "
+                f"psi argument {bounded_str(x)} outside [0, {self.domain_limit}] "
                 "(truncated coding cannot represent it)"
             )
         m = min(int(x), self.max_index)
-        return self.rounded(self.exact.slopes[m] * (x - m) + self.breakpoints[m])
+        (ints, lcm), scaled_b = self.scaled_slopes, self.exact._scaled_breakpoints
+        p, q = x.numerator, x.denominator
+        return self.rounded(Fraction(ints[m] * (p - m * q) + scaled_b[m] * q, lcm * q))
 
     def preimage(self, xhat: Number) -> Fraction:
         """psi_inv(xhat) as the exact Fraction psi_inv rounds.
@@ -139,11 +208,15 @@ class PrimeCoding:
         xhat = to_fraction(xhat)
         top = self.deformed_limit
         if xhat < 0 or (xhat > top and xhat > to_fraction(self.rounded(top))):
-            raise DomainError(f"psi_inv argument {xhat} outside [0, {top}]")
+            raise DomainError(
+                f"psi_inv argument {bounded_str(xhat)} outside [0, {bounded_str(top)}]")
         if xhat >= top:
             return Fraction(self.domain_limit)
-        m = bisect_right(self.breakpoints, xhat) - 1
-        return m + (xhat - self.breakpoints[m]) / self.exact.slopes[m]
+        (ints, lcm), scaled_b = self.scaled_slopes, self.exact._scaled_breakpoints
+        p, q = xhat.numerator, xhat.denominator
+        # scaled_b holds ints, so B_m <= xhat exactly when L*B_m <= floor(L*xhat).
+        m = bisect_right(scaled_b, lcm * p // q) - 1
+        return Fraction(m * ints[m] * q + lcm * p - scaled_b[m] * q, ints[m] * q)
 
     def psi_inv(self, xhat: Number):
         """Inverse of psi on [0, B_{N+1}]."""
@@ -174,7 +247,7 @@ class PrimeCoding:
         """(a_k, b_k): left and right derivative of psi at the integer k."""
         if not 1 <= k <= self.max_index:
             raise RangeError(f"one-sided slopes need 1 <= k <= {self.max_index}")
-        return (self.slopes[k - 1], self.slopes[k])
+        return (self.slope(k - 1), self.slope(k))
 
     @cached_property
     def exact(self) -> "PrimeCoding":
@@ -186,18 +259,9 @@ class PrimeCoding:
         """
         if self.mode == MODE_RATIONAL:
             return self
-        return PrimeCoding(self.slopes)
-
-    @cached_property
-    def scaled_slopes(self) -> tuple:
-        """(ints, L): the exact slopes times L, the lcm of their denominators.
-
-        x_{k0} is a degree-2 form with coefficients in {+-1, +-1/2}, so it
-        is exactly (2*x_{k0} at the ints) / (2*L**2).
-        """
-        xs = self.exact.slopes
-        lcm = math.lcm(*(s.denominator for s in xs))
-        return tuple(s.numerator * (lcm // s.denominator) for s in xs), lcm
+        pairs = self.mantissa_pairs
+        shift = max(0, -min(e for _, e in pairs))
+        return PrimeCoding.from_scaled([m << (e + shift) for m, e in pairs], 1 << shift)
 
     @cached_property
     def mantissa_pairs(self) -> tuple:
@@ -211,16 +275,16 @@ class PrimeCoding:
         Decided on the exact slopes.  A strict coding has the property
         (0 < a < b and 0 < c < d give ac < bd); otherwise the condition
         reads r_i*r_j != 1 for the ratios r_i = xi_{i+1}/xi_i, which one set
-        of the ratios seen so far decides.
+        of the ratios seen so far decides, each held as a reduced int pair.
         """
         if self.strict:
             return True
-        xs = self.exact.slopes
+        ints = self.scaled_slopes[0]
         ratios = set()
-        for a, b in zip(xs, xs[1:]):
-            r = b / a
-            ratios.add(r)
-            if 1 / r in ratios:
+        for a, b in zip(ints, ints[1:]):
+            g = math.gcd(a, b)
+            ratios.add((b // g, a // g))
+            if (a // g, b // g) in ratios:
                 return False
         return True
 
@@ -228,18 +292,30 @@ class PrimeCoding:
         """a_m*a_{alpha-m} != b_m*b_{alpha-m} for every m = 1..alpha-1, on the exact slopes."""
         if not 2 <= alpha <= self.max_index:
             raise RangeError(f"identifies_naturals needs 2 <= alpha <= {self.max_index}")
-        xs = self.exact.slopes
+        xs = self.scaled_slopes[0]
         return all(xs[m - 1] * xs[alpha - m - 1] != xs[m] * xs[alpha - m]
                    for m in range(1, alpha))
 
 
+def _check_settings(slopes, mode: str, precision: int) -> None:
+    if mode not in MODES:
+        raise DomainError(f"unknown mode {mode!r}")
+    if not isinstance(precision, int) or isinstance(precision, bool) or precision < MIN_PRECISION:
+        raise DomainError(
+            f"coding 'precision' must be an integer of at least {MIN_PRECISION} bits, "
+            f"got {precision!r}"
+        )
+    if not slopes:
+        raise DomainError("a coding needs at least one slope")
+
+
 def default_coding(max_index: int, mode: str = MODE_RATIONAL,
                    precision: int = DEFAULT_PRECISION) -> PrimeCoding:
-    """The default strict coding xi_m = 1 + m/N (configurable elsewhere)."""
+    """The default strict coding xi_m = 1 + m/N = (N + m)/N (configurable elsewhere)."""
     if max_index < 1:
         raise DomainError("default coding needs max_index >= 1")
-    slopes = tuple(1 + Fraction(m, max_index) for m in range(max_index + 1))
-    return PrimeCoding(slopes=slopes, mode=mode, precision=precision)
+    c = PrimeCoding.from_scaled(range(max_index, 2 * max_index + 1), max_index, precision)
+    return c if mode == MODE_RATIONAL else PrimeCoding(c.slopes, mode, precision)
 
 
 def coding_to_json(c: PrimeCoding) -> dict:

@@ -18,7 +18,7 @@ from typing import NamedTuple
 
 from .coding import PrimeCoding
 from .errors import DomainError, RangeError, TheoremViolationError
-from .numeric import Number, to_fraction
+from .numeric import Number, bounded_str, to_fraction
 
 
 class PointKind(Enum):
@@ -49,7 +49,7 @@ def fhat(c: PrimeCoding, alpha: int, u: Number):
         raise DomainError(f"alpha={alpha} outside the coding's domain")
     x = c.preimage(u)
     if x > alpha:
-        raise DomainError(f"u={u} beyond alpha-hat")
+        raise DomainError(f"u={bounded_str(u)} beyond alpha-hat")
     return c.psi(alpha - x)
 
 
@@ -74,7 +74,7 @@ def _exact_point(c: PrimeCoding, k: Number, u: Number) -> CurvePoint:
         raise DomainError("curve points need psi_inv(u) > 0")
     y = k / x
     if y > c.domain_limit:
-        raise DomainError(f"ordinate {y} beyond the coding's domain")
+        raise DomainError(f"ordinate {bounded_str(y)} beyond the coding's domain")
     return CurvePoint(u=to_fraction(u), v=c.exact.psi(y), x=x, y=y, k=k)
 
 
@@ -128,7 +128,8 @@ def classify_point(c: PrimeCoding, k: Number, u: Number) -> PointKind:
     pt = _exact_point(c, k, u)
     if pt.x < 1 or pt.y < pt.x:
         raise DomainError(
-            f"point ({pt.x}, {pt.y}) outside the working quadrant x >= 1, y >= x"
+            f"point ({bounded_str(pt.x)}, {bounded_str(pt.y)}) outside the working quadrant "
+            "x >= 1, y >= x"
         )
     left, right = _curve_one_sided(c, pt)
     if left == right:
@@ -154,7 +155,7 @@ def lattice_witnesses(c: PrimeCoding, k: Number) -> tuple:
     if kv <= 1:
         raise DomainError("classification needs k > 1")
     if kv > c.max_index:
-        raise RangeError(f"k={k} beyond slope index {c.max_index}")
+        raise RangeError(f"k={bounded_str(k)} beyond slope index {c.max_index}")
     if kv.denominator != 1:
         return ()
     kn = int(kv)

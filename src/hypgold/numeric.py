@@ -94,6 +94,14 @@ def format_exact(x: Number) -> str:
         raise DomainError(f"cannot print an exact value beyond {_digit_limit()}") from exc
 
 
+def bounded_str(x: Number) -> str:
+    """str(x) for a message, or a note of the digit limit where str refuses x."""
+    try:
+        return str(x)
+    except ValueError:
+        return f"<a number beyond {_digit_limit()}>"
+
+
 def format_real(x: Number) -> str:
     """Lossy but deterministic 17-digit decimal rendering for float-valued reports."""
     if isinstance(x, Fraction):

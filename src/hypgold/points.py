@@ -12,14 +12,18 @@ the window {5, ..., alpha/2 - 1}.
 
 x_{k0} is summed in one term order, the polynomial's sorted order, in
 O(sqrt(k0)) steps and with no region set built.  ``_twice_lower_value``
-sums exactly, on the integer-scaled slopes of a rational coding;
-``_rounded_lower`` takes the same steps on (int mantissa, exponent)
-pairs and rounds each product and sum to nearest, ties to even, as mpf
-arithmetic rounds it.  So a float x_{k0} has the bits
-``EssentialPolynomial.evaluate`` gives at the same precision, with no
-mpf arithmetic.  ``lower_value`` reads a coding through one or the
-other; the construction calls ``_rounded_lower`` on the slopes it has
-so far.  The region polynomial stays the definition and the oracle.
+sums exactly on a coding's scaled slopes ints = L*xi, giving the int
+2*L**2*x_{k0} (``scaled_lower_value``); ``_rounded_lower`` takes the
+same steps on (int mantissa, exponent) pairs and rounds each product and
+sum to nearest, ties to even, as mpf arithmetic rounds it.  So a float
+x_{k0} has the bits ``EssentialPolynomial.evaluate`` gives at the same
+precision, with no mpf arithmetic.  ``lower_value`` reads a coding
+through one or the other; the construction calls ``_rounded_lower`` on
+the slopes it has so far.  The region polynomial stays the definition
+and the oracle.
+
+The repetition decisions read ``PointTable``, which holds the ints
+2*L**2*x_j of a coding's exact twin and compares them directly.
 """
 
 from __future__ import annotations
@@ -34,7 +38,7 @@ from mpmath.libmp import from_man_exp
 
 from .coding import PrimeCoding
 from .errors import DomainError, RangeError, TheoremViolationError
-from .numeric import MODE_RATIONAL
+from .numeric import MODE_RATIONAL, bounded_str
 from .oracles import goldbach_partitions_oracle, is_prime
 from .regions import TYPE_COEFFICIENT, _check_k0, enumerate_regions
 
@@ -104,8 +108,8 @@ def eval_poly(p: EssentialPolynomial, xi):
     return p.evaluate(xi)
 
 
-def _twice_lower_value(getter, k0: int):
-    """2*x_{k0}, summed exactly: the lower polynomial's terms in its sorted order.
+def _twice_lower_value(xi, k0: int):
+    """2*x_{k0} at the slopes xi[i], exactly: the lower polynomial's terms in sorted order.
 
     Column n < r = isqrt(k0) holds -xi_n*xi_{k0//(n+1)}, then
     +xi_n*xi_{k0//n}; column r holds +-xi_r**2/2 (+ iff k0//r = r), then
@@ -116,15 +120,20 @@ def _twice_lower_value(getter, k0: int):
     root = math.isqrt(k0)
     total = 0
     for n in range(2, root):
-        xn = getter(n)
-        total = total - xn * getter(k0 // (n + 1))
-        total = total + xn * getter(k0 // n)
-    r = getter(root)
+        xn = xi[n]
+        total = total - xn * xi[k0 // (n + 1)]
+        total = total + xn * xi[k0 // n]
+    r = xi[root]
     top = k0 // root
     total = 2 * total + (r * r if top == root else -(r * r))
     if top > root:
-        total = total + 2 * r * getter(top)
+        total = total + 2 * r * xi[top]
     return total
+
+
+def scaled_lower_value(c: PrimeCoding, k0: int) -> int:
+    """2*L**2*x_{k0} at the exact slopes ints/L of c, an int; ``lower_value`` checks k0."""
+    return _twice_lower_value(c.scaled_slopes[0], k0)
 
 
 def _rounded_lower(pair, k0: int, prec: int):
@@ -234,8 +243,8 @@ def lower_value(c: PrimeCoding, k0: int):
         missing = next(i for i in (2, k0 // 3, k0 // 2) if i > c.max_index)
         raise RangeError(f"slope index {missing} outside 0..{c.max_index}")
     if c.mode == MODE_RATIONAL:
-        ints, lcm = c.scaled_slopes
-        return Fraction(_twice_lower_value(ints.__getitem__, k0), 2 * lcm * lcm)
+        lcm = c.scaled_slopes[1]
+        return Fraction(scaled_lower_value(c, k0), 2 * lcm * lcm)
     return _rounded_lower(c.mantissa_pairs.__getitem__, k0, c.precision)
 
 
@@ -259,13 +268,15 @@ class PointTable:
     indices j that break the sign condition (x_j <= 0) or the ordering
     (x_j < x_{j-1}), the repeat bitmap R[j] = [x_{j-1} == x_j], and the
     indices where R disagrees with is_prime(j).  An alpha's checks then
-    look only for recorded indices inside its window.  The values are
-    exact, so every comparison is too.
+    look only for recorded indices inside its window.  The table holds
+    the ints 2*L**2*x_j, one positive scale of the exact values, so every
+    comparison is exact and no Fraction is built but for a message.
     """
 
     def __init__(self, c: PrimeCoding):
         self.coding = c
-        self.x = [None] * 4   # x[k0] for 4 <= k0 <= top, from lower_value
+        self.scale = 2 * c.scaled_slopes[1] ** 2
+        self.x = [None] * 4   # 2*L**2*x[k0] for 4 <= k0 <= top
         self.sign_bad = []    # j with not x_j > 0
         self.order_bad = []   # j with x_j < x_{j-1}
         self.bits = bytearray(5)  # R[j] for 5 <= j < len(bits)
@@ -275,7 +286,7 @@ class PointTable:
         """Extend x and R through index top, each R[j] checked once against is_prime(j)."""
         x, c = self.x, self.coding
         for j in range(len(x), top + 1):
-            value = lower_value(c, j)
+            value = scaled_lower_value(c, j)
             if not value > 0:
                 self.sign_bad.append(j)
             if j > 4:
@@ -295,12 +306,13 @@ class PointTable:
         dichotomy.  Returns the repeat bitmap R.
         """
         self.grow(alpha - 5)
-        x = self.x
+        x, scale = self.x, self.scale
         k0 = _first_in_window(self.sign_bad, alpha, alpha - 1)
         if k0 is not None:
             raise TheoremViolationError(
                 f"essential point sign violated at k0={k0}: "
-                f"x={x[k0]}, y={-x[alpha - k0 - 1]}"
+                f"x={bounded_str(Fraction(x[k0], scale))}, "
+                f"y={bounded_str(Fraction(-x[alpha - k0 - 1], scale))}"
             )
         unordered = _first_in_window(self.order_bad, alpha, alpha)
         mismatched = _first_in_window(self.mismatches, alpha, alpha)

@@ -21,7 +21,7 @@ from hypgold.areas import (
 )
 from hypgold.coding import PrimeCoding, default_coding
 from hypgold.errors import ChainViolationError, DomainError, RegionMismatchError
-from hypgold.numeric import rel_diff, to_mpf
+from hypgold.numeric import rel_diff, to_fraction, to_mpf
 from hypgold.oracles import (
     area_quadrature_oracle,
     finite_difference_d1,
@@ -182,6 +182,18 @@ def test_hat_area_example():
     k = Fraction(37, 2)
     plain = area_closed(T2, 2, 9, k).area
     assert rel_diff(hat_area(c, 2, 9, plain), 2 * plain) < 1e-30
+
+
+def test_hat_area_keeps_the_bits_of_a_256_bit_area():
+    # The product is taken at the area's precision, not at the coding's 128
+    # bits: three roundings at 256 bits stay within 2**-250 of the exact value.
+    k = Fraction(37, 2)
+    for c in (default_coding(40), default_coding(40, mode="float", precision=64)):
+        for n, np_, t in enumerate_regions(18):
+            area = area_closed(t, n, np_, k, precision=256).area
+            exact = to_fraction(c.slope(n)) * to_fraction(c.slope(np_)) * to_fraction(area)
+            hat = to_fraction(hat_area(c, n, np_, area, 256))
+            assert abs(hat - exact) <= exact / 2 ** 250
 
 
 def test_hat_at_identity_reduction():

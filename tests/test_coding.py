@@ -5,7 +5,9 @@ import json
 import math
 import pickle
 import random
+from bisect import bisect_right
 from fractions import Fraction
+from itertools import accumulate
 
 import pytest
 from hypothesis import given, settings
@@ -18,7 +20,8 @@ from hypgold.coding import (
     coding_to_json,
     default_coding,
 )
-from hypgold.errors import DomainError, RangeError
+from hypgold.errors import DomainError, RangeError, TheoremViolationError
+from hypgold.hyperbola import lattice_witnesses
 from hypgold.numeric import MODE_FLOAT, MODE_RATIONAL, rel_diff, to_fraction
 from hypgold.points import goldbach_characterization
 
@@ -241,10 +244,10 @@ def test_identifies_primes_long_non_strict_coding():
 
 
 def test_pickle_round_trips_a_used_coding():
-    # The hash is the dataclass's own, over the fields, and nothing caches
-    # it; a coding whose views and point table are built still round-trips.
+    # A rational coding hashes its integer form, and nothing caches the
+    # hash; a coding whose views and point table are built still round-trips.
     c = seeded_coding(60, 4)
-    assert hash(c) == hash((c.slopes, c.mode, c.precision))
+    assert hash(c) == hash((c.scaled_slopes, c.mode, c.precision))
     assert "_hash" not in c.__dict__
     c.scaled_slopes
     assert goldbach_characterization(c, 60) == [7, 13, 17, 19, 23, 29]
@@ -396,3 +399,94 @@ def test_strict_through_matches_a_prefix_scan(slopes, precision):
         c = PrimeCoding(slopes=c.slopes, mode=MODE_FLOAT, precision=precision)
     assert c.strict_through == strict_prefix_oracle(c.slopes)
     assert c.strict == (c.strict_through == c.max_index)
+
+
+def test_messages_render_values_past_the_digit_limit(low_digit_limit):
+    # Formatting the rejected value itself would raise ValueError.
+    with pytest.raises(DomainError, match=r"^psi_inv argument <a number beyond .*digit limit"):
+        PrimeCoding((1, 2)).psi_inv(Fraction(10 ** 5000 + 1, 3))
+    with pytest.raises(DomainError, match=r"^psi argument <a number beyond .*digit limit"):
+        PrimeCoding(slopes=(1, 2), mode="float", precision=15000).psi(-Fraction(1, 3 ** 9500))
+
+
+def test_default_coding_decides_without_fraction_slopes():
+    # The sweep and the classification read the integer slopes, so the
+    # O(N) tuple of Fraction slopes is never built.
+    c = default_coding(2000)
+    assert goldbach_characterization(c, 2000)[:3] == [7, 13, 67]
+    assert len(lattice_witnesses(c, 1999)) == 1
+    assert len(lattice_witnesses(c, 1800)) == 18
+    assert "slopes" not in c.__dict__
+    assert c.scaled_slopes == (tuple(range(2000, 4001)), 2000)
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except (DomainError, RangeError, TheoremViolationError) as exc:
+        return type(exc), str(exc)
+
+
+def _fraction_psi(xs, x):
+    """psi by its definition on Fraction slopes: xi_m*(x - m) + B_m."""
+    m = min(int(x), len(xs) - 1)
+    return xs[m] * (x - m) + sum(xs[:m], Fraction(0))
+
+
+def _fraction_preimage(xs, xhat):
+    bps = [Fraction(0), *accumulate(xs)]
+    if xhat >= bps[-1]:
+        return Fraction(len(xs))
+    m = bisect_right(bps, xhat) - 1
+    return m + (xhat - bps[m]) / xs[m]
+
+
+def _agree(a, b, data):
+    """Rational a and b (of either mode) agree, and match the Fraction definitions.
+
+    b rounds each value a gives once; its exact slopes are a's.
+    """
+    xs = b.exact.slopes
+    assert a.breakpoints == b.breakpoints == (Fraction(0), *accumulate(xs))
+    for _ in range(4):
+        x = Fraction(data.draw(st.integers(min_value=0, max_value=50 * b.domain_limit)), 50)
+        assert b.rounded(a.psi(x)) == b.psi(x) == b.rounded(_fraction_psi(xs, x))
+        xhat = b.deformed_limit * Fraction(data.draw(st.integers(0, 1000)), 1000)
+        assert a.preimage(xhat) == b.preimage(xhat) == _fraction_preimage(xs, xhat)
+    for k in range(1, b.max_index + 1):
+        assert a.one_sided_slopes(k) == tuple(map(to_fraction, b.one_sided_slopes(k)))
+    assert a.strict_through == b.strict_through == strict_prefix_oracle(xs)
+    assert a.identifies_primes == b.identifies_primes == identifies_primes_oracle(b.exact)
+    for alpha in range(2, b.max_index + 1):
+        assert (a.identifies_naturals(alpha) == b.identifies_naturals(alpha)
+                == all(xs[m - 1] * xs[alpha - m - 1] != xs[m] * xs[alpha - m]
+                       for m in range(1, alpha)))
+    for k in range(2, b.max_index + 1):
+        assert _outcome(lattice_witnesses, a, k) == _outcome(lattice_witnesses, b, k)
+
+
+@given(st.lists(st.integers(min_value=1, max_value=10 ** 6), min_size=2, max_size=24),
+       st.integers(min_value=1, max_value=10 ** 4), st.booleans(),
+       st.integers(min_value=53, max_value=300), st.data())
+@settings(max_examples=80, deadline=None)
+def test_integer_born_and_fraction_born_codings_agree(ints, scale, strict, precision, data):
+    # from_scaled reduces ints/scale to the canonical (ints, L); a coding
+    # built from the same values as Fractions must be the same coding.
+    if strict:
+        ints = list(accumulate(ints))
+    born = PrimeCoding.from_scaled(ints, scale)
+    fractions = PrimeCoding(tuple(Fraction(a, scale) for a in ints))
+    assert born == fractions and hash(born) == hash(fractions)
+    assert born.scaled_slopes[1] == math.lcm(*(s.denominator for s in fractions.slopes))
+    assert born.slopes == fractions.slopes
+    _agree(born, fractions, data)
+    # A float coding's twin comes from its mantissas with L a power of two.
+    rounded = PrimeCoding(fractions.slopes, mode=MODE_FLOAT, precision=precision)
+    twin = PrimeCoding(tuple(map(to_fraction, rounded.slopes)))
+    assert rounded.exact == twin and hash(rounded.exact) == hash(twin)
+    assert rounded.scaled_slopes[1] & (rounded.scaled_slopes[1] - 1) == 0
+    _agree(twin, rounded, data)
+    for c in (born, rounded):
+        assert coding_from_json(json.loads(json.dumps(coding_to_json(c)))) == c
+        again = pickle.loads(pickle.dumps(c))
+        assert again == c and hash(again) == hash(c)

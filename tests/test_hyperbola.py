@@ -378,3 +378,11 @@ def test_curve_point_consistency():
     assert pt.x == Fraction(7, 2)
     assert pt.y == 3
     assert pt.v == c.psi(3)
+
+
+def test_curve_messages_render_values_past_the_digit_limit(low_digit_limit):
+    c = default_coding(20)
+    with pytest.raises(RangeError, match=r"^k=<a number beyond .*digit limit"):
+        lattice_witnesses(c, Fraction(10 ** 5000 + 1, 3))
+    with pytest.raises(DomainError, match=r"^u=<a number beyond .*digit limit"):
+        fhat(c, 3, c.psi(3) + Fraction(1, 3 ** 1400))

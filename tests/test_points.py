@@ -4,6 +4,7 @@ repetition theorems, and the Goldbach characterization."""
 import random
 import time
 from fractions import Fraction
+from itertools import accumulate
 from unittest import mock
 
 import mpmath
@@ -328,7 +329,7 @@ def test_rounded_kernel_matches_the_mpf_loop(seed, prec, wider, spread):
     pairs = {i: mantissa_pair(v) for i, v in slopes.items()}
     with mpmath.workprec(prec):
         for k0 in range(4, 2 * max(slopes) + 2):
-            expected = points_mod._twice_lower_value(slopes.__getitem__, k0) / 2
+            expected = points_mod._twice_lower_value(slopes, k0) / 2
             assert points_mod._rounded_lower(pairs.__getitem__, k0, prec) == expected, k0
 
 
@@ -395,7 +396,9 @@ def test_rational_sweep_bypasses_region_polynomial():
         goldbach_characterization(c, alpha)
     assert enumerate_regions.cache_info().misses == 0
     assert lower_essential_poly.cache_info().misses == 0
-    assert points_mod._point_table(c).x[1199] == poly_oracle(c, 1199)
+    lcm = c.scaled_slopes[1]
+    stored = points_mod._point_table(c).x[1199]  # 2*L**2*x_1199
+    assert Fraction(stored, 2 * lcm * lcm) == poly_oracle(c, 1199)
 
 
 def test_scale_invariance():
@@ -477,8 +480,12 @@ def outcome(fn, *args):
 
 
 def corrupt(index, kind):
-    """A stand-in for lower_value that spoils x_index in one way."""
-    real = points_mod.lower_value
+    """A stand-in for scaled_lower_value that spoils x_index in one way.
+
+    lower_value reads scaled_lower_value too, so the point table and a scan
+    of essential_points see the same spoiled value.
+    """
+    real = points_mod.scaled_lower_value
 
     def fake(c, k0):
         if k0 != index:
@@ -490,8 +497,8 @@ def corrupt(index, kind):
             # x_4 has no predecessor: copy its successor instead.
             return real(c, k0 - 1 if k0 > 4 else k0 + 1)
         if kind == "halve":
-            return value / 2
-        return value + value / 1000
+            return value // 2
+        return value + value // 1000 + 1
     return fake
 
 
@@ -514,9 +521,9 @@ def test_table_matches_per_alpha_scan(increments, mode, picks, damage):
         slopes.append(acc)
     c = PrimeCoding(slopes=tuple(slopes), mode=mode, precision=128)
     alphas = [16 + 2 * (p % ((c.max_index + 5 - 16) // 2 + 1)) for p in picks]
-    patch = mock.patch.object(points_mod, "lower_value",
+    patch = mock.patch.object(points_mod, "scaled_lower_value",
                               corrupt(4 + damage[0] % (c.max_index - 3), damage[1])
-                              if damage else points_mod.lower_value)
+                              if damage else points_mod.scaled_lower_value)
     with patch:
         for alpha in alphas:
             assert (outcome(monotonicity_report, c, alpha)
@@ -525,9 +532,48 @@ def test_table_matches_per_alpha_scan(increments, mode, picks, damage):
                     == outcome(scan_characterization, c.exact, alpha))
 
 
+def _scan_of_fractions(c, top):
+    """The point table's facts through top, by a scan of lower_value Fractions."""
+    x = {j: lower_value(c, j) for j in range(4, top + 1)}
+    repeats = [x[j - 1] == x[j] for j in range(5, top + 1)]
+    return (x,
+            [j for j in x if not x[j] > 0],
+            [j for j in range(5, top + 1) if x[j] < x[j - 1]],
+            repeats,
+            [j for j, r in zip(range(5, top + 1), repeats) if r != trial_division_prime(j)])
+
+
+@given(
+    values=st.lists(st.integers(min_value=1, max_value=1000), min_size=30, max_size=70),
+    strict=st.booleans(),
+    tops=st.lists(st.integers(min_value=0, max_value=10 ** 6), min_size=1, max_size=4),
+    damage=st.none() | st.tuples(st.integers(min_value=4, max_value=10 ** 6),
+                                 st.sampled_from(["negate", "repeat", "halve", "bump"])),
+)
+@settings(max_examples=60, deadline=None)
+def test_integer_table_matches_a_scan_of_fractions(values, strict, tops, damage):
+    # The table compares the ints 2*L**2*x_j; its sign, order, repeat and
+    # mismatch lists must be those a scan of the Fractions x_j gives, on
+    # strict and non-strict codings, grown in steps, with an optional spoiled
+    # x_j (which lower_value reads too).
+    c = PrimeCoding(slopes=tuple(Fraction(v, 997) for v in
+                                 (accumulate(values) if strict else values)))
+    limit = 2 * c.max_index + 1  # x_j reads slopes through j // 2
+    spoil = (corrupt(4 + damage[0] % (limit - 3), damage[1]) if damage
+             else points_mod.scaled_lower_value)
+    table = points_mod.PointTable(c)
+    with mock.patch.object(points_mod, "scaled_lower_value", spoil):
+        for top in sorted(4 + t % (limit - 3) for t in tops):
+            table.grow(top)
+            x, sign, order, repeats, mismatches = _scan_of_fractions(c, top)
+            assert {j: Fraction(table.x[j], table.scale) for j in x} == x
+            assert (table.sign_bad, table.order_bad, table.mismatches) == (sign, order, mismatches)
+            assert list(map(bool, table.bits[5:])) == repeats
+
+
 def test_violation_messages_pinned():
     c = default_coding(16)
-    with mock.patch.object(points_mod, "lower_value", corrupt(6, "repeat")):
+    with mock.patch.object(points_mod, "scaled_lower_value", corrupt(6, "repeat")):
         with pytest.raises(TheoremViolationError) as info:
             goldbach_characterization(c, 18)
     assert str(info.value) == (
@@ -537,12 +583,12 @@ def test_violation_messages_pinned():
     # Halving x_7 breaks the ordering and the dichotomy at the same k0; the
     # ordering is reported, as the scan checks it first.
     c = default_coding(16)
-    with mock.patch.object(points_mod, "lower_value", corrupt(7, "halve")):
+    with mock.patch.object(points_mod, "scaled_lower_value", corrupt(7, "halve")):
         with pytest.raises(TheoremViolationError,
                            match=r"^essential point ordering violated between k0=6 and 7$"):
             monotonicity_report(c, 18)
     c = default_coding(16)
-    with mock.patch.object(points_mod, "lower_value", corrupt(12, "halve")):
+    with mock.patch.object(points_mod, "scaled_lower_value", corrupt(12, "halve")):
         with pytest.raises(TheoremViolationError) as info:
             monotonicity_report(c, 18)
         assert str(info.value) == (
@@ -552,7 +598,7 @@ def test_violation_messages_pinned():
         # x_12 is y_5 at alpha 18 but lies outside alpha 16's window.
         assert goldbach_characterization(c, 16) == [5]
     c = default_coding(16)
-    with mock.patch.object(points_mod, "lower_value", corrupt(11, "negate")):
+    with mock.patch.object(points_mod, "scaled_lower_value", corrupt(11, "negate")):
         with pytest.raises(TheoremViolationError) as info:
             goldbach_characterization(c, 16)
     assert str(info.value) == (
