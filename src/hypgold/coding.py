@@ -8,10 +8,11 @@ finitely many slopes.  When the slopes increase strictly the coding
 *identifies primes*: deformed hyperbolas are differentiable exactly at
 points with no natural coordinate.
 
-The exact slopes are held as integers over one denominator L, the lcm of
-their reduced denominators: ``xi_m = ints[m] / L``.  psi, psi_inv, the
-breakpoints and every decision run on those integers, and a ``Fraction``
-is built only for a value a caller receives.
+The exact slopes are held as integers over one denominator L:
+``xi_m = ints[m] / L``, L the lcm of the reduced denominators.  A float
+coding first rounds each slope once to its precision, so its L is a power
+of two.  psi, psi_inv, the breakpoints and every decision run on those
+integers in both modes, and a value a caller receives is built last.
 
 Only the piecewise-affine family is implemented.  A general coding would
 present the same surface: ``psi``/``psi_inv`` as a strictly increasing
@@ -28,7 +29,7 @@ from bisect import bisect_right
 from contextlib import nullcontext
 from fractions import Fraction
 from functools import cached_property
-from itertools import accumulate, islice
+from itertools import accumulate, islice, repeat
 
 from mpmath import mp
 
@@ -42,8 +43,8 @@ from .numeric import (
     Number,
     bounded_str,
     format_exact,
-    mantissa_pair,
     parse_exact,
+    round_ratio,
     to_fraction,
     to_mpf,
 )
@@ -52,42 +53,50 @@ from .numeric import (
 class PrimeCoding:
     """Immutable truncated piecewise-affine coding; all methods are pure.
 
-    A rational coding is its ``scaled_slopes`` ``(ints, L)``, and its
-    ``slopes`` Fractions ``ints[m]/L`` are built only when read.  A float
-    coding is its mpf ``slopes``; its exact twin ``exact`` is built from
-    their mantissas, with L a power of two, when a decision first needs it.
-    Two codings are equal, and hash equal, when mode, precision and these
-    values are.
+    A coding is its ``scaled_slopes`` ``(ints, L)`` in lowest terms, its
+    ``mode`` and its ``precision``; its ``slopes`` ``ints[m]/L``, Fractions
+    or the mpf each float slope is, are built only when read.  Two codings
+    are equal, and hash equal, when these three are.
     """
 
     def __init__(self, slopes, mode: str = MODE_RATIONAL, precision: int = DEFAULT_PRECISION):
         _check_settings(slopes, mode, precision)
+        fs = [to_fraction(s) for s in slopes]
         if mode == MODE_FLOAT:
-            self._freeze(mode, precision, "slopes", tuple(to_mpf(s, precision) for s in slopes))
+            # Each slope rounds over its own denominator: the lcm of a file's
+            # many denominators would make every int as wide as that lcm.
+            pairs = [round_ratio(f.numerator, f.denominator, precision) for f in fs]
+            shift = max(0, -min(e for _, e in pairs))
+            scale, ints = 1 << shift, tuple(m << (e + shift) for m, e in pairs)
         else:
-            fs = [to_fraction(s) for s in slopes]
-            lcm = math.lcm(*(f.denominator for f in fs))
-            self._freeze(mode, precision, "scaled_slopes",
-                         (tuple(f.numerator * (lcm // f.denominator) for f in fs), lcm))
+            scale = math.lcm(*(f.denominator for f in fs))
+            ints = tuple(f.numerator * (scale // f.denominator) for f in fs)
+        self._freeze(ints, scale, mode, precision)
 
     @classmethod
-    def from_scaled(cls, ints, scale: int, precision: int = DEFAULT_PRECISION) -> "PrimeCoding":
-        """The rational coding with slopes ints[m]/scale, for integers ints[m] and scale > 0."""
+    def from_scaled(cls, ints, scale: int, precision: int = DEFAULT_PRECISION,
+                    mode: str = MODE_RATIONAL) -> "PrimeCoding":
+        """The coding with slopes ints[m]/scale, rounded once in float mode; scale > 0."""
         ints = tuple(ints)
-        _check_settings(ints, MODE_RATIONAL, precision)
+        _check_settings(ints, mode, precision)
         if scale < 1:
             raise DomainError("a coding's scale must be a positive integer")
+        if mode == MODE_FLOAT and (low := min(ints)) > 0:  # _freeze refuses any other low
+            # round_ratio's exponent grows with the value: the least slope's fixes L.
+            shift = max(0, -round_ratio(low, scale, precision)[1])
+            rounded = map(round_ratio, ints, repeat(scale), repeat(precision))
+            ints, scale = tuple(m << (e + shift) for m, e in rounded), 1 << shift
+        c = cls.__new__(cls)
+        c._freeze(ints, scale, mode, precision)
+        return c
+
+    def _freeze(self, ints: tuple, scale: int, mode: str, precision: int) -> None:
+        if min(ints) <= 0:
+            raise DomainError("all slopes must be positive")
         g = math.gcd(scale, *ints)
         if g > 1:
             ints, scale = tuple(a // g for a in ints), scale // g
-        c = cls.__new__(cls)
-        c._freeze(MODE_RATIONAL, precision, "scaled_slopes", (ints, scale))
-        return c
-
-    def _freeze(self, mode: str, precision: int, name: str, value: tuple) -> None:
-        if min(value[0] if name == "scaled_slopes" else value) <= 0:
-            raise DomainError("all slopes must be positive")
-        self.__dict__.update({"mode": mode, "precision": precision, name: value})
+        self.__dict__.update(mode=mode, precision=precision, scaled_slopes=(ints, scale))
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r} of an immutable coding")
@@ -96,8 +105,7 @@ class PrimeCoding:
 
     @property
     def _key(self) -> tuple:
-        values = self.slopes if self.mode == MODE_FLOAT else self.scaled_slopes
-        return values, self.mode, self.precision
+        return self.scaled_slopes, self.mode, self.precision
 
     def __eq__(self, other):
         return self._key == other._key if other.__class__ is self.__class__ else NotImplemented
@@ -106,39 +114,25 @@ class PrimeCoding:
         return hash(self._key)
 
     def __reduce__(self):
-        if self.mode == MODE_FLOAT:
-            return PrimeCoding, (self.slopes, self.mode, self.precision)
-        return PrimeCoding.from_scaled, (*self.scaled_slopes, self.precision)
+        return PrimeCoding.from_scaled, (*self.scaled_slopes, self.precision, self.mode)
 
     def __repr__(self):
         return f"PrimeCoding(slopes={self.slopes!r}, mode={self.mode!r}, precision={self.precision})"
 
     @cached_property
     def slopes(self) -> tuple:
-        """xi_0 .. xi_N: mpf in float mode, Fractions built on first read in rational mode."""
+        """xi_0 .. xi_N, built on first read: Fractions, or the mpf each float slope is."""
         ints, lcm = self.scaled_slopes
-        return tuple(Fraction(a, lcm) for a in ints)
-
-    @cached_property
-    def scaled_slopes(self) -> tuple:
-        """(ints, L): the exact slopes times L, the lcm of their denominators.
-
-        x_{k0} is a degree-2 form with coefficients in {+-1, +-1/2}, so it
-        is exactly (2*x_{k0} at the ints) / (2*L**2).  A float coding reads
-        its exact twin's.
-        """
-        return self.exact.scaled_slopes
+        return tuple(self.rounded(Fraction(a, lcm)) for a in ints)
 
     def context(self):
         """Working-precision context for float mode, no-op for rational."""
-        if self.mode == MODE_FLOAT:
-            return mp.workprec(self.precision)
-        return nullcontext()
+        return mp.workprec(self.precision) if self.mode == MODE_FLOAT else nullcontext()
 
     @property
     def max_index(self) -> int:
         """N: the largest slope index."""
-        return len(self.slopes if self.mode == MODE_FLOAT else self.scaled_slopes[0]) - 1
+        return len(self.scaled_slopes[0]) - 1
 
     @property
     def domain_limit(self) -> int:
@@ -154,17 +148,17 @@ class PrimeCoding:
     def breakpoints(self) -> tuple:
         """B_0 = 0, B_m = xi_0 + ... + xi_{m-1}, up to B_{N+1}; exact Fractions in both modes."""
         lcm = self.scaled_slopes[1]
-        return tuple(Fraction(b, lcm) for b in self.exact._scaled_breakpoints)
+        return tuple(Fraction(b, lcm) for b in self._scaled_breakpoints)
 
     @property
     def deformed_limit(self) -> Fraction:
         """B_{N+1}: the truncated image is [0, B_{N+1}]."""
-        return Fraction(self.exact._scaled_breakpoints[-1], self.scaled_slopes[1])
+        return Fraction(self._scaled_breakpoints[-1], self.scaled_slopes[1])
 
     @cached_property
     def strict_through(self) -> int:
-        """The largest i with xi_0 < ... < xi_i; exact on mpf slopes too."""
-        xs = self.slopes if self.mode == MODE_FLOAT else self.scaled_slopes[0]
+        """The largest i with xi_0 < ... < xi_i."""
+        xs = self.scaled_slopes[0]
         return next((i for i, (a, b) in enumerate(zip(xs, islice(xs, 1, None))) if a >= b),
                     self.max_index)
 
@@ -175,17 +169,13 @@ class PrimeCoding:
 
     def rounded(self, value: Fraction):
         """A value computed on the exact slopes, rounded once in float mode."""
-        if self.mode == MODE_RATIONAL:
-            return value
-        return to_mpf(value, self.precision)
+        return value if self.mode == MODE_RATIONAL else to_mpf(value, self.precision)
 
     def slope(self, m: int):
         if not 0 <= m <= self.max_index:
             raise RangeError(f"slope index {m} outside 0..{self.max_index}")
-        if self.mode == MODE_FLOAT:
-            return self.slopes[m]
         ints, lcm = self.scaled_slopes
-        return Fraction(ints[m], lcm)
+        return self.rounded(Fraction(ints[m], lcm))
 
     def psi(self, x: Number):
         """The deformation itself: xi_m*(x - m) + B_m on [m, m+1]."""
@@ -196,7 +186,7 @@ class PrimeCoding:
                 "(truncated coding cannot represent it)"
             )
         m = min(int(x), self.max_index)
-        (ints, lcm), scaled_b = self.scaled_slopes, self.exact._scaled_breakpoints
+        (ints, lcm), scaled_b = self.scaled_slopes, self._scaled_breakpoints
         p, q = x.numerator, x.denominator
         return self.rounded(Fraction(ints[m] * (p - m * q) + scaled_b[m] * q, lcm * q))
 
@@ -212,7 +202,7 @@ class PrimeCoding:
                 f"psi_inv argument {bounded_str(xhat)} outside [0, {bounded_str(top)}]")
         if xhat >= top:
             return Fraction(self.domain_limit)
-        (ints, lcm), scaled_b = self.scaled_slopes, self.exact._scaled_breakpoints
+        (ints, lcm), scaled_b = self.scaled_slopes, self._scaled_breakpoints
         p, q = xhat.numerator, xhat.denominator
         # scaled_b holds ints, so B_m <= xhat exactly when L*B_m <= floor(L*xhat).
         m = bisect_right(scaled_b, lcm * p // q) - 1
@@ -251,22 +241,27 @@ class PrimeCoding:
 
     @cached_property
     def exact(self) -> "PrimeCoding":
-        """The rational coding with exactly these slopes; self in rational mode.
+        """The rational coding on the same ints; self in rational mode.
 
-        Every mpf is m*2**e, so the twin loses nothing, and every decision
-        (repeats, derivative jumps, identifies_primes) is made on it: float
-        mode decides as rational mode does, with no tolerance.
+        A float coding's slopes are its ints over 2**s, so the twin loses
+        nothing, and every decision (repeats, derivative jumps,
+        identifies_primes) is made on it: float mode decides as rational
+        mode does, with no tolerance.
         """
         if self.mode == MODE_RATIONAL:
             return self
-        pairs = self.mantissa_pairs
-        shift = max(0, -min(e for _, e in pairs))
-        return PrimeCoding.from_scaled([m << (e + shift) for m, e in pairs], 1 << shift)
+        twin = object.__new__(PrimeCoding)
+        twin.__dict__.update(mode=MODE_RATIONAL, precision=DEFAULT_PRECISION,
+                             scaled_slopes=self.scaled_slopes)
+        return twin
 
     @cached_property
     def mantissa_pairs(self) -> tuple:
-        """A float coding's slopes as (int mantissa, exponent) pairs."""
-        return tuple(map(mantissa_pair, self.slopes))
+        """A float coding's slopes as (odd int mantissa, exponent) pairs, as mpf holds them."""
+        ints, scale = self.scaled_slopes
+        shift = scale.bit_length() - 1
+        zeros = ((a & -a).bit_length() - 1 for a in ints)
+        return tuple((a >> z, z - shift) for a, z in zip(ints, zeros))
 
     @cached_property
     def identifies_primes(self) -> bool:
@@ -314,13 +309,17 @@ def default_coding(max_index: int, mode: str = MODE_RATIONAL,
     """The default strict coding xi_m = 1 + m/N = (N + m)/N (configurable elsewhere)."""
     if max_index < 1:
         raise DomainError("default coding needs max_index >= 1")
-    c = PrimeCoding.from_scaled(range(max_index, 2 * max_index + 1), max_index, precision)
-    return c if mode == MODE_RATIONAL else PrimeCoding(c.slopes, mode, precision)
+    try:
+        ints = tuple(range(max_index, 2 * max_index + 1))
+    except (MemoryError, OverflowError) as exc:
+        raise RangeError(
+            f"a default coding with N = {bounded_str(max_index)} does not fit in memory") from exc
+    return PrimeCoding.from_scaled(ints, max_index, precision, mode)
 
 
 def coding_to_json(c: PrimeCoding) -> dict:
     """JSON object {"slopes": ["p/q", ...], "mode": ...}; exact round trip."""
-    payload = {"slopes": [format_exact(s) for s in c.slopes], "mode": c.mode}
+    payload = {"slopes": [format_exact(s) for s in c.exact.slopes], "mode": c.mode}
     if c.mode == MODE_FLOAT:
         payload["precision"] = c.precision
     return payload

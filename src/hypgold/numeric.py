@@ -9,13 +9,14 @@ lossless.
 
 from __future__ import annotations
 
+import re
 import sys
 from fractions import Fraction
 from typing import Union
 
 import mpmath
 from mpmath import mp, mpf
-from mpmath.libmp import from_rational, round_nearest
+from mpmath.libmp import from_man_exp
 
 from .errors import DomainError
 
@@ -36,11 +37,11 @@ def to_fraction(x: Number) -> Fraction:
         return x
     if isinstance(x, int):
         return Fraction(x)
+    if isinstance(x, (float, mpf)) and not mpmath.isfinite(x):
+        raise DomainError(f"cannot convert non-finite value {x} to a rational")
     if isinstance(x, float):
         return Fraction(x)
     if isinstance(x, mpf):
-        if not mpmath.isfinite(x):
-            raise DomainError(f"cannot convert non-finite value {x} to a rational")
         man, exp = mantissa_pair(x)
         return Fraction(man << exp) if exp >= 0 else Fraction(man, 1 << -exp)
     raise TypeError(f"unsupported numeric type {type(x).__name__}")
@@ -55,10 +56,35 @@ def mantissa_pair(x: mpf) -> tuple:
     return (-int(man) if sign else int(man)), int(exp)
 
 
+def round_ratio(p: int, q: int, precision: int) -> tuple:
+    """p/q, for q > 0, rounded once to precision significant bits, to nearest with ties to even.
+
+    Returns (man, exp), the value man * 2**exp, with |man| < 2**precision
+    unless the rounding carried to |man| = 2**precision.  man is not
+    reduced to odd, so exp depends only on the binade of p/q, and it grows
+    with |p/q|.
+    """
+    if not p:
+        return 0, 0
+    a = -p if p < 0 else p
+    # 2**(d-1) < a/q < 2**(d+1) for d = bits(a) - bits(q): a * 2**shift / q
+    # lies in [2**(precision-1), 2**precision) after at most one correction.
+    shift = precision - a.bit_length() + q.bit_length()
+    num, den = (a << shift, q) if shift >= 0 else (a, q << -shift)
+    if num >= den << precision:
+        shift -= 1
+        den <<= 1
+    man, rest = divmod(num, den)
+    rest <<= 1
+    if rest > den or (rest == den and man & 1):
+        man += 1
+    return (man if p > 0 else -man), -shift
+
+
 def to_mpf(x: Number, precision: int = DEFAULT_PRECISION) -> mpf:
     """Convert to mpf, rounded once to nearest (ties to even) at precision bits."""
     if isinstance(x, Fraction):
-        return mp.make_mpf(from_rational(x.numerator, x.denominator, precision, round_nearest))
+        return mp.make_mpf(from_man_exp(*round_ratio(x.numerator, x.denominator, precision)))
     with mp.workprec(precision):
         if isinstance(x, mpf):
             return +x
@@ -71,12 +97,26 @@ def _digit_limit() -> str:
     return f"the {sys.get_int_max_str_digits()}-digit limit of Python's int/str conversion"
 
 
+# The exponent of a decimal in Fraction's syntax, e.g. the "-6" of "1e-6".
+_EXPONENT = re.compile(r"[eE]([-+]?\d+(?:_\d+)*)\s*\Z")
+
+
 def parse_exact(text: str) -> Fraction:
-    """Parse a ``"p/q"`` or decimal string exactly."""
+    """Parse a ``"p/q"`` or decimal string exactly.
+
+    A decimal exponent past the digit limit is refused before Fraction
+    computes its power of ten: ``1e10000000`` would take seconds.
+    """
+    limit = sys.get_int_max_str_digits()
+    exponent = _EXPONENT.search(text)
+    if limit and exponent:
+        digits = exponent.group(1)
+        if len(digits) > limit or abs(int(digits)) > limit:
+            raise DomainError(f"cannot parse a decimal exponent beyond {_digit_limit()}")
     try:
         return Fraction(text.strip())
     except (ValueError, ZeroDivisionError) as exc:
-        if 0 < sys.get_int_max_str_digits() < len(text):
+        if 0 < limit < len(text):
             raise DomainError(
                 f"cannot parse a number of {len(text)} characters: beyond {_digit_limit()}"
             ) from exc

@@ -336,6 +336,30 @@ def test_values_beyond_the_digit_limit_exit_1(tmp_path, capsys, low_digit_limit,
     assert "640-digit limit" in payload["message"] and len(payload["message"]) < 100
 
 
+@pytest.mark.parametrize("k, n", [
+    pytest.param("1e18", 10 ** 18 + 1, id="memory-error"),
+    pytest.param("1e19", 10 ** 19 + 1, id="overflow-error"),
+    pytest.param("10000000000000000000", 10 ** 19 + 1, id="overflow-error-digits"),
+])
+def test_a_k_past_the_default_codings_memory_exits_1(capsys, k, n):
+    # The tuple of N + 1 slopes cannot be allocated: a RangeError naming N.
+    rc, out, err = run(capsys, ["classify", "--k", k])
+    assert rc == 1 and out == ""
+    assert json.loads(err) == {
+        "error": "RangeError",
+        "message": f"a default coding with N = {n} does not fit in memory",
+    }
+
+
+def test_a_k_past_memory_and_the_digit_limit_names_no_digits(capsys, low_digit_limit):
+    # N = 10**640 + 1 has 641 digits, one more than str() may print.
+    rc, out, err = run(capsys, ["classify", "--k", "1e640"])
+    assert rc == 1 and out == ""
+    payload = json.loads(err)
+    assert payload["error"] == "RangeError"
+    assert payload["message"].startswith("a default coding with N = <a number beyond the 640-digit")
+
+
 @pytest.mark.parametrize("option, content", [
     pytest.param("--coding", b'{"slopes": ["1", "2"', id="coding-truncated"),
     pytest.param("--coding", b"\xff\xfe", id="coding-not-utf8"),

@@ -12,7 +12,8 @@ from itertools import accumulate
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from mpmath import ldexp
+from mpmath import ldexp, mp, mpf
+from mpmath.libmp import from_man_exp
 
 from hypgold.coding import (
     PrimeCoding,
@@ -22,8 +23,8 @@ from hypgold.coding import (
 )
 from hypgold.errors import DomainError, RangeError, TheoremViolationError
 from hypgold.hyperbola import lattice_witnesses
-from hypgold.numeric import MODE_FLOAT, MODE_RATIONAL, rel_diff, to_fraction
-from hypgold.points import goldbach_characterization
+from hypgold.numeric import MODE_FLOAT, MODE_RATIONAL, mantissa_pair, rel_diff, to_fraction, to_mpf
+from hypgold.points import goldbach_characterization, lower_essential_poly, lower_value
 
 from conftest import arith_coding, harmonic_coding, identity_coding, pow2_coding, seeded_coding
 
@@ -490,3 +491,78 @@ def test_integer_born_and_fraction_born_codings_agree(ints, scale, strict, preci
         assert coding_from_json(json.loads(json.dumps(coding_to_json(c)))) == c
         again = pickle.loads(pickle.dumps(c))
         assert again == c and hash(again) == hash(c)
+
+
+# Positive slopes of each type a float coding accepts: Fractions of wide
+# denominators, Python floats, and mpf values wider than any precision drawn.
+FLOAT_CODING_SLOPES = st.one_of(
+    st.fractions(min_value=Fraction(1, 10 ** 9), max_value=10 ** 9, max_denominator=10 ** 30),
+    st.floats(min_value=1e-300, max_value=1e300),
+    st.builds(lambda m, e: mp.make_mpf(from_man_exp(m, e)),
+              st.integers(min_value=1, max_value=2 ** 400), st.integers(min_value=-500, max_value=100)),
+)
+
+
+def _float_coding_matches_one_rounding_per_slope(c, values, data):
+    """c against the definition: each slope is to_mpf of its value, and every
+    value psi, preimage and lower_value give is computed on those mpfs."""
+    reference = tuple(to_mpf(v, c.precision) for v in values)
+    ints, scale = c.scaled_slopes
+    # In lowest terms, L is the finest last place among the slopes, or 1.
+    assert scale == 1 << max(0, -min(e for _, e in map(mantissa_pair, reference)))
+    born = PrimeCoding.from_scaled(ints, scale, c.precision, MODE_FLOAT)
+    assert born == c and hash(born) == hash(c)
+    assert born == PrimeCoding(reference, MODE_FLOAT, c.precision)
+    assert [s._mpf_ for s in c.slopes] == [s._mpf_ for s in reference]
+    assert c.mantissa_pairs == tuple(map(mantissa_pair, reference))
+    xs = [to_fraction(s) for s in reference]
+    for _ in range(3):
+        x = Fraction(data.draw(st.integers(min_value=0, max_value=50 * c.domain_limit)), 50)
+        assert c.psi(x)._mpf_ == to_mpf(_fraction_psi(xs, x), c.precision)._mpf_
+        xhat = c.deformed_limit * Fraction(data.draw(st.integers(0, 1000)), 1000)
+        assert c.preimage(xhat) == _fraction_preimage(xs, xhat)
+    with mp.workprec(c.precision):
+        for k0 in range(4, min(2 * c.max_index + 2, 120)):
+            expected = lower_essential_poly(k0).evaluate(reference)
+            assert lower_value(c, k0)._mpf_ == expected._mpf_, k0
+    assert coding_from_json(json.loads(json.dumps(coding_to_json(c)))) == c
+    again = pickle.loads(pickle.dumps(c))
+    assert again == c and hash(again) == hash(c)
+
+
+@given(st.lists(FLOAT_CODING_SLOPES, min_size=1, max_size=40),
+       st.integers(min_value=53, max_value=300), st.data())
+@settings(max_examples=80, deadline=None)
+def test_float_codings_are_their_dyadic_ints(values, precision, data):
+    # A float coding holds only (ints, 2**s), mode and precision.
+    c = PrimeCoding(values, MODE_FLOAT, precision)
+    assert set(c.__dict__) == {"mode", "precision", "scaled_slopes"}
+    _float_coding_matches_one_rounding_per_slope(c, values, data)
+
+
+@given(st.one_of(st.integers(min_value=1, max_value=3000),
+                 st.sampled_from([2, 64, 1024, 3 * 2 ** 10])),
+       st.integers(min_value=53, max_value=300), st.data())
+@settings(max_examples=40, deadline=None)
+def test_float_default_coding_rounds_each_slope_once(n, precision, data):
+    # Power-of-two N make dyadic slopes, which the gcd pass must reduce.
+    c = default_coding(n, MODE_FLOAT, precision)
+    assert set(c.__dict__) == {"mode", "precision", "scaled_slopes"}
+    _float_coding_matches_one_rounding_per_slope(
+        c, [Fraction(n + m, n) for m in range(n + 1)], data)
+
+
+def test_float_default_coding_classifies_without_mpf_slopes():
+    c = default_coding(2000, MODE_FLOAT)
+    assert len(lattice_witnesses(c, 1999)) == 1
+    assert len(lattice_witnesses(c, 1800)) == 18
+    assert "slopes" not in c.__dict__ and "slopes" not in c.exact.__dict__
+    assert c.exact.scaled_slopes is c.scaled_slopes
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), mpf("nan"), mpf("-inf")],
+                         ids=["nan", "inf", "mpf-nan", "mpf-minus-inf"])
+@pytest.mark.parametrize("mode", [MODE_RATIONAL, MODE_FLOAT])
+def test_non_finite_slopes_are_refused_at_construction(value, mode):
+    with pytest.raises(DomainError, match=r"^cannot convert non-finite value .* to a rational$"):
+        PrimeCoding((1, value, 3), mode, 53)

@@ -1,12 +1,14 @@
-"""Exact conversions between mpf values, mantissa pairs and Fractions."""
+"""Exact conversions between mpf values, mantissa pairs and Fractions, and one rounding rule."""
 
 import math
+import sys
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from mpmath import mp, mpf
+from mpmath.libmp import from_man_exp, from_rational, round_nearest
 
 from hypgold.errors import DomainError
 from hypgold.numeric import (
@@ -14,6 +16,7 @@ from hypgold.numeric import (
     mantissa_pair,
     parse_exact,
     rel_diff,
+    round_ratio,
     to_fraction,
     to_mpf,
 )
@@ -119,3 +122,59 @@ def test_values_beyond_the_digit_limit_are_domain_errors(low_digit_limit):
     assert parse_exact("7" * low_digit_limit) == (10 ** low_digit_limit - 1) // 9 * 7
     with pytest.raises(DomainError, match="cannot parse number 'x7'"):
         parse_exact("x7")
+
+
+@st.composite
+def ratios_to_round(draw):
+    """(p, q, precision): wide ratios of either sign, unreduced, and exact ties."""
+    precision = draw(st.integers(min_value=53, max_value=300))
+    sign = draw(st.sampled_from([1, -1]))
+    kind = draw(st.sampled_from(["wide", "tie", "near-tie", "integer"]))
+    if kind == "wide":
+        p = draw(st.integers(min_value=1, max_value=2 ** 600))
+        q = draw(st.integers(min_value=1, max_value=2 ** 600))
+    elif kind == "integer":
+        p, q = draw(st.integers(min_value=1, max_value=2 ** 400)), 1
+    else:
+        # (2m + 1) / 2**e with m of precision bits lies halfway between two
+        # neighbours; near-tie moves it by one unit of a wider denominator.
+        m = draw(st.integers(min_value=1 << (precision - 1), max_value=(1 << precision) - 1))
+        e = draw(st.integers(min_value=-300, max_value=300))
+        p, q = (2 * m + 1) << max(e, 0), 1 << max(-e, 0)
+        if kind == "near-tie":
+            p, q = 4 * p + draw(st.sampled_from([-1, 1])), 4 * q
+    odd = draw(st.integers(min_value=0, max_value=50)) * 2 + 1  # an unreduced ratio
+    return sign * p * odd, q * odd, precision
+
+
+@given(ratios_to_round())
+@settings(max_examples=1000, deadline=None)
+def test_round_ratio_matches_mpmaths_from_rational(case):
+    p, q, precision = case
+    man, exp = round_ratio(p, q, precision)
+    assert abs(man) <= 2 ** precision
+    assert from_man_exp(man, exp) == from_rational(p, q, precision, round_nearest)
+
+
+def test_round_ratio_of_zero():
+    assert round_ratio(0, 7, 53) == (0, 0)
+    assert to_mpf(Fraction(0), 53) == 0
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf"),
+                                   mpf("nan"), mpf("inf"), mpf("-inf")])
+def test_non_finite_values_have_no_fraction(value):
+    with pytest.raises(DomainError, match=r"^cannot convert non-finite value .* to a rational$"):
+        to_fraction(value)
+
+
+def test_a_decimal_exponent_past_the_digit_limit_is_refused():
+    # Fraction would first compute 10**(10**7), which takes seconds.
+    limit = sys.get_int_max_str_digits()
+    for text in ("1e10000000", "1e-10000000", f"1e{limit + 1}", f"2.5E-{limit + 1}"):
+        with pytest.raises(DomainError, match=f"^cannot parse a decimal exponent beyond the "
+                                              f"{limit}-digit limit"):
+            parse_exact(text)
+    assert parse_exact("1e-6") == Fraction(1, 10 ** 6)
+    assert parse_exact(f"1e{limit}") == 10 ** limit
+    assert parse_exact(" 25e-1 ") == Fraction(5, 2)

@@ -660,7 +660,7 @@ def test_non_strict_coding_errors_pinned():
 
 
 def test_float_essential_points_skip_the_exact_twin():
-    # Strictness is read on the mpf slopes themselves, which compare exactly.
+    # Strictness is read on the coding's own ints, and so are the mantissas.
     c = default_coding(120, mode=MODE_FLOAT)
     essential_points(c, 120)
     assert "exact" not in c.__dict__
