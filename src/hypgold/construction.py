@@ -133,12 +133,14 @@ def _resolve_lambdas(spec: GoldbachSpec, precision: int) -> tuple:
     return lam, half_mult
 
 
-def _poly_value(pairs: dict, j: int):
+def _poly_value(pairs: dict, j: int, products: dict):
     """x_j at mp.prec from the mantissa pairs of the slopes defined so far.
 
     ``pairs[i]`` is ``mantissa_pair(xi_i)``; a missing slope raises KeyError.
+    ``products`` is the pass's table of rounded slope products: a slope
+    never changes once set, so each product is rounded once per pass.
     """
-    return _rounded_lower(pairs.__getitem__, j, mp.prec)
+    return _rounded_lower(pairs.__getitem__, j, mp.prec, products)
 
 
 def build_lower(spec: GoldbachSpec, precision: int = DEFAULT_PRECISION) -> ConstructedCoding:
@@ -151,8 +153,9 @@ def build_lower(spec: GoldbachSpec, precision: int = DEFAULT_PRECISION) -> Const
         xi = {2: mp.sqrt(xi_sq[2])}
         pairs = {2: mantissa_pair(xi[2])}  # each slope's mantissa, derived once
         provenance = {2: PROV_RANDOM}
+        products = {}  # (n, q) -> xi_n*xi_q rounded, shared by every x of this pass
         # x_j reads slopes 2..j//2, so slope i completes x_{2i} and x_{2i+1}.
-        x = {4: _poly_value(pairs, 4), 5: _poly_value(pairs, 5)}
+        x = {4: _poly_value(pairs, 4, products), 5: _poly_value(pairs, 5, products)}
         for i in range(3, alpha // 2):
             if i in lam:
                 xi_sq[i] = lam[i] * xi_sq[i - 1]
@@ -168,7 +171,7 @@ def build_lower(spec: GoldbachSpec, precision: int = DEFAULT_PRECISION) -> Const
             xi[i] = mp.sqrt(xi_sq[i])
             pairs[i] = mantissa_pair(xi[i])
             for j in range(2 * i, min(2 * i + 2, alpha - 4)):
-                x[j] = _poly_value(pairs, j)
+                x[j] = _poly_value(pairs, j, products)
         return ConstructedCoding(
             alpha=alpha,
             precision=precision,

@@ -35,15 +35,22 @@ def to_fraction(x: Number) -> Fraction:
     """Exact conversion to Fraction; floats and mpf are binary rationals."""
     if isinstance(x, Fraction):
         return x
+    return Fraction(*_integer_ratio(x))
+
+
+def _integer_ratio(x: Number) -> tuple:
+    """x as (numerator, denominator), denominator > 0, exact and not reduced: no gcd runs."""
+    if isinstance(x, Fraction):
+        return x.numerator, x.denominator
     if isinstance(x, int):
-        return Fraction(x)
+        return x, 1
     if isinstance(x, (float, mpf)) and not mpmath.isfinite(x):
         raise DomainError(f"cannot convert non-finite value {x} to a rational")
     if isinstance(x, float):
-        return Fraction(x)
+        return x.as_integer_ratio()
     if isinstance(x, mpf):
         man, exp = mantissa_pair(x)
-        return Fraction(man << exp) if exp >= 0 else Fraction(man, 1 << -exp)
+        return (man << exp, 1) if exp >= 0 else (man, 1 << -exp)
     raise TypeError(f"unsupported numeric type {type(x).__name__}")
 
 
@@ -150,8 +157,14 @@ def format_real(x: Number) -> str:
 
 
 def rel_diff(a: Number, b: Number) -> float:
-    """|a - b| over the larger magnitude, exactly, rounded to float once; 0 if both vanish."""
-    fa, fb = to_fraction(a), to_fraction(b)
-    if fa == fb:
+    """|a - b| over the larger magnitude, exactly, rounded to float once; 0 if both vanish.
+
+    With a = na/da and b = nb/db, the ratio is |x - y| / max(|x|, |y|) for
+    x = na*db and y = nb*da, and int true division rounds it correctly, as
+    ``float(Fraction)`` does, with no gcd on the way.
+    """
+    (na, da), (nb, db) = _integer_ratio(a), _integer_ratio(b)
+    x, y = na * db, nb * da
+    if x == y:
         return 0.0
-    return float(abs(fa - fb) / max(abs(fa), abs(fb)))
+    return abs(x - y) / max(abs(x), abs(y))

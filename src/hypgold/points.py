@@ -19,8 +19,8 @@ sum to nearest, ties to even, as mpf arithmetic rounds it.  So a float
 x_{k0} has the bits ``EssentialPolynomial.evaluate`` gives at the same
 precision, with no mpf arithmetic.  ``lower_value`` reads a coding
 through one or the other; the construction calls ``_rounded_lower`` on
-the slopes it has so far.  The region polynomial stays the definition
-and the oracle.
+the slopes it has so far, with one table of rounded slope products per
+pass.  The region polynomial stays the definition and the oracle.
 
 The repetition decisions read ``PointTable``, which holds the ints
 2*L**2*x_j of a coding's exact twin and compares them directly.
@@ -136,7 +136,7 @@ def scaled_lower_value(c: PrimeCoding, k0: int) -> int:
     return _twice_lower_value(c.scaled_slopes[0], k0)
 
 
-def _rounded_lower(pair, k0: int, prec: int):
+def _rounded_lower(pair, k0: int, prec: int, products: dict | None = None):
     """x_{k0} as an mpf, every product and sum rounded to prec bits.
 
     pair(i) gives xi_i as (signed int mantissa, exponent).  The steps are
@@ -146,25 +146,48 @@ def _rounded_lower(pair, k0: int, prec: int):
     A product is one exact int product, rounded.  Doubling and the final
     halving only move the exponent; ``2*xi_r`` rounds xi_r first, as
     mpf's multiplication by an int does.
+
+    ``products`` maps (n, q) to the rounded xi_n*xi_q; a product missing
+    from it is rounded and stored.  So calls sharing one table while the
+    slopes they read stay fixed round each product once, and the sums are
+    rounded in the same order either way: the bits do not depend on the
+    table.  Without one, every product is rounded and none is kept.
     """
+    get = _NO_PRODUCTS.get if products is None else products.get
     root = math.isqrt(k0)
     total = (0, 0)
     for n in range(2, root):
-        m, e = pair(n)
-        a, ea = pair(k0 // (n + 1))
-        b, eb = pair(k0 // n)
-        q, eq = _round(m * a, e + ea, prec)
+        a, b = k0 // (n + 1), k0 // n
+        q, eq = get((n, a)) or _product(products, pair, n, a, prec)
         total = _add(total, (-q, eq), prec)
-        total = _add(total, _round(m * b, e + eb, prec), prec)
-    m, e = pair(root)
+        total = _add(total, get((n, b)) or _product(products, pair, n, b, prec), prec)
     top = k0 // root
-    q, eq = _round(m * m, e + e, prec)
+    q, eq = get((root, root)) or _product(products, pair, root, root, prec)
     total = _add((total[0], total[1] + 1), (q if top == root else -q, eq), prec)
     if top > root:
-        m, e = _round(m, e + 1, prec)
-        b, eb = pair(top)
-        total = _add(total, _round(m * b, e + eb, prec), prec)
+        m, e = pair(root)
+        if m.bit_length() > prec:
+            m, e = _round(m, e + 1, prec)
+            b, eb = pair(top)
+            q, eq = _round(m * b, e + eb, prec)
+        else:  # 2*xi_r is exact, so its product is xi_r*xi_top's, doubled
+            q, eq = get((root, top)) or _product(products, pair, root, top, prec)
+            eq += 1
+        total = _add(total, (q, eq), prec)
     return mp.make_mpf(from_man_exp(total[0], total[1] - 1))
+
+
+_NO_PRODUCTS: dict = {}  # looked in by calls given no table; _product never writes to it
+
+
+def _product(products: dict | None, pair, n: int, q: int, prec: int) -> tuple:
+    """xi_n*xi_q rounded to prec bits, stored in products under (n, q) when there is a table."""
+    m, e = pair(n)
+    b, eb = pair(q)
+    value = _round(m * b, e + eb, prec)
+    if products is not None:
+        products[n, q] = value
+    return value
 
 
 def _round(m: int, e: int, prec: int) -> tuple:

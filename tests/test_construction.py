@@ -1,6 +1,7 @@
 """The recursive construction: worked-example fidelity, junction
 continuity, closed-form identities, homogeneity, and the scalar limit."""
 
+import math
 import random
 from dataclasses import replace
 from fractions import Fraction
@@ -9,6 +10,7 @@ import pytest
 from mpmath import mp, mpf
 
 import hypgold.construction as construction
+import hypgold.points as points_mod
 from hypgold.construction import (
     ConstructedCoding,
     GoldbachSpec,
@@ -140,8 +142,8 @@ def test_increase_guard_catches_a_stalled_ratio(monkeypatch):
     # x_6 = x_5 gives the ratio 1 at the composite index 6.
     real = construction._poly_value
 
-    def stalled(xi, j):
-        return real(xi, 5 if j == 6 else j)
+    def stalled(xi, j, products):
+        return real(xi, 5 if j == 6 else j, products)
 
     monkeypatch.setattr(construction, "_poly_value", stalled)
     with pytest.raises(ConstructionFailureError,
@@ -152,16 +154,63 @@ def test_increase_guard_catches_a_stalled_ratio(monkeypatch):
 def test_each_x_is_computed_once_as_soon_as_its_slopes_exist(monkeypatch):
     real = construction._poly_value
     calls = []
+    tables = set()
 
-    def spy(pairs, j):
+    def spy(pairs, j, products):
         # x_j reads slopes 2..j//2, and no later slope may exist yet.
         assert max(pairs) == max(j // 2, 2), j
         calls.append(j)
-        return real(pairs, j)
+        tables.add(id(products))
+        return real(pairs, j, products)
 
     monkeypatch.setattr(construction, "_poly_value", spy)
     cc = build_lower(GoldbachSpec(alpha=102, seed=3))
     assert calls == list(range(4, 102 - 4)) == list(cc.x)
+    assert len(tables) == 1  # one product table serves the whole pass
+
+
+def _kernel_products(k0: int) -> set:
+    """The (n, q) whose product xi_n*xi_q the x_{k0} kernel reads."""
+    r = math.isqrt(k0)
+    keys = {(n, k0 // d) for n in range(2, r) for d in (n, n + 1)} | {(r, r)}
+    if k0 // r > r:
+        keys.add((r, k0 // r))
+    return keys
+
+
+def test_a_pass_rounds_each_slope_product_once(monkeypatch):
+    # Every rounding outside a sum rounds a product, and each distinct
+    # product of the pass is rounded exactly once, into its one table.
+    alpha = 480
+    real_product, real_round, real_add = points_mod._product, points_mod._round, points_mod._add
+    rounded, tables, in_sum, other = [], set(), [False], [0]
+
+    def product(products, pair, n, q, prec):
+        rounded.append((n, q))
+        tables.add(None if products is None else id(products))
+        return real_product(products, pair, n, q, prec)
+
+    def add(a, b, prec):
+        in_sum[0] = True
+        try:
+            return real_add(a, b, prec)
+        finally:
+            in_sum[0] = False
+
+    def round_(m, e, prec):
+        if not in_sum[0]:
+            other[0] += 1
+        return real_round(m, e, prec)
+
+    monkeypatch.setattr(points_mod, "_product", product)
+    monkeypatch.setattr(points_mod, "_add", add)
+    monkeypatch.setattr(points_mod, "_round", round_)
+    build_lower(GoldbachSpec(alpha=alpha, seed=5))
+    expected = set().union(*(_kernel_products(k0) for k0 in range(4, alpha - 4)))
+    assert len(rounded) == len(set(rounded)) == len(expected) == 1036
+    assert set(rounded) == expected
+    assert other[0] == len(rounded)  # no product is rounded outside the table
+    assert len(tables) == 1 and None not in tables
 
 
 def test_perturbation_breaks_continuity():

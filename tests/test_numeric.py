@@ -1,6 +1,7 @@
 """Exact conversions between mpf values, mantissa pairs and Fractions, and one rounding rule."""
 
 import math
+import re
 import sys
 from fractions import Fraction
 
@@ -10,6 +11,8 @@ from hypothesis import strategies as st
 from mpmath import mp, mpf
 from mpmath.libmp import from_man_exp, from_rational, round_nearest
 
+import hypgold.construction as construction
+from hypgold.construction import GoldbachSpec, build_goldbach, junction_gaps
 from hypgold.errors import DomainError
 from hypgold.numeric import (
     format_exact,
@@ -105,6 +108,88 @@ def test_rel_diff_sees_the_operands_last_bit():
     b = to_mpf(1 + Fraction(1, 2 ** 255), 256)
     assert rel_diff(a, b) == float(Fraction(1, 2 ** 255) / (1 + Fraction(1, 2 ** 255)))
     assert rel_diff(a, a) == 0.0 and rel_diff(0, 0.0) == 0.0
+
+
+def _fraction_rel_diff(a, b) -> float:
+    """The Fraction form of rel_diff, kept as its oracle."""
+    fa, fb = to_fraction(a), to_fraction(b)
+    if fa == fb:
+        return 0.0
+    return float(abs(fa - fb) / max(abs(fa), abs(fb)))
+
+
+@st.composite
+def rel_diff_operands(draw):
+    """Two numbers of any supported type: equal, opposite, one zero, a
+    relative gap down to 2**-1200, or unrelated."""
+    sign = draw(st.sampled_from([1, -1]))
+    p = draw(st.integers(min_value=1, max_value=2 ** 200))
+    a = sign * Fraction(p, draw(st.sampled_from([1, 3, 2 ** 60, 10 ** 30])))
+    relation = draw(st.sampled_from(["equal", "opposite", "zero", "near", "other"]))
+    if relation == "equal":
+        b = a
+    elif relation == "opposite":
+        b = -a
+    elif relation == "zero":
+        b = Fraction(0)
+    elif relation == "near":
+        b = a * (1 + draw(st.sampled_from([1, -1])) / Fraction(2) ** draw(
+            st.integers(min_value=1, max_value=1200)))
+    else:
+        b = Fraction(draw(st.integers(min_value=-2 ** 200, max_value=2 ** 200)),
+                     draw(st.integers(min_value=1, max_value=2 ** 100)))
+    if draw(st.booleans()):
+        a, b = b, a
+
+    def as_type(f):
+        kind = draw(st.sampled_from(["mpf", "float", "fraction", "int"]))
+        if kind == "mpf":
+            return to_mpf(f, draw(st.integers(min_value=53, max_value=1100)))
+        if kind == "float":
+            return float(f)
+        return f if kind == "fraction" else int(f)
+
+    return as_type(a), as_type(b)
+
+
+@given(rel_diff_operands())
+@settings(max_examples=1000, deadline=None)
+def test_rel_diff_matches_the_fraction_formula(operands):
+    a, b = operands
+    got = rel_diff(a, b)
+    assert type(got) is float
+    assert got.hex() == _fraction_rel_diff(a, b).hex(), (a, b)
+
+
+def test_rel_diff_of_gaps_below_the_least_float():
+    # Relative gaps of 2**-1060 and 2**-1090 between 1100-bit values: the
+    # first is subnormal, the second rounds to 0.0, in both formulas.
+    one = to_mpf(1, 1100)
+    for shift, expected in ((1060, 2.0 ** -1060), (1090, 0.0)):
+        near = to_mpf(1 + Fraction(1, 2 ** shift), 1100)
+        for a, b in ((one, near), (near, one), (Fraction(1), 1 + Fraction(1, 2 ** shift))):
+            assert rel_diff(a, b) == _fraction_rel_diff(a, b), shift
+        assert rel_diff(one, near) == expected
+    assert rel_diff(0, mpf(0)) == rel_diff(Fraction(0), 0.0) == 0.0
+    assert rel_diff(mpf(-3), 3) == 2.0 and rel_diff(2.5, 0) == 1.0
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf"),
+                                   mpf("nan"), mpf("inf"), mpf("-inf")])
+def test_rel_diff_refuses_non_finite_values(value):
+    message = f"^cannot convert non-finite value {re.escape(str(value))} to a rational$"
+    for a, b in ((value, 1), (Fraction(1, 3), value), (value, value)):
+        with pytest.raises(DomainError, match=message):
+            rel_diff(a, b)
+
+
+def test_junction_gaps_equal_the_fraction_formulas(monkeypatch):
+    cc = build_goldbach(GoldbachSpec(alpha=480, seed=5))
+    gaps = junction_gaps(cc).gaps
+    monkeypatch.setattr(construction, "rel_diff", _fraction_rel_diff)
+    oracle = junction_gaps(cc).gaps
+    assert list(gaps) == list(oracle) == list(range(5, 240))
+    assert [g.hex() for g in gaps.values()] == [g.hex() for g in oracle.values()]
 
 
 def test_values_beyond_the_digit_limit_are_domain_errors(low_digit_limit):

@@ -333,6 +333,47 @@ def test_rounded_kernel_matches_the_mpf_loop(seed, prec, wider, spread):
             assert points_mod._rounded_lower(pairs.__getitem__, k0, prec) == expected, k0
 
 
+@st.composite
+def slope_pair(draw, prec, spread):
+    """A slope as (mantissa, exponent): up to prec + 64 random bits, bits
+    below the top prec that tie or nearly tie, or a factor that makes
+    products tie."""
+    kind = draw(st.sampled_from(["random", "tie", "above", "under", "small"]))
+    if kind == "small":
+        m = draw(st.sampled_from([1, 3, 5, 7, 9, 2 ** 20 + 1, 2 ** prec - 1, 2 ** prec + 1]))
+    else:
+        bits = draw(st.integers(min_value=1, max_value=prec + 64))
+        m = draw(st.integers(min_value=1 << (bits - 1), max_value=(1 << bits) - 1))
+        n = bits - prec
+        if kind != "random" and n > 0:
+            m = (m >> n << n) | ((1 << (n - 1)) + {"tie": 0, "above": 1, "under": -1}[kind])
+    return m, draw(st.integers(min_value=-spread, max_value=spread))
+
+
+@given(data=st.data(), prec=st.sampled_from([53, 128, 512]), spread=st.sampled_from([4, 300]))
+@settings(max_examples=120, deadline=None)
+def test_a_shared_product_table_keeps_every_bit(data, prec, spread):
+    # x_4 .. x_T through one table, in ascending and in shuffled order,
+    # equal a fresh call per k0 and the same steps summed in mpf arithmetic.
+    count = data.draw(st.integers(min_value=3, max_value=60))
+    slopes = {i: mpmath.mp.make_mpf(from_man_exp(*data.draw(slope_pair(prec, spread))))
+              for i in range(count)}
+    pairs = {i: mantissa_pair(v) for i, v in slopes.items()}
+    ks = list(range(4, 2 * count))  # x_k reads slopes 2 .. k//2
+    with mpmath.workprec(prec):
+        oracle = {k: points_mod._twice_lower_value(slopes, k) / 2 for k in ks}
+    fresh = {k: points_mod._rounded_lower(pairs.__getitem__, k, prec) for k in ks}
+    assert fresh == oracle
+    for order in (ks, data.draw(st.permutations(ks))):
+        table = {}
+        shared = {k: points_mod._rounded_lower(pairs.__getitem__, k, prec, table) for k in order}
+        assert shared == fresh, order
+        # Every product it kept is the one rounded product of its two slopes.
+        for (n, q), value in table.items():
+            assert value == points_mod._round(pairs[n][0] * pairs[q][0],
+                                              pairs[n][1] + pairs[q][1], prec), (n, q)
+
+
 def test_far_apart_slopes_stay_in_precision_sized_ints():
     # Slopes near 2**-100000 below slopes near 1: the rounded kernel must
     # equal the region polynomial and never align the two exactly.
