@@ -25,7 +25,6 @@ from typing import NamedTuple
 
 from mpmath import mp, mpf
 
-from .areas import hat_AT_second_derivative
 from .coding import PrimeCoding
 from .errors import (
     ConstructionFailureError,
@@ -314,6 +313,8 @@ def verify_continuity(cc: ConstructedCoding, rel_tol: float = DEFAULT_REL_TOL) -
 
 def eval_G(cc: ConstructedCoding, khat: Number):
     """The constructed function itself: the total-area second derivative at khat."""
+    from .areas import hat_AT_second_derivative  # no command evaluates G
+
     coding = cc.prime_coding
     return hat_AT_second_derivative(coding, cc.alpha, coding.preimage(khat))
 

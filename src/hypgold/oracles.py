@@ -1,27 +1,21 @@
-"""Independent brute-force oracles.
+"""The sieve-side oracles the commands run.
 
-Every oracle here is deliberately written against the most primitive
-definition available (sieve, trial division, symmetric differences,
-cell-by-cell intersection, adaptive quadrature) so that it shares no code
-path with the machinery it is used to check.  Only the quadrature needs
-scipy, a test-only dependency, and imports it on its first call.
+The sieve of Eratosthenes, primality and prime lists read off it, and the
+exhaustive Goldbach partition scan.  Each is written against the most
+primitive definition available, so that it shares no code path with the
+essential-point machinery it reconciles.  The test-only derivations
+(finite differences, the geometric cell oracle, quadrature) live in
+``hypgold.reference``, which no command imports.
 """
 
 from __future__ import annotations
 
-import math
 from bisect import bisect_left, bisect_right
-from fractions import Fraction
 from functools import lru_cache
 from itertools import compress
 from typing import NamedTuple
 
-from .coding import PrimeCoding
-from .errors import DomainError, QuadratureError, RangeError, RegionMismatchError
-from .numeric import Number, to_fraction
-from .regions import RegionType
-
-QUAD_ABS_TOL = 1e-10
+from .errors import DomainError
 
 
 @lru_cache(maxsize=32)
@@ -94,166 +88,3 @@ def goldbach_partitions_oracle(alpha: int) -> PartitionReport:
     hi = max(lo, bisect_right(hits, half - 1))  # the window is empty below alpha = 12
     return PartitionReport(alpha=alpha, inside_window=tuple(hits[lo:hi]),
                            outside_window=tuple(hits[:lo] + hits[hi:]))
-
-
-def finite_difference_d1(f, k, h):
-    """Central first difference (f(k+h) - f(k-h)) / 2h."""
-    return (f(k + h) - f(k - h)) / (2 * h)
-
-
-def finite_difference_d2(f, k, h):
-    """Central second difference (f(k+h) - 2 f(k) + f(k-h)) / h**2."""
-    return (f(k + h) - 2 * f(k) + f(k - h)) / (h * h)
-
-
-def geometric_region_oracle(k, n: int, n_prime: int):
-    """Brute-force validator: intersect xy = k with one cell analytically.
-
-    Works for non-integer k only (so the curve avoids lattice points) and
-    returns the RegionType implied by the (entry, exit) edge pair, or None
-    when the intersection has at most one point.  Exact in rationals.
-    """
-    k = to_fraction(k)
-    if k.denominator == 1:
-        raise DomainError("the geometric oracle needs a non-integer k")
-    if k <= 4:
-        raise DomainError("the geometric oracle needs k > 4")
-    if not (2 <= n <= n_prime):
-        raise DomainError("cells live in the strip 2 <= n <= n_prime")
-
-    if n == n_prime:
-        # Triangular cell: the curve runs from the entry edge to (sqrt(k), sqrt(k)).
-        x_in = max(Fraction(n), k / (n + 1))
-        if x_in > n + 1 or x_in * x_in >= k:
-            return None
-        entry = "left" if x_in == n else "top"
-        return RegionType.T7 if entry == "left" else RegionType.T8
-
-    x_in = max(Fraction(n), k / (n_prime + 1))
-    x_out = min(Fraction(n + 1), k / n_prime)
-    if x_in >= x_out:
-        return None
-    entry = "left" if x_in == n else "top"
-    exit_ = "right" if x_out == n + 1 else "bottom"
-    if (entry, exit_) == ("left", "bottom"):
-        return RegionType.T2
-    if (entry, exit_) == ("top", "bottom"):
-        return RegionType.T3
-    if (entry, exit_) == ("top", "right"):
-        return RegionType.T5
-    # A left -> right crossing needs k0 < n(n+1) <= k0, which is impossible
-    # in the strip; reaching here means the enumeration was misread.
-    raise RegionMismatchError(
-        f"cell ({n},{n_prime}) crossed {entry}->{exit_} at k={k}: no such type"
-    )
-
-
-def oracle_region_set(k) -> tuple:
-    """Scan all candidate cells of a non-integer k with the geometric oracle."""
-    k = to_fraction(k)
-    entries = []
-    for n in range(2, math.isqrt(math.floor(k)) + 1):
-        top = math.floor(k / n) + 1
-        for n_prime in range(n, top + 1):
-            t = geometric_region_oracle(k, n, n_prime)
-            if t is not None:
-                entries.append((n, n_prime, t))
-    entries.sort(key=lambda e: (e[0], e[1]))
-    return tuple(entries)
-
-
-def _quad(f, lo: float, hi: float, epsabs: float, epsrel: float) -> tuple:
-    """(value, error estimate) of scipy's adaptive quadrature of f over [lo, hi]."""
-    try:
-        from scipy.integrate import quad
-    except ImportError as exc:
-        raise ImportError("quadrature oracles need scipy: pip install 'hypgold[test]'") from exc
-    return quad(f, lo, hi, epsabs=epsabs, epsrel=epsrel, limit=200)
-
-
-def area_quadrature_oracle(rtype: RegionType, n: int, n_prime: int, k: Number) -> float:
-    """Defining vertical-slice integral of the region's area; test oracle."""
-
-    def integral(f, lo: float, hi: float) -> float:
-        if hi <= lo:
-            return 0.0
-        value, err = _quad(f, lo, hi, epsabs=1e-13, epsrel=1e-12)
-        if err > QUAD_ABS_TOL:
-            raise QuadratureError(f"quadrature error estimate {err} above {QUAD_ABS_TOL}")
-        return value
-
-    kf = float(k)
-    np1 = n_prime + 1
-    if rtype is RegionType.T2:
-        return integral(lambda x: kf / x - n_prime, n, kf / n_prime)
-    if rtype is RegionType.T3:
-        return (kf / np1 - n) + integral(lambda x: kf / x - n_prime, kf / np1, kf / n_prime)
-    if rtype is RegionType.T5:
-        return (kf / np1 - n) + integral(lambda x: kf / x - n_prime, kf / np1, n + 1)
-    if rtype is RegionType.T7:
-        return integral(lambda x: kf / x - x, n, math.sqrt(kf))
-    if rtype is RegionType.T8:
-        first = integral(lambda x: n + 1 - x, n, kf / (n + 1))
-        second = integral(lambda x: kf / x - x, kf / (n + 1), math.sqrt(kf))
-        return first + second
-    raise RegionMismatchError(f"unknown region type {rtype}")
-
-
-def _strip_breakpoints(k_lo, k_hi: float) -> list:
-    """x-values where the strip integrand between xy=k_lo and xy=k_hi kinks."""
-    x_max = math.sqrt(k_hi)
-    points = {2.0, x_max}
-    for n in range(2, math.floor(x_max) + 1):
-        points.add(float(n))
-    if k_lo is not None and k_lo > 4:
-        points.add(math.sqrt(k_lo))
-    for kk in (k_hi,) if k_lo is None else (k_lo, k_hi):
-        for m in range(2, math.floor(kk / 2) + 1):
-            if 2 < kk / m < x_max:
-                points.add(kk / m)
-    return sorted(points)
-
-
-def hat_strip_quadrature(c: PrimeCoding, k_lo, k_hi: Number) -> float:
-    """Deformed area between the curves xy=k_lo and xy=k_hi in the strip
-    x >= 2, y >= x, by piecewise adaptive quadrature.  Pass k_lo=None for
-    the diagonal (the full region below xy=k_hi).  Test oracle; float64.
-    """
-    k_hi = float(k_hi)
-    k_lo_f = None if k_lo is None else float(k_lo)
-    if k_hi < 4:
-        raise DomainError("strip quadrature needs k_hi >= 4")
-    if k_lo_f is not None and k_lo_f > k_hi:
-        raise DomainError("strip quadrature needs k_lo <= k_hi")
-    slopes = [float(s) for s in c.slopes]
-    top_index = math.floor(k_hi / 2)
-    if top_index > c.max_index:
-        raise RangeError(f"strip reaches y-cells up to {top_index}, coding stops at {c.max_index}")
-
-    def weighted_column(x: float) -> float:
-        y_hi = k_hi / x
-        y_lo = x if k_lo_f is None else max(x, k_lo_f / x)
-        if y_hi <= y_lo:
-            return 0.0
-        total = 0.0
-        for n_p in range(math.floor(y_lo), math.floor(y_hi) + 1):
-            overlap = min(y_hi, n_p + 1.0) - max(y_lo, float(n_p))
-            if overlap > 0:
-                total += slopes[n_p] * overlap
-        return slopes[math.floor(x)] * total
-
-    cuts = _strip_breakpoints(k_lo_f, k_hi)
-    total = 0.0
-    for lo, hi in zip(cuts, cuts[1:]):
-        if hi - lo < 1e-15:
-            continue
-        value, err = _quad(weighted_column, lo, hi, epsabs=1e-12, epsrel=1e-10)
-        if err > 1e-8:
-            raise QuadratureError(f"strip quadrature error {err} on [{lo}, {hi}]")
-        total += value
-    return total
-
-
-def hat_AI_quadrature(c: PrimeCoding, k: Number) -> float:
-    """Deformed lower area (x >= 2, y >= x, xy <= k); quadrature oracle."""
-    return hat_strip_quadrature(c, None, k)

@@ -27,14 +27,9 @@ from hypgold.construction import (
 )
 from hypgold.hyperbola import NumberKind, classify_number
 from hypgold.numeric import rel_diff, to_mpf
-from hypgold.oracles import (
-    area_quadrature_oracle,
-    finite_difference_d1,
-    finite_difference_d2,
-    is_prime,
-    primes_in,
-)
+from hypgold.oracles import is_prime, primes_in
 from hypgold.points import goldbach_characterization, lower_essential_poly
+from hypgold.reference import area_quadrature_oracle, finite_difference_d1, finite_difference_d2
 from hypgold.regions import enumerate_regions, regions_equal
 
 from conftest import strict_families

@@ -22,14 +22,14 @@ from hypgold.areas import (
 from hypgold.coding import PrimeCoding, default_coding
 from hypgold.errors import ChainViolationError, DomainError, RegionMismatchError
 from hypgold.numeric import rel_diff, to_fraction, to_mpf
-from hypgold.oracles import (
+from hypgold.points import lower_value
+from hypgold.reference import (
     area_quadrature_oracle,
     finite_difference_d1,
     finite_difference_d2,
     hat_AI_quadrature,
     hat_strip_quadrature,
 )
-from hypgold.points import lower_value
 from hypgold.regions import RegionType, enumerate_regions
 
 from conftest import arith_coding, identity_coding, seeded_coding, strict_families

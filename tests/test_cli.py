@@ -90,7 +90,6 @@ def test_classify_walks_each_lattice_point_once(capsys, monkeypatch):
         return original(c, k, u, **kwargs)
 
     monkeypatch.setattr(hyperbola_mod, "classify_point", spy)
-    monkeypatch.setattr(cli_mod, "classify_point", spy, raising=False)
     rc, out, _ = run(capsys, ["classify", "--k", "12"])
     assert rc == 0 and json.loads(out)["kind"] == "composite_natural"
     assert len(calls) == 3  # (1, 12), (2, 6), (3, 4)
@@ -137,7 +136,6 @@ def test_areas_evaluates_each_region_once(capsys, monkeypatch):
         return original(rtype, n, n_prime, *args, **kwargs)
 
     monkeypatch.setattr(areas_mod, "area_closed", spy)
-    monkeypatch.setattr(cli_mod, "area_closed", spy)
     rc, out, _ = run(capsys, ["areas", "--k0", "400", "--k", "400.5"])
     assert rc == 0
     assert calls == [(r["n"], r["n_prime"]) for r in json.loads(out)["records"]]
@@ -472,15 +470,27 @@ def test_classify_with_coding_file(tmp_path, capsys):
     assert json.loads(out)["kind"] == "composite_natural"
 
 
+def _fresh_python(cwd, script, *args):
+    """``python -c SCRIPT ARGS`` in a fresh process that imports this checkout's package."""
+    src = os.path.dirname(os.path.dirname(hypgold.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src, os.environ.get("PYTHONPATH", "")]))
+    return subprocess.run([sys.executable, "-c", script, *args], env=env, cwd=cwd,
+                          capture_output=True, text=True, timeout=120, check=True)
+
+
 _SCIPY_FREE_RUN = """
+import json
 import sys
 import hypgold.cli
-print([m for m in ('scipy', 'concurrent.futures', 'multiprocessing', 'csv')
-       if m in sys.modules])
+print([m for m in ('scipy', 'concurrent.futures', 'multiprocessing', 'csv',
+                   'hypgold.areas', 'hypgold.reference') if m in sys.modules])
 sys.modules['scipy'] = None
 from hypgold.cli import main
 for args in sys.argv[1:]:
-    print(main(args.split()), file=sys.stderr)
+    rc = main(args.split())
+    loaded = [m for m in ('hypgold.areas', 'hypgold.reference') if m in sys.modules]
+    print(json.dumps([rc, loaded]), file=sys.stderr)
 """
 
 
@@ -488,26 +498,75 @@ def test_cli_import_leaves_scipy_out(tmp_path):
     # scipy is a test-only dependency: the CLI neither imports it at start-up
     # nor needs it in any command.  The sweep runs in one process, so no
     # process-pool module is imported at start-up either, and csv loads only
-    # when --csv asks for it.
-    src = os.path.dirname(os.path.dirname(hypgold.__file__))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [src, os.environ.get("PYTHONPATH", "")]))
+    # when --csv asks for it.  Start-up loads no code that only the areas
+    # command or the tests run: areas loads with its own command (run last
+    # here, since a module stays loaded), and the reference oracles never.
     commands = [
         "regions --k0 17",
-        "areas --k0 18 --k 37/2",
         "points --alpha 18",
         "goldbach-check --alpha-range 16..40",
         "goldbach-check --alpha-range 16..40 --workers 2",
         "build-g --alpha 30 --out c.json",
         "scalar-limit --alpha 18 --u 1e-1,1e-2",
         "classify --k 91",
+        "areas --k0 18 --k 37/2",
     ]
-    proc = subprocess.run(
-        [sys.executable, "-c", _SCIPY_FREE_RUN, *commands],
-        env=env, cwd=tmp_path, capture_output=True, text=True, timeout=120, check=True,
-    )
+    proc = _fresh_python(tmp_path, _SCIPY_FREE_RUN, *commands)
     assert proc.stdout.splitlines()[0] == "[]"
-    assert proc.stderr.split() == ["0"] * len(commands)
+    assert [json.loads(line) for line in proc.stderr.splitlines()] == (
+        [[0, []]] * (len(commands) - 1) + [[0, ["hypgold.areas"]]])
+
+
+# Every name the package exported when its __init__ imported each layer eagerly.
+_PUBLIC_NAMES = {
+    "coding": ["PrimeCoding", "coding_from_json", "coding_to_json", "default_coding"],
+    "construction": ["ConstructedCoding", "GoldbachSpec", "F_term", "build_goldbach",
+                     "build_lower", "build_upper", "eval_G", "free_indices", "is_in_N",
+                     "junction_gaps", "reduced_form_check", "scalar_limit_sweep",
+                     "verify_continuity"],
+    "areas": ["AreaFormulaResult", "ab_coefficients", "area_closed", "bounds_chain",
+              "hat_AT_second_derivative", "hat_lower_sweep", "hat_area"],
+    "errors": ["ChainViolationError", "ConstructionFailureError", "DomainError",
+               "HypgoldError", "QuadratureError", "RangeError", "RegionMismatchError",
+               "ScalingViolationError", "TheoremViolationError", "VerificationError"],
+    "hyperbola": ["CurvePoint", "NumberKind", "PointKind", "classify_number",
+                  "classify_point", "curve_point", "fhat", "fhat_one_sided", "hhat",
+                  "hhat_one_sided"],
+    "reference": ["area_quadrature_oracle", "finite_difference_d1", "finite_difference_d2",
+                  "geometric_region_oracle", "hat_AI_quadrature", "hat_strip_quadrature",
+                  "oracle_region_set"],
+    "oracles": ["goldbach_partitions_oracle", "is_prime", "primes_in", "sieve"],
+    "points": ["EssentialPoint", "EssentialPolynomial", "essential_points", "eval_poly",
+               "goldbach_characterization", "lower_essential_poly", "lower_value",
+               "monotonicity_report", "upper_essential_poly"],
+    "regions": ["RegionType", "enumerate_regions", "regions_equal"],
+}
+
+
+@pytest.mark.parametrize("module, name", [(m, n) for m, names in _PUBLIC_NAMES.items()
+                                          for n in names])
+def test_every_public_name_resolves_to_its_home(module, name):
+    assert name in hypgold.__all__ and name in dir(hypgold)
+    home = importlib.import_module(f"hypgold.{module}")
+    assert getattr(hypgold, name) is getattr(home, name)
+
+
+_LAZY_IMPORT = """
+import sys
+import hypgold
+print([m for m in sys.modules if m.startswith('hypgold.')])
+from hypgold import construction, oracles
+print(construction.__name__, oracles.__name__)
+"""
+
+
+def test_package_exports_resolve_lazily(tmp_path):
+    # import hypgold loads no layer; from-imports still reach the submodules.
+    proc = _fresh_python(tmp_path, _LAZY_IMPORT)
+    assert proc.stdout.splitlines() == ["[]", "hypgold.construction hypgold.oracles"]
+    assert hypgold.__version__ == "0.1.0"
+    with pytest.raises(AttributeError, match="'no_such_name'"):
+        getattr(hypgold, "no_such_name")
 
 
 def test_dataclasses_are_only_the_three_that_need_it():

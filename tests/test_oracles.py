@@ -6,16 +6,12 @@ import pytest
 
 from hypgold.coding import default_coding
 from hypgold.errors import DomainError
-from hypgold.oracles import (
-    _prime_list,
+from hypgold.oracles import _prime_list, goldbach_partitions_oracle, is_prime, primes_in, sieve
+from hypgold.reference import (
     area_quadrature_oracle,
     finite_difference_d1,
     finite_difference_d2,
-    goldbach_partitions_oracle,
     hat_AI_quadrature,
-    is_prime,
-    primes_in,
-    sieve,
 )
 from hypgold.regions import RegionType
 

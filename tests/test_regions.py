@@ -8,7 +8,8 @@ from fractions import Fraction
 import pytest
 
 from hypgold.errors import DomainError
-from hypgold.oracles import geometric_region_oracle, oracle_region_set, primes_in
+from hypgold.oracles import primes_in
+from hypgold.reference import geometric_region_oracle, oracle_region_set
 from hypgold.regions import DIAGONAL_TYPES, RegionType, enumerate_regions, regions_equal
 
 T2, T3, T5, T7, T8 = (RegionType.T2, RegionType.T3, RegionType.T5,
