@@ -52,7 +52,7 @@ import click  # noqa: E402
 
 
 def _scalar(obj):
-    """json.dumps hook: Fractions as exact "p/q", mpf and other numbers as decimals."""
+    """json.dumps hook: Fractions as exact "p/q", binary floats and mpf as decimals."""
     if isinstance(obj, Fraction):
         return format_exact(obj)
     return format_real(obj)

@@ -31,8 +31,6 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import accumulate, islice, repeat
 
-from mpmath import mp
-
 from .errors import DomainError, RangeError
 from .numeric import (
     DEFAULT_PRECISION,
@@ -126,8 +124,12 @@ class PrimeCoding:
         return tuple(self.rounded(Fraction(a, lcm)) for a in ints)
 
     def context(self):
-        """Working-precision context for float mode, no-op for rational."""
-        return mp.workprec(self.precision) if self.mode == MODE_FLOAT else nullcontext()
+        """mpmath's working-precision context for float mode, no-op for rational."""
+        if self.mode != MODE_FLOAT:
+            return nullcontext()
+        from mpmath import mp  # a float coding's mpf values are computed under it
+
+        return mp.workprec(self.precision)
 
     @property
     def max_index(self) -> int:

@@ -7,7 +7,10 @@ seed xi_{alpha/2}^2.  Everything else is forced: composite lower indices
 take the ratio step xi_i^2 = (x_i / x_{i-1}) xi_{i-1}^2, the upper side
 descends through ratio steps at composite junctions and the junction
 formula at prime junctions.  Square roots enter through x-values, so this
-module runs in high-precision floats (128-bit mantissa by default).
+module runs in binary floats (``numeric.BinaryFloat``, 128-bit mantissas
+by default): each operation rounds once, at the run's precision, with
+``numeric``'s rounding, in the order the formulas below write it.  A pass
+computes on (mantissa, exponent) pairs; the state holds values.
 
 One state, ``ConstructedCoding``, runs through both passes: the ascending
 pass (``build_lower``) fills the slopes through alpha/2 - 1 and every
@@ -23,8 +26,6 @@ from fractions import Fraction
 from functools import cached_property
 from typing import NamedTuple
 
-from mpmath import mp, mpf
-
 from .coding import PrimeCoding
 from .errors import (
     ConstructionFailureError,
@@ -35,11 +36,18 @@ from .numeric import (
     DEFAULT_PRECISION,
     DEFAULT_REL_TOL,
     MODE_FLOAT,
+    BinaryFloat,
     Number,
-    mantissa_pair,
+    _add,
+    _cmp,
+    _div,
+    _mul,
+    _pair,
+    _round_number,
+    _sqrt,
+    _sub,
     rel_diff,
     to_fraction,
-    to_mpf,
 )
 from .oracles import is_prime, primes_in
 from .points import _rounded_lower
@@ -111,88 +119,93 @@ class GoldbachSpec:
 
 
 def _resolve_lambdas(spec: GoldbachSpec, precision: int) -> tuple:
+    """The squared multipliers and the upper seed's multiplier, as pairs rounded to precision."""
     rng = random.Random(spec.seed)
     lam = {}
     pinned = spec.lambda_sq or {}
     for i in free_indices(spec.alpha):
         if spec.scalar_u is not None:
-            u = to_mpf(spec.scalar_u, precision)
-            lam[i] = u * u
+            u = _round_number(spec.scalar_u, precision)
+            lam[i] = _mul(u, u, precision)
         elif i in pinned:
-            lam[i] = to_mpf(pinned[i], precision)
+            lam[i] = _round_number(pinned[i], precision)
         else:
-            lam[i] = to_mpf(1 + 3 * (1 - rng.random()), precision)
-        if not lam[i] > 1:
+            lam[i] = _round_number(1 + 3 * (1 - rng.random()), precision)
+        if not _cmp(lam[i], (1, 0)) > 0:
             # The spec's exact check passed, so only the rounding stalls it.
             raise DomainError(f"lambda_{i}^2 rounds to 1 at {precision} bits; raise --precision")
     if spec.xi_half_sq is not None:
         half_mult = None
     else:
-        half_mult = to_mpf(1 + 3 * (1 - rng.random()), precision)
+        half_mult = _round_number(1 + 3 * (1 - rng.random()), precision)
     return lam, half_mult
 
 
-def _poly_value(pairs: dict, j: int, products: dict):
-    """x_j at mp.prec from the mantissa pairs of the slopes defined so far.
+def _poly_value(pairs: dict, j: int, products: dict, prec: int) -> BinaryFloat:
+    """x_j at prec bits from the mantissa pairs of the slopes defined so far.
 
-    ``pairs[i]`` is ``mantissa_pair(xi_i)``; a missing slope raises KeyError.
-    ``products`` is the pass's table of rounded slope products: a slope
-    never changes once set, so each product is rounded once per pass.
+    ``pairs[i]`` is xi_i as (mantissa, exponent); a missing slope raises
+    KeyError.  ``products`` is the pass's table of rounded slope products:
+    a slope never changes once set, so each product is rounded once per
+    pass.
     """
-    return _rounded_lower(pairs.__getitem__, j, mp.prec, products)
+    return _rounded_lower(pairs.__getitem__, j, prec, products)
+
+
+def _values(pairs: dict) -> dict:
+    return {i: BinaryFloat(*p) for i, p in pairs.items()}
 
 
 def build_lower(spec: GoldbachSpec, precision: int = DEFAULT_PRECISION) -> ConstructedCoding:
     """Ascending pass: free multipliers at the free indices, ratio steps at
     the others, x-values computed as soon as their slopes exist."""
     alpha = spec.alpha
-    with mp.workprec(precision):
-        lam, half_mult = _resolve_lambdas(spec, precision)
-        xi_sq = {2: to_mpf(spec.xi2_sq, precision)}
-        xi = {2: mp.sqrt(xi_sq[2])}
-        pairs = {2: mantissa_pair(xi[2])}  # each slope's mantissa, derived once
-        provenance = {2: PROV_RANDOM}
-        products = {}  # (n, q) -> xi_n*xi_q rounded, shared by every x of this pass
-        # x_j reads slopes 2..j//2, so slope i completes x_{2i} and x_{2i+1}.
-        x = {4: _poly_value(pairs, 4, products), 5: _poly_value(pairs, 5, products)}
-        for i in range(3, alpha // 2):
-            if i in lam:
-                xi_sq[i] = lam[i] * xi_sq[i - 1]
-                provenance[i] = PROV_RANDOM
-            else:
-                ratio = x[i] / x[i - 1]
-                xi_sq[i] = ratio * xi_sq[i - 1]
-                provenance[i] = PROV_COMPOSITE
-            if not xi_sq[i] > xi_sq[i - 1]:
-                raise ConstructionFailureError(
-                    f"slope squares failed to increase at index {i}"
-                )
-            xi[i] = mp.sqrt(xi_sq[i])
-            pairs[i] = mantissa_pair(xi[i])
-            for j in range(2 * i, min(2 * i + 2, alpha - 4)):
-                x[j] = _poly_value(pairs, j, products)
-        return ConstructedCoding(
-            alpha=alpha,
-            precision=precision,
-            spec=spec,
-            xi_sq=xi_sq,
-            xi=xi,
-            x=x,
-            lambda_sq=lam,
-            provenance=provenance,
-            half_multiplier=half_mult,
-        )
+    lam, half_mult = _resolve_lambdas(spec, precision)
+    xi_sq = {2: _round_number(spec.xi2_sq, precision)}
+    xi = {2: _sqrt(xi_sq[2], precision)}  # also the slopes' mantissa pairs the kernel reads
+    provenance = {2: PROV_RANDOM}
+    products = {}  # (n, q) -> xi_n*xi_q rounded, shared by every x of this pass
+    # x_j reads slopes 2..j//2, so slope i completes x_{2i} and x_{2i+1}.
+    x = {4: _poly_value(xi, 4, products, precision),
+         5: _poly_value(xi, 5, products, precision)}
+    for i in range(3, alpha // 2):
+        if i in lam:
+            xi_sq[i] = _mul(lam[i], xi_sq[i - 1], precision)
+            provenance[i] = PROV_RANDOM
+        else:
+            ratio = _div(_pair(x[i]), _pair(x[i - 1]), precision)
+            xi_sq[i] = _mul(ratio, xi_sq[i - 1], precision)
+            provenance[i] = PROV_COMPOSITE
+        if not _cmp(xi_sq[i], xi_sq[i - 1]) > 0:
+            raise ConstructionFailureError(
+                f"slope squares failed to increase at index {i}"
+            )
+        xi[i] = _sqrt(xi_sq[i], precision)
+        for j in range(2 * i, min(2 * i + 2, alpha - 4)):
+            x[j] = _poly_value(xi, j, products, precision)
+    return ConstructedCoding(
+        alpha=alpha,
+        precision=precision,
+        spec=spec,
+        xi_sq=_values(xi_sq),
+        xi=_values(xi),
+        x=x,
+        lambda_sq=_values(lam),
+        provenance=provenance,
+        half_multiplier=None if half_mult is None else BinaryFloat(*half_mult),
+    )
 
 
-def F_term(state: ConstructedCoding, r0: int):
+def F_term(state: ConstructedCoding, r0: int) -> BinaryFloat:
     """F_{r0} = ((alpha - r0)/r0) * x_{r0-1} * (1/xi_{r0-1}^2 - 1/xi_{r0}^2)."""
     if not is_prime(r0) or not 5 <= r0 <= state.alpha // 2 - 1:
         raise DomainError(f"F terms are defined for primes in [5, {state.alpha // 2 - 1}]")
-    with mp.workprec(state.precision):
-        alpha = mpf(state.alpha)
-        return ((alpha - r0) / r0) * state.x[r0 - 1] * (
-            1 / state.xi_sq[r0 - 1] - 1 / state.xi_sq[r0]
-        )
+    prec = state.precision
+    factor = _div((state.alpha - r0, 0), (r0, 0), prec)  # alpha - r0 < 2**53 fits any precision
+    factor = _mul(factor, _pair(state.x[r0 - 1]), prec)
+    inverses = _sub(_div((1, 0), _pair(state.xi_sq[r0 - 1]), prec),
+                    _div((1, 0), _pair(state.xi_sq[r0]), prec), prec)
+    return BinaryFloat(*_mul(factor, inverses, prec))
 
 
 @dataclass
@@ -226,45 +239,49 @@ class ConstructedCoding:
         filled ascending under xi_2; indices above alpha - 5 are irrelevant
         and continue with +1 steps so the coding object stays valid.
         """
-        with mp.workprec(self.precision):
-            slopes = [self.xi[2] / 3, 2 * self.xi[2] / 3]
-            slopes.extend(self.xi[i] for i in range(2, self.alpha - 4))
-            slopes.append(self.xi[self.alpha - 5] + 1)
-        return PrimeCoding(slopes=tuple(slopes), mode=MODE_FLOAT, precision=self.precision)
+        prec = self.precision
+        xi2 = _pair(self.xi[2])
+        low = (_div(xi2, (3, 0), prec), _div(_mul((2, 0), xi2, prec), (3, 0), prec))
+        slopes = [BinaryFloat(*p) for p in low]
+        slopes.extend(self.xi[i] for i in range(2, self.alpha - 4))
+        slopes.append(BinaryFloat(*_add(_pair(self.xi[self.alpha - 5]), (1, 0), prec)))
+        return PrimeCoding(slopes=tuple(slopes), mode=MODE_FLOAT, precision=prec)
 
 
 def build_upper(spec: GoldbachSpec, lower: ConstructedCoding) -> ConstructedCoding:
     """Descending pass over k0 = alpha/2 - 1 .. 5: the upper seed, ratio
     steps at composite k0, the junction formula at prime k0.  ``lower`` is
     left as it was."""
-    alpha = spec.alpha
-    with mp.workprec(lower.precision):
-        xi_sq = dict(lower.xi_sq)
-        xi = dict(lower.xi)
-        provenance = dict(lower.provenance)
-        if spec.xi_half_sq is not None:
-            xi_sq[alpha // 2] = to_mpf(spec.xi_half_sq, lower.precision)
+    alpha, prec = spec.alpha, lower.precision
+    xi_sq = dict(lower.xi_sq)
+    xi = dict(lower.xi)
+    provenance = dict(lower.provenance)
+    if spec.xi_half_sq is not None:
+        prev = _round_number(spec.xi_half_sq, prec)
+    else:
+        prev = _mul(_pair(lower.half_multiplier), _pair(xi_sq[alpha // 2 - 1]), prec)
+    xi_sq[alpha // 2] = BinaryFloat(*prev)
+    provenance[alpha // 2] = PROV_RANDOM
+    xi[alpha // 2] = BinaryFloat(*_sqrt(prev, prec))
+    for k0 in range(alpha // 2 - 1, 4, -1):
+        # prev is xi_{target-1}^2, the square set one step before.
+        target = alpha - k0
+        before, here = _pair(lower.abs_y(k0 - 1)), _pair(lower.abs_y(k0))
+        if is_prime(k0):
+            # x_{k0-1} and x_{k0} sum the same terms in the same order.
+            if lower.x[k0 - 1] != lower.x[k0]:
+                raise ConstructionFailureError(
+                    f"x_{k0 - 1} != x_{k0} at prime junction {k0}"
+                )
+            f_term = _pair(F_term(lower, k0))
+            prev = _div(before, _add(_div(here, prev, prec), f_term, prec), prec)
+            provenance[target] = PROV_JUNCTION
         else:
-            xi_sq[alpha // 2] = lower.half_multiplier * xi_sq[alpha // 2 - 1]
-        provenance[alpha // 2] = PROV_RANDOM
-        xi[alpha // 2] = mp.sqrt(xi_sq[alpha // 2])
-        for k0 in range(alpha // 2 - 1, 4, -1):
-            target = alpha - k0
-            prev = xi_sq[target - 1]
-            if is_prime(k0):
-                # x_{k0-1} and x_{k0} sum the same terms in the same order.
-                if lower.x[k0 - 1] != lower.x[k0]:
-                    raise ConstructionFailureError(
-                        f"x_{k0 - 1} != x_{k0} at prime junction {k0}"
-                    )
-                f_term = F_term(lower, k0)
-                xi_sq[target] = lower.abs_y(k0 - 1) / (lower.abs_y(k0) / prev + f_term)
-                provenance[target] = PROV_JUNCTION
-            else:
-                xi_sq[target] = (lower.abs_y(k0 - 1) / lower.abs_y(k0)) * prev
-                provenance[target] = PROV_UPPER_RATIO
-            xi[target] = mp.sqrt(xi_sq[target])
-        return replace(lower, spec=spec, xi_sq=xi_sq, xi=xi, provenance=provenance)
+            prev = _mul(_div(before, here, prec), prev, prec)
+            provenance[target] = PROV_UPPER_RATIO
+        xi_sq[target] = BinaryFloat(*prev)
+        xi[target] = BinaryFloat(*_sqrt(prev, prec))
+    return replace(lower, spec=spec, xi_sq=xi_sq, xi=xi, provenance=provenance)
 
 
 def build_goldbach(spec: GoldbachSpec, precision: int = DEFAULT_PRECISION) -> ConstructedCoding:
@@ -281,17 +298,20 @@ class ContinuityReport(NamedTuple):
 def junction_gaps(cc: ConstructedCoding) -> ContinuityReport:
     """Relative gap between the one-sided second-derivative values at every
     junction k0 in {5, ..., alpha/2 - 1}."""
-    alpha = cc.alpha
+    alpha, prec = cc.alpha, cc.precision
+    x, xi_sq = cc.x, cc.xi_sq
+
+    def side(k0, k, m):
+        # x_k / (k0 * xi_k^2) + y_k / ((alpha - k0) * xi_m^2), with y_k = -x_{alpha-k-1}.
+        lower = _div(_pair(x[k]), _mul((k0, 0), _pair(xi_sq[k]), prec), prec)
+        upper = _div(_pair(x[alpha - k - 1]), _mul((alpha - k0, 0), _pair(xi_sq[m]), prec), prec)
+        return BinaryFloat(*_sub(lower, upper, prec))
+
     gaps = {}
-    with mp.workprec(cc.precision):
-        for k0 in range(5, alpha // 2):
-            left = cc.x[k0 - 1] / (k0 * cc.xi_sq[k0 - 1]) + cc.y(k0 - 1) / (
-                (alpha - k0) * cc.xi_sq[alpha - k0]
-            )
-            right = cc.x[k0] / (k0 * cc.xi_sq[k0]) + cc.y(k0) / (
-                (alpha - k0) * cc.xi_sq[alpha - k0 - 1]
-            )
-            gaps[k0] = rel_diff(left, right)
+    for k0 in range(5, alpha // 2):
+        left = side(k0, k0 - 1, alpha - k0)
+        right = side(k0, k0, alpha - k0 - 1)
+        gaps[k0] = rel_diff(left, right)
     return ContinuityReport(alpha=alpha, max_rel_gap=max(gaps.values()), gaps=gaps)
 
 
@@ -336,28 +356,35 @@ def reduced_form_check(spec: GoldbachSpec, scale) -> ScalingReport:
     c = to_fraction(scale)
     if c <= 0:
         raise DomainError("scale must be positive")
-    base = build_lower(spec, DEFAULT_PRECISION)
-    scaled = build_lower(replace(spec, xi2_sq=to_fraction(spec.xi2_sq) * c), DEFAULT_PRECISION)
-    with mp.workprec(DEFAULT_PRECISION):
-        cf = to_mpf(c, DEFAULT_PRECISION)
-        xi_err = max(
-            rel_diff(scaled.xi_sq[i], cf * base.xi_sq[i])
-            for i in range(2, spec.alpha // 2)
+    prec = DEFAULT_PRECISION
+    base = build_lower(spec, prec)
+    scaled = build_lower(replace(spec, xi2_sq=to_fraction(spec.xi2_sq) * c), prec)
+    cf = _round_number(c, prec)
+
+    def scaled_by_c(value) -> BinaryFloat:
+        return BinaryFloat(*_mul(cf, _pair(value), prec))
+
+    def ratio(a, b) -> BinaryFloat:
+        return BinaryFloat(*_div(_pair(a), _pair(b), prec))
+
+    xi_err = max(
+        rel_diff(scaled.xi_sq[i], scaled_by_c(base.xi_sq[i]))
+        for i in range(2, spec.alpha // 2)
+    )
+    x_err = max(
+        rel_diff(scaled.x[j], scaled_by_c(base.x[j]))
+        for j in range(4, spec.alpha - 4)
+    )
+    ratio_err = 0.0
+    for k0 in range(5, spec.alpha // 2):
+        ratio_err = max(
+            ratio_err,
+            rel_diff(ratio(scaled.x[k0 - 1], scaled.x[k0]), ratio(base.x[k0 - 1], base.x[k0])),
+            rel_diff(
+                ratio(scaled.abs_y(k0 - 1), scaled.abs_y(k0)),
+                ratio(base.abs_y(k0 - 1), base.abs_y(k0)),
+            ),
         )
-        x_err = max(
-            rel_diff(scaled.x[j], cf * base.x[j])
-            for j in range(4, spec.alpha - 4)
-        )
-        ratio_err = 0.0
-        for k0 in range(5, spec.alpha // 2):
-            ratio_err = max(
-                ratio_err,
-                rel_diff(scaled.x[k0 - 1] / scaled.x[k0], base.x[k0 - 1] / base.x[k0]),
-                rel_diff(
-                    scaled.abs_y(k0 - 1) / scaled.abs_y(k0),
-                    base.abs_y(k0 - 1) / base.abs_y(k0),
-                ),
-            )
     report = ScalingReport(
         alpha=spec.alpha,
         scale=c,
@@ -404,23 +431,24 @@ def scalar_limit_sweep(alpha: int, u_list, xi2_sq=1,
     ordered = sorted(u_list, reverse=True)
     rows = []
     deviations = []
-    with mp.workprec(precision):
-        half = to_mpf(xi2_sq, precision) / 2
-        for u in ordered:
-            spec = GoldbachSpec(alpha=alpha, xi2_sq=xi2_sq, scalar_u=u, seed=0)
-            lower = build_lower(spec, precision)
-            worst = mpf(0)
-            for k0 in range(4, alpha // 2):
-                xv = lower.x[k0]
-                yv = -lower.abs_y(k0)
-                rows.append(ScalarLimitRow(u=u, k0=k0, x_k0=xv, y_k0=yv))
-                worst = max(worst, abs(xv - half), abs(abs(yv) - half))
-            deviations.append(worst)
-        monotone = all(a > b for a, b in zip(deviations, deviations[1:]))
-        reaches_limit = to_fraction(ordered[-1]) <= 1 + Fraction(1, 10 ** 6)
-        final_below = None
-        if reaches_limit:
-            final_below = bool(deviations[-1] <= SCALAR_FINAL_TOL * to_mpf(xi2_sq, precision))
+    xi2 = _round_number(xi2_sq, precision)
+    half = _div(xi2, (2, 0), precision)
+    for u in ordered:
+        spec = GoldbachSpec(alpha=alpha, xi2_sq=xi2_sq, scalar_u=u, seed=0)
+        lower = build_lower(spec, precision)
+        worst = BinaryFloat(0)
+        for k0 in range(4, alpha // 2):
+            xv, abs_y = lower.x[k0], lower.abs_y(k0)
+            rows.append(ScalarLimitRow(u=u, k0=k0, x_k0=xv, y_k0=-abs_y))
+            for v in (xv, abs_y):
+                worst = max(worst, abs(BinaryFloat(*_sub(_pair(v), half, precision))))
+        deviations.append(worst)
+    monotone = all(a > b for a, b in zip(deviations, deviations[1:]))
+    reaches_limit = to_fraction(ordered[-1]) <= 1 + Fraction(1, 10 ** 6)
+    final_below = None
+    if reaches_limit:
+        bound = BinaryFloat(*_mul(_pair(SCALAR_FINAL_TOL), xi2, precision))
+        final_below = bool(deviations[-1] <= bound)
     return ScalarLimitResult(
         alpha=alpha,
         xi2_sq=xi2_sq,

@@ -15,12 +15,13 @@ O(sqrt(k0)) steps and with no region set built.  ``_twice_lower_value``
 sums exactly on a coding's scaled slopes ints = L*xi, giving the int
 2*L**2*x_{k0} (``scaled_lower_value``); ``_rounded_lower`` takes the
 same steps on (int mantissa, exponent) pairs and rounds each product and
-sum to nearest, ties to even, as mpf arithmetic rounds it.  So a float
-x_{k0} has the bits ``EssentialPolynomial.evaluate`` gives at the same
-precision, with no mpf arithmetic.  ``lower_value`` reads a coding
-through one or the other; the construction calls ``_rounded_lower`` on
-the slopes it has so far, with one table of rounded slope products per
-pass.  The region polynomial stays the definition and the oracle.
+sum with ``numeric``'s rounding, to nearest with ties to even, as mpf
+arithmetic rounds it.  So a float x_{k0} has the bits
+``EssentialPolynomial.evaluate`` gives in mpf arithmetic at the same
+precision.  ``lower_value`` reads a coding through one or the other; the
+construction calls ``_rounded_lower`` on the slopes it has so far, with
+one table of rounded slope products per pass.  The region polynomial
+stays the definition and the oracle.
 
 The repetition decisions read ``PointTable``, which holds the ints
 2*L**2*x_j of a coding's exact twin and compares them directly.
@@ -33,12 +34,9 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import NamedTuple
 
-from mpmath import mp
-from mpmath.libmp import from_man_exp
-
 from .coding import PrimeCoding
 from .errors import DomainError, RangeError, TheoremViolationError
-from .numeric import MODE_RATIONAL, bounded_str
+from .numeric import MODE_RATIONAL, BinaryFloat, _add, _round, bounded_str, to_mpf
 from .oracles import goldbach_partitions_oracle, is_prime
 from .regions import TYPE_COEFFICIENT, _check_k0, enumerate_regions
 
@@ -136,8 +134,8 @@ def scaled_lower_value(c: PrimeCoding, k0: int) -> int:
     return _twice_lower_value(c.scaled_slopes[0], k0)
 
 
-def _rounded_lower(pair, k0: int, prec: int, products: dict | None = None):
-    """x_{k0} as an mpf, every product and sum rounded to prec bits.
+def _rounded_lower(pair, k0: int, prec: int, products: dict | None = None) -> BinaryFloat:
+    """x_{k0}, every product and sum rounded to prec bits.
 
     pair(i) gives xi_i as (signed int mantissa, exponent).  The steps are
     ``_twice_lower_value``'s, in its order, each rounded to nearest with
@@ -174,7 +172,7 @@ def _rounded_lower(pair, k0: int, prec: int, products: dict | None = None):
             q, eq = get((root, top)) or _product(products, pair, root, top, prec)
             eq += 1
         total = _add(total, (q, eq), prec)
-    return mp.make_mpf(from_man_exp(total[0], total[1] - 1))
+    return BinaryFloat(total[0], total[1] - 1)
 
 
 _NO_PRODUCTS: dict = {}  # looked in by calls given no table; _product never writes to it
@@ -188,37 +186,6 @@ def _product(products: dict | None, pair, n: int, q: int, prec: int) -> tuple:
     if products is not None:
         products[n, q] = value
     return value
-
-
-def _round(m: int, e: int, prec: int) -> tuple:
-    """m*2**e rounded to prec bits, to nearest with ties to even."""
-    n = m.bit_length() - prec
-    if n <= 0:
-        return m, e
-    half = 1 << (n - 1)
-    t = m + half
-    q = t >> n
-    if q & 1 and not t & ((half << 1) - 1):
-        q -= 1  # a tie went up to odd; the even neighbour is below
-    return q, e + n
-
-
-def _add(a: tuple, b: tuple, prec: int) -> tuple:
-    """a+b rounded to prec bits, for operands of at most prec significant bits.
-
-    The exact sum of the aligned mantissas is rounded, unless the exponent
-    gap passes 2*prec + 8: the operand with the smaller exponent then lies
-    far below half the other's last place, so the sum rounds to the larger
-    operand, as mpf_add's sticky rule rounds it, and no int grows past
-    O(prec) bits.
-    """
-    (am, ae), (bm, be) = a, b
-    d = ae - be
-    if d < 0:
-        am, ae, bm, be, d = bm, be, am, ae, -d
-    if d > 2 * prec + 8 and am:
-        return am, ae
-    return _round((am << d) + bm, be, prec)
 
 
 class EssentialPoint(NamedTuple):
@@ -257,7 +224,8 @@ def _check_coding(c: PrimeCoding, alpha: int) -> None:
 def lower_value(c: PrimeCoding, k0: int):
     """x_{k0} at the coding: an exact Fraction from the
     integer-scaled slopes, or an mpf rounded at the coding's precision
-    from the slopes' mantissas."""
+    from the slopes' mantissas (the one step of float points that makes an
+    mpf)."""
     _check_k0(k0)
     if k0 // 2 > c.max_index:
         # Name the index EssentialPolynomial.evaluate fails on first: its
@@ -268,7 +236,7 @@ def lower_value(c: PrimeCoding, k0: int):
     if c.mode == MODE_RATIONAL:
         lcm = c.scaled_slopes[1]
         return Fraction(scaled_lower_value(c, k0), 2 * lcm * lcm)
-    return _rounded_lower(c.mantissa_pairs.__getitem__, k0, c.precision)
+    return to_mpf(_rounded_lower(c.mantissa_pairs.__getitem__, k0, c.precision), c.precision)
 
 
 def essential_points(c: PrimeCoding, alpha: int) -> list:

@@ -161,24 +161,26 @@ def test_criterion_6_goldbach_construction():
         report = junction_gaps(cc)
         assert report.max_rel_gap <= 1e-9, (alpha, seed)
         with mp.workprec(128):
-            acc = cc.abs_y(alpha // 2 - 1) / cc.xi_sq[alpha // 2]
+            # The construction's values are exact binary floats: mpf(v) takes
+            # them into mpf arithmetic at the working precision.
+            acc = mpf(cc.abs_y(alpha // 2 - 1)) / cc.xi_sq[alpha // 2]
             window = primes_in(5, alpha // 2 - 1)
             for r0 in window:
                 acc += F_term(lower, r0)
             closed_form = cc.abs_y(4) / acc
             assert rel_diff(cc.xi_sq[alpha - 5], closed_form) <= 1e-9, (alpha, seed)
-            l3sq, l4sq = cc.lambda_sq[3], cc.lambda_sq[4]
-            base = 1 / (2 * l3sq * l4sq)
-            f5 = ((alpha - 5) / mpf(5)) * base * (1 - 1 / cc.lambda_sq[5])
+            lam = {i: mpf(v) for i, v in cc.lambda_sq.items()}
+            base = 1 / (2 * lam[3] * lam[4])
+            f5 = ((alpha - 5) / mpf(5)) * base * (1 - 1 / lam[5])
             assert rel_diff(F_term(lower, 5), f5) <= 1e-9
             for p0 in window[1:]:
                 product = mpf(1)
                 for q in window:
                     if q < p0:
-                        product *= 1 / cc.lambda_sq[q]
-                assert rel_diff(lower.x[p0] / lower.xi_sq[p0 - 1], base * product) <= 1e-9
+                        product *= 1 / lam[q]
+                assert rel_diff(mpf(lower.x[p0]) / lower.xi_sq[p0 - 1], base * product) <= 1e-9
                 f_p = ((alpha - p0) / mpf(p0)) * base * product * (
-                    1 - 1 / cc.lambda_sq[p0]
+                    1 - 1 / lam[p0]
                 )
                 assert rel_diff(F_term(lower, p0), f_p) <= 1e-9
     _report(6, "construction: junction gaps, xi_(alpha-5)^2 closed form, F identities "

@@ -483,13 +483,13 @@ _SCIPY_FREE_RUN = """
 import json
 import sys
 import hypgold.cli
-print([m for m in ('scipy', 'concurrent.futures', 'multiprocessing', 'csv',
+print([m for m in ('scipy', 'concurrent.futures', 'multiprocessing', 'csv', 'mpmath',
                    'hypgold.areas', 'hypgold.reference') if m in sys.modules])
 sys.modules['scipy'] = None
 from hypgold.cli import main
 for args in sys.argv[1:]:
     rc = main(args.split())
-    loaded = [m for m in ('hypgold.areas', 'hypgold.reference') if m in sys.modules]
+    loaded = [m for m in ('mpmath', 'hypgold.areas', 'hypgold.reference') if m in sys.modules]
     print(json.dumps([rc, loaded]), file=sys.stderr)
 """
 
@@ -501,20 +501,23 @@ def test_cli_import_leaves_scipy_out(tmp_path):
     # when --csv asks for it.  Start-up loads no code that only the areas
     # command or the tests run: areas loads with its own command (run last
     # here, since a module stays loaded), and the reference oracles never.
+    # No benchmarked command loads mpmath: the construction and format_real
+    # compute on int mantissas, and only areas makes mpf values.
     commands = [
         "regions --k0 17",
-        "points --alpha 18",
+        "points --alpha 40",
         "goldbach-check --alpha-range 16..40",
         "goldbach-check --alpha-range 16..40 --workers 2",
         "build-g --alpha 30 --out c.json",
-        "scalar-limit --alpha 18 --u 1e-1,1e-2",
+        "scalar-limit --alpha 30 --u 1e-1,1e-2,1e-3,1e-4,1e-5,1e-6",
+        "classify --k 59",
         "classify --k 91",
         "areas --k0 18 --k 37/2",
     ]
     proc = _fresh_python(tmp_path, _SCIPY_FREE_RUN, *commands)
     assert proc.stdout.splitlines()[0] == "[]"
     assert [json.loads(line) for line in proc.stderr.splitlines()] == (
-        [[0, []]] * (len(commands) - 1) + [[0, ["hypgold.areas"]]])
+        [[0, []]] * (len(commands) - 1) + [[0, ["mpmath", "hypgold.areas"]]])
 
 
 # Every name the package exported when its __init__ imported each layer eagerly.

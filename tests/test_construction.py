@@ -117,11 +117,11 @@ def test_forced_ratio_identities():
     alpha = 36
     for i in range(6, alpha // 2):
         if not is_prime(i):
-            assert rel_diff(cc.xi_sq[i] * cc.x[i - 1], cc.xi_sq[i - 1] * cc.x[i]) < 1e-30
+            assert rel_diff(mpf(cc.xi_sq[i]) * cc.x[i - 1], mpf(cc.xi_sq[i - 1]) * cc.x[i]) < 1e-30
     for k0 in range(5, alpha // 2):
         if not is_prime(k0):
-            left = cc.xi_sq[alpha - k0 - 1] * cc.abs_y(k0 - 1)
-            right = cc.xi_sq[alpha - k0] * cc.abs_y(k0)
+            left = mpf(cc.xi_sq[alpha - k0 - 1]) * cc.abs_y(k0 - 1)
+            right = mpf(cc.xi_sq[alpha - k0]) * cc.abs_y(k0)
             assert rel_diff(left, right) < 1e-30
 
 
@@ -142,8 +142,8 @@ def test_increase_guard_catches_a_stalled_ratio(monkeypatch):
     # x_6 = x_5 gives the ratio 1 at the composite index 6.
     real = construction._poly_value
 
-    def stalled(xi, j, products):
-        return real(xi, 5 if j == 6 else j, products)
+    def stalled(xi, j, products, prec):
+        return real(xi, 5 if j == 6 else j, products, prec)
 
     monkeypatch.setattr(construction, "_poly_value", stalled)
     with pytest.raises(ConstructionFailureError,
@@ -156,12 +156,12 @@ def test_each_x_is_computed_once_as_soon_as_its_slopes_exist(monkeypatch):
     calls = []
     tables = set()
 
-    def spy(pairs, j, products):
+    def spy(pairs, j, products, prec):
         # x_j reads slopes 2..j//2, and no later slope may exist yet.
         assert max(pairs) == max(j // 2, 2), j
         calls.append(j)
         tables.add(id(products))
-        return real(pairs, j, products)
+        return real(pairs, j, products, prec)
 
     monkeypatch.setattr(construction, "_poly_value", spy)
     cc = build_lower(GoldbachSpec(alpha=102, seed=3))
@@ -239,7 +239,7 @@ def test_terminal_coefficient_closed_form():
         lower = build_lower(spec)
         cc = build_upper(spec, lower)
         with mp.workprec(128):
-            acc = cc.abs_y(alpha // 2 - 1) / cc.xi_sq[alpha // 2]
+            acc = mpf(cc.abs_y(alpha // 2 - 1)) / cc.xi_sq[alpha // 2]
             for r0 in primes_in(5, alpha // 2 - 1):
                 acc += F_term(lower, r0)
             expected = cc.abs_y(4) / acc
@@ -262,7 +262,7 @@ def test_lambda_product_identities():
                 if q < p0:
                     product *= 1 / to_mpf(lam[q])
             # i) x_{p0} / xi_{p0-1}^2 telescopes to the lambda product.
-            got = lower.x[p0] / lower.xi_sq[p0 - 1]
+            got = mpf(lower.x[p0]) / lower.xi_sq[p0 - 1]
             assert rel_diff(got, base * product) < 1e-9, p0
             # iii) F_{p0} carries the same product and the (1 - 1/lambda^2) factor.
             expected_f = ((alpha - p0) / mpf(p0)) * base * product * (
@@ -365,8 +365,9 @@ def test_lower_x_is_region_polynomial_bit_for_bit(spec):
     for precision in (53, 128, 256):
         lower = build_lower(spec, precision)
         with mp.workprec(lower.precision):
+            xi = {i: mpf(v) for i, v in lower.xi.items()}  # each slope exactly
             for j, value in lower.x.items():
-                assert lower_essential_poly(j).evaluate(lower.xi) == value, (precision, j)
+                assert lower_essential_poly(j).evaluate(xi) == value, (precision, j)
 
 
 @pytest.mark.parametrize("precision", [53, 128, 256])
@@ -414,7 +415,7 @@ def test_scalar_xi6_limit():
     for m in (1, 2, 3, 4):
         u = 1 + Fraction(1, 10 ** m)
         lower = build_lower(GoldbachSpec(alpha=18, xi2_sq=1, scalar_u=u))
-        values.append(abs(lower.xi_sq[6] - 1))
+        values.append(abs(mpf(lower.xi_sq[6]) - 1))
     assert all(a > b for a, b in zip(values, values[1:]))
 
 
@@ -461,7 +462,7 @@ def test_replace_rebuilds_the_prime_coding():
     cc = build_goldbach(GoldbachSpec(alpha=18, seed=4))
     old = cc.prime_coding
     with mp.workprec(cc.precision):
-        xi = {i: 2 * v for i, v in cc.xi.items()}
+        xi = {i: 2 * mpf(v) for i, v in cc.xi.items()}
     changed = replace(cc, xi=xi)
     assert cc.prime_coding is old
     with mp.workprec(cc.precision):

@@ -1,21 +1,51 @@
-"""Exact conversions between mpf values, mantissa pairs and Fractions, and one rounding rule."""
+"""Exact conversions between binary floats, mantissa pairs and Fractions, one
+rounding rule for every float operation, and format_real's digits."""
 
+import copy
+import json
 import math
+import os
+import pickle
 import re
+import subprocess
 import sys
 from fractions import Fraction
 
+import mpmath
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from mpmath import mp, mpf
-from mpmath.libmp import from_man_exp, from_rational, round_nearest
+from mpmath.libmp import (
+    from_int,
+    from_man_exp,
+    from_rational,
+    mpf_add,
+    mpf_div,
+    mpf_mul,
+    mpf_mul_int,
+    mpf_rdiv_int,
+    mpf_sqrt,
+    mpf_sub,
+    round_nearest,
+)
 
+import hypgold
+import hypgold.cli as cli_mod
 import hypgold.construction as construction
 from hypgold.construction import GoldbachSpec, build_goldbach, junction_gaps
 from hypgold.errors import DomainError
 from hypgold.numeric import (
+    FORMAT_PRECISION,
+    BinaryFloat,
+    _add,
+    _div,
+    _mul,
+    _round,
+    _sqrt,
+    _sub,
     format_exact,
+    format_real,
     mantissa_pair,
     parse_exact,
     rel_diff,
@@ -263,3 +293,290 @@ def test_a_decimal_exponent_past_the_digit_limit_is_refused():
     assert parse_exact("1e-6") == Fraction(1, 10 ** 6)
     assert parse_exact(f"1e{limit}") == 10 ** limit
     assert parse_exact(" 25e-1 ") == Fraction(5, 2)
+
+
+# --- BinaryFloat: the value numeric's rounded arithmetic returns ---------------
+
+
+def test_binary_float_compares_and_hashes_by_value():
+    a, b = BinaryFloat(6, -2), BinaryFloat(3, -1)
+    assert (a.man, a.exp) == (3, -1)  # held with an odd mantissa
+    assert a == b and not a != b and hash(a) == hash(b)
+    assert hash(a) == hash(1.5) == hash(Fraction(3, 2)) == hash(mpf(1.5))
+    assert BinaryFloat(8, 0) == 8 == BinaryFloat(1, 3) and hash(BinaryFloat(1, 3)) == hash(8)
+    assert BinaryFloat(0, 7) == 0 and BinaryFloat(0, 7).exp == 0 and not BinaryFloat(0, 7)
+    tiny = BinaryFloat(-5, -3000)
+    assert hash(tiny) == hash(Fraction(-5, 2 ** 3000)) == hash(mp.make_mpf(tiny._mpf_))
+    assert BinaryFloat(-1, 10 ** 6) < tiny < 0 < BinaryFloat(1, -10 ** 6) < b <= a < 2
+    assert -a == BinaryFloat(-3, -1) and abs(-a) == a and float(a) == 1.5
+
+
+def test_binary_float_leaves_other_types_to_them():
+    a = BinaryFloat(3, -1)
+    for other in (1.5, Fraction(3, 2), "1.5", None):
+        assert a.__eq__(other) is NotImplemented and a.__lt__(other) is NotImplemented
+    with pytest.raises(TypeError):
+        a < "2"
+    # mpmath reads _mpf_, so mpf operands and comparisons work at its precision.
+    assert mpf(a) == 1.5 and a == mpf(1.5) and a < mpf(2) and mpf(1) < a
+    assert a * mpf(2) == 3 and 1 / mpf(a) == mpf(2) / 3
+    assert mantissa_pair(a) == (3, -1) and to_mpf(a, 53) == 1.5
+
+
+def test_binary_float_is_an_immutable_scalar():
+    a = BinaryFloat(3, -1)
+    assert not isinstance(a, tuple)  # the CLI writes tuples as JSON arrays
+    with pytest.raises(AttributeError):
+        a.man = 5
+    assert pickle.loads(pickle.dumps(a)) == a and copy.deepcopy(a) == a
+    text = cli_mod.canonical_json({"t": (a, Fraction(1, 3)), "v": a})
+    assert json.loads(text) == {"t": ["1.5", "1/3"], "v": "1.5"}
+
+
+@given(st.integers(min_value=-2 ** 70, max_value=2 ** 70), st.integers(min_value=-80, max_value=80),
+       st.integers(min_value=-2 ** 70, max_value=2 ** 70), st.integers(min_value=-80, max_value=80))
+@settings(max_examples=300, deadline=None)
+def test_binary_float_order_is_the_rational_order(am, ae, bm, be):
+    a, b = BinaryFloat(am, ae), BinaryFloat(bm, be)
+    fa, fb = to_fraction(a), to_fraction(b)
+    assert fa == Fraction(am) * Fraction(2) ** ae
+    assert (a < b, a == b, a > b, a <= b) == (fa < fb, fa == fb, fa > fb, fa <= fb)
+    assert (a == b) <= (hash(a) == hash(b))
+
+
+_CARRIERS_WITHOUT_MPMATH = """
+import sys
+from hypgold.numeric import (BinaryFloat, _integer_ratio, format_exact, format_real,
+                             mantissa_pair, rel_diff, to_fraction)
+from hypgold.errors import DomainError
+
+class Carrier:
+    def __init__(self, raw):
+        self._mpf_ = raw
+
+x = Carrier((1, 3, -1, 2))  # -1.5 in mpmath's raw form
+print(to_fraction(x), _integer_ratio(x), mantissa_pair(x), format_exact(x), format_real(x),
+      rel_diff(x, BinaryFloat(3, -1)), format_real(BinaryFloat(1, -1)))
+for raw in ((0, 0, -123, -1), (0, 0, -456, -2), (1, 0, -789, -3)):
+    try:
+        to_fraction(Carrier(raw))
+    except DomainError:
+        print(format_real(Carrier(raw)))
+print("mpmath" in sys.modules)
+"""
+
+
+def test_carriers_are_read_without_importing_mpmath(tmp_path):
+    # A raw form with a zero mantissa and a non-zero exponent is nan or an infinity.
+    src = os.path.dirname(os.path.dirname(hypgold.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    out = subprocess.run([sys.executable, "-c", _CARRIERS_WITHOUT_MPMATH], env=env, cwd=tmp_path,
+                         capture_output=True, text=True, timeout=60, check=True).stdout
+    assert out.splitlines() == ["-3/2 (-3, 2) (-3, -1) -3/2 -1.5 2.0 0.5",
+                                "nan", "+inf", "-inf", "False"]
+
+
+# --- The rounded arithmetic against mpmath.libmp --------------------------------
+
+WIDE_PRECS = st.integers(min_value=53, max_value=1100)
+
+
+@st.composite
+def pair_operands(draw, prec):
+    """(mantissa, exponent) of at most prec bits: random, small odd factors
+    that make products tie, all ones, or zero."""
+    kind = draw(st.sampled_from(["random", "small", "ones", "zero"]))
+    if kind == "zero":
+        m = 0
+    elif kind == "small":
+        m = draw(st.sampled_from([1, 3, 5, 7, 9, 2 ** 20 + 1]))
+    elif kind == "ones":
+        m = (1 << draw(st.integers(min_value=1, max_value=prec))) - 1
+    else:
+        bits = draw(st.integers(min_value=1, max_value=prec))
+        m = draw(st.integers(min_value=1 << (bits - 1), max_value=(1 << bits) - 1))
+    return draw(st.sampled_from([1, -1])) * m, draw(st.integers(min_value=-3000, max_value=3000))
+
+
+def _raw(pair):
+    return from_man_exp(*pair)
+
+
+@st.composite
+def near_ties(draw, prec):
+    """A mantissa whose bits below its top prec are a tie, a near-tie or random."""
+    n = draw(st.integers(min_value=0, max_value=2 * prec))
+    q = draw(st.integers(min_value=1 << (prec - 1), max_value=(1 << prec) - 1))
+    below = draw(st.sampled_from(["tie", "above", "under", "random"])) if n else "random"
+    if below == "random":
+        low = draw(st.integers(min_value=0, max_value=(1 << n) - 1))
+    else:
+        low = (1 << (n - 1)) + {"tie": 0, "above": 1, "under": -1}[below]
+    return draw(st.sampled_from([1, -1])) * ((q << n) + low)
+
+
+@given(data=st.data(), prec=WIDE_PRECS, e=st.integers(min_value=-10 ** 5, max_value=10 ** 5))
+@settings(max_examples=400, deadline=None)
+def test_round_matches_mpmath(data, prec, e):
+    m = data.draw(near_ties(prec))
+    assert _raw(_round(m, e, prec)) == from_man_exp(m, e, prec, "n")
+
+
+@given(data=st.data(), prec=WIDE_PRECS)
+@settings(max_examples=300, deadline=None)
+def test_mul_and_int_products_match_mpmath(data, prec):
+    a, b = data.draw(pair_operands(prec)), data.draw(pair_operands(prec))
+    assert _raw(_mul(a, b, prec)) == mpf_mul(_raw(a), _raw(b), prec, "n")
+    n = data.draw(st.integers(min_value=-2 ** 64, max_value=2 ** 64))
+    assert _raw(_mul((n, 0), b, prec)) == mpf_mul_int(_raw(b), n, prec, "n")
+
+
+@given(data=st.data(), prec=WIDE_PRECS,
+       gap=st.one_of(st.integers(min_value=0, max_value=700),
+                     st.integers(min_value=-3, max_value=3).map(lambda d: ("edge", d)),
+                     st.integers(min_value=0, max_value=10 ** 5)),
+       tie=st.booleans())
+@settings(max_examples=500, deadline=None)
+def test_add_and_sub_match_mpmath(data, prec, gap, tie):
+    # Exponent gaps up to and past 2*prec + 8, where _add stops aligning.
+    if isinstance(gap, tuple):
+        gap = 2 * prec + 8 + gap[1]
+    a = data.draw(pair_operands(prec))
+    if tie:
+        # A single 1 just under a's last bit: an exact tie when a has prec bits.
+        b = (data.draw(st.sampled_from([1, -1])), a[1] - 1 - gap)
+    else:
+        m, e = data.draw(pair_operands(prec))
+        b = (m, e - gap)
+    for x, y in ((a, b), (b, a)):
+        assert _raw(_add(x, y, prec)) == mpf_add(_raw(x), _raw(y), prec, "n")
+        assert _raw(_sub(x, y, prec)) == mpf_sub(_raw(x), _raw(y), prec, "n")
+    n = data.draw(st.integers(min_value=-2 ** 52, max_value=2 ** 52))
+    assert _raw(_sub(a, (n, 0), prec)) == mpf_sub(_raw(a), from_int(n), prec, "n")
+
+
+@given(data=st.data(), prec=WIDE_PRECS, kind=st.sampled_from(["random", "exact", "tie"]))
+@settings(max_examples=400, deadline=None)
+def test_div_and_int_quotients_match_mpmath(data, prec, kind):
+    b = data.draw(pair_operands(prec))
+    if not b[0]:
+        b = (1, b[1])
+    if kind == "random":
+        a = data.draw(pair_operands(prec))
+    else:
+        # An exact quotient of at most prec bits, or one of prec + 1 bits
+        # that ends in 1: halfway between two neighbours at prec bits.
+        bits = prec if kind == "exact" else prec + 1
+        q = data.draw(st.integers(min_value=1, max_value=(1 << bits) - 1)) | (kind == "tie")
+        if kind == "tie":
+            q |= 1 << prec
+        a = (q * b[0], b[1] + data.draw(st.integers(min_value=-50, max_value=50)))
+    assert _raw(_div(a, b, prec)) == mpf_div(_raw(a), _raw(b), prec, "n")
+    n = data.draw(st.integers(min_value=-2 ** 64, max_value=2 ** 64))
+    assert _raw(_div((n, 0), b, prec)) == mpf_rdiv_int(n, _raw(b), prec, "n")
+    with pytest.raises(ZeroDivisionError):
+        _div(a, (0, 0), prec)
+
+
+@given(data=st.data(), prec=WIDE_PRECS, kind=st.sampled_from(["random", "square", "tie"]))
+@settings(max_examples=400, deadline=None)
+def test_sqrt_matches_mpmath(data, prec, kind):
+    if kind == "random":
+        m, e = data.draw(pair_operands(prec))
+        a = (abs(m), e)
+    else:
+        # r**2 with r of at most prec bits is exact; r of prec + 1 bits ending
+        # in 1 is a root halfway between two neighbours.
+        bits = prec if kind == "square" else prec + 1
+        r = data.draw(st.integers(min_value=1, max_value=(1 << bits) - 1))
+        if kind == "tie":
+            r |= 1 | 1 << prec
+        a = (r * r, 2 * data.draw(st.integers(min_value=-1000, max_value=1000)))
+    assert _raw(_sqrt(a, prec)) == mpf_sqrt(_raw(a), prec, "n")
+
+
+def test_sqrt_of_a_negative_value_is_a_domain_error():
+    with pytest.raises(DomainError, match="square root of a negative number"):
+        _sqrt((-4, 0), 53)
+
+
+# --- format_real against mpmath.nstr at 53 bits ---------------------------------
+
+
+def _nstr53(x) -> str:
+    """What format_real printed in a 53-bit process: a Fraction went to
+    to_mpf's 128 bits first, then everything through mpf() at 53."""
+    with mp.workprec(FORMAT_PRECISION):
+        if isinstance(x, Fraction):
+            x = to_mpf(x)
+        return mpmath.nstr(mpf(x), 17, strip_zeros=True)
+
+
+def _near_powers_of_ten():
+    """Values whose leading decimal digit sits at or next to the fixed/exponent boundary."""
+    k = st.integers(min_value=-8, max_value=20)
+    nudge = st.integers(min_value=-3, max_value=3)
+    return st.one_of(
+        st.builds(lambda k, d: Fraction(10) ** k + d * Fraction(10) ** (k - 17), k, nudge),
+        st.builds(lambda k, d: float(Fraction(10) ** k) * (1 + d * 2.0 ** -52), k, nudge),
+        st.builds(lambda k, s: Fraction(10) ** k - Fraction(1, 2 ** s), k,
+                  st.integers(min_value=1, max_value=80)),
+    )
+
+
+_REALS = st.one_of(
+    _near_powers_of_ten(),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.integers(min_value=-2 ** 200, max_value=2 ** 200),
+    st.fractions(),
+    st.builds(lambda p, q: Fraction(p, q), st.integers(min_value=-2 ** 300, max_value=2 ** 300),
+              st.integers(min_value=1, max_value=2 ** 300)),
+    st.builds(lambda m, e: mp.make_mpf(from_man_exp(m, e)),
+              st.integers(min_value=-2 ** 300, max_value=2 ** 300),
+              st.integers(min_value=-400, max_value=200)),
+    st.builds(BinaryFloat, st.integers(min_value=-2 ** 130, max_value=2 ** 130),
+              st.integers(min_value=-200, max_value=100)),
+    # Leading bits beyond 2**3500 or below 2**-3500, where mpmath scales by 10**b first.
+    st.builds(lambda m, e: mp.make_mpf(from_man_exp(m, e)),
+              st.integers(min_value=-2 ** 80, max_value=2 ** 80),
+              st.one_of(st.integers(min_value=3400, max_value=6000),
+                        st.integers(min_value=-6000, max_value=-3400))),
+)
+
+
+@given(_REALS)
+@settings(max_examples=1500, deadline=None)
+def test_format_real_prints_what_mpmath_printed_at_53_bits(x):
+    assert format_real(x) == _nstr53(x)
+
+
+@pytest.mark.parametrize("x", [
+    0, 0.0, -0.0, Fraction(0), mpf(0), BinaryFloat(0), 1, -1, 10 ** 17, 10 ** 17 - 1, 99999.5,
+    1e-5, 9.9999999999999995e-6, 1e-4, 0.1, 1e16, 1e17, 9.99999999999999999e16, -123.456,
+    Fraction(-2, 3), Fraction(1, 10 ** 6), mpf("nan"), mpf("inf"), mpf("-inf"),
+    float("nan"), float("inf"), float("-inf"), 2.0 ** 1023, 5e-324,
+])
+def test_format_real_edges(x):
+    assert format_real(x) == _nstr53(x)
+
+
+def test_format_real_of_a_wide_value_stays_under_the_digit_limit(low_digit_limit):
+    # 2**3400 has 1024 decimal digits; format_real converts only its leading ones.
+    x = BinaryFloat(-3, 3400)
+    sys.set_int_max_str_digits(0)
+    expected = _nstr53(x)
+    sys.set_int_max_str_digits(low_digit_limit)
+    assert format_real(x) == expected == "-9.5302986930575041e+1023"
+
+
+def test_format_real_ignores_mpmaths_working_precision():
+    # The CLI printed at mpmath's default 53 bits, the test suite at 128:
+    # the rounding is now FORMAT_PRECISION, wherever format_real runs.
+    x = to_mpf(Fraction(1, 3), 128)
+    printed = set()
+    for prec in (53, 128, 300):
+        with mp.workprec(prec):
+            printed.add(format_real(x))
+    assert printed == {"0.33333333333333331"}
+    with mp.workprec(128):
+        assert mpmath.nstr(mpf(x), 17, strip_zeros=True) == "0.33333333333333333"

@@ -11,8 +11,9 @@ import mpmath
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from mpmath.libmp import from_man_exp, mpf_add, mpf_mul
+from mpmath.libmp import from_man_exp
 
+import hypgold.numeric as numeric_mod
 import hypgold.points as points_mod
 
 from hypgold.coding import PrimeCoding, default_coding
@@ -251,69 +252,6 @@ def test_float_copies_decide_as_the_rational_coding(c):
 PRECS = st.integers(min_value=53, max_value=300)
 
 
-@st.composite
-def near_ties(draw, prec):
-    """A mantissa whose bits below its top prec are a tie, a near-tie or random."""
-    n = draw(st.integers(min_value=0, max_value=2 * prec))
-    q = draw(st.integers(min_value=1 << (prec - 1), max_value=(1 << prec) - 1))
-    below = draw(st.sampled_from(["tie", "above", "under", "random"])) if n else "random"
-    if below == "random":
-        low = draw(st.integers(min_value=0, max_value=(1 << n) - 1))
-    else:
-        low = (1 << (n - 1)) + {"tie": 0, "above": 1, "under": -1}[below]
-    return draw(st.sampled_from([1, -1])) * ((q << n) + low)
-
-
-@given(data=st.data(), prec=PRECS, e=st.integers(min_value=-10 ** 5, max_value=10 ** 5))
-@settings(max_examples=400, deadline=None)
-def test_round_matches_mpmath(data, prec, e):
-    m = data.draw(near_ties(prec))
-    assert from_man_exp(*points_mod._round(m, e, prec)) == from_man_exp(m, e, prec, "n")
-
-
-@st.composite
-def operands(draw, prec):
-    """(mantissa, exponent) of at most prec bits, as the rounded kernel feeds them."""
-    kind = draw(st.sampled_from(["random", "small", "zero"]))
-    if kind == "zero":
-        m = 0
-    elif kind == "small":  # small odd factors make ties in products
-        m = draw(st.sampled_from([1, 3, 5, 7, 9, 2 ** 20 + 1]))
-    else:
-        bits = draw(st.integers(min_value=1, max_value=prec))
-        m = draw(st.integers(min_value=1 << (bits - 1), max_value=(1 << bits) - 1))
-    sign = draw(st.sampled_from([1, -1]))
-    return sign * m, draw(st.integers(min_value=-400, max_value=400))
-
-
-@given(data=st.data(), prec=PRECS)
-@settings(max_examples=400, deadline=None)
-def test_mul_matches_mpf_mul(data, prec):
-    # The kernel's product: one exact int product, rounded.
-    (a0, a1), (b0, b1) = data.draw(operands(prec)), data.draw(operands(prec))
-    expected = mpf_mul(from_man_exp(a0, a1), from_man_exp(b0, b1), prec, "n")
-    assert from_man_exp(*points_mod._round(a0 * b0, a1 + b1, prec)) == expected
-
-
-@given(data=st.data(), prec=PRECS,
-       gap=st.one_of(st.integers(min_value=0, max_value=700),
-                     st.integers(min_value=0, max_value=10 ** 5)),
-       tie=st.booleans())
-@settings(max_examples=600, deadline=None)
-def test_add_matches_mpf_add(data, prec, gap, tie):
-    a = data.draw(operands(prec))
-    if tie:
-        # b puts a single 1 just under a's last bit: an exact tie when a has
-        # prec bits, a far-gap sum when it lies far below.
-        b = (data.draw(st.sampled_from([1, -1])), a[1] - 1 - gap)
-    else:
-        m, e = data.draw(operands(prec))
-        b = (m, e - gap)
-    for x, y in ((a, b), (b, a)):
-        expected = mpf_add(from_man_exp(*x), from_man_exp(*y), prec, "n")
-        assert from_man_exp(*points_mod._add(x, y, prec)) == expected
-
-
 @given(seed=st.integers(min_value=0, max_value=2 ** 32), prec=PRECS,
        wider=st.integers(min_value=0, max_value=64), spread=st.sampled_from([4, 300]))
 @settings(max_examples=150, deadline=None)
@@ -388,7 +326,9 @@ def test_far_apart_slopes_stay_in_precision_sized_ints():
         return real_round(m, e, prec)
 
     start = time.perf_counter()
-    with mock.patch.object(points_mod, "_round", watched):
+    # The kernel rounds its products in points and its sums in numeric's _add.
+    with mock.patch.object(points_mod, "_round", watched), \
+            mock.patch.object(numeric_mod, "_round", watched):
         values = [lower_value(c, k0) for k0 in range(4, 140)]
     assert time.perf_counter() - start < 1
     assert max(widest) <= 3 * 128 + 12
