@@ -25,7 +25,7 @@ _EXPORTS = {
                  "geometric_region_oracle hat_AI_quadrature hat_strip_quadrature "
                  "oracle_region_set",
     "oracles": "goldbach_partitions_oracle is_prime primes_in sieve",
-    "points": "EssentialPoint EssentialPolynomial essential_points eval_poly "
+    "points": "EssentialPoint EssentialPolynomial essential_points "
               "goldbach_characterization lower_essential_poly lower_value "
               "monotonicity_report upper_essential_poly",
     "regions": "RegionType enumerate_regions regions_equal",

@@ -2,9 +2,10 @@
 assembled second derivative of the total area.
 
 Logarithms force float arithmetic here even when the coding is rational;
-areas are always computed as high-precision floats.  The second
-derivative itself contains no logarithm, so ``hat_AT_second_derivative``
-stays exact for rational codings and rational k.
+areas are always computed as high-precision mpf values, the package's
+only mpf arithmetic.  The second derivative itself contains no
+logarithm, so ``hat_AT_second_derivative`` stays exact for rational
+codings and rational k.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ from .errors import (
 )
 from .numeric import (
     DEFAULT_PRECISION,
+    MODE_RATIONAL,
     Number,
     to_fraction,
     to_mpf,
@@ -111,6 +113,11 @@ def hat_area(c: PrimeCoding, n: int, n_prime: int, area,
         return to_mpf(c.slope(n), precision) * to_mpf(c.slope(n_prime), precision) * area
 
 
+def _mpf(c: PrimeCoding, value):
+    """A float coding's value as an mpf at its precision; a rational coding's as it is."""
+    return value if c.mode == MODE_RATIONAL else to_mpf(value, c.precision)
+
+
 def _check_alpha_coding(c: PrimeCoding, alpha: int, need_index: int) -> None:
     _check_alpha(alpha)
     _check_coding_length(c, need_index)
@@ -121,10 +128,10 @@ def ab_coefficients(c: PrimeCoding, alpha: int, k0: int, k: Number):
     _check_alpha_coding(c, alpha, alpha - 5)
     if not 4 <= k0 <= alpha // 2 - 1:
         raise RangeError(f"k0={k0} outside 4..{alpha // 2 - 1}")
-    with c.context():
-        kv = c.rounded(to_fraction(k))
-        xi_l = c.slope(k0)
-        xi_u = c.slope(alpha - k0 - 1)
+    with mp.workprec(c.precision):
+        kv = _mpf(c, c.rounded(to_fraction(k)))
+        xi_l = _mpf(c, c.slope(k0))
+        xi_u = _mpf(c, c.slope(alpha - k0 - 1))
         return (1 / (xi_l * xi_l * kv), 1 / (xi_u * xi_u * (alpha - kv)))
 
 
@@ -147,9 +154,9 @@ def hat_AT_second_derivative(c: PrimeCoding, alpha: int, k: Number, side: str = 
         if k0 < 4:
             raise DomainError("no left limit at k = 4")
     k0 = min(max(k0, 4), alpha // 2 - 1)
-    with c.context():
-        x = lower_value(c, k0)
-        y = -lower_value(c, alpha - k0 - 1)
+    with mp.workprec(c.precision):
+        x = _mpf(c, lower_value(c, k0))
+        y = -_mpf(c, lower_value(c, alpha - k0 - 1))
         a_coef, b_coef = ab_coefficients(c, alpha, k0, k)
         return a_coef * x + b_coef * y
 
@@ -171,7 +178,7 @@ def hat_lower_sweep(c: PrimeCoding, khat: Number):
     k0 = math.floor(k)
     if k.denominator == 1 and k0 > 4:
         k0 -= 1  # interval endpoints belong to the closed interval below
-    with mp.workprec(c.precision):  # a rational coding's context would sum at mp.prec
+    with mp.workprec(c.precision):
         total = to_mpf(0, c.precision)
         for n, n_prime, rtype in enumerate_regions(k0):
             area = area_closed(rtype, n, n_prime, k, precision=c.precision, check=False).area
@@ -207,7 +214,7 @@ def bounds_chain(c: PrimeCoding, alpha: int) -> list:
         M_A, m_B = ab_coefficients(c, alpha, k0, k0)
         m_A, M_B = ab_coefficients(c, alpha, k0, k0 + 1)
         entries.append(ChainEntry(k0=k0, m_B=m_B, M_B=M_B, m_A=m_A, M_A=M_A))
-    with c.context():
+    with mp.workprec(c.precision):
         chain = []
         for e in entries:
             chain.extend([(e.m_B, f"m_B{e.k0}"), (e.M_B, f"M_B{e.k0}")])

@@ -52,7 +52,7 @@ import click  # noqa: E402
 
 
 def _scalar(obj):
-    """json.dumps hook: Fractions as exact "p/q", binary floats and mpf as decimals."""
+    """json.dumps hook: Fractions as exact "p/q", BinaryFloats and areas' mpf as decimals."""
     if isinstance(obj, Fraction):
         return format_exact(obj)
     return format_real(obj)
@@ -280,7 +280,7 @@ def points(alpha, coding_path, cfg, out):
     emit(payload, records, cfg, out)
 
 
-def _alpha_range(text: str) -> list:
+def _alpha_range(text: str) -> range:
     try:
         lo_text, hi_text = text.split("..", 1)
         lo, hi = int(lo_text), int(hi_text)
@@ -289,7 +289,7 @@ def _alpha_range(text: str) -> list:
     if lo > hi:
         raise click.UsageError("--alpha-range wants a <= b")
     start = lo if lo % 2 == 0 else lo + 1
-    return [a for a in range(max(start, 16), hi + 1, 2)]
+    return range(max(start, 16), hi + 1, 2)
 
 
 def _sweep_one(coding, alpha, want_timing):

@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from contextlib import nullcontext
 from fractions import Fraction
 from functools import cached_property
 from itertools import accumulate, islice, repeat
@@ -38,13 +37,13 @@ from .numeric import (
     MODE_FLOAT,
     MODE_RATIONAL,
     MODES,
+    BinaryFloat,
     Number,
     bounded_str,
     format_exact,
     parse_exact,
     round_ratio,
     to_fraction,
-    to_mpf,
 )
 
 
@@ -53,8 +52,8 @@ class PrimeCoding:
 
     A coding is its ``scaled_slopes`` ``(ints, L)`` in lowest terms, its
     ``mode`` and its ``precision``; its ``slopes`` ``ints[m]/L``, Fractions
-    or the mpf each float slope is, are built only when read.  Two codings
-    are equal, and hash equal, when these three are.
+    or the ``BinaryFloat`` each float slope is, are built only when read.
+    Two codings are equal, and hash equal, when these three are.
     """
 
     def __init__(self, slopes, mode: str = MODE_RATIONAL, precision: int = DEFAULT_PRECISION):
@@ -63,9 +62,8 @@ class PrimeCoding:
         if mode == MODE_FLOAT:
             # Each slope rounds over its own denominator: the lcm of a file's
             # many denominators would make every int as wide as that lcm.
-            pairs = [round_ratio(f.numerator, f.denominator, precision) for f in fs]
-            shift = max(0, -min(e for _, e in pairs))
-            scale, ints = 1 << shift, tuple(m << (e + shift) for m, e in pairs)
+            ints, scale = _round_slopes((f.numerator for f in fs), (f.denominator for f in fs),
+                                        min(fs), precision)
         else:
             scale = math.lcm(*(f.denominator for f in fs))
             ints = tuple(f.numerator * (scale // f.denominator) for f in fs)
@@ -79,11 +77,8 @@ class PrimeCoding:
         _check_settings(ints, mode, precision)
         if scale < 1:
             raise DomainError("a coding's scale must be a positive integer")
-        if mode == MODE_FLOAT and (low := min(ints)) > 0:  # _freeze refuses any other low
-            # round_ratio's exponent grows with the value: the least slope's fixes L.
-            shift = max(0, -round_ratio(low, scale, precision)[1])
-            rounded = map(round_ratio, ints, repeat(scale), repeat(precision))
-            ints, scale = tuple(m << (e + shift) for m, e in rounded), 1 << shift
+        if mode == MODE_FLOAT:
+            ints, scale = _round_slopes(ints, repeat(scale), Fraction(min(ints), scale), precision)
         c = cls.__new__(cls)
         c._freeze(ints, scale, mode, precision)
         return c
@@ -119,17 +114,9 @@ class PrimeCoding:
 
     @cached_property
     def slopes(self) -> tuple:
-        """xi_0 .. xi_N, built on first read: Fractions, or the mpf each float slope is."""
+        """xi_0 .. xi_N, built on first read: Fractions, or a float coding's BinaryFloats."""
         ints, lcm = self.scaled_slopes
         return tuple(self.rounded(Fraction(a, lcm)) for a in ints)
-
-    def context(self):
-        """mpmath's working-precision context for float mode, no-op for rational."""
-        if self.mode != MODE_FLOAT:
-            return nullcontext()
-        from mpmath import mp  # a float coding's mpf values are computed under it
-
-        return mp.workprec(self.precision)
 
     @property
     def max_index(self) -> int:
@@ -170,8 +157,10 @@ class PrimeCoding:
         return self.strict_through == self.max_index
 
     def rounded(self, value: Fraction):
-        """A value computed on the exact slopes, rounded once in float mode."""
-        return value if self.mode == MODE_RATIONAL else to_mpf(value, self.precision)
+        """A value computed on the exact slopes, as a BinaryFloat rounded once in float mode."""
+        if self.mode == MODE_RATIONAL:
+            return value
+        return BinaryFloat(*round_ratio(value.numerator, value.denominator, self.precision))
 
     def slope(self, m: int):
         if not 0 <= m <= self.max_index:
@@ -259,7 +248,7 @@ class PrimeCoding:
 
     @cached_property
     def mantissa_pairs(self) -> tuple:
-        """A float coding's slopes as (odd int mantissa, exponent) pairs, as mpf holds them."""
+        """A float coding's slopes as (odd int mantissa, exponent) pairs, a BinaryFloat's fields."""
         ints, scale = self.scaled_slopes
         shift = scale.bit_length() - 1
         zeros = ((a & -a).bit_length() - 1 for a in ints)
@@ -292,6 +281,19 @@ class PrimeCoding:
         xs = self.scaled_slopes[0]
         return all(xs[m - 1] * xs[alpha - m - 1] != xs[m] * xs[alpha - m]
                    for m in range(1, alpha))
+
+
+def _round_slopes(nums, dens, low: Fraction, precision: int) -> tuple:
+    """(ints, 2**s): each slope nums[m]/dens[m] rounded once to precision bits, over 2**s.
+
+    round_ratio's exponent grows with the value, so the least slope, low,
+    fixes s, and no list of rounded pairs is kept.
+    """
+    if low <= 0:
+        raise DomainError("all slopes must be positive")
+    shift = max(0, -round_ratio(low.numerator, low.denominator, precision)[1])
+    rounded = map(round_ratio, nums, dens, repeat(precision))
+    return tuple(m << (e + shift) for m, e in rounded), 1 << shift
 
 
 def _check_settings(slopes, mode: str, precision: int) -> None:

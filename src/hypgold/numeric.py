@@ -1,15 +1,16 @@
 """Numbers: exact rationals, and one binary-float arithmetic for square roots.
 
 Exact rationals (``fractions.Fraction``) are the default wherever every
-quantity stays rational.  Once square roots enter, values are binary
-floats man * 2**exp (``BinaryFloat``) and every operation rounds once,
-to nearest with ties to even, at a precision the caller names
-(128-bit mantissas by default).  That is the rounding mpmath's mpf
-operations apply, so the bits are the ones mpf arithmetic gives at the
-same precision, but no mpf is made.  mpmath is imported only by
-``to_mpf``, which returns an mpf, and by ``format_real`` for values
-beyond 2**3500 or below 2**-3500.  Numbers serialize as exact ``"p/q"``
-strings in both modes, so round trips are lossless.
+quantity stays rational.  A float coding's values, and every value once
+square roots enter, are binary floats man * 2**exp (``BinaryFloat``):
+each is rounded once, to nearest with ties to even, at a precision the
+caller names (128-bit mantissas by default).  That is the rounding
+mpmath's mpf operations apply, so the bits are the ones mpf arithmetic
+gives at the same precision, but no mpf is made.  mpmath is imported
+only by ``to_mpf``, which returns an mpf for ``areas`` (the one module
+that computes in mpf, for its logarithms), and by ``format_real`` for
+values beyond 2**3500 or below 2**-3500.  Numbers serialize as exact
+``"p/q"`` strings in both modes, so round trips are lossless.
 """
 
 from __future__ import annotations
@@ -42,12 +43,14 @@ class BinaryFloat:
     It has no precision of its own: ``_mul``, ``_div``, ``_add``, ``_sub``
     and ``_sqrt`` round (man, exp) pairs at the precision each call names,
     and a value wraps their result.  Negation, abs and comparisons are
-    exact; comparisons and hashing go by value, so ``BinaryFloat(2, 0) ==
-    BinaryFloat(1, 1) == 2`` and equal values hash as equal ints, floats,
-    Fractions and mpfs do.  Other operand types get ``NotImplemented``.
-    ``_mpf_`` makes a value an mpmath operand: ``mpf(v)``, ``v * mpf(...)``
-    and comparisons with an mpf work, at mpmath's working precision.  It is
-    not a tuple, so the CLI's encoder prints it as a number.
+    exact; comparisons and hashing go by value, so ``BinaryFloat(3, -1) ==
+    Fraction(3, 2) == 1.5`` and equal values hash as equal ints, floats,
+    Fractions and mpfs do.  A float nan is unequal and unordered, and the
+    infinities order as floats do.  Other operand types get
+    ``NotImplemented``.  ``_mpf_`` makes a value an mpmath operand:
+    ``mpf(v)``, ``v * mpf(...)`` and comparisons with an mpf work, at
+    mpmath's working precision.  It is not a tuple, so the CLI's encoder
+    prints it as a number.
     """
 
     __slots__ = ("man", "exp")
@@ -80,11 +83,23 @@ class BinaryFloat:
         return (1, -m, self.exp, (-m).bit_length()) if m < 0 else (0, m, self.exp, m.bit_length())
 
     def _order(self, other):
-        """-1, 0 or 1 as self is below, equal to or above other; NotImplemented for other types."""
+        """-1, 0 or 1 as self is below, equal to or above other.
+
+        A nan gives nan, which every comparison with 0 rejects; other
+        types get NotImplemented.
+        """
         if other.__class__ is BinaryFloat:
             return _cmp((self.man, self.exp), (other.man, other.exp))
         if isinstance(other, int):
             return _cmp((self.man, self.exp), (other, 0))
+        if isinstance(other, Fraction):
+            p, q = _integer_ratio(self)
+            a, b = p * other.denominator, other.numerator * q
+            return (a > b) - (a < b)
+        if isinstance(other, float):
+            if math.isfinite(other):
+                return _cmp((self.man, self.exp), _pair(other))
+            return other if other != other else (-1 if other > 0 else 1)
         return NotImplemented
 
     def __eq__(self, other):

@@ -17,10 +17,10 @@ sums exactly on a coding's scaled slopes ints = L*xi, giving the int
 same steps on (int mantissa, exponent) pairs and rounds each product and
 sum with ``numeric``'s rounding, to nearest with ties to even, as mpf
 arithmetic rounds it.  So a float x_{k0} has the bits
-``EssentialPolynomial.evaluate`` gives in mpf arithmetic at the same
-precision.  ``lower_value`` reads a coding through one or the other; the
-construction calls ``_rounded_lower`` on the slopes it has so far, with
-one table of rounded slope products per pass.  The region polynomial
+``EssentialPolynomial.evaluate`` gives on the slopes as mpf values at the
+same precision.  ``lower_value`` reads a coding through one or the other;
+the construction calls ``_rounded_lower`` on the slopes it has so far,
+with one table of rounded slope products per pass.  The region polynomial
 stays the definition and the oracle.
 
 The repetition decisions read ``PointTable``, which holds the ints
@@ -36,7 +36,7 @@ from typing import NamedTuple
 
 from .coding import PrimeCoding
 from .errors import DomainError, RangeError, TheoremViolationError
-from .numeric import MODE_RATIONAL, BinaryFloat, _add, _round, bounded_str, to_mpf
+from .numeric import MODE_RATIONAL, BinaryFloat, _add, _round, bounded_str
 from .oracles import goldbach_partitions_oracle, is_prime
 from .regions import TYPE_COEFFICIENT, _check_k0, enumerate_regions
 
@@ -65,7 +65,7 @@ class EssentialPolynomial(NamedTuple):
         return EssentialPolynomial(terms=tuple((pair, -c) for pair, c in self.terms))
 
     def evaluate(self, xi):
-        """Substitute x_i := xi[i].  xi is a coding or a mapping."""
+        """Substitute x_i := xi[i]: exact on a rational coding, else on a mapping's arithmetic."""
         slope = xi.slope if isinstance(xi, PrimeCoding) else xi.__getitem__
         total = 0
         for (i, j), coeff in self.terms:
@@ -96,14 +96,6 @@ def upper_essential_poly(alpha: int, k0: int) -> EssentialPolynomial:
     if not 4 <= k0 <= alpha // 2 - 1:
         raise RangeError(f"upper polynomial needs 4 <= k0 <= {alpha // 2 - 1}")
     return lower_essential_poly(alpha - k0 - 1).negated()
-
-
-def eval_poly(p: EssentialPolynomial, xi):
-    """Evaluate at the slopes; exact when the slopes are rational."""
-    if isinstance(xi, PrimeCoding):
-        with xi.context():
-            return p.evaluate(xi)
-    return p.evaluate(xi)
 
 
 def _twice_lower_value(xi, k0: int):
@@ -222,10 +214,9 @@ def _check_coding(c: PrimeCoding, alpha: int) -> None:
 # Stores nothing: maxsize=0 only counts calls, for perfbench/tracer.py's cache_info().
 @lru_cache(maxsize=0)
 def lower_value(c: PrimeCoding, k0: int):
-    """x_{k0} at the coding: an exact Fraction from the
-    integer-scaled slopes, or an mpf rounded at the coding's precision
-    from the slopes' mantissas (the one step of float points that makes an
-    mpf)."""
+    """x_{k0} at the coding: an exact Fraction from the integer-scaled
+    slopes, or a BinaryFloat rounded at the coding's precision from the
+    slopes' mantissas."""
     _check_k0(k0)
     if k0 // 2 > c.max_index:
         # Name the index EssentialPolynomial.evaluate fails on first: its
@@ -236,19 +227,14 @@ def lower_value(c: PrimeCoding, k0: int):
     if c.mode == MODE_RATIONAL:
         lcm = c.scaled_slopes[1]
         return Fraction(scaled_lower_value(c, k0), 2 * lcm * lcm)
-    return to_mpf(_rounded_lower(c.mantissa_pairs.__getitem__, k0, c.precision), c.precision)
+    return _rounded_lower(c.mantissa_pairs.__getitem__, k0, c.precision)
 
 
 def essential_points(c: PrimeCoding, alpha: int) -> list:
     """P_{k0} = (x_{k0}, y_{k0}) for k0 = 4 .. alpha/2 - 1."""
     _check_coding(c, alpha)
-    out = []
-    with c.context():
-        for k0 in range(4, alpha // 2):
-            x = lower_value(c, k0)
-            y = -lower_value(c, alpha - k0 - 1)
-            out.append(EssentialPoint(k0=k0, x=x, y=y))
-    return out
+    return [EssentialPoint(k0=k0, x=lower_value(c, k0), y=-lower_value(c, alpha - k0 - 1))
+            for k0 in range(4, alpha // 2)]
 
 
 class PointTable:

@@ -9,6 +9,7 @@ import os
 import pkgutil
 import subprocess
 import sys
+import time
 from fractions import Fraction
 
 import mpmath
@@ -395,6 +396,30 @@ def test_bad_alpha_range_exit_1(capsys, alpha_range):
     assert json.loads(lines[0])["error"] == "UsageError"
 
 
+def _two_gigabyte_address_space():
+    import resource
+
+    resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+
+
+def test_huge_alpha_range_is_refused_before_any_list(tmp_path):
+    # 16..10^11 names 5*10^10 alphas.  The range is kept lazy, so the default
+    # coding's RangeError comes back at once; a list of the alphas would
+    # grow until the 2 GB address-space limit ends it with a MemoryError.
+    src = os.path.dirname(os.path.dirname(hypgold.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    start = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-m", "hypgold", "goldbach-check", "--alpha-range", "16..100000000000"],
+        env=env, cwd=tmp_path, capture_output=True, text=True, timeout=60,
+        preexec_fn=_two_gigabyte_address_space)
+    assert time.perf_counter() - start < 10
+    assert proc.returncode == 1 and proc.stdout == ""
+    assert json.loads(proc.stderr) == {
+        "error": "RangeError",
+        "message": "a default coding with N = 99999999996 does not fit in memory"}
+
+
 @pytest.mark.parametrize("command", [
     ["build-g", "--alpha", "18", "--scalar-u", "1.00000000000000000000000000000000000000001"],
     ["scalar-limit", "--alpha", "18", "--u", "1e-40"],
@@ -482,6 +507,7 @@ def _fresh_python(cwd, script, *args):
 _SCIPY_FREE_RUN = """
 import json
 import sys
+import time
 import hypgold.cli
 print([m for m in ('scipy', 'concurrent.futures', 'multiprocessing', 'csv', 'mpmath',
                    'hypgold.areas', 'hypgold.reference') if m in sys.modules])
@@ -501,17 +527,21 @@ def test_cli_import_leaves_scipy_out(tmp_path):
     # when --csv asks for it.  Start-up loads no code that only the areas
     # command or the tests run: areas loads with its own command (run last
     # here, since a module stays loaded), and the reference oracles never.
-    # No benchmarked command loads mpmath: the construction and format_real
-    # compute on int mantissas, and only areas makes mpf values.
+    # No command but areas loads mpmath: the construction, format_real and a
+    # float coding's values compute on int mantissas, and only areas makes
+    # mpf values.
     commands = [
         "regions --k0 17",
         "points --alpha 40",
+        "points --alpha 40 --mode float",
         "goldbach-check --alpha-range 16..40",
         "goldbach-check --alpha-range 16..40 --workers 2",
+        "goldbach-check --alpha-range 16..40 --mode float",
         "build-g --alpha 30 --out c.json",
         "scalar-limit --alpha 30 --u 1e-1,1e-2,1e-3,1e-4,1e-5,1e-6",
         "classify --k 59",
         "classify --k 91",
+        "classify --k 91 --mode float",
         "areas --k0 18 --k 37/2",
     ]
     proc = _fresh_python(tmp_path, _SCIPY_FREE_RUN, *commands)
@@ -520,7 +550,8 @@ def test_cli_import_leaves_scipy_out(tmp_path):
         [[0, []]] * (len(commands) - 1) + [[0, ["mpmath", "hypgold.areas"]]])
 
 
-# Every name the package exported when its __init__ imported each layer eagerly.
+# Every name the package exported when its __init__ imported each layer eagerly,
+# but points.eval_poly, deleted since EssentialPolynomial.evaluate does its work.
 _PUBLIC_NAMES = {
     "coding": ["PrimeCoding", "coding_from_json", "coding_to_json", "default_coding"],
     "construction": ["ConstructedCoding", "GoldbachSpec", "F_term", "build_goldbach",
@@ -539,7 +570,7 @@ _PUBLIC_NAMES = {
                   "geometric_region_oracle", "hat_AI_quadrature", "hat_strip_quadrature",
                   "oracle_region_set"],
     "oracles": ["goldbach_partitions_oracle", "is_prime", "primes_in", "sieve"],
-    "points": ["EssentialPoint", "EssentialPolynomial", "essential_points", "eval_poly",
+    "points": ["EssentialPoint", "EssentialPolynomial", "essential_points",
                "goldbach_characterization", "lower_essential_poly", "lower_value",
                "monotonicity_report", "upper_essential_poly"],
     "regions": ["RegionType", "enumerate_regions", "regions_equal"],
@@ -556,6 +587,7 @@ def test_every_public_name_resolves_to_its_home(module, name):
 
 _LAZY_IMPORT = """
 import sys
+import time
 import hypgold
 print([m for m in sys.modules if m.startswith('hypgold.')])
 from hypgold import construction, oracles

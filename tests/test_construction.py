@@ -466,7 +466,7 @@ def test_replace_rebuilds_the_prime_coding():
     changed = replace(cc, xi=xi)
     assert cc.prime_coding is old
     with mp.workprec(cc.precision):
-        assert changed.prime_coding.slopes[:-1] == tuple(2 * s for s in old.slopes[:-1])
+        assert changed.prime_coding.slopes[:-1] == tuple(2 * mpf(s) for s in old.slopes[:-1])
 
 
 def test_prime_coding_shape():

@@ -8,7 +8,6 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from mpmath import mpf
 
 from hypgold.areas import hat_lower_sweep
 from hypgold.coding import PrimeCoding, default_coding
@@ -25,7 +24,7 @@ from hypgold.hyperbola import (
     hhat_one_sided,
     lattice_witnesses,
 )
-from hypgold.numeric import rel_diff, to_mpf
+from hypgold.numeric import BinaryFloat, rel_diff, to_mpf
 from hypgold.oracles import is_prime
 
 from conftest import arith_coding, identity_coding, pow2_coding, seeded_coding
@@ -313,7 +312,7 @@ def _rounded_twin(c, got, want):
         for g, w in zip(got, want):
             _rounded_twin(c, g, w)
         return
-    assert isinstance(want, Fraction) and isinstance(got, mpf)
+    assert isinstance(want, Fraction) and isinstance(got, BinaryFloat)
     assert got == to_mpf(want, c.precision), (got, want)
 
 

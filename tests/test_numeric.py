@@ -9,6 +9,7 @@ import pickle
 import re
 import subprocess
 import sys
+from decimal import Decimal
 from fractions import Fraction
 
 import mpmath
@@ -309,11 +310,22 @@ def test_binary_float_compares_and_hashes_by_value():
     assert hash(tiny) == hash(Fraction(-5, 2 ** 3000)) == hash(mp.make_mpf(tiny._mpf_))
     assert BinaryFloat(-1, 10 ** 6) < tiny < 0 < BinaryFloat(1, -10 ** 6) < b <= a < 2
     assert -a == BinaryFloat(-3, -1) and abs(-a) == a and float(a) == 1.5
+    # Fractions and floats compare by value too, so equal values are one dict key.
+    assert a == Fraction(3, 2) == a and a == 1.5 == a and not a != Fraction(3, 2)
+    assert {Fraction(3, 2): "f"}.get(a) == "f" and {a: "b"}.get(1.5) == "b"
+    assert a < Fraction(2) and Fraction(1) < a <= 1.5 and a > 1.25 and 2.0 > a
+    assert tiny < Fraction(-1, 2 ** 3001) and tiny != -0.0 and -0.0 > tiny
+    assert BinaryFloat(1, 2000) > sys.float_info.max and BinaryFloat(1, 2000) != math.inf
+    # nan is unequal and unordered; the infinities order as floats do.
+    nan = math.nan
+    assert a != nan and not (a == nan or a < nan or a <= nan or a > nan or a >= nan)
+    assert -math.inf < tiny < math.inf and BinaryFloat(1, 2000) < math.inf
+    assert a <= math.inf and a >= -math.inf and not a > math.inf and math.inf > a
 
 
 def test_binary_float_leaves_other_types_to_them():
     a = BinaryFloat(3, -1)
-    for other in (1.5, Fraction(3, 2), "1.5", None):
+    for other in (complex(1.5), Decimal("1.5"), "1.5", None):
         assert a.__eq__(other) is NotImplemented and a.__lt__(other) is NotImplemented
     with pytest.raises(TypeError):
         a < "2"

@@ -20,12 +20,11 @@ from hypgold.coding import PrimeCoding, default_coding
 from hypgold.errors import DomainError, RangeError, TheoremViolationError
 from hypgold.hyperbola import classify_number
 from hypgold.oracles import goldbach_partitions_oracle, is_prime, primes_in
-from hypgold.numeric import MODE_FLOAT, MODE_RATIONAL, mantissa_pair
+from hypgold.numeric import MODE_FLOAT, MODE_RATIONAL, BinaryFloat, mantissa_pair
 from hypgold.points import (
     EssentialPolynomial,
     IndexComparison,
     essential_points,
-    eval_poly,
     goldbach_characterization,
     lower_essential_poly,
     lower_value,
@@ -86,11 +85,11 @@ def test_upper_poly_is_negated_mirror():
 
 def test_eval_hand_example():
     xi = {2: Fraction(1), 3: Fraction(2), 4: Fraction(3), 6: Fraction(5)}
-    assert eval_poly(lower_essential_poly(12), xi) == 6
+    assert lower_essential_poly(12).evaluate(xi) == 6
 
 
 def test_eval_zero_poly():
-    assert eval_poly(EssentialPolynomial(terms=()), identity_coding(4)) == 0
+    assert EssentialPolynomial(terms=()).evaluate(identity_coding(4)) == 0
 
 
 def test_eval_identity_coding_gives_half():
@@ -98,7 +97,7 @@ def test_eval_identity_coding_gives_half():
     for k0 in range(4, 401):
         assert lower_value(c, k0) == H
     for k0 in range(4, 99):
-        assert eval_poly(lower_essential_poly(k0), c) == H
+        assert lower_essential_poly(k0).evaluate(c) == H
 
 
 def test_two_evaluation_paths_agree():
@@ -109,7 +108,7 @@ def test_two_evaluation_paths_agree():
              for n, np_, t in enumerate_regions(k0)),
             start=Fraction(0),
         )
-        assert eval_poly(lower_essential_poly(k0), c) == direct
+        assert lower_essential_poly(k0).evaluate(c) == direct
         assert lower_value(c, k0) == direct
 
 
@@ -125,13 +124,14 @@ def test_essential_points_signs_alpha18():
 
 
 def test_float_y_keeps_working_precision():
-    # The CLI runs at mpmath's 53-bit default; y must still be the exact
-    # negative of the coding's 128-bit x, not a rounded copy.
+    # Whatever mpmath's working precision (53 bits in the CLI), y must be
+    # the exact negative of the coding's 128-bit x, not a rounded copy.
     c = PrimeCoding(slopes=seeded_coding(40, 3).slopes, mode=MODE_FLOAT, precision=128)
     with mpmath.workprec(53):
         pts = essential_points(c, 40)
-    with c.context():
-        assert -pts[0].y == lower_value(c, 35)
+    x = lower_value(c, 35)
+    assert isinstance(x, BinaryFloat) and x.man.bit_length() > 53
+    assert -pts[0].y == x
 
 
 def test_essential_points_preconditions():
@@ -173,8 +173,24 @@ def value_or_error(fn, *args):
         return type(exc), str(exc)
 
 
+class MpfSlopes:
+    """A float coding's slopes as mpf values, read through c.slope: a
+    missing index raises the coding's RangeError."""
+
+    def __init__(self, c):
+        self.slope = c.slope
+
+    def __getitem__(self, i):
+        return mpmath.mpf(self.slope(i))
+
+
 def poly_oracle(c, k0):
-    return eval_poly(lower_essential_poly(k0), c)
+    """The region polynomial at c's slopes: exact, or in mpf at a float coding's precision."""
+    poly = lower_essential_poly(k0)
+    if c.mode == MODE_RATIONAL:
+        return poly.evaluate(c)
+    with mpmath.workprec(c.precision):
+        return poly.evaluate(MpfSlopes(c))
 
 
 def with_float_copies(c):
