@@ -9,14 +9,15 @@ sieve mismatch).
 
 from __future__ import annotations
 
-import functools
 import io
 import json
 import math
+import os
 import sys
 import time
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
+from typing import NamedTuple
 
 from .coding import PrimeCoding, coding_from_json, coding_to_json, default_coding
 from .config import RunConfig, read_json, resolve_config
@@ -34,21 +35,18 @@ from .errors import (
     VerificationError,
 )
 from .hyperbola import lattice_witnesses, number_kind
-from .numeric import (
-    MIN_PRECISION,
-    MODE_FLOAT,
-    MODE_RATIONAL,
-    format_exact,
-    format_real,
-    parse_exact,
-)
+from .numeric import MIN_PRECISION, MODES, format_exact, format_real, parse_exact
 from .oracles import goldbach_partitions_oracle
 from .points import essential_points, goldbach_characterization
 from .regions import enumerate_regions
 
-# click loads after the layers: without cached bytecode, compiling the layers
-# before click allocates keeps a command's peak RSS about 0.3 MB lower.
-import click  # noqa: E402
+
+class UsageError(HypgoldError):
+    """A command line the parser cannot read: an unknown command or option, or a missing one."""
+
+
+class BadParameter(UsageError):
+    """An option value of the wrong type or outside the option's range."""
 
 
 def _scalar(obj):
@@ -156,39 +154,8 @@ def emit(payload: dict, records: list, cfg: RunConfig, out: str | None) -> None:
     if out:
         _write_text(out, text, "output file")
     else:
-        click.echo(text, nl=False)
-
-
-_SHARED_OPTIONS = [
-    click.option("--config", "config_path", type=click.Path(exists=True, dir_okay=False),
-                 default=None, help="JSON config file mirroring the run configuration."),
-    click.option("--mode", type=click.Choice([MODE_RATIONAL, MODE_FLOAT]), default=None),
-    click.option("--precision", "precision_bits", type=int, default=None,
-                 help=f"Float-mode mantissa bits (>= {MIN_PRECISION})."),
-    click.option("--tol", "tolerance_rel", type=float, default=None,
-                 help="Bound on build-g's relative junction gap."),
-    click.option("--seed", type=int, default=None),
-    click.option("--json", "output_format", flag_value="json", default=None),
-    click.option("--csv", "output_format", flag_value="csv", default=None),
-]
-
-
-def _shared(f):
-    """The run-configuration options every command takes, resolved into one ``cfg``."""
-    @functools.wraps(f)
-    def command(config_path, **kwargs):
-        overrides = {name: kwargs.pop(name) for name in RunConfig().as_dict()}
-        return f(cfg=resolve_config(cli_overrides=overrides, config_path=config_path),
-                 **kwargs)
-    for opt in reversed(_SHARED_OPTIONS):
-        command = opt(command)
-    return command
-
-
-def _common(f):
-    """The shared options, then --out for the command's records."""
-    return _shared(click.option("--out", type=click.Path(dir_okay=False, writable=True),
-                                default=None)(f))
+        sys.stdout.write(text)
+        sys.stdout.flush()
 
 
 def _load_coding(path: str | None, cfg: RunConfig, fallback_index: int) -> PrimeCoding:
@@ -197,14 +164,6 @@ def _load_coding(path: str | None, cfg: RunConfig, fallback_index: int) -> Prime
     return default_coding(fallback_index, mode=cfg.mode, precision=cfg.precision_bits)
 
 
-@click.group()
-def cli():
-    """Hyperbolic classification and Goldbach characterization toolkit."""
-
-
-@cli.command()
-@click.option("--k0", type=int, required=True)
-@_common
 def regions(k0, cfg, out):
     """Enumerate the typed essential regions of k0."""
     region_set = enumerate_regions(k0)
@@ -221,13 +180,6 @@ def regions(k0, cfg, out):
     emit(payload, records, cfg, out)
 
 
-@cli.command()
-@click.option("--k0", type=int, required=True)
-@click.option("--k", "k_text", type=str, required=True,
-              help="Evaluation point in [k0, k0+1]; exact 'p/q' or decimal.")
-@click.option("--coding", "coding_path", type=click.Path(exists=True, dir_okay=False),
-              default=None, help="Coding JSON for deformed-plane areas (default: identity).")
-@_common
 def areas(k0, k_text, coding_path, cfg, out):
     """Closed-form areas and derivatives over the essential regions of k0."""
     from .areas import area_closed, hat_area  # only this command reads areas
@@ -261,11 +213,6 @@ def areas(k0, k_text, coding_path, cfg, out):
     emit(payload, records, cfg, out)
 
 
-@cli.command()
-@click.option("--alpha", type=int, required=True)
-@click.option("--coding", "coding_path", type=click.Path(exists=True, dir_okay=False),
-              default=None, help="Coding JSON (default: the strict default coding).")
-@_common
 def points(alpha, coding_path, cfg, out):
     """Essential points (x_k0, y_k0) for k0 = 4 .. alpha/2 - 1."""
     coding = _load_coding(coding_path, cfg, fallback_index=max(alpha - 4, 16))
@@ -285,9 +232,9 @@ def _alpha_range(text: str) -> range:
         lo_text, hi_text = text.split("..", 1)
         lo, hi = int(lo_text), int(hi_text)
     except ValueError as exc:
-        raise click.UsageError(f"--alpha-range wants 'a..b', got {text!r}") from exc
+        raise UsageError(f"--alpha-range wants 'a..b', got {text!r}") from exc
     if lo > hi:
-        raise click.UsageError("--alpha-range wants a <= b")
+        raise UsageError("--alpha-range wants a <= b")
     start = lo if lo % 2 == 0 else lo + 1
     return range(max(start, 16), hi + 1, 2)
 
@@ -314,23 +261,12 @@ def _sweep_one(coding, alpha, want_timing):
     return record
 
 
-@cli.command(name="goldbach-check")
-@click.option("--alpha-range", "alpha_range", type=str, required=True,
-              help="Even alphas 'a..b' to reconcile against the sieve.")
-@click.option("--coding", "coding_path", type=click.Path(exists=True, dir_okay=False),
-              default=None)
-@click.option("--workers", type=click.IntRange(min=1), default=1, show_default=True,
-              expose_value=False,
-              help="Checked (>= 1) and accepted for compatibility; the sweep runs "
-                   "in one process.")
-@click.option("--timing", is_flag=True, default=False,
-              help="Include per-alpha timing (breaks byte-determinism).")
-@_common
-def goldbach_check(alpha_range, coding_path, timing, cfg, out):
+def goldbach_check(alpha_range, coding_path, workers, timing, cfg, out):
     """Reconcile the essential-point characterization with the sieve."""
+    del workers  # checked (>= 1) and accepted for compatibility; the sweep runs in one process
     alphas = _alpha_range(alpha_range)
     if not alphas:
-        raise click.UsageError("no even alpha >= 16 in the requested range")
+        raise UsageError("no even alpha >= 16 in the requested range")
     coding = _load_coding(coding_path, cfg, fallback_index=max(alphas[-1] - 4, 16))
     records = [_sweep_one(coding, a, timing) for a in alphas]
     all_agree = all(r["sieve_agreement"] for r in records)
@@ -346,16 +282,6 @@ def goldbach_check(alpha_range, coding_path, timing, cfg, out):
         raise TheoremViolationError("characterization disagreed with the sieve")
 
 
-@cli.command(name="build-g")
-@click.option("--alpha", type=int, required=True)
-@click.option("--scalar-u", "scalar_u", type=str, default=None,
-              help="Use the scalar family lambda_i = u (> 1); exact 'p/q' or decimal.")
-@click.option("--xi2", "xi2_text", type=str, default="1", show_default=True)
-@click.option("--xi-half", "xi_half_text", type=str, default=None)
-@click.option("--out", "coding_out", type=click.Path(dir_okay=False, writable=True),
-              default="coding.json", show_default=True,
-              help="Where to write the constructed coding JSON.")
-@_shared
 def build_g(alpha, scalar_u, xi2_text, xi_half_text, coding_out, cfg):
     """Construct a coding with a continuous total-area second derivative."""
     spec = GoldbachSpec(
@@ -387,12 +313,6 @@ def build_g(alpha, scalar_u, xi2_text, xi_half_text, coding_out, cfg):
     emit({"command": "build-g", "config": cfg.as_dict(), **record}, [record], cfg, None)
 
 
-@cli.command(name="scalar-limit")
-@click.option("--alpha", type=int, required=True)
-@click.option("--u", "u_text", type=str, required=True,
-              help="Comma list; values <= 1 are offsets h (u = 1 + h), values > 1 are u.")
-@click.option("--xi2", "xi2_text", type=str, default="1", show_default=True)
-@_common
 def scalar_limit(alpha, u_text, xi2_text, cfg, out):
     """Tabulate x_k0(u), y_k0(u) for the scalar family along u -> 1+."""
     u_values = []
@@ -420,12 +340,6 @@ def scalar_limit(alpha, u_text, xi2_text, cfg, out):
         )
 
 
-@cli.command()
-@click.option("--k", "k_text", type=str, required=True,
-              help="Number to classify; exact 'p/q' or decimal.")
-@click.option("--coding", "coding_path", type=click.Path(exists=True, dir_okay=False),
-              default=None)
-@_common
 def classify(k_text, coding_path, cfg, out):
     """Hyperbolic classification of k: prime, composite natural, or non-natural."""
     k = parse_exact(k_text)
@@ -445,6 +359,180 @@ def classify(k_text, coding_path, cfg, out):
     emit(payload, witnesses, cfg, out)
 
 
+_REQUIRED = object()  # the default of an option that must be given
+
+
+class Option(NamedTuple):
+    name: str
+    dest: str
+    type: object = str      # parses the option's text, raising ValueError; None for a flag
+    default: object = None  # _REQUIRED for an option that must be given
+    const: object = None    # the value a flag stores
+    help: str = ""
+
+
+class Command:
+    """A command's options, and its callback, which ``main`` reads at each dispatch."""
+
+    def __init__(self, callback, *options: Option):
+        self.callback = callback
+        self.help = callback.__doc__
+        self.options = {opt.name: opt for opt in options + _SHARED}
+
+
+class CommandTable:
+    """Every command by name, and the toolkit's one-line description."""
+
+    def __init__(self, help: str, commands: dict):
+        self.help, self.commands = help, commands
+
+
+def _mode(text: str) -> str:
+    if text not in MODES:
+        raise ValueError(f"{text!r} is not one of {', '.join(MODES)}")
+    return text
+
+
+def _at_least_one(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise ValueError(f"{value} is below 1")
+    return value
+
+
+def _output_file(path: str) -> str:
+    if os.path.isdir(path) or (os.path.exists(path) and not os.access(path, os.W_OK)):
+        raise ValueError(f"{path!r} is a directory or is not writable")
+    return path
+
+
+# The run configuration every command takes; the dests are RunConfig's fields
+# and --config's path, which ``main`` resolves into one ``cfg``.
+_SHARED = (
+    Option("--config", "config_path", help="JSON config file mirroring the run configuration."),
+    Option("--mode", "mode", _mode, help=f"Number mode: {' or '.join(MODES)}."),
+    Option("--precision", "precision_bits", int,
+           help=f"Float-mode mantissa bits (>= {MIN_PRECISION})."),
+    Option("--tol", "tolerance_rel", float, help="Bound on build-g's relative junction gap."),
+    Option("--seed", "seed", int, help="Seed of every random choice."),
+    Option("--json", "output_format", None, const="json", help="Print canonical JSON."),
+    Option("--csv", "output_format", None, const="csv", help="Print the records as CSV."),
+)
+_OUT = Option("--out", "out", _output_file, help="Write the output to this file, not stdout.")
+_CODING = Option("--coding", "coding_path", help="Coding JSON (default: the strict default coding).")
+_ALPHA = Option("--alpha", "alpha", int, _REQUIRED, help="Even alpha in the window set.")
+_K0 = Option("--k0", "k0", int, _REQUIRED, help="Cell index k0.")
+_XI2 = Option("--xi2", "xi2_text", default="1", help="xi_2^2; exact 'p/q' or decimal.")
+
+cli = CommandTable("Hyperbolic classification and Goldbach characterization toolkit.", {
+    "regions": Command(regions, _K0, _OUT),
+    "areas": Command(
+        areas, _K0,
+        Option("--k", "k_text", default=_REQUIRED,
+               help="Evaluation point in [k0, k0+1]; exact 'p/q' or decimal."),
+        Option("--coding", "coding_path",
+               help="Coding JSON for deformed-plane areas (default: identity)."),
+        _OUT),
+    "points": Command(points, _ALPHA, _CODING, _OUT),
+    "goldbach-check": Command(
+        goldbach_check,
+        Option("--alpha-range", "alpha_range", default=_REQUIRED,
+               help="Even alphas 'a..b' to reconcile against the sieve."),
+        _CODING,
+        Option("--workers", "workers", _at_least_one, 1,
+               help="Checked (>= 1) and accepted for compatibility; the sweep runs "
+                    "in one process."),
+        Option("--timing", "timing", None, False, True,
+               help="Include per-alpha timing (breaks byte-determinism)."),
+        _OUT),
+    "build-g": Command(
+        build_g, _ALPHA,
+        Option("--scalar-u", "scalar_u",
+               help="Use the scalar family lambda_i = u (> 1); exact 'p/q' or decimal."),
+        _XI2,
+        Option("--xi-half", "xi_half_text", help="xi_{alpha/2}^2 (default: drawn from --seed)."),
+        Option("--out", "coding_out", _output_file, "coding.json",
+               help="Where to write the constructed coding JSON.")),
+    "scalar-limit": Command(
+        scalar_limit, _ALPHA,
+        Option("--u", "u_text", default=_REQUIRED,
+               help="Comma list; values <= 1 are offsets h (u = 1 + h), values > 1 are u."),
+        _XI2, _OUT),
+    "classify": Command(
+        classify,
+        Option("--k", "k_text", default=_REQUIRED,
+               help="Number to classify; exact 'p/q' or decimal."),
+        _CODING, _OUT),
+})
+
+
+def _parse(command: Command, args: list) -> dict | None:
+    """Each of the command's dests with its value; None when ``args`` ask for --help.
+
+    A value option takes the next token whatever it looks like, so
+    ``--u -1e-3`` reaches the command's own domain check.  ``--opt=value``
+    is read too, names match only in full, and a repeated option's last
+    value wins.
+    """
+    given = {}
+    tokens = iter(args)
+    for token in tokens:
+        if token == "--help":
+            return None
+        name, eq, text = token.partition("=")
+        opt = command.options.get(name)
+        if opt is None:
+            raise UsageError(f"No such option {name!r}." if token.startswith("-")
+                             else f"Got unexpected extra argument ({token})")
+        if opt.type is None:
+            if eq:
+                raise UsageError(f"Option {name!r} does not take a value.")
+            text = opt.const
+        elif not eq:
+            text = next(tokens, None)
+            if text is None:
+                raise UsageError(f"Option {name!r} requires an argument.")
+        given[opt.dest] = opt, text
+    values = {}
+    for opt in command.options.values():
+        if opt.default is _REQUIRED and opt.dest not in given:
+            raise UsageError(f"Missing option {opt.name!r}.")
+        values[opt.dest] = opt.default
+    for dest, (opt, text) in given.items():
+        try:
+            values[dest] = text if opt.type is None else opt.type(text)
+        except ValueError as exc:
+            raise BadParameter(f"Invalid value for {opt.name!r}: {exc}") from None
+    return values
+
+
+def _option_row(opt: Option) -> tuple:
+    """An option's --help entry: its usage and its help line."""
+    if opt.default is _REQUIRED:
+        note = " [required]"
+    elif opt.type is not None and opt.default is not None:
+        note = f" [default: {opt.default}]"
+    else:
+        note = ""
+    usage = opt.name if opt.type is None else f"{opt.name} {opt.name[2:].upper()}"
+    return usage, opt.help + note
+
+
+def _help(name: str | None) -> str:
+    """The --help text of command ``name``, or of the whole toolkit for None."""
+    if name is None:
+        usage, about, heading = "hypgold COMMAND [OPTIONS]", cli.help, "Commands:"
+        rows = [(n, command.help) for n, command in cli.commands.items()]
+    else:
+        command = cli.commands[name]
+        usage, about, heading = f"hypgold {name} [OPTIONS]", command.help, "Options:"
+        rows = [*map(_option_row, command.options.values()),
+                ("--help", "Show this message and exit.")]
+    width = max(len(head) for head, _ in rows)
+    return "\n".join([f"Usage: {usage}", "", f"  {about}", "", heading,
+                      *(f"  {head:<{width}}  {text}" for head, text in rows), ""])
+
+
 def _error_payload(exc: BaseException) -> str:
     return json.dumps(
         {"error": type(exc).__name__, "message": str(exc)}, sort_keys=True
@@ -452,16 +540,38 @@ def _error_payload(exc: BaseException) -> str:
 
 
 def main(argv=None) -> int:
+    """Run one command line (``sys.argv[1:]`` by default) and return its exit code."""
+    args = sys.argv[1:] if argv is None else list(argv)
+    name = args[0] if args else None
     try:
-        cli.main(args=argv, standalone_mode=False)
+        if name == "--help":
+            sys.stdout.write(_help(None))
+            return 0
+        command = cli.commands.get(name)
+        if command is None:
+            raise UsageError(f"No such command {name!r}." if args else
+                             f"Missing command; one of {', '.join(cli.commands)}.")
+        values = _parse(command, args[1:])
+        if values is None:
+            sys.stdout.write(_help(name))
+            return 0
+        overrides = {field: values.pop(field) for field in RunConfig.FIELDS}
+        cfg = resolve_config(cli_overrides=overrides, config_path=values.pop("config_path"))
+        command.callback(cfg=cfg, **values)
         return 0
-    except click.exceptions.Exit as exc:
-        return exc.exit_code
-    except click.Abort:
+    except HypgoldError as exc:
+        error, code = exc, 2 if isinstance(exc, VerificationError) else 1
+    except MemoryError:
+        error, code = MemoryError(f"the {name} command ran out of memory"), 1
+    except KeyboardInterrupt:  # exit 1 without a traceback
         return 1
-    except (click.ClickException, HypgoldError) as exc:
-        click.echo(_error_payload(exc), err=True)
-        return 2 if isinstance(exc, VerificationError) else 1
+    except BrokenPipeError:
+        # stdout's reader is gone: point stdout at the null device, so that the
+        # interpreter's last flush cannot fail again, and exit 1 quietly.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
+    sys.stderr.write(_error_payload(error) + "\n")
+    return code
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -86,7 +86,13 @@ class PrimeCoding:
     def _freeze(self, ints: tuple, scale: int, mode: str, precision: int) -> None:
         if min(ints) <= 0:
             raise DomainError("all slopes must be positive")
-        g = math.gcd(scale, *ints)
+        # A fold, as math.gcd(scale, *ints) would copy the N ints into an
+        # N-element argument array; it stops once the gcd is 1.
+        g = scale
+        for a in ints:
+            if g == 1:
+                break
+            g = math.gcd(g, a)
         if g > 1:
             ints, scale = tuple(a // g for a in ints), scale // g
         self.__dict__.update(mode=mode, precision=precision, scaled_slopes=(ints, scale))

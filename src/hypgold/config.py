@@ -5,11 +5,11 @@ from __future__ import annotations
 import json
 import math
 import os
-from dataclasses import asdict, dataclass, replace
 from numbers import Real
 
 from .errors import DomainError
 from .numeric import DEFAULT_PRECISION, DEFAULT_REL_TOL, MIN_PRECISION, MODE_RATIONAL, MODES
+from .records import Record
 
 OUTPUT_FORMATS = ("json", "csv")
 
@@ -23,15 +23,14 @@ _ENV_FIELDS = {
 }
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    precision_bits: int = DEFAULT_PRECISION
-    mode: str = MODE_RATIONAL
-    tolerance_rel: float = DEFAULT_REL_TOL
-    seed: int = 0
-    output_format: str = "json"
+class RunConfig(Record):
+    FIELDS = ("precision_bits", "mode", "tolerance_rel", "seed", "output_format")
 
-    def __post_init__(self):
+    def __init__(self, precision_bits: int = DEFAULT_PRECISION, mode: str = MODE_RATIONAL,
+                 tolerance_rel: float = DEFAULT_REL_TOL, seed: int = 0,
+                 output_format: str = "json"):
+        self._set(precision_bits=precision_bits, mode=mode, tolerance_rel=tolerance_rel,
+                  seed=seed, output_format=output_format)
         for name, kind in (("precision_bits", int), ("seed", int), ("tolerance_rel", Real)):
             value = getattr(self, name)
             if not isinstance(value, kind) or isinstance(value, bool):
@@ -47,9 +46,6 @@ class RunConfig:
         if self.output_format not in OUTPUT_FORMATS:
             raise DomainError(f"output_format must be one of {OUTPUT_FORMATS}")
 
-    def as_dict(self) -> dict:
-        return asdict(self)
-
 
 def read_json(path: str, what: str):
     """The JSON value stored at ``path``; DomainError naming ``what`` when unreadable."""
@@ -64,7 +60,7 @@ def _from_file(path: str) -> dict:
     data = read_json(path, "config file")
     if not isinstance(data, dict):
         raise DomainError(f"config file {path} must hold a JSON object")
-    unknown = set(data) - set(RunConfig().as_dict())
+    unknown = set(data) - set(RunConfig.FIELDS)
     if unknown:
         raise DomainError(f"unknown config keys in {path}: {sorted(unknown)}")
     return data
@@ -89,11 +85,11 @@ def resolve_config(cli_overrides: dict | None = None,
                    environ=None) -> RunConfig:
     cfg = RunConfig()
     if config_path:
-        cfg = replace(cfg, **_from_file(config_path))
+        cfg = cfg.replace(**_from_file(config_path))
     env = _from_env(environ)
     if env:
-        cfg = replace(cfg, **env)
+        cfg = cfg.replace(**env)
     overrides = {k: v for k, v in (cli_overrides or {}).items() if v is not None}
     if overrides:
-        cfg = replace(cfg, **overrides)
+        cfg = cfg.replace(**overrides)
     return cfg

@@ -21,7 +21,6 @@ copy with the slopes extended through alpha - 5.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property
 from typing import NamedTuple
@@ -51,6 +50,7 @@ from .numeric import (
 )
 from .oracles import is_prime, primes_in
 from .points import _rounded_lower
+from .records import Record
 
 PROV_RANDOM = "random-prime-choice"
 PROV_COMPOSITE = "forced-composite-ratio"
@@ -77,8 +77,7 @@ def free_indices(alpha: int) -> tuple:
     return (3, 4, *primes_in(5, alpha // 2 - 1))
 
 
-@dataclass(frozen=True)
-class GoldbachSpec:
+class GoldbachSpec(Record):
     """Parameters driving one construction run.
 
     ``lambda_sq`` pins individual multipliers; ``scalar_u`` sets lambda_i = u
@@ -88,14 +87,12 @@ class GoldbachSpec:
     then the upper seed as a multiplier on xi_{alpha/2-1}^2.
     """
 
-    alpha: int
-    xi2_sq: object = 1
-    xi_half_sq: object = None
-    lambda_sq: dict | None = None
-    scalar_u: object = None
-    seed: int = 0
+    FIELDS = ("alpha", "xi2_sq", "xi_half_sq", "lambda_sq", "scalar_u", "seed")
 
-    def __post_init__(self):
+    def __init__(self, alpha: int, xi2_sq=1, xi_half_sq=None, lambda_sq: dict | None = None,
+                 scalar_u=None, seed: int = 0):
+        self._set(alpha=alpha, xi2_sq=xi2_sq, xi_half_sq=xi_half_sq, lambda_sq=lambda_sq,
+                  scalar_u=scalar_u, seed=seed)
         if not is_in_N(self.alpha):
             raise DomainError(
                 f"alpha={self.alpha} is outside the window set (need alpha even, "
@@ -208,21 +205,19 @@ def F_term(state: ConstructedCoding, r0: int) -> BinaryFloat:
     return BinaryFloat(*_mul(factor, inverses, prec))
 
 
-@dataclass
-class ConstructedCoding:
+class ConstructedCoding(Record):
     """The construction's state: slopes through alpha/2 - 1 after the lower
     pass, through alpha - 5 after the upper one, every x-value through
     alpha - 5, and the provenance of each slope."""
 
-    alpha: int
-    precision: int
-    spec: GoldbachSpec
-    xi_sq: dict
-    xi: dict
-    x: dict
-    lambda_sq: dict
-    provenance: dict
-    half_multiplier: object = None  # upper seed multiplier when xi_half_sq is unpinned
+    FIELDS = ("alpha", "precision", "spec", "xi_sq", "xi", "x", "lambda_sq", "provenance",
+              "half_multiplier")
+
+    def __init__(self, alpha: int, precision: int, spec: GoldbachSpec, xi_sq: dict, xi: dict,
+                 x: dict, lambda_sq: dict, provenance: dict, half_multiplier=None):
+        # half_multiplier: the upper seed's multiplier when xi_half_sq is unpinned
+        self._set(alpha=alpha, precision=precision, spec=spec, xi_sq=xi_sq, xi=xi, x=x,
+                  lambda_sq=lambda_sq, provenance=provenance, half_multiplier=half_multiplier)
 
     def abs_y(self, k0: int):
         """|y_{k0}| = x_{alpha - k0 - 1}."""
@@ -281,7 +276,7 @@ def build_upper(spec: GoldbachSpec, lower: ConstructedCoding) -> ConstructedCodi
             provenance[target] = PROV_UPPER_RATIO
         xi_sq[target] = BinaryFloat(*prev)
         xi[target] = BinaryFloat(*_sqrt(prev, prec))
-    return replace(lower, spec=spec, xi_sq=xi_sq, xi=xi, provenance=provenance)
+    return lower.replace(spec=spec, xi_sq=xi_sq, xi=xi, provenance=provenance)
 
 
 def build_goldbach(spec: GoldbachSpec, precision: int = DEFAULT_PRECISION) -> ConstructedCoding:
@@ -358,7 +353,7 @@ def reduced_form_check(spec: GoldbachSpec, scale) -> ScalingReport:
         raise DomainError("scale must be positive")
     prec = DEFAULT_PRECISION
     base = build_lower(spec, prec)
-    scaled = build_lower(replace(spec, xi2_sq=to_fraction(spec.xi2_sq) * c), prec)
+    scaled = build_lower(spec.replace(xi2_sq=to_fraction(spec.xi2_sq) * c), prec)
     cf = _round_number(c, prec)
 
     def scaled_by_c(value) -> BinaryFloat:

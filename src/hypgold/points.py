@@ -65,8 +65,18 @@ class EssentialPolynomial(NamedTuple):
         return EssentialPolynomial(terms=tuple((pair, -c) for pair, c in self.terms))
 
     def evaluate(self, xi):
-        """Substitute x_i := xi[i]: exact on a rational coding, else on a mapping's arithmetic."""
-        slope = xi.slope if isinstance(xi, PrimeCoding) else xi.__getitem__
+        """Substitute x_i := xi[i]: exact on a rational coding, else on a mapping's arithmetic.
+
+        A float coding's slopes are ``BinaryFloat`` values, which have no
+        arithmetic: pass a mapping of them in the arithmetic to sum in.
+        """
+        if isinstance(xi, PrimeCoding):
+            if xi.mode != MODE_RATIONAL:
+                raise DomainError("a float coding's slopes have no arithmetic; pass an explicit "
+                                  "mapping of its slopes, such as mpf values, instead")
+            slope = xi.slope
+        else:
+            slope = xi.__getitem__
         total = 0
         for (i, j), coeff in self.terms:
             total = total + coeff * slope(i) * slope(j)

@@ -7,6 +7,7 @@ import importlib
 import json
 import os
 import pkgutil
+import re
 import subprocess
 import sys
 import time
@@ -396,28 +397,89 @@ def test_bad_alpha_range_exit_1(capsys, alpha_range):
     assert json.loads(lines[0])["error"] == "UsageError"
 
 
-def _two_gigabyte_address_space():
-    import resource
+def _cli_with_address_limit(cwd, limit: int, *args):
+    """``python -m hypgold ARGS`` in a fresh process whose address space is capped at ``limit`` bytes."""
+    def cap():
+        import resource
 
-    resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+        resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+    src = os.path.dirname(os.path.dirname(hypgold.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    return subprocess.run([sys.executable, "-m", "hypgold", *args], env=env, cwd=cwd,
+                          capture_output=True, text=True, timeout=60, preexec_fn=cap)
 
 
 def test_huge_alpha_range_is_refused_before_any_list(tmp_path):
     # 16..10^11 names 5*10^10 alphas.  The range is kept lazy, so the default
     # coding's RangeError comes back at once; a list of the alphas would
     # grow until the 2 GB address-space limit ends it with a MemoryError.
-    src = os.path.dirname(os.path.dirname(hypgold.__file__))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     start = time.perf_counter()
-    proc = subprocess.run(
-        [sys.executable, "-m", "hypgold", "goldbach-check", "--alpha-range", "16..100000000000"],
-        env=env, cwd=tmp_path, capture_output=True, text=True, timeout=60,
-        preexec_fn=_two_gigabyte_address_space)
+    proc = _cli_with_address_limit(tmp_path, 2 << 30, "goldbach-check",
+                                   "--alpha-range", "16..100000000000")
     assert time.perf_counter() - start < 10
     assert proc.returncode == 1 and proc.stdout == ""
     assert json.loads(proc.stderr) == {
         "error": "RangeError",
         "message": "a default coding with N = 99999999996 does not fit in memory"}
+
+
+def test_running_out_of_memory_exits_1_with_a_payload(tmp_path):
+    # The default coding for k = 10^7 + 1 holds 10^7 + 3 slopes and then
+    # their partial sums, more than a 512 MB address space allows.  The
+    # MemoryError comes back as a payload naming the command, not as a
+    # traceback.
+    start = time.perf_counter()
+    proc = _cli_with_address_limit(tmp_path, 512 << 20, "classify", "--k", "10000001")
+    assert time.perf_counter() - start < 30
+    assert proc.returncode == 1 and proc.stdout == ""
+    assert json.loads(proc.stderr) == {"error": "MemoryError",
+                                       "message": "the classify command ran out of memory"}
+
+
+@pytest.mark.parametrize("argv, error", [
+    # A value option takes the next token whatever it looks like, so a
+    # negative value reaches the command's own domain check.
+    (["scalar-limit", "--alpha", "18", "--u", "-1e-3"], "DomainError"),
+    (["classify", "--k", "-3/2"], "DomainError"),
+    # Option names match only in full.
+    (["classify", "--kk", "91"], "UsageError"),
+    (["points", "--alp", "40"], "UsageError"),
+    (["goldbach-check", "--alpha", "16..20"], "UsageError"),
+    # Values the option's type refuses.
+    (["regions", "--k0", "x"], "BadParameter"),
+    (["regions", "--k0", "17", "--mode", "decimal"], "BadParameter"),
+    (["goldbach-check", "--alpha-range", "16..20", "--workers", "two"], "BadParameter"),
+    (["build-g", "--alpha", "18", "--out", "."], "BadParameter"),
+    # Command lines the parser cannot read.
+    ([], "UsageError"),
+    (["nope", "--k0", "17"], "UsageError"),
+    (["regions"], "UsageError"),
+    (["regions", "--k0"], "UsageError"),
+    (["regions", "--k0", "17", "extra"], "UsageError"),
+    (["regions", "--k0", "17", "--json=yes"], "UsageError"),
+    # A missing input file is the reader's domain error.
+    (["classify", "--k", "91", "--coding", "missing.json"], "DomainError"),
+    (["regions", "--k0", "17", "--config", "missing.json"], "DomainError"),
+])
+def test_command_line_errors_exit_1(tmp_path, monkeypatch, capsys, argv, error):
+    monkeypatch.chdir(tmp_path)
+    rc, out, err = run(capsys, argv)
+    assert rc == 1 and out == ""
+    assert json.loads(err)["error"] == error
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("argv, same_as", [
+    (["regions", "--k0=17"], ["regions", "--k0", "17"]),
+    (["regions", "--k0", "16", "--k0", "17"], ["regions", "--k0", "17"]),
+    (["regions", "--k0", "17", "--json", "--csv"], ["regions", "--k0", "17", "--csv"]),
+    (["regions", "--k0", "17", "--csv", "--json"], ["regions", "--k0", "17"]),
+    (["goldbach-check", "--alpha-range=16..20", "--workers=2", "--workers", "3"],
+     ["goldbach-check", "--alpha-range", "16..20"]),
+], ids=["equals-sign", "repeated-value", "csv-last", "json-last", "workers"])
+def test_equivalent_command_lines_print_the_same_bytes(capsys, argv, same_as):
+    assert run(capsys, argv) == run(capsys, same_as)
 
 
 @pytest.mark.parametrize("command", [
@@ -510,7 +572,8 @@ import sys
 import time
 import hypgold.cli
 print([m for m in ('scipy', 'concurrent.futures', 'multiprocessing', 'csv', 'mpmath',
-                   'hypgold.areas', 'hypgold.reference') if m in sys.modules])
+                   'hypgold.areas', 'hypgold.reference', 'click', 'dataclasses', 'inspect')
+       if m in sys.modules])
 sys.modules['scipy'] = None
 from hypgold.cli import main
 for args in sys.argv[1:]:
@@ -529,7 +592,8 @@ def test_cli_import_leaves_scipy_out(tmp_path):
     # here, since a module stays loaded), and the reference oracles never.
     # No command but areas loads mpmath: the construction, format_real and a
     # float coding's values compute on int mantissas, and only areas makes
-    # mpf values.
+    # mpf values.  The command line is read by the CLI's own table, so start-up
+    # loads neither click nor dataclasses, nor the inspect module both import.
     commands = [
         "regions --k0 17",
         "points --alpha 40",
@@ -604,20 +668,18 @@ def test_package_exports_resolve_lazily(tmp_path):
         getattr(hypgold, "no_such_name")
 
 
-def test_dataclasses_are_only_the_three_that_need_it():
-    # A dataclass generates its methods' code at import; plain records are
-    # NamedTuples, and PrimeCoding, whose fields are not its constructor's
-    # arguments, is a plain class.  These three need __post_init__,
-    # cached_property or replace.
+def test_no_hypgold_module_defines_a_dataclass():
+    # A dataclass generates its methods' code at import, and the dataclasses
+    # module imports inspect: records are NamedTuples or plain classes, the
+    # ones that validate their fields on records.Record.
     found = set()
     for info in pkgutil.iter_modules(hypgold.__path__):
         if info.name == "__main__":
             continue
         module = importlib.import_module(f"hypgold.{info.name}")
         found.update(name for name, obj in vars(module).items()
-                     if isinstance(obj, type) and dataclasses.is_dataclass(obj)
-                     and obj.__module__ == module.__name__)
-    assert found == {"RunConfig", "GoldbachSpec", "ConstructedCoding"}
+                     if isinstance(obj, type) and dataclasses.is_dataclass(obj))
+    assert found == set()
 
 
 def _hypgold_cli(*args) -> bytes:
@@ -711,10 +773,34 @@ def test_wide_sweep_and_float_points_digests_pinned(args, digest):
     assert hashlib.sha256(_hypgold_cli(*args.split())).hexdigest() == digest
 
 
+# Each command's own options, in the order --help lists them.
+_COMMAND_OPTIONS = {
+    "regions": ["--k0", "--out"],
+    "areas": ["--k0", "--k", "--coding", "--out"],
+    "points": ["--alpha", "--coding", "--out"],
+    "goldbach-check": ["--alpha-range", "--coding", "--workers", "--timing", "--out"],
+    "build-g": ["--alpha", "--scalar-u", "--xi2", "--xi-half", "--out"],
+    "scalar-limit": ["--alpha", "--u", "--xi2", "--out"],
+    "classify": ["--k", "--coding", "--out"],
+}
+_SHARED_OPTIONS = ["--config", "--mode", "--precision", "--tol", "--seed", "--json", "--csv",
+                   "--help"]
+
+
 def test_help_exits_zero(capsys):
-    rc, out, _ = run(capsys, ["--help"])
-    assert rc == 0
-    assert "classify" in out
+    rc, out, err = run(capsys, ["--help"])
+    assert (rc, err) == (0, "")
+    assert re.findall(r"(?m)^  (\S+)  ", out.split("Commands:")[1]) == list(_COMMAND_OPTIONS)
+
+
+@pytest.mark.parametrize("command", list(_COMMAND_OPTIONS))
+def test_command_help_names_every_option(capsys, command):
+    # --help wins over values that would not parse.
+    for argv in ([command, "--help"], [command, "--seed", "x", "--help"]):
+        rc, out, err = run(capsys, argv)
+        assert (rc, err) == (0, "")
+        assert re.findall(r"(?m)^  (--[\w-]+)", out) == (
+            _COMMAND_OPTIONS[command] + _SHARED_OPTIONS)
 
 
 def _dumps(payload) -> str:

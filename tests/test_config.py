@@ -7,6 +7,7 @@ import pytest
 
 from hypgold.cli import main
 from hypgold.config import RunConfig, resolve_config
+from hypgold.construction import GoldbachSpec
 from hypgold.errors import DomainError
 
 
@@ -22,6 +23,23 @@ from hypgold.errors import DomainError
 def test_run_config_rejects(fields, message):
     with pytest.raises(DomainError, match=f"^{message}"):
         RunConfig(**fields)
+
+
+@pytest.mark.parametrize("record, change, refused", [
+    (RunConfig(), {"seed": 3}, {"precision_bits": 52}),
+    (GoldbachSpec(alpha=18, lambda_sq={3: 2}), {"seed": 3}, {"alpha": 16}),
+], ids=["RunConfig", "GoldbachSpec"])
+def test_records_compare_and_copy_by_field(record, change, refused):
+    fields = record.as_dict()
+    assert list(fields) == list(record.FIELDS)
+    assert record == type(record)(**fields) and record != record.replace(**change)
+    assert record.replace(**change).as_dict() == {**fields, **change}
+    assert record.as_dict() == fields  # the copy left the record as it was
+    with pytest.raises(DomainError):
+        record.replace(**refused)  # a copy is validated like a new record
+    with pytest.raises(AttributeError):
+        record.seed = 3
+    assert repr(record).startswith(f"{type(record).__name__}(")
 
 
 def test_run_config_accepts_a_huge_finite_tolerance():

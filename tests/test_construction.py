@@ -3,7 +3,6 @@ continuity, closed-form identities, homogeneity, and the scalar limit."""
 
 import math
 import random
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -463,7 +462,7 @@ def test_replace_rebuilds_the_prime_coding():
     old = cc.prime_coding
     with mp.workprec(cc.precision):
         xi = {i: 2 * mpf(v) for i, v in cc.xi.items()}
-    changed = replace(cc, xi=xi)
+    changed = cc.replace(xi=xi)
     assert cc.prime_coding is old
     with mp.workprec(cc.precision):
         assert changed.prime_coding.slopes[:-1] == tuple(2 * mpf(s) for s in old.slopes[:-1])

@@ -92,6 +92,13 @@ def test_eval_zero_poly():
     assert EssentialPolynomial(terms=()).evaluate(identity_coding(4)) == 0
 
 
+def test_eval_refuses_a_float_coding():
+    # Its slopes are BinaryFloats, which have no arithmetic to sum in.
+    with pytest.raises(DomainError, match="^a float coding's slopes have no arithmetic; "
+                                          "pass an explicit mapping"):
+        lower_essential_poly(12).evaluate(default_coding(20, mode="float"))
+
+
 def test_eval_identity_coding_gives_half():
     c = identity_coding(200)
     for k0 in range(4, 401):

@@ -38,3 +38,22 @@ def test_wrapped_functions_live_in_their_layer(module, name):
 def test_identifies_primes_is_a_cached_property():
     prop = PrimeCoding.__dict__["identifies_primes"]
     assert isinstance(prop, cached_property) and callable(prop.func)
+
+
+def test_main_calls_the_callback_the_table_holds_at_dispatch(monkeypatch, capsys):
+    # tracer.install() rebinds each command's callback in cli.cli.commands,
+    # after import: main must read it there on every call.  cli.cli itself is
+    # no callable, so the tracer never wraps it in place of the table.
+    from hypgold import cli
+
+    command = cli.cli.commands["classify"]
+    original, calls = command.callback, []
+
+    def spy(**kwargs):
+        calls.append(kwargs["k_text"])
+        return original(**kwargs)
+
+    monkeypatch.setattr(command, "callback", spy)
+    assert cli.main(["classify", "--k", "91"]) == 0
+    assert calls == ["91"] and '"kind": "composite_natural"' in capsys.readouterr().out
+    assert not callable(cli.cli)
