@@ -9,6 +9,7 @@ sieve mismatch).
 
 from __future__ import annotations
 
+import gc
 import io
 import json
 import math
@@ -35,7 +36,7 @@ from .errors import (
     VerificationError,
 )
 from .hyperbola import lattice_witnesses, number_kind
-from .numeric import MIN_PRECISION, MODES, format_exact, format_real, parse_exact
+from .numeric import MAX_PRECISION, MIN_PRECISION, MODES, format_exact, format_real, parse_exact
 from .oracles import goldbach_partitions_oracle
 from .points import essential_points, goldbach_characterization
 from .regions import enumerate_regions
@@ -412,7 +413,7 @@ _SHARED = (
     Option("--config", "config_path", help="JSON config file mirroring the run configuration."),
     Option("--mode", "mode", _mode, help=f"Number mode: {' or '.join(MODES)}."),
     Option("--precision", "precision_bits", int,
-           help=f"Float-mode mantissa bits (>= {MIN_PRECISION})."),
+           help=f"Float-mode mantissa bits ({MIN_PRECISION} to {MAX_PRECISION})."),
     Option("--tol", "tolerance_rel", float, help="Bound on build-g's relative junction gap."),
     Option("--seed", "seed", int, help="Seed of every random choice."),
     Option("--json", "output_format", None, const="json", help="Print canonical JSON."),
@@ -464,6 +465,15 @@ cli = CommandTable("Hyperbolic classification and Goldbach characterization tool
                help="Number to classify; exact 'p/q' or decimal."),
         _CODING, _OUT),
 })
+
+# A CLI process runs one command and exits, so everything alive once the CLI
+# is loaded lives until exit: the interpreter's, site's and hypgold's
+# modules, functions and classes, and the command table above.  Frozen into
+# the permanent generation, none of it is walked again by a later
+# collection, the interpreter's final one at exit included.  The freeze sits
+# here, not in the package or a layer module, so that a library importer
+# keeps its own collections.
+gc.freeze()
 
 
 def _parse(command: Command, args: list) -> dict | None:

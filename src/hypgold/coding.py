@@ -33,6 +33,7 @@ from itertools import accumulate, islice, repeat
 from .errors import DomainError, RangeError
 from .numeric import (
     DEFAULT_PRECISION,
+    MAX_PRECISION,
     MIN_PRECISION,
     MODE_FLOAT,
     MODE_RATIONAL,
@@ -339,6 +340,13 @@ def coding_from_json(payload: dict) -> PrimeCoding:
     """The coding a coding_to_json object describes; DomainError on any other shape."""
     if not isinstance(payload, dict) or not isinstance(payload.get("slopes"), list):
         raise DomainError("coding JSON needs a 'slopes' list")
+    precision = payload.get("precision", DEFAULT_PRECISION)
+    # The constructor keeps no ceiling, so that a library caller may ask for
+    # more; a file is input a user types, so it gets the run's ceiling.
+    if isinstance(precision, int) and precision > MAX_PRECISION:
+        raise DomainError(
+            f"coding 'precision' must be at most {MAX_PRECISION} bits, "
+            f"got {bounded_str(precision)}")
     slopes = tuple(parse_exact(str(s)) for s in payload["slopes"])
     return PrimeCoding(slopes=slopes, mode=payload.get("mode", MODE_RATIONAL),
-                       precision=payload.get("precision", DEFAULT_PRECISION))
+                       precision=precision)

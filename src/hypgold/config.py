@@ -8,7 +8,14 @@ import os
 from numbers import Real
 
 from .errors import DomainError
-from .numeric import DEFAULT_PRECISION, DEFAULT_REL_TOL, MIN_PRECISION, MODE_RATIONAL, MODES
+from .numeric import (
+    DEFAULT_PRECISION,
+    DEFAULT_REL_TOL,
+    MAX_PRECISION,
+    MIN_PRECISION,
+    MODE_RATIONAL,
+    MODES,
+)
 from .records import Record
 
 OUTPUT_FORMATS = ("json", "csv")
@@ -37,6 +44,8 @@ class RunConfig(Record):
                 raise DomainError(f"{name} must be of type {kind.__name__}, got {value!r}")
         if self.precision_bits < MIN_PRECISION:
             raise DomainError(f"precision_bits must be at least {MIN_PRECISION}")
+        if self.precision_bits > MAX_PRECISION:
+            raise DomainError(f"precision_bits must be at most {MAX_PRECISION}")
         if not self.tolerance_rel > 0:
             raise DomainError("tolerance_rel must be positive")
         if not self.tolerance_rel < math.inf:

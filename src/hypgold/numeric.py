@@ -29,6 +29,11 @@ MODES = (MODE_RATIONAL, MODE_FLOAT)
 
 DEFAULT_PRECISION = 128  # mantissa bits for float mode
 MIN_PRECISION = 53  # a double's mantissa: the least a run or a coding may ask for
+# The most a run or a coding file may ask for.  From 16384 bits up, build-g
+# builds a whole construction (19 s at 262144 bits) whose coding file then
+# passes Python's int/str digit limit; 8192 bits is twice the 4096 that a
+# construction near alpha 10002 needs.
+MAX_PRECISION = 8192
 FORMAT_PRECISION = 53  # bits format_real rounds a value to before printing it
 DEFAULT_REL_TOL = 1e-9
 

@@ -2,6 +2,7 @@
 precedence, and the exit-code contract."""
 
 import dataclasses
+import gc
 import hashlib
 import importlib
 import json
@@ -311,6 +312,13 @@ def test_domain_error_exit_1(capsys):
                  id="classify-coding-not-identifying-primes"),
     pytest.param(["build-g", "--alpha", "18", "--xi-half", "0"],
                  "xi_half_sq must be positive", id="build-g-xi-half-0"),
+    # The run configuration refuses a precision past the ceiling before any
+    # command runs; at 16384 bits build-g would build the whole construction
+    # and then fail to write its coding file.
+    pytest.param(["points", "--alpha", "40", "--mode", "float", "--precision", "100000000"],
+                 "precision_bits must be at most 8192", id="points-precision-1e8"),
+    pytest.param(["build-g", "--alpha", "30", "--precision", "16384"],
+                 "precision_bits must be at most 8192", id="build-g-precision-16384"),
 ])
 def test_domain_errors_exit_1_with_payload(tmp_path, capsys, command, message):
     # Slopes 1, 2, 1, 2, ...: xi_0 xi_1 = xi_1 xi_2, so the coding does not identify primes.
@@ -369,9 +377,12 @@ def test_a_k_past_memory_and_the_digit_limit_names_no_digits(capsys, low_digit_l
                  id="coding-precision-string"),
     pytest.param("--coding", b'{"slopes": ["1", "2"], "mode": "float", "precision": 8}',
                  id="coding-precision-8"),
+    pytest.param("--coding", b'{"slopes": ["1", "2"], "mode": "float", "precision": 100000000}',
+                 id="coding-precision-1e8"),
     pytest.param("--config", b'{"seed": 1', id="config-truncated"),
     pytest.param("--config", b'{"tolerance_rel": "x"}', id="config-tol-string"),
     pytest.param("--config", b'{"precision_bits": "x"}', id="config-precision-string"),
+    pytest.param("--config", b'{"precision_bits": 100000000}', id="config-precision-1e8"),
     pytest.param("--config", b'{"seed": "x"}', id="config-seed-string"),
     pytest.param("--config", b'[1, 2]', id="config-not-object"),
     pytest.param("--config", b'{"seed": 1, "colour": "red"}', id="config-unknown-key"),
@@ -517,7 +528,7 @@ def test_workers_below_one_exit_1(capsys, workers):
     assert json.loads(err)["error"] == "BadParameter"
 
 
-@pytest.mark.parametrize("offset, precision", [(60, "53"), (200, "128")])
+@pytest.mark.parametrize("offset, precision", [(60, "53"), (200, "128"), (9000, "8192")])
 def test_float_classify_reads_k_exactly(capsys, offset, precision):
     # k = 1000 + 2**-offset lies within half an ulp of 1000 at the coding's
     # precision; rounding it would classify 1000 instead.
@@ -666,6 +677,38 @@ def test_package_exports_resolve_lazily(tmp_path):
     assert hypgold.__version__ == "0.1.0"
     with pytest.raises(AttributeError, match="'no_such_name'"):
         getattr(hypgold, "no_such_name")
+
+
+_FREEZE_COUNT_AFTER = """
+import gc
+import sys
+for name in sys.argv[1:]:
+    __import__(name)
+if 'hypgold' in sys.modules:
+    sys.modules['hypgold'].goldbach_characterization
+print(gc.get_freeze_count())
+"""
+
+
+def test_only_the_cli_freezes_its_start_up_heap(tmp_path):
+    # A CLI process keeps its start-up objects until exit, so importing the
+    # CLI moves them to the permanent generation.  The package and its layer
+    # modules freeze nothing: a library importer keeps its own collections.
+    cli_proc = _fresh_python(tmp_path, _FREEZE_COUNT_AFTER, "hypgold.cli")
+    assert int(cli_proc.stdout) > 0
+    library = _fresh_python(tmp_path, _FREEZE_COUNT_AFTER, "hypgold", "hypgold.points",
+                            "hypgold.construction", "hypgold.hyperbola")
+    assert int(library.stdout) == 0
+
+
+def test_commands_freeze_nothing(capsys):
+    # Only the import freezes: a command leaves an in-process caller's
+    # garbage to the collector.
+    frozen = gc.get_freeze_count()
+    for _ in range(2):
+        rc, _, _ = run(capsys, ["classify", "--k", "91"])
+        assert rc == 0
+        assert gc.get_freeze_count() == frozen
 
 
 def test_no_hypgold_module_defines_a_dataclass():

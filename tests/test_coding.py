@@ -23,7 +23,15 @@ from hypgold.coding import (
 )
 from hypgold.errors import DomainError, RangeError, TheoremViolationError
 from hypgold.hyperbola import lattice_witnesses
-from hypgold.numeric import MODE_FLOAT, MODE_RATIONAL, mantissa_pair, rel_diff, to_fraction, to_mpf
+from hypgold.numeric import (
+    MAX_PRECISION,
+    MODE_FLOAT,
+    MODE_RATIONAL,
+    mantissa_pair,
+    rel_diff,
+    to_fraction,
+    to_mpf,
+)
 from hypgold.points import goldbach_characterization, lower_essential_poly, lower_value
 
 from conftest import arith_coding, harmonic_coding, identity_coding, pow2_coding, seeded_coding
@@ -361,6 +369,11 @@ def test_serialization_rejects_garbage():
     for precision in ("abc", "128", 128.0, True, 0):
         with pytest.raises(DomainError, match="'precision'"):
             coding_from_json({"slopes": ["1", "2"], "mode": "float", "precision": precision})
+    for mode in (MODE_RATIONAL, MODE_FLOAT):
+        with pytest.raises(DomainError, match="'precision' must be at most 8192 bits, got 8193"):
+            coding_from_json({"slopes": ["1", "2"], "mode": mode, "precision": 8193})
+    assert coding_from_json({"slopes": ["1", "2"], "mode": "float",
+                             "precision": MAX_PRECISION}).precision == MAX_PRECISION
 
 
 @pytest.mark.parametrize("mode", [MODE_RATIONAL, MODE_FLOAT])

@@ -13,13 +13,14 @@ from hypgold.errors import DomainError
 
 @pytest.mark.parametrize("fields, message", [
     ({"precision_bits": 52}, "precision_bits must be at least 53"),
+    ({"precision_bits": 8193}, "precision_bits must be at most 8192"),
     ({"tolerance_rel": 0.0}, "tolerance_rel must be positive"),
     ({"tolerance_rel": -1e-9}, "tolerance_rel must be positive"),
     ({"tolerance_rel": float("inf")}, "tolerance_rel must be finite, got inf"),
     ({"mode": "decimal"}, "mode must be one of"),
     ({"output_format": "xml"}, "output_format must be one of"),
     ({"seed": True}, "seed must be of type int"),
-], ids=["precision-52", "tol-zero", "tol-negative", "tol-inf", "mode", "format", "seed-bool"])
+], ids=["precision-52", "precision-8193", "tol-zero", "tol-negative", "tol-inf", "mode", "format", "seed-bool"])
 def test_run_config_rejects(fields, message):
     with pytest.raises(DomainError, match=f"^{message}"):
         RunConfig(**fields)
