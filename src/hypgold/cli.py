@@ -80,49 +80,97 @@ def _key_text(key) -> str:
     raise TypeError(f"keys must be str, int, float, bool or None, not {type(key).__name__}")
 
 
-def _encode(o, level: int, out: list) -> None:
+def _encode(o, level: int, out: list, shapes: dict) -> None:
     """Append o as json.dumps(o, default=_scalar, sort_keys=True, indent=2,
     separators=(",", ": ")) writes it at nesting depth ``level``.
 
     json.dumps runs its pure-Python encoder whenever it indents; this one
-    takes the same branches but writes a list of plain ints with one join.
+    takes the same branches but writes a list of plain ints with one join,
+    and writes a plain dict whose keys are all str from ``shapes``: per key
+    tuple and depth, its sorted keys and their encoded heads, built once.
+    Values of the exact types the commands emit are dispatched first; dict
+    and tuple subclasses, other keys and other leaves take the isinstance
+    branches after them.
     """
-    if isinstance(o, str):
+    t = type(o)
+    if t is str:
+        out.append(encode_basestring_ascii(o))
+    elif t is int:
+        out.append(int.__repr__(o))
+    elif t is list or t is tuple:
+        _encode_array(o, level, out, shapes)
+    elif t is dict and o:
+        # Only tuples of str keys enter the cache, and of the keys json.dumps
+        # takes only a str equals a str, so a hit is a dict of the same str
+        # keys.  Keys 1, True and 1.0 equal each other and hash alike: they
+        # never enter the cache and take _encode_object's branch.
+        shape = (level, *o)
+        entry = shapes.get(shape)
+        if entry is None:
+            if not all(type(key) is str for key in o):
+                _encode_object(o, level, out, shapes)
+                return
+            entry = shapes[shape] = _record_shape(o, level)
+        heads, close = entry
+        for head, key in heads:
+            out.append(head)
+            _encode(o[key], level + 1, out, shapes)
+        out.append(close)
+    elif isinstance(o, str):
         out.append(encode_basestring_ascii(o))
     elif o is None or isinstance(o, (int, float)):
         out.append(_key_text(o))
     elif isinstance(o, (list, tuple)):
-        if not o:
-            out.append("[]")
-            return
-        inner = "\n" + "  " * (level + 1)
-        if set(map(type, o)) == {int}:  # not bools: int.__repr__(True) is "True"
-            out.append("[" + inner + ("," + inner).join(map(int.__repr__, o)))
-        else:
-            sep = "[" + inner
-            for value in o:
-                out.append(sep)
-                _encode(value, level + 1, out)
-                sep = "," + inner
-        out.append("\n" + "  " * level + "]")
+        _encode_array(o, level, out, shapes)
     elif isinstance(o, dict):
-        if not o:
-            out.append("{}")
-            return
-        inner = "\n" + "  " * (level + 1)
-        sep = "{" + inner
-        for key, value in sorted(o.items()):
-            out.append(sep + encode_basestring_ascii(_key_text(key)) + ": ")
-            _encode(value, level + 1, out)
-            sep = "," + inner
-        out.append("\n" + "  " * level + "}")
+        _encode_object(o, level, out, shapes)
     else:
-        _encode(_scalar(o), level, out)
+        _encode(_scalar(o), level, out, shapes)
+
+
+def _record_shape(o: dict, level: int) -> tuple:
+    """The (head, key) pairs of a dict of str keys in sorted order, and its closing text."""
+    inner = "\n" + "  " * (level + 1)
+    heads = []
+    sep = "{" + inner
+    for key in sorted(o):
+        heads.append((sep + encode_basestring_ascii(key) + ": ", key))
+        sep = "," + inner
+    return heads, "\n" + "  " * level + "}"
+
+
+def _encode_array(o, level: int, out: list, shapes: dict) -> None:
+    if not o:
+        out.append("[]")
+        return
+    inner = "\n" + "  " * (level + 1)
+    if set(map(type, o)) == {int}:  # not bools: int.__repr__(True) is "True"
+        out.append("[" + inner + ("," + inner).join(map(int.__repr__, o)))
+    else:
+        sep = "[" + inner
+        for value in o:
+            out.append(sep)
+            _encode(value, level + 1, out, shapes)
+            sep = "," + inner
+    out.append("\n" + "  " * level + "]")
+
+
+def _encode_object(o, level: int, out: list, shapes: dict) -> None:
+    if not o:
+        out.append("{}")
+        return
+    inner = "\n" + "  " * (level + 1)
+    sep = "{" + inner
+    for key, value in sorted(o.items()):
+        out.append(sep + encode_basestring_ascii(_key_text(key)) + ": ")
+        _encode(value, level + 1, out, shapes)
+        sep = "," + inner
+    out.append("\n" + "  " * level + "}")
 
 
 def canonical_json(payload: dict) -> str:
     out = []
-    _encode(payload, 0, out)
+    _encode(payload, 0, out, {})
     out.append("\n")
     return "".join(out)
 
@@ -241,7 +289,7 @@ def _alpha_range(text: str) -> range:
 
 
 def _sweep_one(coding, alpha, want_timing):
-    t0 = time.perf_counter()
+    t0 = time.perf_counter() if want_timing else None
     try:
         k0_list = goldbach_characterization(coding, alpha)
         agreement, error = True, None

@@ -255,9 +255,10 @@ class PointTable:
     indices j that break the sign condition (x_j <= 0) or the ordering
     (x_j < x_{j-1}), the repeat bitmap R[j] = [x_{j-1} == x_j], and the
     indices where R disagrees with is_prime(j).  An alpha's checks then
-    look only for recorded indices inside its window.  The table holds
-    the ints 2*L**2*x_j, one positive scale of the exact values, so every
-    comparison is exact and no Fraction is built but for a message.
+    look only for recorded indices inside its window, and at none when
+    nothing is recorded.  The table holds the ints 2*L**2*x_j, one
+    positive scale of the exact values, so every comparison is exact and
+    no Fraction is built but for a message.
     """
 
     def __init__(self, c: PrimeCoding):
@@ -293,6 +294,8 @@ class PointTable:
         dichotomy.  Returns the repeat bitmap R.
         """
         self.grow(alpha - 5)
+        if not (self.sign_bad or self.order_bad or self.mismatches):
+            return self.bits
         x, scale = self.x, self.scale
         k0 = _first_in_window(self.sign_bad, alpha, alpha - 1)
         if k0 is not None:

@@ -13,6 +13,7 @@ import subprocess
 import sys
 import time
 from fractions import Fraction
+from typing import NamedTuple
 
 import mpmath
 import pytest
@@ -882,3 +883,59 @@ def test_canonical_json_matches_json_dumps_on_edges(payload):
     text = cli_mod.canonical_json(payload)
     assert isinstance(text, str)
     assert text == _dumps(payload)
+
+
+class _Pair(NamedTuple):
+    a: object
+    b: object
+
+
+class _SubDict(dict):
+    pass
+
+
+# One key set whose values change type from record to record.
+_MIXED = [1, True, None, 2.5, Fraction(-7, 3), [1, 2, 3], [1, True, 0], {"x": 1}, False, 0]
+
+
+@pytest.mark.parametrize("payload", [
+    {"records": [{"alpha": v, "list": w, "z": v} for v, w in zip(_MIXED, reversed(_MIXED))]},
+    # One key tuple at two depths, either depth first.
+    {"a": {"a": 1, "b": 2}, "b": [{"a": {"a": 1, "b": [2]}, "b": 3}, {"a": 4, "b": 5}]},
+    [{"a": [{"a": 1, "b": 2}], "b": 0}, {"a": 1, "b": 2}],
+    # 1, True and 1.0 hash alike; the str "1" does not.
+    [{1: "a"}, {True: "b"}, {1.0: "c"}, {"1": "d"}, {1: "e"}, {True: "f"}],
+    [{"k": {1: 0}}, {"k": {True: 0}}, {"k": {1.0: 0}}],
+    # A NamedTuple and a dict subclass as values, and as records.
+    [{"p": _Pair(1, Fraction(1, 2)), "q": _SubDict(b=1, a=2)},
+     {"p": [1, 2], "q": {"b": 1, "a": 2}}, _SubDict(q=3, p=4), _Pair({"p": 1, "q": 2}, [])],
+])
+def test_canonical_json_matches_json_dumps_on_repeated_shapes(payload):
+    assert cli_mod.canonical_json(payload) == _dumps(payload)
+
+
+_RECORD_LISTS = st.lists(st.text(max_size=3), min_size=1, max_size=4, unique=True).flatmap(
+    lambda keys: st.lists(st.fixed_dictionaries({key: _PAYLOADS for key in keys}),
+                          min_size=2, max_size=6))
+
+
+@given(_RECORD_LISTS)
+@settings(max_examples=100, deadline=None)
+def test_canonical_json_matches_json_dumps_on_same_keyed_records(records):
+    assert cli_mod.canonical_json({"records": records}) == _dumps({"records": records})
+
+
+def test_canonical_json_builds_each_record_shape_once(monkeypatch):
+    record_shape, built = cli_mod._record_shape, []
+
+    def spy(o, level):
+        built.append((tuple(sorted(o)), level))
+        return record_shape(o, level)
+
+    monkeypatch.setattr(cli_mod, "_record_shape", spy)
+    payload = {"records": [{"b": i, "a": [i]} for i in range(5)] + [{"a": {"a": 0, "b": 1}}]}
+    assert cli_mod.canonical_json(payload) == _dumps(payload)
+    assert sorted(built) == [(("a",), 2), (("a", "b"), 2), (("a", "b"), 3), (("records",), 0)]
+    built.clear()
+    cli_mod.canonical_json(payload)  # the cache lives for one call
+    assert len(built) == 4

@@ -536,6 +536,26 @@ def test_table_matches_per_alpha_scan(increments, mode, picks, damage):
                     == outcome(scan_characterization, c.exact, alpha))
 
 
+def test_a_clean_table_scans_no_window(monkeypatch):
+    # A table that has recorded no sign, ordering or dichotomy failure
+    # returns R right after growing: no window is scanned, and every alpha
+    # is still reconciled with the sieve.
+    def no_scan(indices, alpha, mirror):
+        raise AssertionError(f"a clean table scanned the window of alpha={alpha}")
+
+    monkeypatch.setattr(points_mod, "_first_in_window", no_scan)
+    c = default_coding(200)
+    table = points_mod._point_table(c)
+    for alpha in (40, 18, 204, 100):
+        assert table.check(alpha) is table.bits
+    assert (table.sign_bad, table.order_bad, table.mismatches) == ([], [], [])
+    assert [j for j in range(5, 200) if table.bits[j]] == [j for j in range(5, 200) if is_prime(j)]
+    for alpha in range(16, 205, 2):
+        assert (goldbach_characterization(c, alpha)
+                == list(goldbach_partitions_oracle(alpha).inside_window))
+        assert len(monotonicity_report(c, alpha)) == alpha // 2 - 5
+
+
 def _scan_of_fractions(c, top):
     """The point table's facts through top, by a scan of lower_value Fractions."""
     x = {j: lower_value(c, j) for j in range(4, top + 1)}

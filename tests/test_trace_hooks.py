@@ -57,3 +57,22 @@ def test_main_calls_the_callback_the_table_holds_at_dispatch(monkeypatch, capsys
     assert cli.main(["classify", "--k", "91"]) == 0
     assert calls == ["91"] and '"kind": "composite_natural"' in capsys.readouterr().out
     assert not callable(cli.cli)
+
+
+@pytest.mark.parametrize("flag, name", [("--json", "canonical_json"), ("--csv", "records_csv")])
+def test_serializers_return_the_whole_output(monkeypatch, capsys, flag, name):
+    # The tracer counts cli.output_bytes from the value canonical_json and
+    # records_csv return, so each returns the whole output as one str, and
+    # that str is exactly what the command prints.
+    from hypgold import cli
+
+    original, returned = getattr(cli, name), []
+
+    def spy(*args):
+        returned.append(original(*args))
+        return returned[-1]
+
+    monkeypatch.setattr(cli, name, spy)
+    assert cli.main(["goldbach-check", "--alpha-range", "16..60", flag]) == 0
+    assert len(returned) == 1 and type(returned[0]) is str
+    assert capsys.readouterr().out == returned[0]
