@@ -198,8 +198,10 @@ def _write_text(path: str, text: str, what: str) -> None:
         raise DomainError(f"cannot write {what} {path}: {exc}") from exc
 
 
-def emit(payload: dict, records: list, cfg: RunConfig, out: str | None) -> None:
-    text = records_csv(records) if cfg.output_format == "csv" else canonical_json(payload)
+def emit(command: str, cfg: RunConfig, out: str | None, rows: list, /, **fields) -> None:
+    """Write ``{"command", "config", **fields}`` as canonical JSON, or ``rows`` as CSV."""
+    text = (records_csv(rows) if cfg.output_format == "csv" else
+            canonical_json({"command": command, "config": cfg.as_dict(), **fields}))
     if out:
         _write_text(out, text, "output file")
     else:
@@ -219,14 +221,7 @@ def regions(k0, cfg, out):
     records = [
         {"n": n, "n_prime": np_, "type": t.value} for n, np_, t in region_set
     ]
-    payload = {
-        "command": "regions",
-        "config": cfg.as_dict(),
-        "k0": k0,
-        "count": len(records),
-        "records": records,
-    }
-    emit(payload, records, cfg, out)
+    emit("regions", cfg, out, records, k0=k0, count=len(records), records=records)
 
 
 def areas(k0, k_text, coding_path, cfg, out):
@@ -252,28 +247,14 @@ def areas(k0, k_text, coding_path, cfg, out):
             "hat_area": (hat_area(coding, n, np_, res.area, cfg.precision_bits)
                          if coding else res.area),
         })
-    payload = {
-        "command": "areas",
-        "config": cfg.as_dict(),
-        "k0": k0,
-        "k": format_exact(k),
-        "records": records,
-    }
-    emit(payload, records, cfg, out)
+    emit("areas", cfg, out, records, k0=k0, k=format_exact(k), records=records)
 
 
 def points(alpha, coding_path, cfg, out):
     """Essential points (x_k0, y_k0) for k0 = 4 .. alpha/2 - 1."""
     coding = _load_coding(coding_path, cfg, fallback_index=max(alpha - 4, 16))
-    pts = essential_points(coding, alpha)
-    records = [{"k0": p.k0, "x": p.x, "y": p.y} for p in pts]
-    payload = {
-        "command": "points",
-        "config": cfg.as_dict(),
-        "alpha": alpha,
-        "records": records,
-    }
-    emit(payload, records, cfg, out)
+    records = [{"k0": p.k0, "x": p.x, "y": p.y} for p in essential_points(coding, alpha)]
+    emit("points", cfg, out, records, alpha=alpha, records=records)
 
 
 def _alpha_range(text: str) -> range:
@@ -319,14 +300,8 @@ def goldbach_check(alpha_range, coding_path, workers, timing, cfg, out):
     coding = _load_coding(coding_path, cfg, fallback_index=max(alphas[-1] - 4, 16))
     records = [_sweep_one(coding, a, timing) for a in alphas]
     all_agree = all(r["sieve_agreement"] for r in records)
-    payload = {
-        "command": "goldbach-check",
-        "config": cfg.as_dict(),
-        "alpha_range": [alphas[0], alphas[-1]],
-        "all_agree": all_agree,
-        "records": records,
-    }
-    emit(payload, records, cfg, out)
+    emit("goldbach-check", cfg, out, records, alpha_range=[alphas[0], alphas[-1]],
+         all_agree=all_agree, records=records)
     if not all_agree:
         raise TheoremViolationError("characterization disagreed with the sieve")
 
@@ -359,7 +334,7 @@ def build_g(alpha, scalar_u, xi2_text, xi_half_text, coding_out, cfg):
         "max_junction_gap": format_real(max_gap),
         "coding_file": coding_out,
     }
-    emit({"command": "build-g", "config": cfg.as_dict(), **record}, [record], cfg, None)
+    emit("build-g", cfg, None, [record], **record)
 
 
 def scalar_limit(alpha, u_text, xi2_text, cfg, out):
@@ -371,18 +346,9 @@ def scalar_limit(alpha, u_text, xi2_text, cfg, out):
     result = scalar_limit_sweep(alpha, u_values, xi2_sq=parse_exact(xi2_text),
                                 precision=cfg.precision_bits)
     records = [{"u": r.u, "k0": r.k0, "x_k0": r.x_k0, "y_k0": r.y_k0} for r in result.rows]
-    payload = {
-        "command": "scalar-limit",
-        "config": cfg.as_dict(),
-        "alpha": alpha,
-        "xi2_sq": result.xi2_sq,
-        "monotone": result.monotone,
-        "final_below": result.final_below,
-        "converged": result.converged,
-        "max_deviation": result.max_deviation,
-        "records": records,
-    }
-    emit(payload, records, cfg, out)
+    emit("scalar-limit", cfg, out, records, alpha=alpha, xi2_sq=result.xi2_sq,
+         monotone=result.monotone, final_below=result.final_below,
+         converged=result.converged, max_deviation=result.max_deviation, records=records)
     if not result.converged:
         raise ConstructionFailureError(
             "scalar limit failed to converge monotonically below tolerance"
@@ -398,14 +364,8 @@ def classify(k_text, coding_path, cfg, out):
     coding = _load_coding(coding_path, cfg, fallback_index=fallback)
     lattice = lattice_witnesses(coding, k)
     witnesses = [{"x": x, "y": y, "kind": pk.value} for x, y, pk in lattice]
-    payload = {
-        "command": "classify",
-        "config": cfg.as_dict(),
-        "k": format_exact(k),
-        "kind": number_kind(lattice).value,
-        "witnesses": witnesses,
-    }
-    emit(payload, witnesses, cfg, out)
+    emit("classify", cfg, out, witnesses, k=format_exact(k), kind=number_kind(lattice).value,
+         witnesses=witnesses)
 
 
 _REQUIRED = object()  # the default of an option that must be given

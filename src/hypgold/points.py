@@ -18,13 +18,14 @@ same steps on (int mantissa, exponent) pairs and rounds each product and
 sum with ``numeric``'s rounding, to nearest with ties to even, as mpf
 arithmetic rounds it.  So a float x_{k0} has the bits
 ``EssentialPolynomial.evaluate`` gives on the slopes as mpf values at the
-same precision.  ``lower_value`` reads a coding through one or the other;
-the construction calls ``_rounded_lower`` on the slopes it has so far,
-with one table of rounded slope products per pass.  The region polynomial
-stays the definition and the oracle.
+same precision.  ``lower_value`` gives one x_{k0} through one kernel or
+the other; the construction calls ``_rounded_lower`` on the slopes it has
+so far, with one table of rounded slope products per pass.  The region
+polynomial stays the definition and the oracle.
 
-The repetition decisions read ``PointTable``, which holds the ints
-2*L**2*x_j of a coding's exact twin and compares them directly.
+``PointTable`` holds the ints 2*L**2*x_j of a rational coding, or of a
+float coding's exact twin, and compares them directly.  The repetition
+decisions read it, and so do a rational coding's essential points.
 """
 
 from __future__ import annotations
@@ -241,9 +242,21 @@ def lower_value(c: PrimeCoding, k0: int):
 
 
 def essential_points(c: PrimeCoding, alpha: int) -> list:
-    """P_{k0} = (x_{k0}, y_{k0}) for k0 = 4 .. alpha/2 - 1."""
+    """P_{k0} = (x_{k0}, y_{k0}) for k0 = 4 .. alpha/2 - 1.
+
+    A rational coding's x values are read from its ``PointTable``, grown
+    through alpha - 5: the table its repetition checks decide on.  A float
+    coding's are ``lower_value``'s, rounded at its precision, and its exact
+    twin is not built.
+    """
     _check_coding(c, alpha)
-    return [EssentialPoint(k0=k0, x=lower_value(c, k0), y=-lower_value(c, alpha - k0 - 1))
+    if c.mode == MODE_RATIONAL:
+        table = _point_table(c)
+        table.grow(alpha - 5)
+        x, scale = table.x, table.scale
+        return [EssentialPoint(k0, Fraction(x[k0], scale), Fraction(-x[alpha - k0 - 1], scale))
+                for k0 in range(4, alpha // 2)]
+    return [EssentialPoint(k0, lower_value(c, k0), -lower_value(c, alpha - k0 - 1))
             for k0 in range(4, alpha // 2)]
 
 

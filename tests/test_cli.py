@@ -26,6 +26,7 @@ import hypgold.cli as cli_mod
 import hypgold.hyperbola as hyperbola_mod
 from hypgold.cli import main
 from hypgold.coding import coding_from_json, coding_to_json, default_coding
+from hypgold.config import RunConfig
 from hypgold.construction import GoldbachSpec, build_goldbach, verify_continuity
 from hypgold.errors import TheoremViolationError
 from hypgold.oracles import goldbach_partitions_oracle
@@ -61,6 +62,42 @@ def test_regions_deterministic_bytes(capsys):
     rc2, out2, _ = run(capsys, ["regions", "--k0", "44"])
     assert rc1 == rc2 == 0
     assert out1 == out2
+
+
+# Each command's arguments and the CSV header of its records.
+ENVELOPE_CASES = {
+    "regions": (["--k0", "17"], "n,n_prime,type"),
+    "areas": (["--k0", "17", "--k", "35/2"], "n,n_prime,type,area,d1,d2,hat_area"),
+    "points": (["--alpha", "18"], "k0,x,y"),
+    "goldbach-check": (["--alpha-range", "16..20"],
+                       "alpha,k0_list,sieve_window,sieve_outside_window,sieve_agreement"),
+    "build-g": (["--alpha", "18"], "alpha,seed,max_junction_gap,coding_file"),
+    "scalar-limit": (["--alpha", "18", "--u", "1e-1,1e-2"], "u,k0,x_k0,y_k0"),
+    "classify": (["--k", "91"], "x,y,kind"),
+}
+
+
+@pytest.mark.parametrize("command", sorted(ENVELOPE_CASES))
+def test_every_command_writes_one_envelope(tmp_path, capsys, monkeypatch, command):
+    # emit writes the command name and the resolved configuration around
+    # every JSON payload; a CSV carries the records alone.
+    for name in [k for k in os.environ if k.startswith("ER_")]:
+        monkeypatch.delenv(name)
+    args, header = ENVELOPE_CASES[command]
+    args = [command, *args]
+    if command == "build-g":
+        args += ["--out", str(tmp_path / "coding.json")]
+    rc, out, err = run(capsys, args)
+    assert (rc, err) == (0, "")
+    payload = json.loads(out)
+    assert payload["command"] == command
+    assert payload["config"] == RunConfig().as_dict()
+    rows = payload.get("records") or payload.get("witnesses") or [payload]
+    envelope = {"command", "config"} if command == "build-g" else set()
+    assert set(header.split(",")) == set(rows[0]) - envelope
+    rc, out, err = run(capsys, [*args, "--csv"])
+    assert (rc, err) == (0, "")
+    assert out.splitlines()[0] == header
 
 
 def test_regions_csv(capsys):

@@ -22,6 +22,7 @@ from hypgold.hyperbola import classify_number
 from hypgold.oracles import goldbach_partitions_oracle, is_prime, primes_in
 from hypgold.numeric import MODE_FLOAT, MODE_RATIONAL, BinaryFloat, mantissa_pair
 from hypgold.points import (
+    EssentialPoint,
     EssentialPolynomial,
     IndexComparison,
     essential_points,
@@ -437,9 +438,18 @@ def trial_division_prime(n: int) -> bool:
     return n >= 2 and all(n % d for d in range(2, int(n ** 0.5) + 1))
 
 
+def lower_value_points(c, alpha):
+    """Essential points built by lower_value, one call per coordinate, with no point table."""
+    return [EssentialPoint(k0, lower_value(c, k0), -lower_value(c, alpha - k0 - 1))
+            for k0 in range(4, alpha // 2)]
+
+
 def scan_monotonicity(c, alpha):
-    """Per-alpha oracle: the sign, ordering and repetition scan over essential_points."""
-    pts = essential_points(c, alpha)
+    """Per-alpha oracle: the sign, ordering and repetition scan over lower_value's points.
+
+    Its x values come from lower_value, not from the point table it checks.
+    """
+    pts = lower_value_points(c, alpha)
     for pt in pts:
         if not (pt.x > 0 and pt.y < 0):
             raise TheoremViolationError(
@@ -487,7 +497,7 @@ def corrupt(index, kind):
     """A stand-in for scaled_lower_value that spoils x_index in one way.
 
     lower_value reads scaled_lower_value too, so the point table and a scan
-    of essential_points see the same spoiled value.
+    of lower_value's points see the same spoiled value.
     """
     real = points_mod.scaled_lower_value
 
@@ -688,3 +698,52 @@ def test_float_essential_points_skip_the_exact_twin():
     c = default_coding(120, mode=MODE_FLOAT)
     essential_points(c, 120)
     assert "exact" not in c.__dict__
+
+
+def test_points_and_the_repetition_checks_build_one_table(monkeypatch):
+    # A rational coding's essential points and every alpha's repetition
+    # checks read one PointTable, and each x_j is computed once.
+    top = 300
+    c = seeded_coding(top - 5, 17)
+    tables, computed = [], []
+    real_init, real_value = points_mod.PointTable.__init__, points_mod.scaled_lower_value
+
+    def counted_init(self, coding):
+        tables.append(coding)
+        real_init(self, coding)
+
+    def counted_value(coding, k0):
+        computed.append(k0)
+        return real_value(coding, k0)
+
+    monkeypatch.setattr(points_mod.PointTable, "__init__", counted_init)
+    monkeypatch.setattr(points_mod, "scaled_lower_value", counted_value)
+    essential_points(c, top)
+    assert computed == list(range(4, top - 4))
+    for alpha in range(16, top + 1, 2):
+        monotonicity_report(c, alpha)
+        assert (goldbach_characterization(c, alpha)
+                == list(goldbach_partitions_oracle(alpha).inside_window))
+    essential_points(c, top)
+    assert tables == [c]
+    assert computed == list(range(4, top - 4))
+
+
+@given(
+    increments=st.lists(st.integers(min_value=1, max_value=1000), min_size=20, max_size=80),
+    picks=st.lists(st.integers(min_value=0, max_value=10 ** 6), min_size=1, max_size=6),
+)
+@settings(max_examples=60, deadline=None)
+def test_points_from_the_table_match_lower_value(increments, picks):
+    # Alphas come in random order, so the table has sometimes grown past
+    # alpha - 5 already; the points read from it must be lower_value's.
+    acc, slopes = Fraction(1), [Fraction(1)]
+    for inc in increments:
+        acc += Fraction(inc, 997)
+        slopes.append(acc)
+    c = PrimeCoding(slopes=tuple(slopes))
+    for p in picks:
+        alpha = 16 + 2 * (p % ((c.max_index + 5 - 16) // 2 + 1))
+        pts = essential_points(c, alpha)
+        assert pts == lower_value_points(c, alpha)
+        assert all(type(pt.x) is type(pt.y) is Fraction for pt in pts)
