@@ -36,7 +36,8 @@ from .errors import (
     VerificationError,
 )
 from .hyperbola import lattice_witnesses, number_kind
-from .numeric import MAX_PRECISION, MIN_PRECISION, MODES, format_exact, format_real, parse_exact
+from .numeric import (MAX_PRECISION, MIN_PRECISION, MODES, BinaryFloat, format_exact,
+                      format_real, parse_exact)
 from .oracles import goldbach_partitions_oracle
 from .points import essential_points, goldbach_characterization
 from .regions import enumerate_regions
@@ -57,27 +58,21 @@ def _scalar(obj):
     return format_real(obj)
 
 
-def _key_text(key) -> str:
-    """A dict key, or a None, bool, int or float value, as json.dumps writes it."""
-    if isinstance(key, str):
-        return key
-    if key is None:
+def _leaf_text(o) -> str:
+    """None, a bool or a float as json.dumps writes it."""
+    if o is None:
         return "null"
-    if key is True:
+    if o is True:
         return "true"
-    if key is False:
+    if o is False:
         return "false"
-    if isinstance(key, int):
-        return int.__repr__(key)
-    if isinstance(key, float):
-        if key != key:
-            return "NaN"
-        if key == math.inf:
-            return "Infinity"
-        if key == -math.inf:
-            return "-Infinity"
-        return float.__repr__(key)
-    raise TypeError(f"keys must be str, int, float, bool or None, not {type(key).__name__}")
+    if o != o:
+        return "NaN"
+    if o == math.inf:
+        return "Infinity"
+    if o == -math.inf:
+        return "-Infinity"
+    return float.__repr__(o)
 
 
 def _encode(o, level: int, out: list, shapes: dict) -> None:
@@ -85,12 +80,12 @@ def _encode(o, level: int, out: list, shapes: dict) -> None:
     separators=(",", ": ")) writes it at nesting depth ``level``.
 
     json.dumps runs its pure-Python encoder whenever it indents; this one
-    takes the same branches but writes a list of plain ints with one join,
-    and writes a plain dict whose keys are all str from ``shapes``: per key
-    tuple and depth, its sorted keys and their encoded heads, built once.
-    Values of the exact types the commands emit are dispatched first; dict
-    and tuple subclasses, other keys and other leaves take the isinstance
-    branches after them.
+    takes the same branches on the exact types the commands build, writes
+    a list of plain ints with one join, and writes a dict from ``shapes``:
+    per key tuple and depth, its sorted keys and their encoded heads, built
+    once.  Object names are str (RFC 8259, section 4), so a dict with any
+    other key, and a value of any other type (a dict, tuple, int or float
+    subclass, a set), is a TypeError.
     """
     t = type(o)
     if t is str:
@@ -99,44 +94,39 @@ def _encode(o, level: int, out: list, shapes: dict) -> None:
         out.append(int.__repr__(o))
     elif t is list or t is tuple:
         _encode_array(o, level, out, shapes)
-    elif t is dict and o:
-        # Only tuples of str keys enter the cache, and of the keys json.dumps
-        # takes only a str equals a str, so a hit is a dict of the same str
-        # keys.  Keys 1, True and 1.0 equal each other and hash alike: they
-        # never enter the cache and take _encode_object's branch.
+    elif t is dict:
+        # _record_shape admits only str keys, so every cached shape is one of str keys.
         shape = (level, *o)
         entry = shapes.get(shape)
         if entry is None:
-            if not all(type(key) is str for key in o):
-                _encode_object(o, level, out, shapes)
-                return
             entry = shapes[shape] = _record_shape(o, level)
         heads, close = entry
         for head, key in heads:
             out.append(head)
             _encode(o[key], level + 1, out, shapes)
         out.append(close)
-    elif isinstance(o, str):
-        out.append(encode_basestring_ascii(o))
-    elif o is None or isinstance(o, (int, float)):
-        out.append(_key_text(o))
-    elif isinstance(o, (list, tuple)):
-        _encode_array(o, level, out, shapes)
-    elif isinstance(o, dict):
-        _encode_object(o, level, out, shapes)
+    elif o is None or t is bool or t is float:
+        out.append(_leaf_text(o))
+    elif (t is Fraction or t is BinaryFloat
+          # areas' mpf values; an mpf exists only once mpmath is loaded
+          or t is getattr(sys.modules.get("mpmath"), "mpf", None)):
+        out.append(encode_basestring_ascii(_scalar(o)))
     else:
-        _encode(_scalar(o), level, out, shapes)
+        raise TypeError(f"Object of type {t.__name__} is not canonical JSON")
 
 
 def _record_shape(o: dict, level: int) -> tuple:
     """The (head, key) pairs of a dict of str keys in sorted order, and its closing text."""
+    for key in o:
+        if type(key) is not str:
+            raise TypeError(f"keys must be str, not {type(key).__name__}")
     inner = "\n" + "  " * (level + 1)
     heads = []
     sep = "{" + inner
     for key in sorted(o):
         heads.append((sep + encode_basestring_ascii(key) + ": ", key))
         sep = "," + inner
-    return heads, "\n" + "  " * level + "}"
+    return heads, ("\n" + "  " * level + "}" if heads else "{}")
 
 
 def _encode_array(o, level: int, out: list, shapes: dict) -> None:
@@ -153,19 +143,6 @@ def _encode_array(o, level: int, out: list, shapes: dict) -> None:
             _encode(value, level + 1, out, shapes)
             sep = "," + inner
     out.append("\n" + "  " * level + "]")
-
-
-def _encode_object(o, level: int, out: list, shapes: dict) -> None:
-    if not o:
-        out.append("{}")
-        return
-    inner = "\n" + "  " * (level + 1)
-    sep = "{" + inner
-    for key, value in sorted(o.items()):
-        out.append(sep + encode_basestring_ascii(_key_text(key)) + ": ")
-        _encode(value, level + 1, out, shapes)
-        sep = "," + inner
-    out.append("\n" + "  " * level + "}")
 
 
 def canonical_json(payload: dict) -> str:

@@ -57,11 +57,14 @@ class RunConfig(Record):
 
 
 def read_json(path: str, what: str):
-    """The JSON value stored at ``path``; DomainError naming ``what`` when unreadable."""
+    """The JSON value stored at ``path``; DomainError naming ``what`` when unreadable.
+
+    A file nested too deeply for the parser's recursion is unreadable too.
+    """
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return json.load(fh)
-    except (OSError, ValueError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:
         raise DomainError(f"cannot read {what} {path}: {exc}") from exc
 
 

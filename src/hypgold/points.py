@@ -244,8 +244,9 @@ def lower_value(c: PrimeCoding, k0: int):
 def essential_points(c: PrimeCoding, alpha: int) -> list:
     """P_{k0} = (x_{k0}, y_{k0}) for k0 = 4 .. alpha/2 - 1.
 
-    A rational coding's x values are read from its ``PointTable``, grown
-    through alpha - 5: the table its repetition checks decide on.  A float
+    A rational coding's x values are read from its ``PointTable``, whose
+    x alone is grown through alpha - 5: the table its repetition checks
+    decide on, which record their facts only when they run.  A float
     coding's are ``lower_value``'s, rounded at its precision, and its exact
     twin is not built.
     """
@@ -264,12 +265,13 @@ class PointTable:
     """x_4 .. x_top of one rational coding, and the facts every alpha's checks read.
 
     x_{k0} depends only on the coding and k0, and y_{k0} = -x_{alpha-k0-1},
-    so one table serves every alpha <= top + 5.  Growing it records the
-    indices j that break the sign condition (x_j <= 0) or the ordering
-    (x_j < x_{j-1}), the repeat bitmap R[j] = [x_{j-1} == x_j], and the
-    indices where R disagrees with is_prime(j).  An alpha's checks then
-    look only for recorded indices inside its window, and at none when
-    nothing is recorded.  The table holds the ints 2*L**2*x_j, one
+    so one table serves every alpha <= top + 5.  ``grow`` extends x alone,
+    which is all essential points read; ``record``, which the checks run,
+    also records the indices j that break the sign condition (x_j <= 0) or
+    the ordering (x_j < x_{j-1}), the repeat bitmap R[j] = [x_{j-1} == x_j],
+    and the indices where R disagrees with is_prime(j).  An alpha's checks
+    then look only for recorded indices inside its window, and at none
+    when nothing is recorded.  The table holds the ints 2*L**2*x_j, one
     positive scale of the exact values, so every comparison is exact and
     no Fraction is built but for a message.
     """
@@ -280,24 +282,30 @@ class PointTable:
         self.x = [None] * 4   # 2*L**2*x[k0] for 4 <= k0 <= top
         self.sign_bad = []    # j with not x_j > 0
         self.order_bad = []   # j with x_j < x_{j-1}
-        self.bits = bytearray(5)  # R[j] for 5 <= j < len(bits)
+        self.bits = bytearray(4)  # R[j] for 5 <= j < len(bits); bits[4] is 0
         self.mismatches = []  # j with R[j] != is_prime(j)
 
     def grow(self, top: int) -> None:
-        """Extend x and R through index top, each R[j] checked once against is_prime(j)."""
+        """Extend x through index top."""
         x, c = self.x, self.coding
         for j in range(len(x), top + 1):
-            value = scaled_lower_value(c, j)
+            x.append(scaled_lower_value(c, j))
+
+    def record(self, top: int) -> None:
+        """Grow x through top and record its facts, each R[j] checked once against is_prime(j)."""
+        self.grow(top)
+        x, bits = self.x, self.bits
+        for j in range(len(bits), top + 1):
+            value, repeat = x[j], False
             if not value > 0:
                 self.sign_bad.append(j)
             if j > 4:
                 if value < x[j - 1]:
                     self.order_bad.append(j)
                 repeat = value == x[j - 1]
-                self.bits.append(repeat)
                 if repeat != is_prime(j):
                     self.mismatches.append(j)
-            x.append(value)
+            bits.append(repeat)
 
     def check(self, alpha: int) -> bytearray:
         """Raise the first sign, ordering or dichotomy failure in alpha's window.
@@ -306,7 +314,7 @@ class PointTable:
         meets them: every sign first, then per k0 the ordering before the
         dichotomy.  Returns the repeat bitmap R.
         """
-        self.grow(alpha - 5)
+        self.record(alpha - 5)
         if not (self.sign_bad or self.order_bad or self.mismatches):
             return self.bits
         x, scale = self.x, self.scale

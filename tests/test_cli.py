@@ -12,6 +12,7 @@ import re
 import subprocess
 import sys
 import time
+from enum import IntEnum
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -29,6 +30,7 @@ from hypgold.coding import coding_from_json, coding_to_json, default_coding
 from hypgold.config import RunConfig
 from hypgold.construction import GoldbachSpec, build_goldbach, verify_continuity
 from hypgold.errors import TheoremViolationError
+from hypgold.numeric import BinaryFloat
 from hypgold.oracles import goldbach_partitions_oracle
 
 
@@ -406,8 +408,12 @@ def test_a_k_past_memory_and_the_digit_limit_names_no_digits(capsys, low_digit_l
     assert payload["message"].startswith("a default coding with N = <a number beyond the 640-digit")
 
 
+_DEEP = "[" * 100_000 + "]" * 100_000  # nested past the JSON parser's recursion limit
+
+
 @pytest.mark.parametrize("option, content", [
     pytest.param("--coding", b'{"slopes": ["1", "2"', id="coding-truncated"),
+    pytest.param("--coding", _DEEP.encode(), id="coding-nested-too-deep"),
     pytest.param("--coding", b"\xff\xfe", id="coding-not-utf8"),
     pytest.param("--coding", b'[1, 2, 3]', id="coding-not-object"),
     pytest.param("--coding", b'{"slopes": "123"}', id="coding-slopes-string"),
@@ -418,6 +424,7 @@ def test_a_k_past_memory_and_the_digit_limit_names_no_digits(capsys, low_digit_l
     pytest.param("--coding", b'{"slopes": ["1", "2"], "mode": "float", "precision": 100000000}',
                  id="coding-precision-1e8"),
     pytest.param("--config", b'{"seed": 1', id="config-truncated"),
+    pytest.param("--config", _DEEP.encode(), id="config-nested-too-deep"),
     pytest.param("--config", b'{"tolerance_rel": "x"}', id="config-tol-string"),
     pytest.param("--config", b'{"precision_bits": "x"}', id="config-precision-string"),
     pytest.param("--config", b'{"precision_bits": 100000000}', id="config-precision-1e8"),
@@ -446,7 +453,7 @@ def test_bad_alpha_range_exit_1(capsys, alpha_range):
     assert json.loads(lines[0])["error"] == "UsageError"
 
 
-def _cli_with_address_limit(cwd, limit: int, *args):
+def _cli_with_address_limit(cwd, limit: int, *args, timeout: float = 60):
     """``python -m hypgold ARGS`` in a fresh process whose address space is capped at ``limit`` bytes."""
     def cap():
         import resource
@@ -456,7 +463,43 @@ def _cli_with_address_limit(cwd, limit: int, *args):
     src = os.path.dirname(os.path.dirname(hypgold.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     return subprocess.run([sys.executable, "-m", "hypgold", *args], env=env, cwd=cwd,
-                          capture_output=True, text=True, timeout=60, preexec_fn=cap)
+                          capture_output=True, text=True, timeout=timeout, preexec_fn=cap)
+
+
+_SLOPES = ", ".join(map(str, range(1, 20)))
+
+
+@pytest.mark.parametrize("argv, files", [
+    pytest.param(["classify", "--k", "13", "--coding", "deep.json"], {"deep.json": _DEEP},
+                 id="deep-coding-file"),
+    pytest.param(["classify", "--k", "13", "--config", "deep.json"], {"deep.json": _DEEP},
+                 id="deep-config-file"),
+    pytest.param(["classify", "--k", "1e100000"], {}, id="k-1e100000"),
+    pytest.param(["classify", "--k", "1000000000000000000"], {}, id="k-10-to-18"),
+    pytest.param(["points", "--alpha", "40", "--mode", "float", "--precision", "100000000"], {},
+                 id="points-precision-1e8"),
+    pytest.param(["build-g", "--alpha", "30", "--precision", "100000000"], {},
+                 id="build-g-precision-1e8"),
+    pytest.param(["goldbach-check", "--alpha-range", "16..16", "--precision", "100000000",
+                  "--mode", "float"], {}, id="goldbach-check-precision-1e8"),
+    pytest.param(["classify", "--k", "13", "--coding", "nan.json"],
+                 {"nan.json": '{"slopes": [NaN, ' + _SLOPES + "]}"}, id="coding-nan-slope"),
+    pytest.param(["classify", "--k", "13", "--coding", "wide.json"],
+                 {"wide.json": '{"slopes": [' + _SLOPES + '], "mode": "float", '
+                               '"precision": 100000000}'}, id="coding-precision-1e8"),
+])
+def test_hostile_inputs_exit_in_time_with_a_payload(tmp_path, argv, files):
+    # Each command line runs in a child capped at 1.5 GB of address space
+    # and 20 s: it must exit 0, 1 or 2, and a failure prints nothing on
+    # stdout and one JSON error payload on stderr.
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+    proc = _cli_with_address_limit(tmp_path, 1536 << 20, *argv, timeout=20)
+    assert proc.returncode in (0, 1, 2)
+    if proc.returncode:
+        assert proc.stdout == ""
+        assert len(proc.stderr.splitlines()) == 1
+        assert set(json.loads(proc.stderr)) == {"error", "message"}
 
 
 def test_huge_alpha_range_is_refused_before_any_list(tmp_path):
@@ -894,12 +937,14 @@ _LEAVES = (st.none() | st.booleans() | st.integers()
            | st.sampled_from([-0.0, 1e300, float("nan"), float("inf"), float("-inf")])
            | st.text() | st.text(alphabet=st.characters(max_codepoint=0x20)) | st.text("é\u2028\ud800😀")
            | st.fractions()
+           | st.builds(BinaryFloat, st.integers(-2**80, 2**80), st.integers(-200, 200))
            | st.builds(lambda m, e: mpmath.mpf((m, e)), st.integers(-2**80, 2**80),
                         st.integers(-200, 200)))
+# What the commands build: dicts with str keys, lists and tuples, and the leaves above.
 _PAYLOADS = st.recursive(
     _LEAVES | st.lists(st.integers()) | st.lists(st.integers() | st.booleans()),
     lambda inner: (st.lists(inner) | st.lists(inner).map(tuple)
-                   | st.dictionaries(st.text(), inner) | st.dictionaries(st.integers(), inner)),
+                   | st.dictionaries(st.text(), inner)),
     max_leaves=30)
 
 
@@ -912,23 +957,15 @@ def test_canonical_json_matches_json_dumps(payload):
 @pytest.mark.parametrize("payload", [
     {}, [], (), {"a": []}, {"a": {}}, [[]], {"a": [True, 1, False]}, [1, True],
     {"k": [1, 2, -3, 10**30]}, {"x": [-0.0, 1e300, float("nan"), float("inf")]},
-    {3: "c", -1: "a", 2: None}, {"s": "\x00\x1f\u00e9\U0001f600"},
-    {"f": Fraction(-7, 3), "m": mpmath.mpf("0.1"), "t": (Fraction(1), mpmath.mpf(2))},
+    {"3": "c", "-1": "a", "10": None}, {"s": "\x00\x1f\u00e9\U0001f600"},
+    {"f": Fraction(-7, 3), "m": mpmath.mpf("0.1"), "t": (Fraction(1), mpmath.mpf(2)),
+     "b": BinaryFloat(-3, -1)},
     [[1, 2], [3, [4, []]], ({"z": 1, "a": [5]},)],
 ])
 def test_canonical_json_matches_json_dumps_on_edges(payload):
     text = cli_mod.canonical_json(payload)
     assert isinstance(text, str)
     assert text == _dumps(payload)
-
-
-class _Pair(NamedTuple):
-    a: object
-    b: object
-
-
-class _SubDict(dict):
-    pass
 
 
 # One key set whose values change type from record to record.
@@ -940,12 +977,13 @@ _MIXED = [1, True, None, 2.5, Fraction(-7, 3), [1, 2, 3], [1, True, 0], {"x": 1}
     # One key tuple at two depths, either depth first.
     {"a": {"a": 1, "b": 2}, "b": [{"a": {"a": 1, "b": [2]}, "b": 3}, {"a": 4, "b": 5}]},
     [{"a": [{"a": 1, "b": 2}], "b": 0}, {"a": 1, "b": 2}],
-    # 1, True and 1.0 hash alike; the str "1" does not.
-    [{1: "a"}, {True: "b"}, {1.0: "c"}, {"1": "d"}, {1: "e"}, {True: "f"}],
-    [{"k": {1: 0}}, {"k": {True: 0}}, {"k": {1.0: 0}}],
-    # A NamedTuple and a dict subclass as values, and as records.
-    [{"p": _Pair(1, Fraction(1, 2)), "q": _SubDict(b=1, a=2)},
-     {"p": [1, 2], "q": {"b": 1, "a": 2}}, _SubDict(q=3, p=4), _Pair({"p": 1, "q": 2}, [])],
+    # Empty dicts, which are a shape too, beside non-empty ones at each depth.
+    [{}, {"a": {}}, {"a": {"a": {}}}, {}, {"a": []}, {"a": {"a": 1}}],
+    # One key set in either insertion order: two shapes, one sorted order.
+    [{"b": 1, "a": 2}, {"a": 3, "b": 4}, {"b": {"a": 5, "b": 6}, "a": {"b": 7, "a": 8}}],
+    # Tuples as values, and as the records themselves.
+    ({"p": (1, Fraction(1, 2)), "q": {"b": 1, "a": 2}}, {"p": [1, 2], "q": {"b": 1, "a": 2}},
+     ({"p": 1, "q": 2}, ())),
 ])
 def test_canonical_json_matches_json_dumps_on_repeated_shapes(payload):
     assert cli_mod.canonical_json(payload) == _dumps(payload)
@@ -960,6 +998,43 @@ _RECORD_LISTS = st.lists(st.text(max_size=3), min_size=1, max_size=4, unique=Tru
 @settings(max_examples=100, deadline=None)
 def test_canonical_json_matches_json_dumps_on_same_keyed_records(records):
     assert cli_mod.canonical_json({"records": records}) == _dumps({"records": records})
+
+
+class _Pair(NamedTuple):
+    a: object
+    b: object
+
+
+class _SubDict(dict):
+    pass
+
+
+class _Level(IntEnum):
+    LOW = 1
+
+
+class _Real(float):
+    pass
+
+
+@pytest.mark.parametrize("value, name", [
+    pytest.param({1: "a"}, "int", id="int-key"),
+    pytest.param({True: "a"}, "bool", id="bool-key"),
+    pytest.param({1.0: "a"}, "float", id="float-key"),
+    pytest.param({None: "a"}, "NoneType", id="none-key"),
+    pytest.param({"a": 1, 2: "b"}, "int", id="int-key-beside-str-keys"),
+    pytest.param(_SubDict(a=1), "_SubDict", id="dict-subclass"),
+    pytest.param(_Pair(1, 2), "_Pair", id="namedtuple"),
+    pytest.param(_Level.LOW, "_Level", id="intenum"),
+    pytest.param(_Real(0.5), "_Real", id="float-subclass"),
+    pytest.param({1, 2}, "set", id="set"),
+])
+def test_canonical_json_refuses_what_no_command_builds(value, name):
+    # Object names are str (RFC 8259, section 4), and only the exact types
+    # the commands build are written, so nothing is printed as a guess.  A
+    # record of the same depth written first leaves no cached shape to hit.
+    with pytest.raises(TypeError, match=rf"\b{name}\b"):
+        cli_mod.canonical_json({"records": [{"a": 1}, {"a": value}, value]})
 
 
 def test_canonical_json_builds_each_record_shape_once(monkeypatch):

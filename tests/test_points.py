@@ -598,7 +598,7 @@ def test_integer_table_matches_a_scan_of_fractions(values, strict, tops, damage)
     table = points_mod.PointTable(c)
     with mock.patch.object(points_mod, "scaled_lower_value", spoil):
         for top in sorted(4 + t % (limit - 3) for t in tops):
-            table.grow(top)
+            table.record(top)
             x, sign, order, repeats, mismatches = _scan_of_fractions(c, top)
             assert {j: Fraction(table.x[j], table.scale) for j in x} == x
             assert (table.sign_bad, table.order_bad, table.mismatches) == (sign, order, mismatches)
@@ -727,6 +727,25 @@ def test_points_and_the_repetition_checks_build_one_table(monkeypatch):
     essential_points(c, top)
     assert tables == [c]
     assert computed == list(range(4, top - 4))
+
+
+def test_points_ask_is_prime_nothing_until_a_check_runs(monkeypatch):
+    # essential_points grows the table's x values alone; the first check on
+    # the same coding records R and tests each R[j] against is_prime(j) once.
+    top = 300
+    c = seeded_coding(top - 5, 17)
+    asked = []
+
+    def counted_is_prime(n):
+        asked.append(n)
+        return is_prime(n)
+
+    monkeypatch.setattr(points_mod, "is_prime", counted_is_prime)
+    essential_points(c, top)
+    assert asked == []
+    assert (goldbach_characterization(c, top)
+            == list(goldbach_partitions_oracle(top).inside_window))
+    assert asked == list(range(5, top - 4))
 
 
 @given(
