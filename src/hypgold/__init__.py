@@ -12,23 +12,23 @@ from importlib import import_module
 _EXPORTS = {
     "coding": "PrimeCoding coding_from_json coding_to_json default_coding",
     "construction": "ConstructedCoding GoldbachSpec F_term build_goldbach build_lower "
-                    "build_upper eval_G free_indices is_in_N junction_gaps "
-                    "reduced_form_check scalar_limit_sweep verify_continuity",
+                    "build_upper free_indices is_in_N junction_gaps scalar_limit_sweep "
+                    "verify_continuity",
     "areas": "AreaFormulaResult ab_coefficients area_closed bounds_chain "
              "hat_AT_second_derivative hat_lower_sweep hat_area",
     "errors": "ChainViolationError ConstructionFailureError DomainError HypgoldError "
               "QuadratureError RangeError RegionMismatchError ScalingViolationError "
               "TheoremViolationError VerificationError",
-    "hyperbola": "CurvePoint NumberKind PointKind classify_number classify_point "
-                 "curve_point fhat fhat_one_sided hhat hhat_one_sided",
-    "reference": "area_quadrature_oracle finite_difference_d1 finite_difference_d2 "
-                 "geometric_region_oracle hat_AI_quadrature hat_strip_quadrature "
-                 "oracle_region_set",
+    "hyperbola": "CurvePoint NumberKind PointKind classify_number classify_point",
+    "reference": "HOMOGENEITY_REL_TOL ScalingReport area_quadrature_oracle fhat "
+                 "fhat_one_sided finite_difference_d1 finite_difference_d2 "
+                 "geometric_region_oracle hat_AI_quadrature hat_add hat_div hat_mul "
+                 "hat_strip_quadrature hat_sub hhat hhat_one_sided identifies_naturals "
+                 "oracle_region_set reduced_form_check",
     "oracles": "goldbach_partitions_oracle is_prime primes_in sieve",
     "points": "EssentialPoint EssentialPolynomial essential_points "
-              "goldbach_characterization lower_essential_poly lower_value "
-              "monotonicity_report upper_essential_poly",
-    "regions": "RegionType enumerate_regions regions_equal",
+              "goldbach_characterization lower_essential_poly lower_value",
+    "regions": "RegionType enumerate_regions",
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names.split()}
 

@@ -1,4 +1,4 @@
-"""Piecewise-affine deformations of the half-line and their transported arithmetic.
+"""Piecewise-affine deformations of the half-line.
 
 A coding is determined by positive slopes ``xi_0 .. xi_N``: on each
 interval ``[m, m+1]`` the deformation is the affine map
@@ -16,10 +16,11 @@ integers in both modes, and a value a caller receives is built last.
 
 Only the piecewise-affine family is implemented.  A general coding would
 present the same surface: ``psi``/``psi_inv`` as a strictly increasing
-bijection of the truncated half-line fixing 0, one-sided derivatives
-``(a_k, b_k)`` at the integers, and the transported operations derived
-from them; nothing downstream needs more, and affine pieces already
-realize every behaviour the classification machinery uses.
+bijection of the truncated half-line fixing 0 and one-sided derivatives
+``(a_k, b_k)`` at the integers; nothing downstream needs more, and affine
+pieces already realize every behaviour the classification machinery uses.
+The arithmetic psi transports and the natural-identification condition
+are statements no command evaluates: they live in ``hypgold.reference``.
 """
 
 from __future__ import annotations
@@ -66,6 +67,10 @@ class PrimeCoding:
             ints, scale = _round_slopes((f.numerator for f in fs), (f.denominator for f in fs),
                                         min(fs), precision)
         else:
+            # Already in lowest terms, so no gcd runs: a prime p dividing L
+            # divides it to the power it has in some slope's reduced
+            # denominator, and that slope's int, its numerator times L over
+            # that denominator, is prime to p.
             scale = math.lcm(*(f.denominator for f in fs))
             ints = tuple(f.numerator * (scale // f.denominator) for f in fs)
         self._freeze(ints, scale, mode, precision)
@@ -80,22 +85,24 @@ class PrimeCoding:
             raise DomainError("a coding's scale must be a positive integer")
         if mode == MODE_FLOAT:
             ints, scale = _round_slopes(ints, repeat(scale), Fraction(min(ints), scale), precision)
+        else:
+            # A fold, as math.gcd(scale, *ints) would copy the N ints into an
+            # N-element argument array; it stops once the gcd is 1.
+            g = scale
+            for a in ints:
+                if g == 1:
+                    break
+                g = math.gcd(g, a)
+            if g > 1:
+                ints, scale = tuple(a // g for a in ints), scale // g
         c = cls.__new__(cls)
         c._freeze(ints, scale, mode, precision)
         return c
 
     def _freeze(self, ints: tuple, scale: int, mode: str, precision: int) -> None:
+        """Keep ints/scale, which the caller has put in lowest terms."""
         if min(ints) <= 0:
             raise DomainError("all slopes must be positive")
-        # A fold, as math.gcd(scale, *ints) would copy the N ints into an
-        # N-element argument array; it stops once the gcd is 1.
-        g = scale
-        for a in ints:
-            if g == 1:
-                break
-            g = math.gcd(g, a)
-        if g > 1:
-            ints, scale = tuple(a // g for a in ints), scale // g
         self.__dict__.update(mode=mode, precision=precision, scaled_slopes=(ints, scale))
 
     def __setattr__(self, name, value):
@@ -210,27 +217,6 @@ class PrimeCoding:
         """Inverse of psi on [0, B_{N+1}]."""
         return self.rounded(self.preimage(xhat))
 
-    # Transported arithmetic: conjugation by psi on the exact pre-images,
-    # rounded once; DomainError when the pre-image leaves [0, N+1].
-
-    def hat_add(self, s: Number, t: Number):
-        return self.psi(self.preimage(s) + self.preimage(t))
-
-    def hat_sub(self, s: Number, t: Number):
-        x, y = self.preimage(s), self.preimage(t)
-        if x < y:
-            raise DomainError("hat_sub needs psi_inv(s) >= psi_inv(t)")
-        return self.psi(x - y)
-
-    def hat_mul(self, s: Number, t: Number):
-        return self.psi(self.preimage(s) * self.preimage(t))
-
-    def hat_div(self, s: Number, t: Number):
-        x, y = self.preimage(s), self.preimage(t)
-        if y == 0:
-            raise DomainError("hat_div needs psi_inv(t) != 0")
-        return self.psi(x / y)
-
     def one_sided_slopes(self, k: int) -> tuple:
         """(a_k, b_k): left and right derivative of psi at the integer k."""
         if not 1 <= k <= self.max_index:
@@ -281,26 +267,27 @@ class PrimeCoding:
                 return False
         return True
 
-    def identifies_naturals(self, alpha: int) -> bool:
-        """a_m*a_{alpha-m} != b_m*b_{alpha-m} for every m = 1..alpha-1, on the exact slopes."""
-        if not 2 <= alpha <= self.max_index:
-            raise RangeError(f"identifies_naturals needs 2 <= alpha <= {self.max_index}")
-        xs = self.scaled_slopes[0]
-        return all(xs[m - 1] * xs[alpha - m - 1] != xs[m] * xs[alpha - m]
-                   for m in range(1, alpha))
-
 
 def _round_slopes(nums, dens, low: Fraction, precision: int) -> tuple:
-    """(ints, 2**s): each slope nums[m]/dens[m] rounded once to precision bits, over 2**s.
+    """(ints, 2**s) in lowest terms: each slope nums[m]/dens[m] rounded once to precision bits.
 
     round_ratio's exponent grows with the value, so the least slope, low,
-    fixes s, and no list of rounded pairs is kept.
+    fixes s, and no list of rounded pairs is kept.  The scale is a power of
+    two, so the common factor is the lowest set bit the ints share with it.
     """
     if low <= 0:
         raise DomainError("all slopes must be positive")
     shift = max(0, -round_ratio(low.numerator, low.denominator, precision)[1])
     rounded = map(round_ratio, nums, dens, repeat(precision))
-    return tuple(m << (e + shift) for m, e in rounded), 1 << shift
+    ints = tuple(m << (e + shift) for m, e in rounded)
+    zeros = shift
+    for a in ints:
+        if not zeros:
+            break
+        zeros = min(zeros, (a & -a).bit_length() - 1)
+    if zeros:
+        ints = tuple(a >> zeros for a in ints)
+    return ints, 1 << (shift - zeros)
 
 
 def _check_settings(slopes, mode: str, precision: int) -> None:

@@ -26,17 +26,12 @@ from functools import cached_property
 from typing import NamedTuple
 
 from .coding import PrimeCoding
-from .errors import (
-    ConstructionFailureError,
-    DomainError,
-    ScalingViolationError,
-)
+from .errors import ConstructionFailureError, DomainError
 from .numeric import (
     DEFAULT_PRECISION,
     DEFAULT_REL_TOL,
     MODE_FLOAT,
     BinaryFloat,
-    Number,
     _add,
     _cmp,
     _div,
@@ -57,7 +52,6 @@ PROV_COMPOSITE = "forced-composite-ratio"
 PROV_UPPER_RATIO = "forced-upper-ratio"
 PROV_JUNCTION = "forced-prime-junction"
 
-HOMOGENEITY_REL_TOL = 1e-25  # reduced_form_check's bound on every relative error
 SCALAR_FINAL_TOL = 1e-4  # scalar_limit_sweep's final deviation bound, relative to xi2_sq
 
 
@@ -223,9 +217,6 @@ class ConstructedCoding(Record):
         """|y_{k0}| = x_{alpha - k0 - 1}."""
         return self.x[self.alpha - k0 - 1]
 
-    def y(self, k0: int):
-        return -self.abs_y(k0)
-
     @cached_property
     def prime_coding(self) -> PrimeCoding:
         """The coefficients as a float-mode coding.
@@ -324,72 +315,6 @@ def verify_continuity(cc: ConstructedCoding, rel_tol: float = DEFAULT_REL_TOL) -
             f"junction gap {offenders[worst]:.3e} at k0={worst} exceeds {rel_tol:.1e}"
         )
     return report.max_rel_gap
-
-
-def eval_G(cc: ConstructedCoding, khat: Number):
-    """The constructed function itself: the total-area second derivative at khat."""
-    from .areas import hat_AT_second_derivative  # no command evaluates G
-
-    coding = cc.prime_coding
-    return hat_AT_second_derivative(coding, cc.alpha, coding.preimage(khat))
-
-
-class ScalingReport(NamedTuple):
-    alpha: int
-    scale: object
-    max_xi_sq_error: float
-    max_x_error: float
-    max_ratio_error: float
-
-
-def reduced_form_check(spec: GoldbachSpec, scale) -> ScalingReport:
-    """Rebuild with xi_2^2 scaled and verify degree-2 homogeneity.
-
-    Every lower xi_i^2 and every x_j must scale linearly with the base
-    square, while consecutive-value ratios stay put.
-    """
-    c = to_fraction(scale)
-    if c <= 0:
-        raise DomainError("scale must be positive")
-    prec = DEFAULT_PRECISION
-    base = build_lower(spec, prec)
-    scaled = build_lower(spec.replace(xi2_sq=to_fraction(spec.xi2_sq) * c), prec)
-    cf = _round_number(c, prec)
-
-    def scaled_by_c(value) -> BinaryFloat:
-        return BinaryFloat(*_mul(cf, _pair(value), prec))
-
-    def ratio(a, b) -> BinaryFloat:
-        return BinaryFloat(*_div(_pair(a), _pair(b), prec))
-
-    xi_err = max(
-        rel_diff(scaled.xi_sq[i], scaled_by_c(base.xi_sq[i]))
-        for i in range(2, spec.alpha // 2)
-    )
-    x_err = max(
-        rel_diff(scaled.x[j], scaled_by_c(base.x[j]))
-        for j in range(4, spec.alpha - 4)
-    )
-    ratio_err = 0.0
-    for k0 in range(5, spec.alpha // 2):
-        ratio_err = max(
-            ratio_err,
-            rel_diff(ratio(scaled.x[k0 - 1], scaled.x[k0]), ratio(base.x[k0 - 1], base.x[k0])),
-            rel_diff(
-                ratio(scaled.abs_y(k0 - 1), scaled.abs_y(k0)),
-                ratio(base.abs_y(k0 - 1), base.abs_y(k0)),
-            ),
-        )
-    report = ScalingReport(
-        alpha=spec.alpha,
-        scale=c,
-        max_xi_sq_error=xi_err,
-        max_x_error=x_err,
-        max_ratio_error=ratio_err,
-    )
-    if max(xi_err, x_err, ratio_err) > HOMOGENEITY_REL_TOL:
-        raise ScalingViolationError(f"homogeneity violated: {report}")
-    return report
 
 
 class ScalarLimitRow(NamedTuple):

@@ -1,13 +1,15 @@
-"""Deformed anti-diagonals and hyperbolas, one-sided derivatives, and the
-point/number classification.
+"""Deformed hyperbolas, their one-sided derivatives, and the point/number
+classification.
 
 On the deformed plane the image of y = k/x is u -> psi(k / psi_inv(u)).
 For codings that identify primes, the transformed curve is differentiable
 exactly at points with no natural coordinate, so lattice points on the
 curve announce themselves through derivative jumps: the boundary lattice
 point (1, k) witnesses that k is natural, interior lattice points witness
-compositeness.  Curve values are computed on the exact twin and rounded
-once for a float coding; every decision reads the exact values.
+compositeness.  Every decision reads exact curve points, on the exact twin
+of a float coding.  The curve values themselves and the deformed
+anti-diagonal are statements no command evaluates: they live in
+``hypgold.reference``.
 """
 
 from __future__ import annotations
@@ -43,29 +45,6 @@ class CurvePoint(NamedTuple):
     k: object
 
 
-def fhat(c: PrimeCoding, alpha: int, u: Number):
-    """The transformed anti-diagonal: psi(alpha - psi_inv(u)), u in [0, alpha-hat]."""
-    if not 1 <= alpha <= c.domain_limit:
-        raise DomainError(f"alpha={alpha} outside the coding's domain")
-    x = c.preimage(u)
-    if x > alpha:
-        raise DomainError(f"u={bounded_str(u)} beyond alpha-hat")
-    return c.psi(alpha - x)
-
-
-def fhat_one_sided(c: PrimeCoding, alpha: int, m: int) -> tuple:
-    """One-sided derivatives of fhat at the deformed integer m.
-
-    Returns (-b_{alpha-m}/a_m, -a_{alpha-m}/b_m) as (left, right);
-    differentiable iff a_m * a_{alpha-m} = b_m * b_{alpha-m}.
-    """
-    if not 1 <= m <= alpha - 1:
-        raise RangeError(f"m={m} is not interior to [0, {alpha}]")
-    a_m, b_m = c.exact.one_sided_slopes(m)
-    a_c, b_c = c.exact.one_sided_slopes(alpha - m)
-    return (c.rounded(-b_c / a_m), c.rounded(-a_c / b_m))
-
-
 def _exact_point(c: PrimeCoding, k: Number, u: Number) -> CurvePoint:
     """The curve point at u with every field an exact Fraction."""
     k = to_fraction(k)
@@ -76,16 +55,6 @@ def _exact_point(c: PrimeCoding, k: Number, u: Number) -> CurvePoint:
     if y > c.domain_limit:
         raise DomainError(f"ordinate {bounded_str(y)} beyond the coding's domain")
     return CurvePoint(u=to_fraction(u), v=c.exact.psi(y), x=x, y=y, k=k)
-
-
-def curve_point(c: PrimeCoding, k: Number, u: Number) -> CurvePoint:
-    """The point at u on the image of xy = k, each field rounded once."""
-    return CurvePoint(*map(c.rounded, _exact_point(c, k, u)))
-
-
-def hhat(c: PrimeCoding, k: Number, u: Number):
-    """The transformed hyperbola: psi(k / psi_inv(u))."""
-    return c.rounded(_exact_point(c, k, u).v)
 
 
 def _side_slopes(c: PrimeCoding, t):
@@ -102,17 +71,6 @@ def _curve_one_sided(c: PrimeCoding, pt: CurvePoint) -> tuple:
     a_y, b_y = _side_slopes(c, pt.y)
     factor = -pt.k / (pt.x * pt.x)
     return (factor * b_y / a_x, factor * a_y / b_x)
-
-
-def hhat_one_sided(c: PrimeCoding, k: Number, u: Number) -> tuple:
-    """One-sided derivatives (left, right) of hhat at u.
-
-    With x = psi_inv(u), y = k/x and the slopes (a_t, b_t) of psi on each
-    side of t, these are -k/x**2 * b_y/a_x and -k/x**2 * a_y/b_x.  A
-    coordinate with no natural value has a_t = b_t = xi_floor(t), so the
-    two sides differ only where x or y is natural.
-    """
-    return tuple(map(c.rounded, _curve_one_sided(c, _exact_point(c, k, u))))
 
 
 def classify_point(c: PrimeCoding, k: Number, u: Number) -> PointKind:

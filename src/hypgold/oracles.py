@@ -69,10 +69,6 @@ class PartitionReport(NamedTuple):
     inside_window: tuple[int, ...]   # k0 in {5, ..., alpha/2 - 1}
     outside_window: tuple[int, ...]  # remaining k <= alpha/2
 
-    @property
-    def all_partitions(self) -> tuple[int, ...]:
-        return tuple(sorted(self.inside_window + self.outside_window))
-
 
 # A sweep asks for each alpha twice in a row: once to reconcile, once for its record.
 @lru_cache(maxsize=1)

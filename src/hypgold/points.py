@@ -97,18 +97,6 @@ def lower_essential_poly(k0: int) -> EssentialPolynomial:
     return EssentialPolynomial.from_dict(terms)
 
 
-def upper_essential_poly(alpha: int, k0: int) -> EssentialPolynomial:
-    """The mirrored form: the negated lower polynomial of alpha - k0 - 1.
-
-    The upper-area second derivative carries a global minus, so the stored
-    polynomial is negated and y_{k0} = -x_{alpha - k0 - 1} comes out negative.
-    """
-    _check_alpha(alpha)
-    if not 4 <= k0 <= alpha // 2 - 1:
-        raise RangeError(f"upper polynomial needs 4 <= k0 <= {alpha // 2 - 1}")
-    return lower_essential_poly(alpha - k0 - 1).negated()
-
-
 def _twice_lower_value(xi, k0: int):
     """2*x_{k0} at the slopes xi[i], exactly: the lower polynomial's terms in sorted order.
 
@@ -361,27 +349,13 @@ def _first_in_window(indices: list, alpha: int, mirror: int):
 
 
 class IndexComparison(NamedTuple):
-    """One junction record from the monotonicity sweep."""
+    """One junction's repetition facts, as the dichotomy error prints them."""
 
     k0: int
     x_repeats: bool        # x_{k0-1} == x_{k0}
     k0_prime: bool         # expected iff x repeats
     y_repeats: bool        # y_{k0-1} == y_{k0}
     complement_prime: bool  # alpha - k0 prime; expected iff y repeats
-
-
-def monotonicity_report(c: PrimeCoding, alpha: int) -> list:
-    """Verify the ordering and the repetition dichotomies of both coordinates.
-
-    Checks 0 < x_4 <= ... <= x_{alpha/2-1} and y_4 <= ... <= y_{alpha/2-1} < 0,
-    plus x_{k0-1} = x_{k0} iff k0 prime and y_{k0-1} = y_{k0} iff alpha - k0
-    prime.  Any failure raises TheoremViolationError: with a strict coding
-    these are theorems, so a failure flags an implementation bug.  Float
-    codings are checked on their exact twin, so the equalities are exact.
-    """
-    _check_coding(c, alpha)
-    bits = _point_table(c.exact).check(alpha)
-    return [_comparison(bits, alpha, k0) for k0 in range(5, alpha // 2)]
 
 
 def _comparison(bits: bytearray, alpha: int, k0: int) -> IndexComparison:

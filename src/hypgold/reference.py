@@ -1,20 +1,33 @@
-"""Reference derivations that only the tests run.
+"""Code that only the tests run, off every command's import path.
 
-Each one is written against the most primitive definition available
-(symmetric differences, cell-by-cell intersection, adaptive quadrature)
-so that it shares no code path with the closed forms and the enumeration
-it checks.  No command imports this module.  Only the quadrature needs
-scipy, a test-only dependency, and imports it on its first call.
+It holds two kinds of code:
+
+- oracles, each written against the most primitive definition available
+  (symmetric differences, cell-by-cell intersection, adaptive
+  quadrature) so that it shares no code path with the closed forms and
+  the enumeration it checks;
+- the paper's statements that no command evaluates: the arithmetic psi
+  transports, the natural-identification condition, the deformed
+  anti-diagonal and hyperbola with their one-sided derivatives, and the
+  degree-2 homogeneity of the construction.
+
+No command imports this module.  Only the quadrature needs scipy, a
+test-only dependency, and imports it on its first call.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+from typing import NamedTuple
 
 from .coding import PrimeCoding
-from .errors import DomainError, QuadratureError, RangeError, RegionMismatchError
-from .numeric import Number, to_fraction
+from .construction import GoldbachSpec, build_lower
+from .errors import (DomainError, QuadratureError, RangeError, RegionMismatchError,
+                     ScalingViolationError)
+from .hyperbola import _curve_one_sided, _exact_point
+from .numeric import (DEFAULT_PRECISION, BinaryFloat, Number, _div, _mul, _pair, _round_number,
+                      bounded_str, rel_diff, to_fraction)
 from .regions import RegionType
 
 QUAD_ABS_TOL = 1e-10
@@ -181,3 +194,138 @@ def hat_strip_quadrature(c: PrimeCoding, k_lo, k_hi: Number) -> float:
 def hat_AI_quadrature(c: PrimeCoding, k: Number) -> float:
     """Deformed lower area (x >= 2, y >= x, xy <= k); quadrature oracle."""
     return hat_strip_quadrature(c, None, k)
+
+
+# The paper's statements that no command evaluates.  First the transported
+# arithmetic: conjugation by psi on the exact pre-images, rounded once;
+# DomainError when the pre-image leaves [0, N+1].
+
+def hat_add(c: PrimeCoding, s: Number, t: Number):
+    return c.psi(c.preimage(s) + c.preimage(t))
+
+
+def hat_sub(c: PrimeCoding, s: Number, t: Number):
+    x, y = c.preimage(s), c.preimage(t)
+    if x < y:
+        raise DomainError("hat_sub needs psi_inv(s) >= psi_inv(t)")
+    return c.psi(x - y)
+
+
+def hat_mul(c: PrimeCoding, s: Number, t: Number):
+    return c.psi(c.preimage(s) * c.preimage(t))
+
+
+def hat_div(c: PrimeCoding, s: Number, t: Number):
+    x, y = c.preimage(s), c.preimage(t)
+    if y == 0:
+        raise DomainError("hat_div needs psi_inv(t) != 0")
+    return c.psi(x / y)
+
+
+def identifies_naturals(c: PrimeCoding, alpha: int) -> bool:
+    """a_m*a_{alpha-m} != b_m*b_{alpha-m} for every m = 1..alpha-1, on the exact slopes."""
+    if not 2 <= alpha <= c.max_index:
+        raise RangeError(f"identifies_naturals needs 2 <= alpha <= {c.max_index}")
+    xs = c.scaled_slopes[0]
+    return all(xs[m - 1] * xs[alpha - m - 1] != xs[m] * xs[alpha - m]
+               for m in range(1, alpha))
+
+
+def fhat(c: PrimeCoding, alpha: int, u: Number):
+    """The transformed anti-diagonal: psi(alpha - psi_inv(u)), u in [0, alpha-hat]."""
+    if not 1 <= alpha <= c.domain_limit:
+        raise DomainError(f"alpha={alpha} outside the coding's domain")
+    x = c.preimage(u)
+    if x > alpha:
+        raise DomainError(f"u={bounded_str(u)} beyond alpha-hat")
+    return c.psi(alpha - x)
+
+
+def fhat_one_sided(c: PrimeCoding, alpha: int, m: int) -> tuple:
+    """One-sided derivatives of fhat at the deformed integer m.
+
+    Returns (-b_{alpha-m}/a_m, -a_{alpha-m}/b_m) as (left, right);
+    differentiable iff a_m * a_{alpha-m} = b_m * b_{alpha-m}.
+    """
+    if not 1 <= m <= alpha - 1:
+        raise RangeError(f"m={m} is not interior to [0, {alpha}]")
+    a_m, b_m = c.exact.one_sided_slopes(m)
+    a_c, b_c = c.exact.one_sided_slopes(alpha - m)
+    return (c.rounded(-b_c / a_m), c.rounded(-a_c / b_m))
+
+
+def hhat(c: PrimeCoding, k: Number, u: Number):
+    """The transformed hyperbola: psi(k / psi_inv(u))."""
+    return c.rounded(_exact_point(c, k, u).v)
+
+
+def hhat_one_sided(c: PrimeCoding, k: Number, u: Number) -> tuple:
+    """One-sided derivatives (left, right) of hhat at u.
+
+    With x = psi_inv(u), y = k/x and the slopes (a_t, b_t) of psi on each
+    side of t, these are -k/x**2 * b_y/a_x and -k/x**2 * a_y/b_x.  A
+    coordinate with no natural value has a_t = b_t = xi_floor(t), so the
+    two sides differ only where x or y is natural.
+    """
+    return tuple(map(c.rounded, _curve_one_sided(c, _exact_point(c, k, u))))
+
+
+HOMOGENEITY_REL_TOL = 1e-25  # reduced_form_check's bound on every relative error
+
+
+class ScalingReport(NamedTuple):
+    alpha: int
+    scale: object
+    max_xi_sq_error: float
+    max_x_error: float
+    max_ratio_error: float
+
+
+def reduced_form_check(spec: GoldbachSpec, scale) -> ScalingReport:
+    """Rebuild with xi_2^2 scaled and verify degree-2 homogeneity.
+
+    Every lower xi_i^2 and every x_j must scale linearly with the base
+    square, while consecutive-value ratios stay put.
+    """
+    c = to_fraction(scale)
+    if c <= 0:
+        raise DomainError("scale must be positive")
+    prec = DEFAULT_PRECISION
+    base = build_lower(spec, prec)
+    scaled = build_lower(spec.replace(xi2_sq=to_fraction(spec.xi2_sq) * c), prec)
+    cf = _round_number(c, prec)
+
+    def scaled_by_c(value) -> BinaryFloat:
+        return BinaryFloat(*_mul(cf, _pair(value), prec))
+
+    def ratio(a, b) -> BinaryFloat:
+        return BinaryFloat(*_div(_pair(a), _pair(b), prec))
+
+    xi_err = max(
+        rel_diff(scaled.xi_sq[i], scaled_by_c(base.xi_sq[i]))
+        for i in range(2, spec.alpha // 2)
+    )
+    x_err = max(
+        rel_diff(scaled.x[j], scaled_by_c(base.x[j]))
+        for j in range(4, spec.alpha - 4)
+    )
+    ratio_err = 0.0
+    for k0 in range(5, spec.alpha // 2):
+        ratio_err = max(
+            ratio_err,
+            rel_diff(ratio(scaled.x[k0 - 1], scaled.x[k0]), ratio(base.x[k0 - 1], base.x[k0])),
+            rel_diff(
+                ratio(scaled.abs_y(k0 - 1), scaled.abs_y(k0)),
+                ratio(base.abs_y(k0 - 1), base.abs_y(k0)),
+            ),
+        )
+    report = ScalingReport(
+        alpha=spec.alpha,
+        scale=c,
+        max_xi_sq_error=xi_err,
+        max_x_error=x_err,
+        max_ratio_error=ratio_err,
+    )
+    if max(xi_err, x_err, ratio_err) > HOMOGENEITY_REL_TOL:
+        raise ScalingViolationError(f"homogeneity violated: {report}")
+    return report

@@ -88,7 +88,3 @@ def enumerate_regions(k0: int) -> tuple:
         entries.append((root, m, t))
     return tuple(entries)
 
-
-def regions_equal(k0a: int, k0b: int) -> bool:
-    """True iff both index sets coincide, types included."""
-    return enumerate_regions(k0a) == enumerate_regions(k0b)

@@ -30,7 +30,7 @@ from hypgold.numeric import rel_diff, to_mpf
 from hypgold.oracles import is_prime, primes_in
 from hypgold.points import goldbach_characterization, lower_essential_poly
 from hypgold.reference import area_quadrature_oracle, finite_difference_d1, finite_difference_d2
-from hypgold.regions import enumerate_regions, regions_equal
+from hypgold.regions import enumerate_regions
 
 from conftest import strict_families
 from helpers18 import alpha18_expected
@@ -64,7 +64,7 @@ def test_criterion_1_region_fidelity(capsys):
         (2, 6): "T5", (3, 4): "T5",
         (4, 4): "T7",
     }
-    assert regions_equal(18, 19)
+    assert enumerate_regions(18) == enumerate_regions(19)
     _report(1, "region fidelity (k0=17, k0=18, 18~19)", started, 1.0)
 
 

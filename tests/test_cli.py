@@ -31,7 +31,7 @@ from hypgold.config import RunConfig
 from hypgold.construction import GoldbachSpec, build_goldbach, verify_continuity
 from hypgold.errors import TheoremViolationError
 from hypgold.numeric import BinaryFloat
-from hypgold.oracles import goldbach_partitions_oracle
+from hypgold.oracles import goldbach_partitions_oracle, primes_in
 
 
 def run(capsys, args):
@@ -469,6 +469,21 @@ def _cli_with_address_limit(cwd, limit: int, *args, timeout: float = 60):
 _SLOPES = ", ".join(map(str, range(1, 20)))
 
 
+def _pden_file() -> str:
+    """Slope m is m + 1/p_m, p_m the m-th prime, for m = 0..12000: 226 KB.
+
+    The lcm of its denominators is 184,277 bits wide.
+    """
+    primes = primes_in(2, 130_000)[:12_001]
+    return json.dumps({"slopes": [f"{m * p + 1}/{p}" for m, p in enumerate(primes)]})
+
+
+def _digit_limit_error(what: str) -> dict:
+    return {"error": "DomainError", "message": f"cannot parse a number of {what} characters: "
+            f"beyond the {sys.get_int_max_str_digits()}-digit limit of Python's int/str "
+            "conversion"}
+
+
 @pytest.mark.parametrize("argv, files", [
     pytest.param(["classify", "--k", "13", "--coding", "deep.json"], {"deep.json": _DEEP},
                  id="deep-coding-file"),
@@ -487,19 +502,35 @@ _SLOPES = ", ".join(map(str, range(1, 20)))
     pytest.param(["classify", "--k", "13", "--coding", "wide.json"],
                  {"wide.json": '{"slopes": [' + _SLOPES + '], "mode": "float", '
                                '"precision": 100000000}'}, id="coding-precision-1e8"),
+    # Long and huge coding files, built when the case runs.
+    pytest.param(["classify", "--k", "11989", "--coding", "pden.json"],
+                 {"pden.json": _pden_file}, id="coding-12001-prime-denominators"),
+    pytest.param(["classify", "--k", "13", "--coding", "ints.json"],
+                 {"ints.json": lambda: '{"slopes": [' + ", ".join(map(str, range(1, 10 ** 6 + 1)))
+                               + "]}"}, id="coding-10-to-6-integer-slopes"),
+    pytest.param(["classify", "--k", "13", "--coding", "num.json"],
+                 {"num.json": lambda: '{"slopes": ["1", "1' + "0" * 10 ** 6 + '"]}'},
+                 id="coding-10-to-6-digit-numerator"),
+    pytest.param(["classify", "--k", "13", "--coding", "den.json"],
+                 {"den.json": lambda: '{"slopes": ["1", "2/1' + "0" * 10 ** 6 + '"]}'},
+                 id="coding-10-to-6-digit-denominator"),
 ])
 def test_hostile_inputs_exit_in_time_with_a_payload(tmp_path, argv, files):
     # Each command line runs in a child capped at 1.5 GB of address space
     # and 20 s: it must exit 0, 1 or 2, and a failure prints nothing on
     # stdout and one JSON error payload on stderr.
     for name, text in files.items():
-        (tmp_path / name).write_text(text)
+        (tmp_path / name).write_text(text() if callable(text) else text)
     proc = _cli_with_address_limit(tmp_path, 1536 << 20, *argv, timeout=20)
     assert proc.returncode in (0, 1, 2)
     if proc.returncode:
         assert proc.stdout == ""
         assert len(proc.stderr.splitlines()) == 1
         assert set(json.loads(proc.stderr)) == {"error", "message"}
+    # A slope past the int/str digit limit is refused as it is parsed.
+    wide = {"num.json": "1000001", "den.json": "1000003"}.get(argv[-1])
+    if wide:
+        assert proc.returncode == 1 and json.loads(proc.stderr) == _digit_limit_error(wide)
 
 
 def test_huge_alpha_range_is_refused_before_any_list(tmp_path):
@@ -706,30 +737,31 @@ def test_cli_import_leaves_scipy_out(tmp_path):
         [[0, []]] * (len(commands) - 1) + [[0, ["mpmath", "hypgold.areas"]]])
 
 
-# Every name the package exported when its __init__ imported each layer eagerly,
-# but points.eval_poly, deleted since EssentialPolynomial.evaluate does its work.
+# Every public name of the package, by its home module.  The paper's statements
+# that no command evaluates live in reference; restatements of other tested
+# code (points.eval_poly, regions_equal, upper_essential_poly,
+# monotonicity_report, eval_G, curve_point) are deleted.
 _PUBLIC_NAMES = {
     "coding": ["PrimeCoding", "coding_from_json", "coding_to_json", "default_coding"],
     "construction": ["ConstructedCoding", "GoldbachSpec", "F_term", "build_goldbach",
-                     "build_lower", "build_upper", "eval_G", "free_indices", "is_in_N",
-                     "junction_gaps", "reduced_form_check", "scalar_limit_sweep",
-                     "verify_continuity"],
+                     "build_lower", "build_upper", "free_indices", "is_in_N",
+                     "junction_gaps", "scalar_limit_sweep", "verify_continuity"],
     "areas": ["AreaFormulaResult", "ab_coefficients", "area_closed", "bounds_chain",
               "hat_AT_second_derivative", "hat_lower_sweep", "hat_area"],
     "errors": ["ChainViolationError", "ConstructionFailureError", "DomainError",
                "HypgoldError", "QuadratureError", "RangeError", "RegionMismatchError",
                "ScalingViolationError", "TheoremViolationError", "VerificationError"],
     "hyperbola": ["CurvePoint", "NumberKind", "PointKind", "classify_number",
-                  "classify_point", "curve_point", "fhat", "fhat_one_sided", "hhat",
-                  "hhat_one_sided"],
+                  "classify_point"],
     "reference": ["area_quadrature_oracle", "finite_difference_d1", "finite_difference_d2",
                   "geometric_region_oracle", "hat_AI_quadrature", "hat_strip_quadrature",
-                  "oracle_region_set"],
+                  "oracle_region_set", "fhat", "fhat_one_sided", "hhat", "hhat_one_sided",
+                  "hat_add", "hat_sub", "hat_mul", "hat_div", "identifies_naturals",
+                  "reduced_form_check", "ScalingReport", "HOMOGENEITY_REL_TOL"],
     "oracles": ["goldbach_partitions_oracle", "is_prime", "primes_in", "sieve"],
     "points": ["EssentialPoint", "EssentialPolynomial", "essential_points",
-               "goldbach_characterization", "lower_essential_poly", "lower_value",
-               "monotonicity_report", "upper_essential_poly"],
-    "regions": ["RegionType", "enumerate_regions", "regions_equal"],
+               "goldbach_characterization", "lower_essential_poly", "lower_value"],
+    "regions": ["RegionType", "enumerate_regions"],
 }
 
 

@@ -32,7 +32,9 @@ from hypgold.numeric import (
     to_fraction,
     to_mpf,
 )
+from hypgold.oracles import primes_in
 from hypgold.points import goldbach_characterization, lower_essential_poly, lower_value
+from hypgold.reference import hat_add, hat_div, hat_mul, hat_sub, identifies_naturals
 
 from conftest import arith_coding, harmonic_coding, identity_coding, pow2_coding, seeded_coding
 
@@ -137,15 +139,15 @@ def test_hat_identities():
     zero_hat = c.psi(0)
     one_hat = c.psi(1)
     t_hat = c.psi(Fraction(7, 2))
-    assert c.hat_add(zero_hat, t_hat) == t_hat
-    assert c.hat_mul(one_hat, t_hat) == t_hat
+    assert hat_add(c, zero_hat, t_hat) == t_hat
+    assert hat_mul(c, one_hat, t_hat) == t_hat
 
 
 def test_hat_example_pow2():
     c = pow2_coding(4)
     one_hat = c.psi(1)
     assert one_hat == 1
-    assert c.hat_add(one_hat, one_hat) == 3  # psi(2) = B_2 = 1 + 2
+    assert hat_add(c, one_hat, one_hat) == 3  # psi(2) = B_2 = 1 + 2
 
 
 def test_hat_isomorphism_exact():
@@ -155,13 +157,13 @@ def test_hat_isomorphism_exact():
         s = Fraction(rng.randrange(0, 7000), 1000)
         t = Fraction(rng.randrange(0, 7000), 1000)
         if s + t <= c.domain_limit:
-            assert c.hat_add(c.psi(s), c.psi(t)) == c.psi(s + t)
+            assert hat_add(c, c.psi(s), c.psi(t)) == c.psi(s + t)
         if s * t <= c.domain_limit:
-            assert c.hat_mul(c.psi(s), c.psi(t)) == c.psi(s * t)
+            assert hat_mul(c, c.psi(s), c.psi(t)) == c.psi(s * t)
         if s >= t:
-            assert c.hat_sub(c.psi(s), c.psi(t)) == c.psi(s - t)
+            assert hat_sub(c, c.psi(s), c.psi(t)) == c.psi(s - t)
         if t != 0 and s / t <= c.domain_limit:
-            assert c.hat_div(c.psi(s), c.psi(t)) == c.psi(s / t)
+            assert hat_div(c, c.psi(s), c.psi(t)) == c.psi(s / t)
 
 
 def test_hat_order_preservation():
@@ -177,11 +179,11 @@ def test_hat_domain_errors():
     c = arith_coding(3)
     big = c.psi(3)
     with pytest.raises(DomainError):
-        c.hat_add(big, big)  # 3 + 3 beyond domain limit 4
+        hat_add(c, big, big)  # 3 + 3 beyond domain limit 4
     with pytest.raises(DomainError):
-        c.hat_sub(c.psi(1), c.psi(2))
+        hat_sub(c, c.psi(1), c.psi(2))
     with pytest.raises(DomainError):
-        c.hat_div(c.psi(1), c.psi(0))
+        hat_div(c, c.psi(1), c.psi(0))
 
 
 def test_one_sided_slopes():
@@ -299,12 +301,12 @@ def test_mantissa_pairs_are_the_float_slopes(slopes, precision):
 def test_identifies_naturals():
     c = seeded_coding(12, 2)
     for alpha in range(2, 13):
-        assert c.identifies_naturals(alpha)
-    assert not identity_coding(6).identifies_naturals(4)
+        assert identifies_naturals(c, alpha)
+    assert not identifies_naturals(identity_coding(6), 4)
     bad = PrimeCoding(slopes=(1, 2, 4, 2, 16, 32))
-    assert not bad.identifies_naturals(4)
+    assert not identifies_naturals(bad, 4)
     with pytest.raises(RangeError):
-        c.identifies_naturals(13)
+        identifies_naturals(c, 13)
 
 
 def test_float_identifies_naturals_decides_on_exact_slopes():
@@ -312,8 +314,8 @@ def test_float_identifies_naturals_decides_on_exact_slopes():
     # rounds away at 53 bits: only the exact slopes tell them apart.
     e = Fraction(1, 2**52)
     slopes = (1 + e, 1 + 2 * e, 1 + 3 * e, 1 + 2 * e, 2)
-    assert PrimeCoding(slopes).identifies_naturals(4)
-    assert PrimeCoding(slopes, mode=MODE_FLOAT, precision=53).identifies_naturals(4)
+    assert identifies_naturals(PrimeCoding(slopes), 4)
+    assert identifies_naturals(PrimeCoding(slopes, mode=MODE_FLOAT, precision=53), 4)
 
 
 @given(st.lists(st.integers(min_value=1, max_value=400), min_size=2, max_size=12))
@@ -327,7 +329,7 @@ def test_strictly_increasing_implies_identifies(increments):
     c = PrimeCoding(slopes=tuple(slopes))
     assert c.identifies_primes
     for alpha in range(2, c.max_index + 1):
-        assert c.identifies_naturals(alpha)
+        assert identifies_naturals(c, alpha)
 
 
 @given(st.lists(st.integers(min_value=1, max_value=12), min_size=3, max_size=9))
@@ -339,7 +341,7 @@ def test_identifies_primes_subsumes_naturals(raw):
     c = PrimeCoding(slopes=slopes)
     if c.identifies_primes:
         for alpha in range(2, c.max_index + 1):
-            assert c.identifies_naturals(alpha)
+            assert identifies_naturals(c, alpha)
 
 
 def test_serialization_round_trip_rational():
@@ -472,7 +474,7 @@ def _agree(a, b, data):
     assert a.strict_through == b.strict_through == strict_prefix_oracle(xs)
     assert a.identifies_primes == b.identifies_primes == identifies_primes_oracle(b.exact)
     for alpha in range(2, b.max_index + 1):
-        assert (a.identifies_naturals(alpha) == b.identifies_naturals(alpha)
+        assert (identifies_naturals(a, alpha) == identifies_naturals(b, alpha)
                 == all(xs[m - 1] * xs[alpha - m - 1] != xs[m] * xs[alpha - m]
                        for m in range(1, alpha)))
     for k in range(2, b.max_index + 1):
@@ -484,8 +486,9 @@ def _agree(a, b, data):
        st.integers(min_value=53, max_value=300), st.data())
 @settings(max_examples=80, deadline=None)
 def test_integer_born_and_fraction_born_codings_agree(ints, scale, strict, precision, data):
-    # from_scaled reduces ints/scale to the canonical (ints, L); a coding
-    # built from the same values as Fractions must be the same coding.
+    # from_scaled reduces ints/scale to the canonical (ints, L) by a gcd
+    # fold; the constructor, which runs none, must build the same coding
+    # from the same values as Fractions, in both modes.
     if strict:
         ints = list(accumulate(ints))
     born = PrimeCoding.from_scaled(ints, scale)
@@ -496,6 +499,7 @@ def test_integer_born_and_fraction_born_codings_agree(ints, scale, strict, preci
     _agree(born, fractions, data)
     # A float coding's twin comes from its mantissas with L a power of two.
     rounded = PrimeCoding(fractions.slopes, mode=MODE_FLOAT, precision=precision)
+    assert PrimeCoding.from_scaled(ints, scale, precision, MODE_FLOAT) == rounded
     twin = PrimeCoding(tuple(map(to_fraction, rounded.slopes)))
     assert rounded.exact == twin and hash(rounded.exact) == hash(twin)
     assert rounded.scaled_slopes[1] & (rounded.scaled_slopes[1] - 1) == 0
@@ -504,6 +508,27 @@ def test_integer_born_and_fraction_born_codings_agree(ints, scale, strict, preci
         assert coding_from_json(json.loads(json.dumps(coding_to_json(c)))) == c
         again = pickle.loads(pickle.dumps(c))
         assert again == c and hash(again) == hash(c)
+
+
+def test_the_constructor_runs_no_gcd(monkeypatch):
+    # Its ints are numerators over the lcm L of the reduced denominators, so
+    # they are in lowest terms already, and a float coding's scale is a power
+    # of two, reduced by the lowest set bit its ints share.  On a long file
+    # of many denominators, a gcd fold made one big-int gcd per slope.
+    slopes = tuple(m + Fraction(1, p) for m, p in enumerate(primes_in(2, 400)))
+    dyadic = tuple(Fraction(m, 64) for m in range(8, 40, 4))
+
+    def no_gcd(*args):
+        raise AssertionError("the constructor ran a gcd")
+
+    with monkeypatch.context() as patched:
+        patched.setattr(math, "gcd", no_gcd)
+        codings = [PrimeCoding(slopes), PrimeCoding(slopes, MODE_FLOAT, 128),
+                   PrimeCoding(dyadic), PrimeCoding(dyadic, MODE_FLOAT, 53)]
+    for c in codings:
+        assert math.gcd(c.scaled_slopes[1], *c.scaled_slopes[0]) == 1
+    assert codings[2].scaled_slopes == (tuple(range(2, 10)), 16)
+    assert codings[3].scaled_slopes == (tuple(range(2, 10)), 16)
 
 
 # Positive slopes of each type a float coding accepts: Fractions of wide
@@ -558,7 +583,7 @@ def test_float_codings_are_their_dyadic_ints(values, precision, data):
        st.integers(min_value=53, max_value=300), st.data())
 @settings(max_examples=40, deadline=None)
 def test_float_default_coding_rounds_each_slope_once(n, precision, data):
-    # Power-of-two N make dyadic slopes, which the gcd pass must reduce.
+    # Power-of-two N make dyadic slopes, which must be reduced to lowest terms.
     c = default_coding(n, MODE_FLOAT, precision)
     assert set(c.__dict__) == {"mode", "precision", "scaled_slopes"}
     _float_coding_matches_one_rounding_per_slope(

@@ -10,6 +10,7 @@ from mpmath import mp, mpf
 
 import hypgold.construction as construction
 import hypgold.points as points_mod
+from hypgold.areas import hat_AT_second_derivative
 from hypgold.construction import (
     ConstructedCoding,
     GoldbachSpec,
@@ -17,11 +18,9 @@ from hypgold.construction import (
     build_goldbach,
     build_lower,
     build_upper,
-    eval_G,
     free_indices,
     is_in_N,
     junction_gaps,
-    reduced_form_check,
     scalar_limit_sweep,
     verify_continuity,
 )
@@ -35,6 +34,7 @@ from hypgold.points import (
     lower_essential_poly,
     lower_value,
 )
+from hypgold.reference import reduced_form_check
 from hypgold.regions import enumerate_regions
 
 from conftest import seeded_coding
@@ -298,21 +298,26 @@ def test_f5_monotone_in_lambda5_with_limit_bound():
 
 
 def test_eval_G_interior_and_junction():
+    # G at khat is the total-area second derivative at psi_inv(khat).
     cc = build_goldbach(GoldbachSpec(alpha=18, seed=7))
     coding = cc.prime_coding
     alpha = 18
+
+    def eval_G(khat):
+        return hat_AT_second_derivative(coding, alpha, coding.preimage(khat))
+
     with mp.workprec(128):
         k = mpf(13) / 2
         k0 = 6
-        value = eval_G(cc, coding.psi(k))
-        expected = cc.x[k0] / (cc.xi_sq[k0] * k) + cc.y(k0) / (
+        value = eval_G(coding.psi(k))
+        expected = cc.x[k0] / (cc.xi_sq[k0] * k) - cc.abs_y(k0) / (
             cc.xi_sq[alpha - k0 - 1] * (alpha - k)
         )
         assert rel_diff(value, expected) < 1e-25
         eps = mpf(10) ** -7
         for k0 in range(5, 9):
-            left = eval_G(cc, coding.psi(k0 - eps))
-            right = eval_G(cc, coding.psi(k0 + eps))
+            left = eval_G(coding.psi(k0 - eps))
+            right = eval_G(coding.psi(k0 + eps))
             assert rel_diff(left, right) < 1e-5, k0
 
 

@@ -29,8 +29,6 @@ from hypgold.points import (
     goldbach_characterization,
     lower_essential_poly,
     lower_value,
-    monotonicity_report,
-    upper_essential_poly,
 )
 from hypgold.regions import TYPE_COEFFICIENT, enumerate_regions
 
@@ -76,12 +74,11 @@ def test_poly_homogeneous_coefficients():
 
 
 def test_upper_poly_is_negated_mirror():
-    assert upper_essential_poly(18, 8) == lower_essential_poly(9).negated()
-    assert upper_essential_poly(18, 5) == lower_essential_poly(12).negated()
-    with pytest.raises(RangeError):
-        upper_essential_poly(18, 9)
-    with pytest.raises(RangeError):
-        upper_essential_poly(18, 3)
+    # y_{k0} is the negated lower polynomial of alpha - k0 - 1.
+    c = default_coding(16)
+    y = {pt.k0: pt.y for pt in essential_points(c, 18)}
+    assert y[8] == lower_essential_poly(9).negated().evaluate(c)
+    assert y[5] == lower_essential_poly(12).negated().evaluate(c)
 
 
 def test_eval_hand_example():
@@ -153,7 +150,8 @@ def test_essential_points_preconditions():
 
 def test_monotonicity_alpha18():
     c = default_coding(16)
-    records = {r.k0: r for r in monotonicity_report(c, 18)}
+    bits = points_mod._point_table(c).check(18)
+    records = {k0: points_mod._comparison(bits, 18, k0) for k0 in range(5, 9)}
     assert records[5].x_repeats and records[5].k0_prime
     assert records[7].x_repeats and records[7].k0_prime
     assert not records[6].x_repeats and not records[6].k0_prime
@@ -423,13 +421,13 @@ def test_theorem_violation_surfaces_for_bad_equalities():
     slopes = list(default_coding(16).slopes)
     slopes[3] = slopes[2]
     with pytest.raises(DomainError):
-        monotonicity_report(PrimeCoding(slopes=tuple(slopes)), 18)
+        goldbach_characterization(PrimeCoding(slopes=tuple(slopes)), 18)
 
 
 def test_variables_within_window():
     for alpha in (18, 24, 36):
         for k0 in range(4, alpha // 2):
-            upper = upper_essential_poly(alpha, k0)
+            upper = lower_essential_poly(alpha - k0 - 1).negated()
             for v in upper.variables():
                 assert 2 <= v <= (alpha - k0 - 1) // 2
 
@@ -486,6 +484,12 @@ def scan_characterization(c, alpha):
     return repeated
 
 
+def table_records(c, alpha):
+    """The point table's verdict on alpha: its check, then the junction records of its R."""
+    bits = points_mod._point_table(c.exact).check(alpha)
+    return [points_mod._comparison(bits, alpha, k0) for k0 in range(5, alpha // 2)]
+
+
 def outcome(fn, *args):
     try:
         return fn(*args)
@@ -540,7 +544,7 @@ def test_table_matches_per_alpha_scan(increments, mode, picks, damage):
                               if damage else points_mod.scaled_lower_value)
     with patch:
         for alpha in alphas:
-            assert (outcome(monotonicity_report, c, alpha)
+            assert (outcome(table_records, c, alpha)
                     == outcome(scan_monotonicity, c.exact, alpha))
             assert (outcome(goldbach_characterization, c, alpha)
                     == outcome(scan_characterization, c.exact, alpha))
@@ -563,7 +567,7 @@ def test_a_clean_table_scans_no_window(monkeypatch):
     for alpha in range(16, 205, 2):
         assert (goldbach_characterization(c, alpha)
                 == list(goldbach_partitions_oracle(alpha).inside_window))
-        assert len(monotonicity_report(c, alpha)) == alpha // 2 - 5
+        assert table.check(alpha) is table.bits
 
 
 def _scan_of_fractions(c, top):
@@ -620,11 +624,11 @@ def test_violation_messages_pinned():
     with mock.patch.object(points_mod, "scaled_lower_value", corrupt(7, "halve")):
         with pytest.raises(TheoremViolationError,
                            match=r"^essential point ordering violated between k0=6 and 7$"):
-            monotonicity_report(c, 18)
+            points_mod._point_table(c).check(18)
     c = default_coding(16)
     with mock.patch.object(points_mod, "scaled_lower_value", corrupt(12, "halve")):
         with pytest.raises(TheoremViolationError) as info:
-            monotonicity_report(c, 18)
+            points_mod._point_table(c).check(18)
         assert str(info.value) == (
             "repetition dichotomy violated at alpha=18, k0=5: IndexComparison(k0=5, "
             "x_repeats=True, k0_prime=True, y_repeats=False, complement_prime=True)"
@@ -682,7 +686,7 @@ def test_non_strict_coding_errors_pinned():
     slopes = list(default_coding(24).slopes)
     slopes[9] = slopes[8]
     c = PrimeCoding(slopes=tuple(slopes))
-    for fn in (essential_points, monotonicity_report, goldbach_characterization):
+    for fn in (essential_points, goldbach_characterization):
         with pytest.raises(DomainError) as info:
             fn(c, 20)
         assert str(info.value) == "essential points need slopes strictly increasing through 9"
@@ -721,7 +725,7 @@ def test_points_and_the_repetition_checks_build_one_table(monkeypatch):
     essential_points(c, top)
     assert computed == list(range(4, top - 4))
     for alpha in range(16, top + 1, 2):
-        monotonicity_report(c, alpha)
+        points_mod._point_table(c).check(alpha)
         assert (goldbach_characterization(c, alpha)
                 == list(goldbach_partitions_oracle(alpha).inside_window))
     essential_points(c, top)

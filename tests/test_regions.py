@@ -10,7 +10,7 @@ import pytest
 from hypgold.errors import DomainError
 from hypgold.oracles import primes_in
 from hypgold.reference import geometric_region_oracle, oracle_region_set
-from hypgold.regions import DIAGONAL_TYPES, RegionType, enumerate_regions, regions_equal
+from hypgold.regions import DIAGONAL_TYPES, RegionType, enumerate_regions
 
 T2, T3, T5, T7, T8 = (RegionType.T2, RegionType.T3, RegionType.T5,
                       RegionType.T7, RegionType.T8)
@@ -36,14 +36,14 @@ def test_regions_4():
 
 
 def test_regions_equal_examples():
-    assert regions_equal(18, 19)
-    assert not regions_equal(17, 18)
-    assert regions_equal(17, 17)
+    assert enumerate_regions(18) == enumerate_regions(19)
+    assert enumerate_regions(17) != enumerate_regions(18)
+    assert enumerate_regions(17) == enumerate_regions(17)
 
 
 def test_prime_stability():
     for p in primes_in(5, 500):
-        assert regions_equal(p - 1, p), p
+        assert enumerate_regions(p - 1) == enumerate_regions(p), p
 
 
 def test_counting_formula():
