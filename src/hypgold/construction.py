@@ -9,8 +9,9 @@ descends through ratio steps at composite junctions and the junction
 formula at prime junctions.  Square roots enter through x-values, so this
 module runs in binary floats (``numeric.BinaryFloat``, 128-bit mantissas
 by default): each operation rounds once, at the run's precision, with
-``numeric``'s rounding, in the order the formulas below write it.  A pass
-computes on (mantissa, exponent) pairs; the state holds values.
+``numeric``'s rounding, in the order the formulas below write it.  Every
+step computes on (mantissa, exponent) pairs; a pair becomes a value only
+where the state stores it or a result returns it to be printed.
 
 One state, ``ConstructedCoding``, runs through both passes: the ascending
 pass (``build_lower``) fills the slopes through alpha/2 - 1 and every
@@ -40,7 +41,6 @@ from .numeric import (
     _round_number,
     _sqrt,
     _sub,
-    rel_diff,
     to_fraction,
 )
 from .oracles import is_prime, primes_in
@@ -114,10 +114,13 @@ def _resolve_lambdas(spec: GoldbachSpec, precision: int) -> tuple:
     rng = random.Random(spec.seed)
     lam = {}
     pinned = spec.lambda_sq or {}
+    scalar = None  # u**2 of the scalar family: one pair for every free index
+    if spec.scalar_u is not None:
+        u = _round_number(spec.scalar_u, precision)
+        scalar = _mul(u, u, precision)
     for i in free_indices(spec.alpha):
-        if spec.scalar_u is not None:
-            u = _round_number(spec.scalar_u, precision)
-            lam[i] = _mul(u, u, precision)
+        if scalar is not None:
+            lam[i] = scalar
         elif i in pinned:
             lam[i] = _round_number(pinned[i], precision)
         else:
@@ -227,11 +230,11 @@ class ConstructedCoding(Record):
         """
         prec = self.precision
         xi2 = _pair(self.xi[2])
-        low = (_div(xi2, (3, 0), prec), _div(_mul((2, 0), xi2, prec), (3, 0), prec))
-        slopes = [BinaryFloat(*p) for p in low]
-        slopes.extend(self.xi[i] for i in range(2, self.alpha - 4))
-        slopes.append(BinaryFloat(*_add(_pair(self.xi[self.alpha - 5]), (1, 0), prec)))
-        return PrimeCoding(slopes=tuple(slopes), mode=MODE_FLOAT, precision=prec)
+        pairs = [_div(xi2, (3, 0), prec), _div(_mul((2, 0), xi2, prec), (3, 0), prec)]
+        pairs.extend(_pair(self.xi[i]) for i in range(2, self.alpha - 4))
+        pairs.append(_add(_pair(self.xi[self.alpha - 5]), (1, 0), prec))
+        s = max(0, -min(e for _, e in pairs))  # every pair is an int over 2**s
+        return PrimeCoding.from_scaled([m << (e + s) for m, e in pairs], 1 << s, prec, MODE_FLOAT)
 
 
 def build_upper(spec: GoldbachSpec, lower: ConstructedCoding) -> ConstructedCoding:
@@ -291,13 +294,14 @@ def junction_gaps(cc: ConstructedCoding) -> ContinuityReport:
         # x_k / (k0 * xi_k^2) + y_k / ((alpha - k0) * xi_m^2), with y_k = -x_{alpha-k-1}.
         lower = _div(_pair(x[k]), _mul((k0, 0), _pair(xi_sq[k]), prec), prec)
         upper = _div(_pair(x[alpha - k - 1]), _mul((alpha - k0, 0), _pair(xi_sq[m]), prec), prec)
-        return BinaryFloat(*_sub(lower, upper, prec))
+        return _sub(lower, upper, prec)
 
     gaps = {}
     for k0 in range(5, alpha // 2):
-        left = side(k0, k0 - 1, alpha - k0)
-        right = side(k0, k0, alpha - k0 - 1)
-        gaps[k0] = rel_diff(left, right)
+        (am, ae), (bm, be) = side(k0, k0 - 1, alpha - k0), side(k0, k0, alpha - k0 - 1)
+        e = min(ae, be)  # reference.rel_diff's int division, both operands over 2**e
+        a, b = am << (ae - e), bm << (be - e)
+        gaps[k0] = abs(a - b) / max(abs(a), abs(b)) if a != b else 0.0
     return ContinuityReport(alpha=alpha, max_rel_gap=max(gaps.values()), gaps=gaps)
 
 
@@ -356,13 +360,15 @@ def scalar_limit_sweep(alpha: int, u_list, xi2_sq=1,
     for u in ordered:
         spec = GoldbachSpec(alpha=alpha, xi2_sq=xi2_sq, scalar_u=u, seed=0)
         lower = build_lower(spec, precision)
-        worst = BinaryFloat(0)
+        worst = (0, 0)
         for k0 in range(4, alpha // 2):
             xv, abs_y = lower.x[k0], lower.abs_y(k0)
             rows.append(ScalarLimitRow(u=u, k0=k0, x_k0=xv, y_k0=-abs_y))
             for v in (xv, abs_y):
-                worst = max(worst, abs(BinaryFloat(*_sub(_pair(v), half, precision))))
-        deviations.append(worst)
+                m, e = _sub((v.man, v.exp), half, precision)
+                if _cmp((abs(m), e), worst) > 0:
+                    worst = abs(m), e
+        deviations.append(BinaryFloat(*worst))
     monotone = all(a > b for a, b in zip(deviations, deviations[1:]))
     reaches_limit = to_fraction(ordered[-1]) <= 1 + Fraction(1, 10 ** 6)
     final_below = None

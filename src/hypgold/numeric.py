@@ -390,7 +390,8 @@ def bounded_str(x: Number) -> str:
 # first cut from a 20-digit (76-bit) fixed-point image of x.
 _DIGITS = 17
 _CUT_DIGITS = _DIGITS + 3
-_CUT_BITS = int(_CUT_DIGITS * math.log(10, 2)) + 10
+_LOG2_10 = math.log(10, 2)
+_CUT_BITS = int(_CUT_DIGITS * _LOG2_10) + 10
 _NON_FINITE = {(0, 0, -123, -1): "nan", (0, 0, -456, -2): "+inf", (1, 0, -789, -3): "-inf"}
 
 
@@ -406,7 +407,9 @@ def format_real(x: Number) -> str:
     handed to mpmath, which scales such values by a power of ten first:
     that branch imports mpmath.
     """
-    if isinstance(x, Fraction):
+    if x.__class__ is BinaryFloat:  # the common case: no _mpf_ tuple is built
+        man, exp = _round(x.man, x.exp, FORMAT_PRECISION)
+    elif isinstance(x, Fraction):
         man, exp = _round(*round_ratio(x.numerator, x.denominator, DEFAULT_PRECISION),
                           FORMAT_PRECISION)
     elif isinstance(x, float) and not math.isfinite(x):
@@ -425,7 +428,7 @@ def format_real(x: Number) -> str:
 
         return sign + to_str(from_man_exp(man, exp), _DIGITS)
     fixed_bits = max(_CUT_BITS - top, 0)
-    fixed_digits = int(fixed_bits / math.log(10, 2) + 0.5)
+    fixed_digits = int(fixed_bits / _LOG2_10 + 0.5)
     shift = exp + fixed_bits
     fixed = man << shift if shift >= 0 else man >> -shift
     scaled = fixed * 10 ** fixed_digits >> fixed_bits
@@ -455,17 +458,3 @@ def format_real(x: Number) -> str:
     if exponent == 0:
         return sign + text
     return f"{sign}{text}e{'+' if exponent > 0 else ''}{exponent}"
-
-
-def rel_diff(a: Number, b: Number) -> float:
-    """|a - b| over the larger magnitude, exactly, rounded to float once; 0 if both vanish.
-
-    With a = na/da and b = nb/db, the ratio is |x - y| / max(|x|, |y|) for
-    x = na*db and y = nb*da, and int true division rounds it correctly, as
-    ``float(Fraction)`` does, with no gcd on the way.
-    """
-    (na, da), (nb, db) = _integer_ratio(a), _integer_ratio(b)
-    x, y = na * db, nb * da
-    if x == y:
-        return 0.0
-    return abs(x - y) / max(abs(x), abs(y))

@@ -19,9 +19,10 @@ sum with ``numeric``'s rounding, to nearest with ties to even, as mpf
 arithmetic rounds it.  So a float x_{k0} has the bits
 ``EssentialPolynomial.evaluate`` gives on the slopes as mpf values at the
 same precision.  ``lower_value`` gives one x_{k0} through one kernel or
-the other; the construction calls ``_rounded_lower`` on the slopes it has
-so far, with one table of rounded slope products per pass.  The region
-polynomial stays the definition and the oracle.
+the other.  The construction, on the slopes it has so far, and a float
+coding's ``essential_points`` round with one table of rounded slope
+products per pass or call.  The region polynomial stays the
+definition and the oracle.
 
 ``PointTable`` holds the ints 2*L**2*x_j of a rational coding, or of a
 float coding's exact twin, and compares them directly.  The repetition
@@ -210,12 +211,13 @@ def _check_coding(c: PrimeCoding, alpha: int) -> None:
         )
 
 
-# Stores nothing: maxsize=0 only counts calls, for perfbench/tracer.py's cache_info().
+# Stores nothing: maxsize=0 only counts calls, for perfbench/tracer.py's
+# cache_info(), and hashes no argument, so products may be a dict.
 @lru_cache(maxsize=0)
-def lower_value(c: PrimeCoding, k0: int):
+def lower_value(c: PrimeCoding, k0: int, products: dict | None = None):
     """x_{k0} at the coding: an exact Fraction from the integer-scaled
     slopes, or a BinaryFloat rounded at the coding's precision from the
-    slopes' mantissas."""
+    slopes' mantissas, reading and filling ``_rounded_lower``'s products."""
     _check_k0(k0)
     if k0 // 2 > c.max_index:
         # Name the index EssentialPolynomial.evaluate fails on first: its
@@ -226,7 +228,7 @@ def lower_value(c: PrimeCoding, k0: int):
     if c.mode == MODE_RATIONAL:
         lcm = c.scaled_slopes[1]
         return Fraction(scaled_lower_value(c, k0), 2 * lcm * lcm)
-    return _rounded_lower(c.mantissa_pairs.__getitem__, k0, c.precision)
+    return _rounded_lower(c.mantissa_pairs.__getitem__, k0, c.precision, products)
 
 
 def essential_points(c: PrimeCoding, alpha: int) -> list:
@@ -235,8 +237,9 @@ def essential_points(c: PrimeCoding, alpha: int) -> list:
     A rational coding's x values are read from its ``PointTable``, whose
     x alone is grown through alpha - 5: the table its repetition checks
     decide on, which record their facts only when they run.  A float
-    coding's are ``lower_value``'s, rounded at its precision, and its exact
-    twin is not built.
+    coding's are ``lower_value``'s at its precision, every x and y of the
+    call reading one table of rounded slope products, and its exact twin
+    is not built.
     """
     _check_coding(c, alpha)
     if c.mode == MODE_RATIONAL:
@@ -245,7 +248,9 @@ def essential_points(c: PrimeCoding, alpha: int) -> list:
         x, scale = table.x, table.scale
         return [EssentialPoint(k0, Fraction(x[k0], scale), Fraction(-x[alpha - k0 - 1], scale))
                 for k0 in range(4, alpha // 2)]
-    return [EssentialPoint(k0, lower_value(c, k0), -lower_value(c, alpha - k0 - 1))
+    products = {}
+    return [EssentialPoint(k0, lower_value(c, k0, products),
+                           -lower_value(c, alpha - k0 - 1, products))
             for k0 in range(4, alpha // 2)]
 
 

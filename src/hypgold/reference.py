@@ -26,11 +26,25 @@ from .construction import GoldbachSpec, build_lower
 from .errors import (DomainError, QuadratureError, RangeError, RegionMismatchError,
                      ScalingViolationError)
 from .hyperbola import _curve_one_sided, _exact_point
-from .numeric import (DEFAULT_PRECISION, BinaryFloat, Number, _div, _mul, _pair, _round_number,
-                      bounded_str, rel_diff, to_fraction)
+from .numeric import (DEFAULT_PRECISION, BinaryFloat, Number, _div, _integer_ratio, _mul, _pair,
+                      _round_number, bounded_str, to_fraction)
 from .regions import RegionType
 
 QUAD_ABS_TOL = 1e-10
+
+
+def rel_diff(a: Number, b: Number) -> float:
+    """|a - b| over the larger magnitude, exactly, rounded to float once; 0 if both vanish.
+
+    With a = na/da and b = nb/db, the ratio is |x - y| / max(|x|, |y|) for
+    x = na*db and y = nb*da, and int true division rounds it correctly, as
+    ``float(Fraction)`` does, with no gcd on the way.
+    """
+    (na, da), (nb, db) = _integer_ratio(a), _integer_ratio(b)
+    x, y = na * db, nb * da
+    if x == y:
+        return 0.0
+    return abs(x - y) / max(abs(x), abs(y))
 
 
 def finite_difference_d1(f, k, h):

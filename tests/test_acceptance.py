@@ -26,10 +26,11 @@ from hypgold.construction import (
     scalar_limit_sweep,
 )
 from hypgold.hyperbola import NumberKind, classify_number
-from hypgold.numeric import rel_diff, to_mpf
+from hypgold.numeric import to_mpf
 from hypgold.oracles import is_prime, primes_in
 from hypgold.points import goldbach_characterization, lower_essential_poly
-from hypgold.reference import area_quadrature_oracle, finite_difference_d1, finite_difference_d2
+from hypgold.reference import (area_quadrature_oracle, finite_difference_d1, finite_difference_d2,
+                               rel_diff)
 from hypgold.regions import enumerate_regions
 
 from conftest import strict_families

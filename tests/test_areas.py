@@ -21,7 +21,7 @@ from hypgold.areas import (
 )
 from hypgold.coding import PrimeCoding, default_coding
 from hypgold.errors import ChainViolationError, DomainError, RegionMismatchError
-from hypgold.numeric import rel_diff, to_fraction, to_mpf
+from hypgold.numeric import to_fraction, to_mpf
 from hypgold.points import lower_value
 from hypgold.reference import (
     area_quadrature_oracle,
@@ -29,6 +29,7 @@ from hypgold.reference import (
     finite_difference_d2,
     hat_AI_quadrature,
     hat_strip_quadrature,
+    rel_diff,
 )
 from hypgold.regions import RegionType, enumerate_regions
 

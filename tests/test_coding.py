@@ -28,13 +28,12 @@ from hypgold.numeric import (
     MODE_FLOAT,
     MODE_RATIONAL,
     mantissa_pair,
-    rel_diff,
     to_fraction,
     to_mpf,
 )
 from hypgold.oracles import primes_in
 from hypgold.points import goldbach_characterization, lower_essential_poly, lower_value
-from hypgold.reference import hat_add, hat_div, hat_mul, hat_sub, identifies_naturals
+from hypgold.reference import hat_add, hat_div, hat_mul, hat_sub, identifies_naturals, rel_diff
 
 from conftest import arith_coding, harmonic_coding, identity_coding, pow2_coding, seeded_coding
 

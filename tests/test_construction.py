@@ -26,7 +26,7 @@ from hypgold.construction import (
 )
 from hypgold.coding import PrimeCoding
 from hypgold.errors import ConstructionFailureError, DomainError
-from hypgold.numeric import MODE_FLOAT, mantissa_pair, rel_diff, to_mpf
+from hypgold.numeric import MODE_FLOAT, mantissa_pair, to_mpf
 from hypgold.oracles import is_prime, primes_in
 from hypgold.points import (
     essential_points,
@@ -34,7 +34,7 @@ from hypgold.points import (
     lower_essential_poly,
     lower_value,
 )
-from hypgold.reference import reduced_form_check
+from hypgold.reference import reduced_form_check, rel_diff
 from hypgold.regions import enumerate_regions
 
 from conftest import seeded_coding
@@ -210,6 +210,48 @@ def test_a_pass_rounds_each_slope_product_once(monkeypatch):
     assert set(rounded) == expected
     assert other[0] == len(rounded)  # no product is rounded outside the table
     assert len(tables) == 1 and None not in tables
+
+
+def test_float_points_round_each_slope_product_once(monkeypatch):
+    # One table serves every x and y of the call, and the bits are those
+    # of a lower_value that keeps no table.
+    alpha = 480
+    c = PrimeCoding(slopes=seeded_coding(alpha - 4, 41).slopes, mode=MODE_FLOAT, precision=96)
+    real_product = points_mod._product
+    rounded, tables = [], set()
+
+    def product(products, pair, n, q, prec):
+        rounded.append((n, q))
+        tables.add(None if products is None else id(products))
+        return real_product(products, pair, n, q, prec)
+
+    monkeypatch.setattr(points_mod, "_product", product)
+    points = essential_points(c, alpha)
+    expected = set().union(*(_kernel_products(k0) for k0 in range(4, alpha - 4)))
+    assert len(rounded) == len(set(rounded)) == len(expected)
+    assert set(rounded) == expected
+    assert len(tables) == 1 and None not in tables
+    monkeypatch.undo()
+    for p in points:
+        assert mantissa_pair(p.x) == mantissa_pair(lower_value(c, p.k0)), p.k0
+        assert mantissa_pair(p.y) == mantissa_pair(-lower_value(c, alpha - p.k0 - 1)), p.k0
+
+
+def test_the_scalar_family_rounds_u_once(monkeypatch):
+    # Every free index takes the one pair u**2 rounds to.
+    u = Fraction(21, 20)
+    calls = []
+    real = construction._round_number
+
+    def round_number(x, prec):
+        calls.append(x)
+        return real(x, prec)
+
+    monkeypatch.setattr(construction, "_round_number", round_number)
+    lower = build_lower(GoldbachSpec(alpha=120, scalar_u=u))
+    assert calls.count(u) == 1
+    assert len(set(lower.lambda_sq.values())) == 1
+    assert set(lower.lambda_sq) == set(free_indices(120))
 
 
 def test_perturbation_breaks_continuity():
@@ -479,3 +521,53 @@ def test_prime_coding_shape():
     assert pc.max_index == 14  # alpha - 4
     head = pc.slopes[:9]
     assert all(a < b for a, b in zip(head, head[1:]))
+
+
+# --- The pair paths against their value oracles ---------------------------------
+# Every window-set alpha <= 600 runs at each precision, under one of three
+# seeds or the scalar family in turn.
+
+_WINDOW_ALPHAS = [a for a in range(16, 601, 2) if is_in_N(a)]
+
+
+def _differential_specs():
+    for i, alpha in enumerate(_WINDOW_ALPHAS):
+        kind = i % 4
+        if kind < 3:
+            yield GoldbachSpec(alpha=alpha, seed=kind)
+        else:
+            yield GoldbachSpec(alpha=alpha, xi2_sq=Fraction(7, 3), scalar_u=Fraction(21, 20))
+
+
+@pytest.mark.parametrize("precision", [53, 128, 256])
+def test_prime_coding_is_the_coding_of_its_slopes(precision):
+    # prime_coding reads mantissa pairs as ints over one power of two; the
+    # oracle rounds the same slopes as mpf values and hands them to the
+    # constructor, which rounds each through its Fraction.
+    for spec in _differential_specs():
+        cc = build_goldbach(spec, precision)
+        alpha = spec.alpha
+        with mp.workprec(precision):
+            xi2 = mpf(cc.xi[2])
+            slopes = (xi2 / 3, 2 * xi2 / 3, *(cc.xi[i] for i in range(2, alpha - 4)),
+                      mpf(cc.xi[alpha - 5]) + 1)
+        oracle = PrimeCoding(slopes=slopes, mode=MODE_FLOAT, precision=precision)
+        assert cc.prime_coding == oracle, spec
+        assert cc.prime_coding.scaled_slopes == oracle.scaled_slopes, spec
+
+
+@pytest.mark.parametrize("precision", [53, 128, 256])
+def test_scalar_sweep_max_deviation_is_the_max_of_its_deviations(precision):
+    # The sweep compares deviations as pairs; the oracle takes the max of
+    # |x - xi2_sq/2| over the rows, each difference an mpf at the precision.
+    u_list = [Fraction(11, 10), Fraction(101, 100), Fraction(1001, 1000)]
+    for i, alpha in enumerate(_WINDOW_ALPHAS[::4]):
+        xi2_sq = Fraction(7, 3) if i % 2 else 1
+        result = scalar_limit_sweep(alpha, u_list, xi2_sq=xi2_sq, precision=precision)
+        with mp.workprec(precision):
+            half = to_mpf(xi2_sq, precision) / 2
+            oracle = [max(abs(mpf(v) - half) for r in result.rows if r.u == u
+                          for v in (r.x_k0, -r.y_k0))
+                      for u in sorted(u_list, reverse=True)]
+        assert [mantissa_pair(d) for d in result.max_deviation] == \
+            [mantissa_pair(d) for d in oracle], (alpha, xi2_sq)

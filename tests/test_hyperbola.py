@@ -22,7 +22,7 @@ from hypgold.hyperbola import (
     classify_point,
     lattice_witnesses,
 )
-from hypgold.numeric import BinaryFloat, rel_diff, to_mpf
+from hypgold.numeric import BinaryFloat, to_mpf
 from hypgold.oracles import is_prime
 from hypgold.reference import (
     fhat,
@@ -33,6 +33,7 @@ from hypgold.reference import (
     hat_sub,
     hhat,
     hhat_one_sided,
+    rel_diff,
 )
 
 from conftest import arith_coding, identity_coding, pow2_coding, seeded_coding

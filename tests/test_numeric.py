@@ -6,6 +6,7 @@ import json
 import math
 import os
 import pickle
+import random
 import re
 import subprocess
 import sys
@@ -33,7 +34,6 @@ from mpmath.libmp import (
 
 import hypgold
 import hypgold.cli as cli_mod
-import hypgold.construction as construction
 from hypgold.construction import GoldbachSpec, build_goldbach, junction_gaps
 from hypgold.errors import DomainError
 from hypgold.numeric import (
@@ -49,11 +49,11 @@ from hypgold.numeric import (
     format_real,
     mantissa_pair,
     parse_exact,
-    rel_diff,
     round_ratio,
     to_fraction,
     to_mpf,
 )
+from hypgold.reference import rel_diff
 
 
 def test_zero_round_trips():
@@ -214,13 +214,35 @@ def test_rel_diff_refuses_non_finite_values(value):
             rel_diff(a, b)
 
 
-def test_junction_gaps_equal_the_fraction_formulas(monkeypatch):
-    cc = build_goldbach(GoldbachSpec(alpha=480, seed=5))
-    gaps = junction_gaps(cc).gaps
-    monkeypatch.setattr(construction, "rel_diff", _fraction_rel_diff)
-    oracle = junction_gaps(cc).gaps
-    assert list(gaps) == list(oracle) == list(range(5, 240))
-    assert [g.hex() for g in gaps.values()] == [g.hex() for g in oracle.values()]
+def _mpf_junction_gaps(cc) -> dict:
+    """junction_gaps' oracle: each side in mpmath.libmp at the run's
+    precision, the gap between the two sides over Fractions."""
+    alpha, prec = cc.alpha, cc.precision
+
+    def raw(v):
+        return from_man_exp(v.man, v.exp)
+
+    def side(k0, k, m):
+        lower = mpf_div(raw(cc.x[k]), mpf_mul(from_int(k0), raw(cc.xi_sq[k]), prec, round_nearest),
+                        prec, round_nearest)
+        upper = mpf_div(raw(cc.x[alpha - k - 1]),
+                        mpf_mul(from_int(alpha - k0), raw(cc.xi_sq[m]), prec, round_nearest),
+                        prec, round_nearest)
+        return mp.make_mpf(mpf_sub(lower, upper, prec, round_nearest))
+
+    return {k0: _fraction_rel_diff(side(k0, k0 - 1, alpha - k0), side(k0, k0, alpha - k0 - 1))
+            for k0 in range(5, alpha // 2)}
+
+
+def test_junction_gaps_equal_the_fraction_formulas():
+    # junction_gaps divides the two sides' aligned mantissas; the oracle
+    # shares neither its rounding nor its division.
+    for alpha, seed, precision in ((480, 5, 128), (210, 1, 53), (132, 2, 256)):
+        cc = build_goldbach(GoldbachSpec(alpha=alpha, seed=seed), precision)
+        gaps, oracle = junction_gaps(cc).gaps, _mpf_junction_gaps(cc)
+        assert list(gaps) == list(oracle) == list(range(5, alpha // 2))
+        assert [g.hex() for g in gaps.values()] == [g.hex() for g in oracle.values()]
+        assert any(g > 0 for g in gaps.values())
 
 
 def test_values_beyond_the_digit_limit_are_domain_errors(low_digit_limit):
@@ -359,8 +381,9 @@ def test_binary_float_order_is_the_rational_order(am, ae, bm, be):
 _CARRIERS_WITHOUT_MPMATH = """
 import sys
 from hypgold.numeric import (BinaryFloat, _integer_ratio, format_exact, format_real,
-                             mantissa_pair, rel_diff, to_fraction)
+                             mantissa_pair, to_fraction)
 from hypgold.errors import DomainError
+from hypgold.reference import rel_diff
 
 class Carrier:
     def __init__(self, raw):
@@ -570,6 +593,19 @@ def test_format_real_prints_what_mpmath_printed_at_53_bits(x):
 ])
 def test_format_real_edges(x):
     assert format_real(x) == _nstr53(x)
+
+
+def test_format_real_prints_binary_floats_as_mpmath_did():
+    # BinaryFloats take format_real's first branch; exponents up to +-4000
+    # put leading bits beyond 2**3500 or below 2**-3500 in the mpmath branch.
+    rng = random.Random(5)
+    tops = 0
+    for _ in range(3000):
+        man = rng.getrandbits(rng.randrange(1, 300)) * rng.choice((1, -1))
+        x = BinaryFloat(man, rng.randrange(-4000, 4001))
+        tops += abs(x.exp + abs(x.man).bit_length()) > 3500
+        assert format_real(x) == _nstr53(x), x
+    assert tops > 100
 
 
 def test_format_real_of_a_wide_value_stays_under_the_digit_limit(low_digit_limit):
