@@ -14,17 +14,16 @@ _EXPORTS = {
     "construction": "ConstructedCoding GoldbachSpec F_term build_goldbach build_lower "
                     "build_upper free_indices is_in_N junction_gaps scalar_limit_sweep "
                     "verify_continuity",
-    "areas": "AreaFormulaResult ab_coefficients area_closed bounds_chain "
-             "hat_AT_second_derivative hat_lower_sweep hat_area",
+    "areas": "AreaFormulaResult area_closed hat_area",
     "errors": "ChainViolationError ConstructionFailureError DomainError HypgoldError "
               "QuadratureError RangeError RegionMismatchError ScalingViolationError "
               "TheoremViolationError VerificationError",
     "hyperbola": "CurvePoint NumberKind PointKind classify_number classify_point",
-    "reference": "HOMOGENEITY_REL_TOL ScalingReport area_quadrature_oracle fhat "
-                 "fhat_one_sided finite_difference_d1 finite_difference_d2 "
-                 "geometric_region_oracle hat_AI_quadrature hat_add hat_div hat_mul "
-                 "hat_strip_quadrature hat_sub hhat hhat_one_sided identifies_naturals "
-                 "oracle_region_set reduced_form_check",
+    "reference": "HOMOGENEITY_REL_TOL ScalingReport ab_coefficients area_quadrature_oracle "
+                 "bounds_chain fhat fhat_one_sided finite_difference_d1 finite_difference_d2 "
+                 "geometric_region_oracle hat_AI_quadrature hat_AT_second_derivative hat_add "
+                 "hat_div hat_lower_sweep hat_mul hat_strip_quadrature hat_sub hhat "
+                 "hhat_one_sided identifies_naturals oracle_region_set reduced_form_check",
     "oracles": "goldbach_partitions_oracle is_prime primes_in sieve",
     "points": "EssentialPoint EssentialPolynomial essential_points "
               "goldbach_characterization lower_essential_poly lower_value",

@@ -1,45 +1,133 @@
-"""Closed-form areas per region type, deformed-plane scaling, and the
-assembled second derivative of the total area.
+"""Closed-form areas per region type, with their k-derivatives, and the
+deformed-plane area of a cell.
 
-Logarithms force float arithmetic here even when the coding is rational;
-areas are always computed as high-precision mpf values, the package's
-only mpf arithmetic.  The second derivative itself contains no
-logarithm, so ``hat_AT_second_derivative`` stays exact for rational
-codings and rational k.
+The areas take logarithms, so they are binary floats even when the
+coding and k are rational.  They are computed on ``numeric``'s
+(mantissa, exponent) pairs, each operation rounded once at the
+precision the caller names, and returned as ``BinaryFloat``s.  ``_log``
+below rounds the logarithm correctly, so every value has the bits that
+mpf arithmetic gives from a correctly rounded log at that precision.
 """
 
 from __future__ import annotations
 
 import math
 from bisect import bisect_left
+from functools import lru_cache
 from typing import NamedTuple
 
-from mpmath import mp, mpf
-
 from .coding import PrimeCoding
-from .errors import (
-    ChainViolationError,
-    DomainError,
-    RangeError,
-    RegionMismatchError,
-)
+from .errors import DomainError, RegionMismatchError
 from .numeric import (
     DEFAULT_PRECISION,
-    MODE_RATIONAL,
+    BinaryFloat,
     Number,
+    _add,
+    _div,
+    _integer_ratio,
+    _mul,
+    _pair,
+    _round,
+    _round_number,
+    _sqrt,
+    _sub,
+    round_ratio,
     to_fraction,
-    to_mpf,
 )
-from .points import _check_alpha, _check_coding_length, lower_value
 from .regions import DIAGONAL_TYPES, TYPE_COEFFICIENT, RegionType, enumerate_regions
 
 
 class AreaFormulaResult(NamedTuple):
     """Area of one essential region at a given k, with d/dk and d2/dk2."""
 
-    area: mpf
-    d1: mpf
-    d2: mpf
+    area: BinaryFloat
+    d1: BinaryFloat
+    d2: BinaryFloat
+
+
+@lru_cache(maxsize=32)
+def _log_constants(w: int, r: int) -> tuple:
+    """ln(1 + 2**-i) * 2**w for i = 0..r, each within 2 of its value; i = 0 gives ln 2.
+
+    ln(1 + 2**-i) = 2 atanh(1/q) with q = 2**(i+1) + 1.  At g more bits, the
+    j-th term floor(2**(w+g) / q**(2j+1)) is one floor of nested floors, so
+    the n summands before the first zero term are each within 1 of their
+    values, and the rest sum to less than 9/8.  The doubled sum, floored to
+    w bits, is within 2 (n + 2) / 2**g + 1 < 2, since n < (w + g)/3 + 1.
+    """
+    g = w.bit_length() + 1
+    constants = []
+    for i in range(r + 1):
+        q = (2 << i) + 1
+        qq = q * q
+        term = (1 << (w + g)) // q
+        total, j = term, 1
+        while term:
+            term //= qq
+            j += 2
+            total += term // j
+        constants.append(2 * total >> g)
+    return tuple(constants)
+
+
+def _log(a: tuple, prec: int) -> tuple:
+    """ln a, for a pair a > 0, correctly rounded to prec bits, to nearest with ties to even.
+
+    a = f * 2**k with f in [1, 2).  At w fractional bits, f is divided by
+    1 + 2**-i for each i = 1..r at which it is still at least that, which
+    leaves f' in [1, 1 + 2**-r), and ln a = k ln 2 + (the ln(1 + 2**-i)
+    divided out) + 2 atanh(s) with s = (f' - 1)/(f' + 1) < 2**-(r+1): a
+    series in s**2 that ends at its first zero term, J terms on.  In units
+    of 2**-w the sum v is off by less than
+      2|k| + 2r from the constants (``_log_constants``);
+      r + 1 from f', floored at each division, as ln moves by less than f'
+        does for f' >= 1;
+      6 (J + 2) from the series: with s < 1/3 each floored term is within
+        2 of s**(2j+1), each summand within 3, the tail below 1/4, and the
+        sum is doubled.
+    So ln a lies strictly between v - err and v + err.  Ziv's rounding test
+    (A. Ziv, ACM TOMS 17(3), 1991): when both round alike at prec bits, ln
+    a rounds so too; otherwise w doubles.  ln a of a rational a != 1 is
+    irrational, so no tie stops the loop, and a = 1 returns an exact 0.  On
+    [1/2, 2), |ln a| >= |a - 1|/2, so w also counts the leading zeros of
+    a - 1, and the test passes at the first w as often as elsewhere.
+    """
+    m, e = a
+    if m <= 0:
+        raise DomainError("logarithm of a non-positive number")
+    t = m.bit_length()
+    k = e + t - 1
+    lz = 0
+    if -1 <= k <= 0:
+        d = m - (1 << -e) if e < 0 else (m << e) - 1
+        if not d:
+            return 0, 0
+        lz = max(0, 2 - d.bit_length() - e)
+    w = (prec + lz + 63) >> 5 << 5  # at least 32 guard bits; multiples of 32 share constants
+    while True:
+        r = math.isqrt(w) >> 1
+        constants = _log_constants(w, r)
+        one = 1 << w
+        f = m << (w + 1 - t) if w + 1 >= t else m >> (t - 1 - w)
+        v = k * constants[0]
+        for i in range(1, r + 1):
+            if f >= one + (one >> i):
+                f = (f << i) // ((1 << i) + 1)
+                v += constants[i]
+        s = ((f - one) << w) // (f + one)
+        s2 = s * s >> w
+        total = term = s
+        j = 1
+        while term:
+            term = term * s2 >> w
+            j += 2
+            total += term // j
+        v += 2 * total
+        err = 2 * abs(k) + 3 * r + 3 * j + 10  # the bound above, with J = (j - 1)/2
+        low = _round(v - err, -w, prec)
+        if low == _round(v + err, -w, prec):
+            return low
+        w *= 2
 
 
 def _require_region(rtype: RegionType, n: int, n_prime: int, k) -> None:
@@ -67,160 +155,68 @@ def _require_region(rtype: RegionType, n: int, n_prime: int, k) -> None:
     )
 
 
+_ONE, _TWO = (1, 0), (2, 0)
+
+
 def area_closed(rtype: RegionType, n: int, n_prime: int, k: Number,
                 precision: int = DEFAULT_PRECISION,
                 check: bool = True) -> AreaFormulaResult:
-    """Closed-form area and derivatives of one essential region at k."""
+    """Closed-form area and derivatives of one essential region at k.
+
+    k is rounded once to ``precision`` bits, and so are n and n', and every
+    operation below; the comment over each type is its formula.
+    """
     if check:
         _require_region(rtype, n, n_prime, k)
-    with mp.workprec(precision):
-        kk = to_mpf(to_fraction(k), precision)
-        nn = mpf(n)
-        np_ = mpf(n_prime)
-        if rtype is RegionType.T2:
-            d1 = mp.log(kk / (nn * np_))
-            area = kk * d1 + nn * np_ - kk
-        elif rtype is RegionType.T3:
-            d1 = mp.log((np_ + 1) / np_)
-            area = (kk / (np_ + 1) - nn + kk * d1
-                    - np_ * (1 / np_ - 1 / (np_ + 1)) * kk)
-        elif rtype is RegionType.T5:
-            d1 = mp.log((nn + 1) * (np_ + 1) / kk)
-            area = (kk / (np_ + 1) - nn + kk * d1
-                    - np_ * (nn + 1 - kk / (np_ + 1)))
-        elif rtype is RegionType.T7:
-            log_k, log_n = mp.log(kk), mp.log(nn)
-            d1 = log_k / 2 - log_n
-            area = kk / 2 * log_k - kk / 2 - kk * log_n + nn * nn / 2
-        elif rtype is RegionType.T8:
-            d1 = mp.log((nn + 1) / mp.sqrt(kk))
-            area = kk / 2 - nn * (nn + 1) + nn * nn / 2 + kk * d1
-        else:  # pragma: no cover
-            raise RegionMismatchError(f"unknown region type {rtype}")
-        coeff = TYPE_COEFFICIENT[rtype]
-        d2 = coeff.numerator / (coeff.denominator * kk)
-        return AreaFormulaResult(area=area, d1=d1, d2=d2)
+    p = precision
+    kk = round_ratio(*_integer_ratio(k), p)
+    nn, np_ = _round(n, 0, p), _round(n_prime, 0, p)
+    if rtype is RegionType.T2:
+        # d1 = ln(k / (n n')), area = k d1 + n n' - k
+        cell = _mul(nn, np_, p)
+        d1 = _log(_div(kk, cell, p), p)
+        area = _sub(_add(_mul(kk, d1, p), cell, p), kk, p)
+    elif rtype is RegionType.T3:
+        # d1 = ln((n' + 1) / n'), area = k/(n' + 1) - n + k d1 - n' (1/n' - 1/(n' + 1)) k
+        np1 = _add(np_, _ONE, p)
+        d1 = _log(_div(np1, np_, p), p)
+        area = _sub(_add(_sub(_div(kk, np1, p), nn, p), _mul(kk, d1, p), p),
+                    _mul(_mul(np_, _sub(_div(_ONE, np_, p), _div(_ONE, np1, p), p), p), kk, p), p)
+    elif rtype is RegionType.T5:
+        # d1 = ln((n + 1)(n' + 1) / k), area = k/(n' + 1) - n + k d1 - n' (n + 1 - k/(n' + 1))
+        n1, np1 = _add(nn, _ONE, p), _add(np_, _ONE, p)
+        d1 = _log(_div(_mul(n1, np1, p), kk, p), p)
+        k_np1 = _div(kk, np1, p)
+        area = _sub(_add(_sub(k_np1, nn, p), _mul(kk, d1, p), p),
+                    _mul(np_, _sub(n1, k_np1, p), p), p)
+    elif rtype is RegionType.T7:
+        # d1 = ln(k)/2 - ln(n), area = k/2 ln(k) - k/2 - k ln(n) + n n/2
+        log_k, log_n = _log(kk, p), _log(nn, p)
+        d1 = _sub(_div(log_k, _TWO, p), log_n, p)
+        half_k = _div(kk, _TWO, p)
+        area = _add(_sub(_sub(_mul(half_k, log_k, p), half_k, p), _mul(kk, log_n, p), p),
+                    _div(_mul(nn, nn, p), _TWO, p), p)
+    elif rtype is RegionType.T8:
+        # d1 = ln((n + 1) / sqrt(k)), area = k/2 - n (n + 1) + n n/2 + k d1
+        n1 = _add(nn, _ONE, p)
+        d1 = _log(_div(n1, _sqrt(kk, p), p), p)
+        area = _add(_add(_sub(_div(kk, _TWO, p), _mul(nn, n1, p), p),
+                         _div(_mul(nn, nn, p), _TWO, p), p), _mul(kk, d1, p), p)
+    else:  # pragma: no cover
+        raise RegionMismatchError(f"unknown region type {rtype}")
+    coeff = TYPE_COEFFICIENT[rtype]
+    d2 = _div((coeff.numerator, 0), _mul((coeff.denominator, 0), kk, p), p)
+    return AreaFormulaResult(area=BinaryFloat(*area), d1=BinaryFloat(*d1), d2=BinaryFloat(*d2))
 
 
 def hat_area(c: PrimeCoding, n: int, n_prime: int, area,
-             precision: int = DEFAULT_PRECISION):
+             precision: int = DEFAULT_PRECISION) -> BinaryFloat:
     """Deformed-plane area of the cell (n, n') with real-plane area ``area``.
 
     psi is affine on the cell, so the Jacobian is the constant xi_n * xi_{n'}.
-    The product is taken at ``precision``, the bits ``area`` was computed at.
+    Each slope is rounded to ``precision``, the bits ``area`` was computed
+    at, and so is each product.
     """
-    with mp.workprec(precision):
-        return to_mpf(c.slope(n), precision) * to_mpf(c.slope(n_prime), precision) * area
-
-
-def _mpf(c: PrimeCoding, value):
-    """A float coding's value as an mpf at its precision; a rational coding's as it is."""
-    return value if c.mode == MODE_RATIONAL else to_mpf(value, c.precision)
-
-
-def _check_alpha_coding(c: PrimeCoding, alpha: int, need_index: int) -> None:
-    _check_alpha(alpha)
-    _check_coding_length(c, need_index)
-
-
-def ab_coefficients(c: PrimeCoding, alpha: int, k0: int, k: Number):
-    """(A_{k0}(k), B_{k0}(k)) = (1/(xi_{k0}^2 k), 1/(xi_{alpha-k0-1}^2 (alpha-k)))."""
-    _check_alpha_coding(c, alpha, alpha - 5)
-    if not 4 <= k0 <= alpha // 2 - 1:
-        raise RangeError(f"k0={k0} outside 4..{alpha // 2 - 1}")
-    with mp.workprec(c.precision):
-        kv = _mpf(c, c.rounded(to_fraction(k)))
-        xi_l = _mpf(c, c.slope(k0))
-        xi_u = _mpf(c, c.slope(alpha - k0 - 1))
-        return (1 / (xi_l * xi_l * kv), 1 / (xi_u * xi_u * (alpha - kv)))
-
-
-def hat_AT_second_derivative(c: PrimeCoding, alpha: int, k: Number, side: str = "+"):
-    """(A_T-hat)''(k-hat) = A_{k0}(k) x_{k0} + B_{k0}(k) y_{k0} on [k0, k0+1].
-
-    Exact for rational codings and rational k.  The interval is read off k
-    exactly, in both modes.  At integer k the default is the right-limit
-    value; side="-" selects the limit from [k-1, k].
-    """
-    _check_alpha_coding(c, alpha, alpha - 4)
-    if side not in ("+", "-"):
-        raise DomainError("side must be '+' or '-'")
-    kq = to_fraction(k)
-    if kq < 4 or kq > alpha // 2:
-        raise DomainError(f"k={k} outside [4, {alpha // 2}]")
-    k0 = math.floor(kq)
-    if kq.denominator == 1 and side == "-":
-        k0 -= 1
-        if k0 < 4:
-            raise DomainError("no left limit at k = 4")
-    k0 = min(max(k0, 4), alpha // 2 - 1)
-    with mp.workprec(c.precision):
-        x = _mpf(c, lower_value(c, k0))
-        y = -_mpf(c, lower_value(c, alpha - k0 - 1))
-        a_coef, b_coef = ab_coefficients(c, alpha, k0, k)
-        return a_coef * x + b_coef * y
-
-
-def hat_lower_sweep(c: PrimeCoding, khat: Number):
-    """Deformed-area sum over the essential regions of floor(psi_inv(khat)),
-    as a function of the deformed coordinate khat.
-
-    On each sub-interval this differs from the deformed lower-area function
-    by a constant, so its second difference in khat checks the A-side of the
-    assembled formula.  The upper side is the same function evaluated at the
-    deformed complement psi(alpha - k): its own curve parameter is alpha - k,
-    so its contribution to the total-area second derivative is this sweep's
-    acceleration at psi(alpha - k), subtracted.
-    """
-    k = c.preimage(khat)
-    if k < 4:
-        raise DomainError(f"psi_inv(khat)={k} below 4")
-    k0 = math.floor(k)
-    if k.denominator == 1 and k0 > 4:
-        k0 -= 1  # interval endpoints belong to the closed interval below
-    with mp.workprec(c.precision):
-        total = to_mpf(0, c.precision)
-        for n, n_prime, rtype in enumerate_regions(k0):
-            area = area_closed(rtype, n, n_prime, k, precision=c.precision, check=False).area
-            total = total + hat_area(c, n, n_prime, area, c.precision)
-        return total
-
-
-class ChainEntry(NamedTuple):
-    """Endpoint bounds of A_{k0} and B_{k0} over [k0, k0+1]."""
-
-    k0: int
-    m_B: object
-    M_B: object
-    m_A: object
-    M_A: object
-
-
-def bounds_chain(c: PrimeCoding, alpha: int) -> list:
-    """Endpoint bounds per k0 plus the full interleaving check.
-
-    Both coefficient functions are monotone in k, so the extrema sit at the
-    interval endpoints.  The chain
-    m_B4 < M_B4 < ... < m_B(a/2-1) < M_B(a/2-1) < m_A(a/2-1) < ... < M_A4
-    must hold for every strict coding; a violation indicates a bug, not a
-    data condition.
-    """
-    _check_alpha_coding(c, alpha, alpha - 5)
-    if not c.strict:
-        raise DomainError("the bounds chain requires a strict prime coding")
-    entries = []
-    for k0 in range(4, alpha // 2):
-        # A_{k0} falls and B_{k0} rises in k.
-        M_A, m_B = ab_coefficients(c, alpha, k0, k0)
-        m_A, M_B = ab_coefficients(c, alpha, k0, k0 + 1)
-        entries.append(ChainEntry(k0=k0, m_B=m_B, M_B=M_B, m_A=m_A, M_A=M_A))
-    with mp.workprec(c.precision):
-        chain = []
-        for e in entries:
-            chain.extend([(e.m_B, f"m_B{e.k0}"), (e.M_B, f"M_B{e.k0}")])
-        for e in reversed(entries):
-            chain.extend([(e.m_A, f"m_A{e.k0}"), (e.M_A, f"M_A{e.k0}")])
-        for (a, la), (b, lb) in zip(chain, chain[1:]):
-            if not a < b:
-                raise ChainViolationError(f"bounds chain broken: {la} >= {lb} ({a} >= {b})")
-    return entries
+    p = precision
+    jacobian = _mul(_round_number(c.slope(n), p), _round_number(c.slope(n_prime), p), p)
+    return BinaryFloat(*_mul(jacobian, _pair(area), p))

@@ -52,7 +52,7 @@ class BadParameter(UsageError):
 
 
 def _scalar(obj):
-    """json.dumps hook: Fractions as exact "p/q", BinaryFloats and areas' mpf as decimals."""
+    """json.dumps hook: Fractions as exact "p/q", BinaryFloats as decimals."""
     if isinstance(obj, Fraction):
         return format_exact(obj)
     return format_real(obj)
@@ -107,9 +107,7 @@ def _encode(o, level: int, out: list, shapes: dict) -> None:
         out.append(close)
     elif o is None or t is bool or t is float:
         out.append(_leaf_text(o))
-    elif (t is Fraction or t is BinaryFloat
-          # areas' mpf values; an mpf exists only once mpmath is loaded
-          or t is getattr(sys.modules.get("mpmath"), "mpf", None)):
+    elif t is Fraction or t is BinaryFloat:
         out.append(encode_basestring_ascii(_scalar(o)))
     else:
         raise TypeError(f"Object of type {t.__name__} is not canonical JSON")

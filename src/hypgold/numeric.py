@@ -6,11 +6,12 @@ square roots enter, are binary floats man * 2**exp (``BinaryFloat``):
 each is rounded once, to nearest with ties to even, at a precision the
 caller names (128-bit mantissas by default).  That is the rounding
 mpmath's mpf operations apply, so the bits are the ones mpf arithmetic
-gives at the same precision, but no mpf is made.  mpmath is imported
-only by ``to_mpf``, which returns an mpf for ``areas`` (the one module
-that computes in mpf, for its logarithms), and by ``format_real`` for
-values beyond 2**3500 or below 2**-3500.  Numbers serialize as exact
-``"p/q"`` strings in both modes, so round trips are lossless.
+gives at the same precision, but no mpf is made: nothing here imports
+mpmath.  An mpf, or any value carrying mpmath's raw ``_mpf_`` form, is
+still read as an operand, and a ``BinaryFloat`` carries that form too,
+so the tests' mpmath oracles and these values exchange bits directly.
+Numbers serialize as exact ``"p/q"`` strings in both modes, so round
+trips are lossless.
 """
 
 from __future__ import annotations
@@ -223,23 +224,8 @@ def round_ratio(p: int, q: int, precision: int) -> tuple:
     return (man if p > 0 else -man), -shift
 
 
-def to_mpf(x: Number, precision: int = DEFAULT_PRECISION):
-    """Convert to mpf, rounded once to nearest (ties to even) at precision bits."""
-    from mpmath import mp, mpf  # loads with the first mpf a caller asks for
-    from mpmath.libmp import from_man_exp
-
-    if isinstance(x, Fraction):
-        return mp.make_mpf(from_man_exp(*round_ratio(x.numerator, x.denominator, precision)))
-    if x.__class__ is BinaryFloat:
-        return mp.make_mpf(from_man_exp(x.man, x.exp, precision, "n"))
-    with mp.workprec(precision):
-        if isinstance(x, mpf):
-            return +x
-        return mpf(x)
-
-
 def _round_number(x: Number, prec: int) -> tuple:
-    """x rounded once to prec bits, as the pair to_mpf(x, prec) holds."""
+    """x rounded once to prec bits, to nearest with ties to even, as a pair."""
     if isinstance(x, Fraction):
         return round_ratio(x.numerator, x.denominator, prec)
     return _round(*_pair(x), prec)
@@ -403,9 +389,8 @@ def format_real(x: Number) -> str:
     ``mpmath.nstr(mpf(x), 17, strip_zeros=True)`` prints it at that
     precision: the 76-bit fixed-point image and its 20 decimal digits are
     floors, the 18th digit rounds the 17th half up, and trailing zeros go.
-    A value whose leading bit lies beyond 2**3500 or below 2**-3500 is
-    handed to mpmath, which scales such values by a power of ten first:
-    that branch imports mpmath.
+    mpmath scales a value beyond 2**3500 or below 2**-3500 by a power of
+    ten first; the digits it then prints are these.
     """
     if x.__class__ is BinaryFloat:  # the common case: no _mpf_ tuple is built
         man, exp = _round(x.man, x.exp, FORMAT_PRECISION)
@@ -423,10 +408,6 @@ def format_real(x: Number) -> str:
         return "0.0"
     sign, man = ("-", -man) if man < 0 else ("", man)
     top = exp + man.bit_length()
-    if abs(top) > 3500:
-        from mpmath.libmp import from_man_exp, to_str
-
-        return sign + to_str(from_man_exp(man, exp), _DIGITS)
     fixed_bits = max(_CUT_BITS - top, 0)
     fixed_digits = int(fixed_bits / _LOG2_10 + 0.5)
     shift = exp + fixed_bits

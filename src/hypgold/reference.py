@@ -4,15 +4,18 @@ It holds two kinds of code:
 
 - oracles, each written against the most primitive definition available
   (symmetric differences, cell-by-cell intersection, adaptive
-  quadrature) so that it shares no code path with the closed forms and
-  the enumeration it checks;
+  quadrature, the areas in mpf arithmetic) so that it shares no code
+  path with the closed forms, the enumeration and the pair arithmetic
+  it checks;
 - the paper's statements that no command evaluates: the arithmetic psi
   transports, the natural-identification condition, the deformed
-  anti-diagonal and hyperbola with their one-sided derivatives, and the
-  degree-2 homogeneity of the construction.
+  anti-diagonal and hyperbola with their one-sided derivatives, the
+  degree-2 homogeneity of the construction, and the assembled second
+  derivative of the total area with its bounds chain.
 
-No command imports this module.  Only the quadrature needs scipy, a
-test-only dependency, and imports it on its first call.
+No command imports this module.  scipy and mpmath are test-only
+dependencies: the quadrature imports scipy, and the mpf code mpmath, on
+its first call.
 """
 
 from __future__ import annotations
@@ -21,14 +24,17 @@ import math
 from fractions import Fraction
 from typing import NamedTuple
 
+from .areas import area_closed, hat_area
 from .coding import PrimeCoding
 from .construction import GoldbachSpec, build_lower
-from .errors import (DomainError, QuadratureError, RangeError, RegionMismatchError,
-                     ScalingViolationError)
+from .errors import (ChainViolationError, DomainError, QuadratureError, RangeError,
+                     RegionMismatchError, ScalingViolationError)
 from .hyperbola import _curve_one_sided, _exact_point
-from .numeric import (DEFAULT_PRECISION, BinaryFloat, Number, _div, _integer_ratio, _mul, _pair,
-                      _round_number, bounded_str, to_fraction)
-from .regions import RegionType
+from .numeric import (DEFAULT_PRECISION, MODE_RATIONAL, BinaryFloat, Number, _div,
+                      _integer_ratio, _mul, _pair, _round_number, bounded_str, round_ratio,
+                      to_fraction)
+from .points import _check_alpha, _check_coding_length, lower_value
+from .regions import TYPE_COEFFICIENT, RegionType, enumerate_regions
 
 QUAD_ABS_TOL = 1e-10
 
@@ -343,3 +349,178 @@ def reduced_form_check(spec: GoldbachSpec, scale) -> ScalingReport:
     if max(xi_err, x_err, ratio_err) > HOMOGENEITY_REL_TOL:
         raise ScalingViolationError(f"homogeneity violated: {report}")
     return report
+
+
+# mpf values: mpmath is a test-only dependency, imported on the first call
+# that makes one.  First the conversion, then the mpf form of the areas,
+# the differential oracle of ``areas``' pair arithmetic, and the assembled
+# second derivative of the total area with its bounds chain.
+
+def to_mpf(x: Number, precision: int = DEFAULT_PRECISION):
+    """Convert to mpf, rounded once to nearest (ties to even) at precision bits."""
+    from mpmath import mp, mpf
+    from mpmath.libmp import from_man_exp
+
+    if isinstance(x, Fraction):
+        return mp.make_mpf(from_man_exp(*round_ratio(x.numerator, x.denominator, precision)))
+    if x.__class__ is BinaryFloat:
+        return mp.make_mpf(from_man_exp(x.man, x.exp, precision, "n"))
+    with mp.workprec(precision):
+        if isinstance(x, mpf):
+            return +x
+        return mpf(x)
+
+
+def area_closed_mpf(rtype: RegionType, n: int, n_prime: int, k: Number,
+                    precision: int = DEFAULT_PRECISION) -> tuple:
+    """(area, d1, d2) of one essential region at k, in mpf arithmetic at precision bits."""
+    from mpmath import mp, mpf
+
+    with mp.workprec(precision):
+        kk = to_mpf(to_fraction(k), precision)
+        nn = mpf(n)
+        np_ = mpf(n_prime)
+        if rtype is RegionType.T2:
+            d1 = mp.log(kk / (nn * np_))
+            area = kk * d1 + nn * np_ - kk
+        elif rtype is RegionType.T3:
+            d1 = mp.log((np_ + 1) / np_)
+            area = (kk / (np_ + 1) - nn + kk * d1
+                    - np_ * (1 / np_ - 1 / (np_ + 1)) * kk)
+        elif rtype is RegionType.T5:
+            d1 = mp.log((nn + 1) * (np_ + 1) / kk)
+            area = (kk / (np_ + 1) - nn + kk * d1
+                    - np_ * (nn + 1 - kk / (np_ + 1)))
+        elif rtype is RegionType.T7:
+            log_k, log_n = mp.log(kk), mp.log(nn)
+            d1 = log_k / 2 - log_n
+            area = kk / 2 * log_k - kk / 2 - kk * log_n + nn * nn / 2
+        elif rtype is RegionType.T8:
+            d1 = mp.log((nn + 1) / mp.sqrt(kk))
+            area = kk / 2 - nn * (nn + 1) + nn * nn / 2 + kk * d1
+        else:
+            raise RegionMismatchError(f"unknown region type {rtype}")
+        coeff = TYPE_COEFFICIENT[rtype]
+        d2 = coeff.numerator / (coeff.denominator * kk)
+        return area, d1, d2
+
+
+def _mpf(c: PrimeCoding, value):
+    """A float coding's value as an mpf at its precision; a rational coding's as it is."""
+    return value if c.mode == MODE_RATIONAL else to_mpf(value, c.precision)
+
+
+def _check_alpha_coding(c: PrimeCoding, alpha: int, need_index: int) -> None:
+    _check_alpha(alpha)
+    _check_coding_length(c, need_index)
+
+
+def ab_coefficients(c: PrimeCoding, alpha: int, k0: int, k: Number):
+    """(A_{k0}(k), B_{k0}(k)) = (1/(xi_{k0}^2 k), 1/(xi_{alpha-k0-1}^2 (alpha-k)))."""
+    from mpmath import mp
+
+    _check_alpha_coding(c, alpha, alpha - 5)
+    if not 4 <= k0 <= alpha // 2 - 1:
+        raise RangeError(f"k0={k0} outside 4..{alpha // 2 - 1}")
+    with mp.workprec(c.precision):
+        kv = _mpf(c, c.rounded(to_fraction(k)))
+        xi_l = _mpf(c, c.slope(k0))
+        xi_u = _mpf(c, c.slope(alpha - k0 - 1))
+        return (1 / (xi_l * xi_l * kv), 1 / (xi_u * xi_u * (alpha - kv)))
+
+
+def hat_AT_second_derivative(c: PrimeCoding, alpha: int, k: Number, side: str = "+"):
+    """(A_T-hat)''(k-hat) = A_{k0}(k) x_{k0} + B_{k0}(k) y_{k0} on [k0, k0+1].
+
+    Exact for rational codings and rational k.  The interval is read off k
+    exactly, in both modes.  At integer k the default is the right-limit
+    value; side="-" selects the limit from [k-1, k].
+    """
+    from mpmath import mp
+
+    _check_alpha_coding(c, alpha, alpha - 4)
+    if side not in ("+", "-"):
+        raise DomainError("side must be '+' or '-'")
+    kq = to_fraction(k)
+    if kq < 4 or kq > alpha // 2:
+        raise DomainError(f"k={k} outside [4, {alpha // 2}]")
+    k0 = math.floor(kq)
+    if kq.denominator == 1 and side == "-":
+        k0 -= 1
+        if k0 < 4:
+            raise DomainError("no left limit at k = 4")
+    k0 = min(max(k0, 4), alpha // 2 - 1)
+    with mp.workprec(c.precision):
+        x = _mpf(c, lower_value(c, k0))
+        y = -_mpf(c, lower_value(c, alpha - k0 - 1))
+        a_coef, b_coef = ab_coefficients(c, alpha, k0, k)
+        return a_coef * x + b_coef * y
+
+
+def hat_lower_sweep(c: PrimeCoding, khat: Number):
+    """Deformed-area sum over the essential regions of floor(psi_inv(khat)),
+    as a function of the deformed coordinate khat.
+
+    On each sub-interval this differs from the deformed lower-area function
+    by a constant, so its second difference in khat checks the A-side of the
+    assembled formula.  The upper side is the same function evaluated at the
+    deformed complement psi(alpha - k): its own curve parameter is alpha - k,
+    so its contribution to the total-area second derivative is this sweep's
+    acceleration at psi(alpha - k), subtracted.
+    """
+    from mpmath import mp
+
+    k = c.preimage(khat)
+    if k < 4:
+        raise DomainError(f"psi_inv(khat)={k} below 4")
+    k0 = math.floor(k)
+    if k.denominator == 1 and k0 > 4:
+        k0 -= 1  # interval endpoints belong to the closed interval below
+    with mp.workprec(c.precision):
+        total = to_mpf(0, c.precision)
+        for n, n_prime, rtype in enumerate_regions(k0):
+            area = area_closed(rtype, n, n_prime, k, precision=c.precision, check=False).area
+            total = total + hat_area(c, n, n_prime, area, c.precision)
+        return total
+
+
+class ChainEntry(NamedTuple):
+    """Endpoint bounds of A_{k0} and B_{k0} over [k0, k0+1]."""
+
+    k0: int
+    m_B: object
+    M_B: object
+    m_A: object
+    M_A: object
+
+
+def bounds_chain(c: PrimeCoding, alpha: int) -> list:
+    """Endpoint bounds per k0 plus the full interleaving check.
+
+    Both coefficient functions are monotone in k, so the extrema sit at the
+    interval endpoints.  The chain
+    m_B4 < M_B4 < ... < m_B(a/2-1) < M_B(a/2-1) < m_A(a/2-1) < ... < M_A4
+    must hold for every strict coding; a violation indicates a bug, not a
+    data condition.
+    """
+    from mpmath import mp
+
+    _check_alpha_coding(c, alpha, alpha - 5)
+    if not c.strict:
+        raise DomainError("the bounds chain requires a strict prime coding")
+    entries = []
+    for k0 in range(4, alpha // 2):
+        # A_{k0} falls and B_{k0} rises in k.
+        M_A, m_B = ab_coefficients(c, alpha, k0, k0)
+        m_A, M_B = ab_coefficients(c, alpha, k0, k0 + 1)
+        entries.append(ChainEntry(k0=k0, m_B=m_B, M_B=M_B, m_A=m_A, M_A=M_A))
+    with mp.workprec(c.precision):
+        chain = []
+        for e in entries:
+            chain.extend([(e.m_B, f"m_B{e.k0}"), (e.M_B, f"M_B{e.k0}")])
+        for e in reversed(entries):
+            chain.extend([(e.m_A, f"m_A{e.k0}"), (e.M_A, f"M_A{e.k0}")])
+        for (a, la), (b, lb) in zip(chain, chain[1:]):
+            if not a < b:
+                raise ChainViolationError(f"bounds chain broken: {la} >= {lb} ({a} >= {b})")
+    return entries

@@ -6,7 +6,7 @@ independent of the package's recursion, so the two can be compared.
 
 from mpmath import mp, mpf
 
-from hypgold.numeric import to_mpf
+from hypgold.reference import to_mpf
 
 
 def alpha18_expected(lam_sq: dict, xi2_sq, xi9_sq, precision: int = 128) -> dict:

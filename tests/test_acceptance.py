@@ -12,7 +12,7 @@ from fractions import Fraction
 import pytest
 from mpmath import mp, mpf
 
-from hypgold.areas import area_closed, bounds_chain
+from hypgold.areas import area_closed
 from hypgold.cli import main
 from hypgold.coding import default_coding
 from hypgold.construction import (
@@ -26,11 +26,10 @@ from hypgold.construction import (
     scalar_limit_sweep,
 )
 from hypgold.hyperbola import NumberKind, classify_number
-from hypgold.numeric import to_mpf
 from hypgold.oracles import is_prime, primes_in
 from hypgold.points import goldbach_characterization, lower_essential_poly
-from hypgold.reference import (area_quadrature_oracle, finite_difference_d1, finite_difference_d2,
-                               rel_diff)
+from hypgold.reference import (area_quadrature_oracle, bounds_chain, finite_difference_d1,
+                               finite_difference_d2, rel_diff, to_mpf)
 from hypgold.regions import enumerate_regions
 
 from conftest import strict_families
@@ -88,9 +87,9 @@ def test_criterion_2_area_calculus():
                     checked += 1
             k = k0 + Fraction(1, 2)
             for n, np_, t in regions:
-                area_of = lambda kv, n=n, np_=np_, t=t: area_closed(
+                area_of = lambda kv, n=n, np_=np_, t=t: mpf(area_closed(
                     t, n, np_, kv, precision=160, check=False
-                ).area
+                ).area)
                 res = area_closed(t, n, np_, k, precision=160, check=False)
                 d1_fd = finite_difference_d1(area_of, to_mpf(k, 160), h)
                 d2_fd = finite_difference_d2(area_of, to_mpf(k, 160), h)

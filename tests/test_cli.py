@@ -713,9 +713,9 @@ def test_cli_import_leaves_scipy_out(tmp_path):
     # when --csv asks for it.  Start-up loads no code that only the areas
     # command or the tests run: areas loads with its own command (run last
     # here, since a module stays loaded), and the reference oracles never.
-    # No command but areas loads mpmath: the construction, format_real and a
-    # float coding's values compute on int mantissas, and only areas makes
-    # mpf values.  The command line is read by the CLI's own table, so start-up
+    # No command loads mpmath: every value, the areas and their logarithms
+    # included, is computed on int mantissas, and format_real prints it from
+    # them.  The command line is read by the CLI's own table, so start-up
     # loads neither click nor dataclasses, nor the inspect module both import.
     commands = [
         "regions --k0 17",
@@ -734,7 +734,7 @@ def test_cli_import_leaves_scipy_out(tmp_path):
     proc = _fresh_python(tmp_path, _SCIPY_FREE_RUN, *commands)
     assert proc.stdout.splitlines()[0] == "[]"
     assert [json.loads(line) for line in proc.stderr.splitlines()] == (
-        [[0, []]] * (len(commands) - 1) + [[0, ["mpmath", "hypgold.areas"]]])
+        [[0, []]] * (len(commands) - 1) + [[0, ["hypgold.areas"]]])
 
 
 # Every public name of the package, by its home module.  The paper's statements
@@ -746,8 +746,7 @@ _PUBLIC_NAMES = {
     "construction": ["ConstructedCoding", "GoldbachSpec", "F_term", "build_goldbach",
                      "build_lower", "build_upper", "free_indices", "is_in_N",
                      "junction_gaps", "scalar_limit_sweep", "verify_continuity"],
-    "areas": ["AreaFormulaResult", "ab_coefficients", "area_closed", "bounds_chain",
-              "hat_AT_second_derivative", "hat_lower_sweep", "hat_area"],
+    "areas": ["AreaFormulaResult", "area_closed", "hat_area"],
     "errors": ["ChainViolationError", "ConstructionFailureError", "DomainError",
                "HypgoldError", "QuadratureError", "RangeError", "RegionMismatchError",
                "ScalingViolationError", "TheoremViolationError", "VerificationError"],
@@ -757,7 +756,9 @@ _PUBLIC_NAMES = {
                   "geometric_region_oracle", "hat_AI_quadrature", "hat_strip_quadrature",
                   "oracle_region_set", "fhat", "fhat_one_sided", "hhat", "hhat_one_sided",
                   "hat_add", "hat_sub", "hat_mul", "hat_div", "identifies_naturals",
-                  "reduced_form_check", "ScalingReport", "HOMOGENEITY_REL_TOL"],
+                  "reduced_form_check", "ScalingReport", "HOMOGENEITY_REL_TOL",
+                  "ab_coefficients", "bounds_chain", "hat_AT_second_derivative",
+                  "hat_lower_sweep"],
     "oracles": ["goldbach_partitions_oracle", "is_prime", "primes_in", "sieve"],
     "points": ["EssentialPoint", "EssentialPolynomial", "essential_points",
                "goldbach_characterization", "lower_essential_poly", "lower_value"],
@@ -969,9 +970,7 @@ _LEAVES = (st.none() | st.booleans() | st.integers()
            | st.sampled_from([-0.0, 1e300, float("nan"), float("inf"), float("-inf")])
            | st.text() | st.text(alphabet=st.characters(max_codepoint=0x20)) | st.text("é\u2028\ud800😀")
            | st.fractions()
-           | st.builds(BinaryFloat, st.integers(-2**80, 2**80), st.integers(-200, 200))
-           | st.builds(lambda m, e: mpmath.mpf((m, e)), st.integers(-2**80, 2**80),
-                        st.integers(-200, 200)))
+           | st.builds(BinaryFloat, st.integers(-2**80, 2**80), st.integers(-200, 200)))
 # What the commands build: dicts with str keys, lists and tuples, and the leaves above.
 _PAYLOADS = st.recursive(
     _LEAVES | st.lists(st.integers()) | st.lists(st.integers() | st.booleans()),
@@ -990,8 +989,8 @@ def test_canonical_json_matches_json_dumps(payload):
     {}, [], (), {"a": []}, {"a": {}}, [[]], {"a": [True, 1, False]}, [1, True],
     {"k": [1, 2, -3, 10**30]}, {"x": [-0.0, 1e300, float("nan"), float("inf")]},
     {"3": "c", "-1": "a", "10": None}, {"s": "\x00\x1f\u00e9\U0001f600"},
-    {"f": Fraction(-7, 3), "m": mpmath.mpf("0.1"), "t": (Fraction(1), mpmath.mpf(2)),
-     "b": BinaryFloat(-3, -1)},
+    {"f": Fraction(-7, 3), "m": BinaryFloat(3602879701896397, -55),
+     "t": (Fraction(1), BinaryFloat(2)), "b": BinaryFloat(-3, -1)},
     [[1, 2], [3, [4, []]], ({"z": 1, "a": [5]},)],
 ])
 def test_canonical_json_matches_json_dumps_on_edges(payload):
@@ -1060,6 +1059,7 @@ class _Real(float):
     pytest.param(_Level.LOW, "_Level", id="intenum"),
     pytest.param(_Real(0.5), "_Real", id="float-subclass"),
     pytest.param({1, 2}, "set", id="set"),
+    pytest.param(mpmath.mpf("0.1"), "mpf", id="mpf"),
 ])
 def test_canonical_json_refuses_what_no_command_builds(value, name):
     # Object names are str (RFC 8259, section 4), and only the exact types

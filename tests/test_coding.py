@@ -29,11 +29,11 @@ from hypgold.numeric import (
     MODE_RATIONAL,
     mantissa_pair,
     to_fraction,
-    to_mpf,
 )
 from hypgold.oracles import primes_in
 from hypgold.points import goldbach_characterization, lower_essential_poly, lower_value
-from hypgold.reference import hat_add, hat_div, hat_mul, hat_sub, identifies_naturals, rel_diff
+from hypgold.reference import (hat_add, hat_div, hat_mul, hat_sub, identifies_naturals, rel_diff,
+                               to_mpf)
 
 from conftest import arith_coding, harmonic_coding, identity_coding, pow2_coding, seeded_coding
 

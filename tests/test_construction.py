@@ -10,7 +10,6 @@ from mpmath import mp, mpf
 
 import hypgold.construction as construction
 import hypgold.points as points_mod
-from hypgold.areas import hat_AT_second_derivative
 from hypgold.construction import (
     ConstructedCoding,
     GoldbachSpec,
@@ -26,7 +25,7 @@ from hypgold.construction import (
 )
 from hypgold.coding import PrimeCoding
 from hypgold.errors import ConstructionFailureError, DomainError
-from hypgold.numeric import MODE_FLOAT, mantissa_pair, to_mpf
+from hypgold.numeric import MODE_FLOAT, mantissa_pair
 from hypgold.oracles import is_prime, primes_in
 from hypgold.points import (
     essential_points,
@@ -34,7 +33,7 @@ from hypgold.points import (
     lower_essential_poly,
     lower_value,
 )
-from hypgold.reference import reduced_form_check, rel_diff
+from hypgold.reference import hat_AT_second_derivative, reduced_form_check, rel_diff, to_mpf
 from hypgold.regions import enumerate_regions
 
 from conftest import seeded_coding

@@ -10,7 +10,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hypgold.areas import hat_lower_sweep
 from hypgold.coding import PrimeCoding, default_coding
 from hypgold.errors import DomainError, RangeError
 from hypgold.hyperbola import (
@@ -22,18 +21,20 @@ from hypgold.hyperbola import (
     classify_point,
     lattice_witnesses,
 )
-from hypgold.numeric import BinaryFloat, to_mpf
+from hypgold.numeric import BinaryFloat
 from hypgold.oracles import is_prime
 from hypgold.reference import (
     fhat,
     fhat_one_sided,
     hat_add,
     hat_div,
+    hat_lower_sweep,
     hat_mul,
     hat_sub,
     hhat,
     hhat_one_sided,
     rel_diff,
+    to_mpf,
 )
 
 from conftest import arith_coding, identity_coding, pow2_coding, seeded_coding
