@@ -143,7 +143,7 @@ def _poly_value(pairs: dict, j: int, products: dict, prec: int) -> BinaryFloat:
     a slope never changes once set, so each product is rounded once per
     pass.
     """
-    return _rounded_lower(pairs.__getitem__, j, prec, products)
+    return _rounded_lower(pairs, j, prec, products)
 
 
 def _values(pairs: dict) -> dict:
@@ -175,6 +175,9 @@ def build_lower(spec: GoldbachSpec, precision: int = DEFAULT_PRECISION) -> Const
                 f"slope squares failed to increase at index {i}"
             )
         xi[i] = _sqrt(xi_sq[i], precision)
+        if not _cmp(xi[i], xi[i - 1]) > 0:
+            # The squares increase, so only the rounding of the root stalls it.
+            raise DomainError(f"xi_{i} rounds to xi_{i - 1} at {precision} bits; raise --precision")
         for j in range(2 * i, min(2 * i + 2, alpha - 4)):
             x[j] = _poly_value(xi, j, products, precision)
     return ConstructedCoding(

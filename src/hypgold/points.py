@@ -18,10 +18,10 @@ same steps on (int mantissa, exponent) pairs and rounds each product and
 sum with ``numeric``'s rounding, to nearest with ties to even, as mpf
 arithmetic rounds it.  So a float x_{k0} has the bits
 ``EssentialPolynomial.evaluate`` gives on the slopes as mpf values at the
-same precision.  ``lower_value`` gives one x_{k0} through one kernel or
-the other.  The construction, on the slopes it has so far, and a float
-coding's ``essential_points`` round with one table of rounded slope
-products per pass or call.  The region polynomial stays the
+same precision.  Every caller passes the rounded kernel the slopes' pairs
+and a table of rounded slope products that it fills: one per construction
+pass, one per float ``essential_points`` call, and a fresh one per
+``lower_value``, which no command calls.  The region polynomial stays the
 definition and the oracle.
 
 ``PointTable`` holds the ints 2*L**2*x_j of a rational coding, or of a
@@ -126,57 +126,52 @@ def scaled_lower_value(c: PrimeCoding, k0: int) -> int:
     return _twice_lower_value(c.scaled_slopes[0], k0)
 
 
-def _rounded_lower(pair, k0: int, prec: int, products: dict | None = None) -> BinaryFloat:
+def _rounded_lower(pairs, k0: int, prec: int, products: dict) -> BinaryFloat:
     """x_{k0}, every product and sum rounded to prec bits.
 
-    pair(i) gives xi_i as (signed int mantissa, exponent).  The steps are
-    ``_twice_lower_value``'s, in its order, each rounded to nearest with
-    ties to even, as the mpf operations there round them: every such
-    operation is correctly rounded, so the bits are the mpf loop's.
-    A product is one exact int product, rounded.  Doubling and the final
-    halving only move the exponent; ``2*xi_r`` rounds xi_r first, as
-    mpf's multiplication by an int does.
+    ``pairs[i]`` is xi_i as (signed int mantissa, exponent), from a tuple
+    or a dict.  The steps are ``_twice_lower_value``'s, in its order, each
+    rounded to nearest with ties to even, as the mpf operations there round
+    them: every such operation is correctly rounded, so the bits are the
+    mpf loop's.  A product is one exact int product, rounded.  Doubling and
+    the final halving only move the exponent; ``2*xi_r`` rounds xi_r first,
+    as mpf's multiplication by an int does.
 
     ``products`` maps (n, q) to the rounded xi_n*xi_q; a product missing
     from it is rounded and stored.  So calls sharing one table while the
     slopes they read stay fixed round each product once, and the sums are
     rounded in the same order either way: the bits do not depend on the
-    table.  Without one, every product is rounded and none is kept.
+    table.
     """
-    get = _NO_PRODUCTS.get if products is None else products.get
+    get = products.get
     root = math.isqrt(k0)
     total = (0, 0)
     for n in range(2, root):
         a, b = k0 // (n + 1), k0 // n
-        q, eq = get((n, a)) or _product(products, pair, n, a, prec)
+        q, eq = get((n, a)) or _product(products, pairs, n, a, prec)
         total = _add(total, (-q, eq), prec)
-        total = _add(total, get((n, b)) or _product(products, pair, n, b, prec), prec)
+        total = _add(total, get((n, b)) or _product(products, pairs, n, b, prec), prec)
     top = k0 // root
-    q, eq = get((root, root)) or _product(products, pair, root, root, prec)
+    q, eq = get((root, root)) or _product(products, pairs, root, root, prec)
     total = _add((total[0], total[1] + 1), (q if top == root else -q, eq), prec)
     if top > root:
-        m, e = pair(root)
+        m, e = pairs[root]
         if m.bit_length() > prec:
             m, e = _round(m, e + 1, prec)
-            b, eb = pair(top)
+            b, eb = pairs[top]
             q, eq = _round(m * b, e + eb, prec)
         else:  # 2*xi_r is exact, so its product is xi_r*xi_top's, doubled
-            q, eq = get((root, top)) or _product(products, pair, root, top, prec)
+            q, eq = get((root, top)) or _product(products, pairs, root, top, prec)
             eq += 1
         total = _add(total, (q, eq), prec)
     return BinaryFloat(total[0], total[1] - 1)
 
 
-_NO_PRODUCTS: dict = {}  # looked in by calls given no table; _product never writes to it
-
-
-def _product(products: dict | None, pair, n: int, q: int, prec: int) -> tuple:
-    """xi_n*xi_q rounded to prec bits, stored in products under (n, q) when there is a table."""
-    m, e = pair(n)
-    b, eb = pair(q)
-    value = _round(m * b, e + eb, prec)
-    if products is not None:
-        products[n, q] = value
+def _product(products: dict, pairs, n: int, q: int, prec: int) -> tuple:
+    """xi_n*xi_q rounded to prec bits, stored in products under (n, q)."""
+    m, e = pairs[n]
+    b, eb = pairs[q]
+    value = products[n, q] = _round(m * b, e + eb, prec)
     return value
 
 
@@ -211,13 +206,12 @@ def _check_coding(c: PrimeCoding, alpha: int) -> None:
         )
 
 
-# Stores nothing: maxsize=0 only counts calls, for perfbench/tracer.py's
-# cache_info(), and hashes no argument, so products may be a dict.
+# Stores nothing: maxsize=0 only counts calls, for perfbench/tracer.py's cache_info().
 @lru_cache(maxsize=0)
-def lower_value(c: PrimeCoding, k0: int, products: dict | None = None):
+def lower_value(c: PrimeCoding, k0: int):
     """x_{k0} at the coding: an exact Fraction from the integer-scaled
     slopes, or a BinaryFloat rounded at the coding's precision from the
-    slopes' mantissas, reading and filling ``_rounded_lower``'s products."""
+    slopes' mantissas with a fresh product table.  No command calls it."""
     _check_k0(k0)
     if k0 // 2 > c.max_index:
         # Name the index EssentialPolynomial.evaluate fails on first: its
@@ -228,7 +222,7 @@ def lower_value(c: PrimeCoding, k0: int, products: dict | None = None):
     if c.mode == MODE_RATIONAL:
         lcm = c.scaled_slopes[1]
         return Fraction(scaled_lower_value(c, k0), 2 * lcm * lcm)
-    return _rounded_lower(c.mantissa_pairs.__getitem__, k0, c.precision, products)
+    return _rounded_lower(c.mantissa_pairs, k0, c.precision, {})
 
 
 def essential_points(c: PrimeCoding, alpha: int) -> list:
@@ -237,9 +231,10 @@ def essential_points(c: PrimeCoding, alpha: int) -> list:
     A rational coding's x values are read from its ``PointTable``, whose
     x alone is grown through alpha - 5: the table its repetition checks
     decide on, which record their facts only when they run.  A float
-    coding's are ``lower_value``'s at its precision, every x and y of the
-    call reading one table of rounded slope products, and its exact twin
-    is not built.
+    coding's are ``_rounded_lower``'s at its precision, every x and y of
+    the call reading one table of rounded slope products, and its exact
+    twin is not built.  ``_check_coding`` has checked every slope index
+    they read.
     """
     _check_coding(c, alpha)
     if c.mode == MODE_RATIONAL:
@@ -248,9 +243,9 @@ def essential_points(c: PrimeCoding, alpha: int) -> list:
         x, scale = table.x, table.scale
         return [EssentialPoint(k0, Fraction(x[k0], scale), Fraction(-x[alpha - k0 - 1], scale))
                 for k0 in range(4, alpha // 2)]
-    products = {}
-    return [EssentialPoint(k0, lower_value(c, k0, products),
-                           -lower_value(c, alpha - k0 - 1, products))
+    pairs, prec, products = c.mantissa_pairs, c.precision, {}
+    return [EssentialPoint(k0, _rounded_lower(pairs, k0, prec, products),
+                           -_rounded_lower(pairs, alpha - k0 - 1, prec, products))
             for k0 in range(4, alpha // 2)]
 
 

@@ -371,9 +371,34 @@ def to_mpf(x: Number, precision: int = DEFAULT_PRECISION):
         return mpf(x)
 
 
+def _log_once(x, precision: int):
+    """ln x rounded once to precision bits.
+
+    mp.log at the working precision can miss the last bit.  Ziv's test: take
+    mp.log at g and at 2g more bits (g = 64 first), round both once to
+    precision, and double g until the two agree.
+    """
+    from mpmath import mp
+
+    g = 64
+    while True:
+        with mp.workprec(precision + g):
+            near = mp.log(x)
+        with mp.workprec(precision + 2 * g):
+            far = mp.log(x)
+        with mp.workprec(precision):
+            near, far = +near, +far
+        if near == far:
+            return near
+        g *= 2
+
+
 def area_closed_mpf(rtype: RegionType, n: int, n_prime: int, k: Number,
                     precision: int = DEFAULT_PRECISION) -> tuple:
-    """(area, d1, d2) of one essential region at k, in mpf arithmetic at precision bits."""
+    """(area, d1, d2) of one essential region at k, in mpf arithmetic at precision bits.
+
+    Each operation rounds once to precision, each logarithm too (``_log_once``).
+    """
     from mpmath import mp, mpf
 
     with mp.workprec(precision):
@@ -381,22 +406,22 @@ def area_closed_mpf(rtype: RegionType, n: int, n_prime: int, k: Number,
         nn = mpf(n)
         np_ = mpf(n_prime)
         if rtype is RegionType.T2:
-            d1 = mp.log(kk / (nn * np_))
+            d1 = _log_once(kk / (nn * np_), precision)
             area = kk * d1 + nn * np_ - kk
         elif rtype is RegionType.T3:
-            d1 = mp.log((np_ + 1) / np_)
+            d1 = _log_once((np_ + 1) / np_, precision)
             area = (kk / (np_ + 1) - nn + kk * d1
                     - np_ * (1 / np_ - 1 / (np_ + 1)) * kk)
         elif rtype is RegionType.T5:
-            d1 = mp.log((nn + 1) * (np_ + 1) / kk)
+            d1 = _log_once((nn + 1) * (np_ + 1) / kk, precision)
             area = (kk / (np_ + 1) - nn + kk * d1
                     - np_ * (nn + 1 - kk / (np_ + 1)))
         elif rtype is RegionType.T7:
-            log_k, log_n = mp.log(kk), mp.log(nn)
+            log_k, log_n = _log_once(kk, precision), _log_once(nn, precision)
             d1 = log_k / 2 - log_n
             area = kk / 2 * log_k - kk / 2 - kk * log_n + nn * nn / 2
         elif rtype is RegionType.T8:
-            d1 = mp.log((nn + 1) / mp.sqrt(kk))
+            d1 = _log_once((nn + 1) / mp.sqrt(kk), precision)
             area = kk / 2 - nn * (nn + 1) + nn * nn / 2 + kk * d1
         else:
             raise RegionMismatchError(f"unknown region type {rtype}")

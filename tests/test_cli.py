@@ -263,6 +263,29 @@ def test_build_g_coding_passes_goldbach_check(tmp_path, capsys):
     assert json.loads(out)["all_agree"]
 
 
+def test_build_g_refuses_slopes_that_round_together(tmp_path, capsys):
+    # At 128 bits alpha 4396's squares still increase at index 2197, but
+    # the rounded slopes xi_2196 and xi_2197 are equal, which the
+    # characterization refuses: a precision shortfall, so exit 1.  At 256
+    # bits the slopes stay apart and the written coding passes the check.
+    target = tmp_path / "coding.json"
+    rc, out, err = run(capsys, ["build-g", "--alpha", "4396", "--out", str(target)])
+    assert (rc, out) == (1, "")
+    payload = json.loads(err)
+    assert payload["error"] == "DomainError"
+    assert payload["message"] == "xi_2197 rounds to xi_2196 at 128 bits; raise --precision"
+    assert not target.exists()
+    rc, _, _ = run(capsys, ["build-g", "--alpha", "4396", "--precision", "256",
+                            "--out", str(target)])
+    assert rc == 0
+    rc, out, err = run(capsys, ["goldbach-check", "--coding", str(target),
+                                "--alpha-range", "4396..4396"])
+    assert (rc, err) == (0, "")
+    record, = json.loads(out)["records"]
+    assert json.loads(out)["all_agree"]
+    assert record["k0_list"] == list(goldbach_partitions_oracle(4396).inside_window)
+
+
 def test_build_g_reports_a_256_bit_junction_gap(tmp_path, capsys):
     # The gap is measured at the construction's own precision: a 256-bit
     # build's gaps lie far below 2^-128 but are not zero.

@@ -213,7 +213,7 @@ def test_a_pass_rounds_each_slope_product_once(monkeypatch):
 
 def test_float_points_round_each_slope_product_once(monkeypatch):
     # One table serves every x and y of the call, and the bits are those
-    # of a lower_value that keeps no table.
+    # of lower_value, which rounds with a fresh table per call.
     alpha = 480
     c = PrimeCoding(slopes=seeded_coding(alpha - 4, 41).slopes, mode=MODE_FLOAT, precision=96)
     real_product = points_mod._product

@@ -290,7 +290,7 @@ def test_rounded_kernel_matches_the_mpf_loop(seed, prec, wider, spread):
     with mpmath.workprec(prec):
         for k0 in range(4, 2 * max(slopes) + 2):
             expected = points_mod._twice_lower_value(slopes, k0) / 2
-            assert points_mod._rounded_lower(pairs.__getitem__, k0, prec) == expected, k0
+            assert points_mod._rounded_lower(pairs, k0, prec, {}) == expected, k0
 
 
 @st.composite
@@ -322,11 +322,11 @@ def test_a_shared_product_table_keeps_every_bit(data, prec, spread):
     ks = list(range(4, 2 * count))  # x_k reads slopes 2 .. k//2
     with mpmath.workprec(prec):
         oracle = {k: points_mod._twice_lower_value(slopes, k) / 2 for k in ks}
-    fresh = {k: points_mod._rounded_lower(pairs.__getitem__, k, prec) for k in ks}
+    fresh = {k: points_mod._rounded_lower(pairs, k, prec, {}) for k in ks}
     assert fresh == oracle
     for order in (ks, data.draw(st.permutations(ks))):
         table = {}
-        shared = {k: points_mod._rounded_lower(pairs.__getitem__, k, prec, table) for k in order}
+        shared = {k: points_mod._rounded_lower(pairs, k, prec, table) for k in order}
         assert shared == fresh, order
         # Every product it kept is the one rounded product of its two slopes.
         for (n, q), value in table.items():
