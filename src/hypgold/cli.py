@@ -75,17 +75,20 @@ def _leaf_text(o) -> str:
     return float.__repr__(o)
 
 
-def _encode(o, level: int, out: list, shapes: dict) -> None:
+def _encode(o, level: int, out: list, shapes: dict, lists: dict) -> None:
     """Append o as json.dumps(o, default=_scalar, sort_keys=True, indent=2,
     separators=(",", ": ")) writes it at nesting depth ``level``.
 
     json.dumps runs its pure-Python encoder whenever it indents; this one
-    takes the same branches on the exact types the commands build, writes
-    a list of plain ints with one join, and writes a dict from ``shapes``:
-    per key tuple and depth, its sorted keys and their encoded heads, built
-    once.  Object names are str (RFC 8259, section 4), so a dict with any
-    other key, and a value of any other type (a dict, tuple, int or float
-    subclass, a set), is a TypeError.
+    takes the same branches on the exact types the commands build.  It
+    writes a list of plain ints with one join, kept in ``lists`` under the
+    list's id and depth, so a list the payload holds twice is written from
+    one text.  It writes a dict the first time its key tuple appears at a
+    depth directly, and from ``shapes`` after that: the shape's sorted keys
+    and their encoded heads, built on its second sight.  Object names are
+    str (RFC 8259, section 4), so a dict with any other key, and a value of
+    any other type (a dict, tuple, int or float subclass, a set), is a
+    TypeError.
     """
     t = type(o)
     if t is str:
@@ -93,17 +96,28 @@ def _encode(o, level: int, out: list, shapes: dict) -> None:
     elif t is int:
         out.append(int.__repr__(o))
     elif t is list or t is tuple:
-        _encode_array(o, level, out, shapes)
+        _encode_array(o, level, out, shapes, lists)
     elif t is dict:
-        # _record_shape admits only str keys, so every cached shape is one of str keys.
         shape = (level, *o)
         entry = shapes.get(shape)
-        if entry is None:
+        if entry is None:  # first sight: no heads built for a shape that may not repeat
+            # The keys are checked here, so every shape seen again is one of str keys.
+            shapes[shape] = False
+            _check_keys(o)
+            inner = "\n" + "  " * (level + 1)
+            sep = "{" + inner
+            for key in sorted(o):
+                out.append(sep + encode_basestring_ascii(key) + ": ")
+                _encode(o[key], level + 1, out, shapes, lists)
+                sep = "," + inner
+            out.append("\n" + "  " * level + "}" if o else "{}")
+            return
+        if entry is False:
             entry = shapes[shape] = _record_shape(o, level)
         heads, close = entry
         for head, key in heads:
             out.append(head)
-            _encode(o[key], level + 1, out, shapes)
+            _encode(o[key], level + 1, out, shapes, lists)
         out.append(close)
     elif o is None or t is bool or t is float:
         out.append(_leaf_text(o))
@@ -113,11 +127,14 @@ def _encode(o, level: int, out: list, shapes: dict) -> None:
         raise TypeError(f"Object of type {t.__name__} is not canonical JSON")
 
 
-def _record_shape(o: dict, level: int) -> tuple:
-    """The (head, key) pairs of a dict of str keys in sorted order, and its closing text."""
+def _check_keys(o: dict) -> None:
     for key in o:
         if type(key) is not str:
             raise TypeError(f"keys must be str, not {type(key).__name__}")
+
+
+def _record_shape(o: dict, level: int) -> tuple:
+    """The (head, key) pairs of a dict of str keys in sorted order, and its closing text."""
     inner = "\n" + "  " * (level + 1)
     heads = []
     sep = "{" + inner
@@ -127,25 +144,34 @@ def _record_shape(o: dict, level: int) -> tuple:
     return heads, ("\n" + "  " * level + "}" if heads else "{}")
 
 
-def _encode_array(o, level: int, out: list, shapes: dict) -> None:
+def _encode_array(o, level: int, out: list, shapes: dict, lists: dict) -> None:
     if not o:
         out.append("[]")
         return
+    key = (id(o), level)
+    text = lists.get(key)
+    if text is not None:
+        out.append(text)
+        return
     inner = "\n" + "  " * (level + 1)
     if set(map(type, o)) == {int}:  # not bools: int.__repr__(True) is "True"
-        out.append("[" + inner + ("," + inner).join(map(int.__repr__, o)))
-    else:
-        sep = "[" + inner
-        for value in o:
-            out.append(sep)
-            _encode(value, level + 1, out, shapes)
-            sep = "," + inner
+        text = lists[key] = ("[" + inner + ("," + inner).join(map(int.__repr__, o))
+                             + "\n" + "  " * level + "]")
+        out.append(text)
+        return
+    sep = "[" + inner
+    for value in o:
+        out.append(sep)
+        _encode(value, level + 1, out, shapes, lists)
+        sep = "," + inner
     out.append("\n" + "  " * level + "]")
 
 
 def canonical_json(payload: dict) -> str:
+    # Both caches live for this call, while the payload keeps alive every
+    # list whose id keys ``lists``.
     out = []
-    _encode(payload, 0, out, {})
+    _encode(payload, 0, out, {}, {})
     out.append("\n")
     return "".join(out)
 
@@ -247,16 +273,17 @@ def _alpha_range(text: str) -> range:
 def _sweep_one(coding, alpha, want_timing):
     t0 = time.perf_counter() if want_timing else None
     try:
-        k0_list = goldbach_characterization(coding, alpha)
+        # Agreement means R's paired bitmap is the sieve's, so one list is both sides.
+        k0_list = window = goldbach_characterization(coding, alpha)
         agreement, error = True, None
     except TheoremViolationError as exc:
         k0_list, agreement, error = [], False, str(exc)
-    oracle = goldbach_partitions_oracle(alpha)
+        window = goldbach_partitions_oracle(alpha).inside_window
     record = {
         "alpha": alpha,
-        "k0_list": list(k0_list),
-        "sieve_window": list(oracle.inside_window),
-        "sieve_outside_window": list(oracle.outside_window),
+        "k0_list": k0_list,
+        "sieve_window": window,
+        "sieve_outside_window": list(goldbach_partitions_oracle(alpha).outside_window),
         "sieve_agreement": agreement,
     }
     if error:

@@ -368,17 +368,23 @@ def _comparison(bits: bytearray, alpha: int, k0: int) -> IndexComparison:
     )
 
 
-def _paired_repeats(bits: bytearray, alpha: int) -> list:
-    """k0 in {5, ..., alpha/2 - 1} with R[k0] and R[alpha - k0] both set.
+def _paired_window(bits: bytearray, alpha: int) -> int:
+    """R's window R[5], ..., R[alpha/2 - 1] AND its mirror image
+    R[alpha - 5], ..., R[alpha/2 + 1], each read as a little-endian int.
 
-    R's bytes are 0 or 1, so one big-int AND of the window with its mirror
-    image (R[alpha-5], R[alpha-6], ...) pairs every k0 with alpha - k0 at
-    once, and bytes.find walks the set bytes of the result.
+    R's bytes are 0 or 1, so byte k0 - 5 of the result is 1 iff R[k0] and
+    R[alpha - k0] are both set: one big-int AND pairs every k0 in the
+    window with alpha - k0 at once.
     """
     hi = alpha // 2
-    both = (int.from_bytes(bits[5:hi], "big")
-            & int.from_bytes(bits[alpha - 5:alpha - hi:-1], "big")).to_bytes(hi - 5, "big")
-    found = []
+    return (int.from_bytes(bits[5:hi], "little")
+            & int.from_bytes(bits[alpha - 5:alpha - hi:-1], "little"))
+
+
+def _paired_repeats(bits: bytearray, alpha: int) -> list:
+    """k0 in {5, ..., alpha/2 - 1} with R[k0] and R[alpha - k0] both set, in order:
+    bytes.find walks the set bytes of the paired window."""
+    both, found = _paired_window(bits, alpha).to_bytes(alpha // 2 - 5, "little"), []
     i = both.find(1)
     while i >= 0:
         found.append(i + 5)
@@ -389,15 +395,18 @@ def _paired_repeats(bits: bytearray, alpha: int) -> list:
 def goldbach_characterization(c: PrimeCoding, alpha: int) -> list:
     """All k0 in {5, ..., alpha/2 - 1} whose essential point repeats the previous one.
 
-    The result is reconciled against the sieve; a mismatch raises
+    R's paired window is reconciled with the sieve's as one int equality:
+    both are bitmaps over the same k0, so equality is equality of the two
+    partition sets.  The list returned is read once off the sieve's bitmap,
+    which is then R's too; a mismatch builds both lists for its
     TheoremViolationError.
     """
     _check_coding(c, alpha)
-    repeated = _paired_repeats(_point_table(c.exact).check(alpha), alpha)
-    expected = list(goldbach_partitions_oracle(alpha).inside_window)
-    if repeated != expected:
+    bits = _point_table(c.exact).check(alpha)
+    report = goldbach_partitions_oracle(alpha)
+    if _paired_window(bits, alpha) != report.window_bits:
         raise TheoremViolationError(
             f"characterization/sieve mismatch at alpha={alpha}: "
-            f"points gave {repeated}, sieve gives {expected}"
+            f"points gave {_paired_repeats(bits, alpha)}, sieve gives {report.inside_window}"
         )
-    return repeated
+    return report.inside_window

@@ -4,9 +4,9 @@ It holds two kinds of code:
 
 - oracles, each written against the most primitive definition available
   (symmetric differences, cell-by-cell intersection, adaptive
-  quadrature, the areas in mpf arithmetic) so that it shares no code
-  path with the closed forms, the enumeration and the pair arithmetic
-  it checks;
+  quadrature, the areas in mpf arithmetic, a scan of the primes below
+  alpha/2) so that it shares no code path with the closed forms, the
+  enumeration, the pair arithmetic and the partition bitmap it checks;
 - the paper's statements that no command evaluates: the arithmetic psi
   transports, the natural-identification condition, the deformed
   anti-diagonal and hyperbola with their one-sided derivatives, the
@@ -21,6 +21,7 @@ its first call.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -33,6 +34,7 @@ from .hyperbola import _curve_one_sided, _exact_point
 from .numeric import (DEFAULT_PRECISION, MODE_RATIONAL, BinaryFloat, Number, _div,
                       _integer_ratio, _mul, _pair, _round_number, bounded_str, round_ratio,
                       to_fraction)
+from .oracles import _prime_list, _table
 from .points import _check_alpha, _check_coding_length, lower_value
 from .regions import TYPE_COEFFICIENT, RegionType, enumerate_regions
 
@@ -214,6 +216,25 @@ def hat_strip_quadrature(c: PrimeCoding, k_lo, k_hi: Number) -> float:
 def hat_AI_quadrature(c: PrimeCoding, k: Number) -> float:
     """Deformed lower area (x >= 2, y >= x, xy <= k); quadrature oracle."""
     return hat_strip_quadrature(c, None, k)
+
+
+def goldbach_partitions_scan(alpha: int) -> tuple:
+    """(inside, outside): the primes p <= alpha/2 with alpha - p prime, split at
+    the window {5, ..., alpha/2 - 1}, each list in order.
+
+    A scan of the prime list below alpha/2, which
+    ``oracles.goldbach_partitions_oracle`` replaced by one AND of the
+    sieve's window with its mirror.
+    """
+    if alpha < 4 or alpha % 2:
+        raise DomainError("goldbach partitions need an even alpha >= 4")
+    table = _table(alpha)
+    primes = _prime_list(len(table) - 1)
+    half = alpha // 2
+    hits = [p for p in primes[:bisect_right(primes, half)] if table[alpha - p]]
+    lo = bisect_left(hits, 5)
+    hi = max(lo, bisect_right(hits, half - 1))  # the window is empty below alpha = 12
+    return hits[lo:hi], hits[:lo] + hits[hi:]
 
 
 # The paper's statements that no command evaluates.  First the transported

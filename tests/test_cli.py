@@ -25,6 +25,7 @@ import hypgold
 import hypgold.areas as areas_mod
 import hypgold.cli as cli_mod
 import hypgold.hyperbola as hyperbola_mod
+import hypgold.points as points_mod
 from hypgold.cli import main
 from hypgold.coding import coding_from_json, coding_to_json, default_coding
 from hypgold.config import RunConfig
@@ -219,6 +220,34 @@ def test_goldbach_check_timing_flag(capsys):
     payload = json.loads(out)
     assert rc == 0
     assert all("timing_ms" in r for r in payload["records"])
+
+
+def test_goldbach_check_prints_a_spoiled_repeat_bit(capsys, monkeypatch):
+    # R[7] cleared after the dichotomy checks: each alpha with the partition
+    # 7 + (alpha - 7) disagrees with the sieve and gets its full record, and
+    # the command exits 2.  The digest is of the bytes printed when the
+    # reconciliation compared two partition lists.
+    check = points_mod.PointTable.check
+
+    def spoiled(self, alpha):
+        bits = bytearray(check(self, alpha))
+        bits[7] = 0
+        return bits
+
+    monkeypatch.setattr(points_mod.PointTable, "check", spoiled)
+    rc, out, err = run(capsys, ["goldbach-check", "--alpha-range", "16..40"])
+    assert rc == 2
+    assert json.loads(err) == {"error": "TheoremViolationError",
+                               "message": "characterization disagreed with the sieve"}
+    records = json.loads(out)["records"]
+    assert [r["alpha"] for r in records if not r["sieve_agreement"]] == [18, 20, 24, 26, 30, 36, 38]
+    assert records[1] == {
+        "alpha": 18,
+        "error": "characterization/sieve mismatch at alpha=18: points gave [5], sieve gives [5, 7]",
+        "k0_list": [], "sieve_agreement": False, "sieve_outside_window": [], "sieve_window": [5, 7],
+    }
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "37c698cb30526bbbc17ac80f65f92bc57466abfdbca5056fbf387a59a02f0efc")
 
 
 @pytest.mark.parametrize("workers", ["2", "5000"])
@@ -1102,7 +1131,29 @@ def test_canonical_json_builds_each_record_shape_once(monkeypatch):
     monkeypatch.setattr(cli_mod, "_record_shape", spy)
     payload = {"records": [{"b": i, "a": [i]} for i in range(5)] + [{"a": {"a": 0, "b": 1}}]}
     assert cli_mod.canonical_json(payload) == _dumps(payload)
-    assert sorted(built) == [(("a",), 2), (("a", "b"), 2), (("a", "b"), 3), (("records",), 0)]
+    # Heads are built on a shape's second sight, so a shape seen once builds none.
+    assert built == [(("a", "b"), 2)]
     built.clear()
     cli_mod.canonical_json(payload)  # the cache lives for one call
-    assert len(built) == 4
+    assert len(built) == 1
+
+
+def test_canonical_json_writes_a_list_held_twice_from_one_text(monkeypatch):
+    # A list of ints the payload holds twice at one depth is joined once;
+    # the same list at another depth is joined again with that depth's indent.
+    joined = []
+
+    def spy_map(fn, *iterables):
+        if fn is int.__repr__:
+            joined.append(iterables[0])
+        return map(fn, *iterables)
+
+    monkeypatch.setattr(cli_mod, "map", spy_map, raising=False)
+    xs, ys, three = [5, 7, 11], [3], [3]
+    payload = {"records": [{"k0_list": xs, "sieve_window": xs, "other": ys},
+                           {"k0_list": ys, "sieve_window": ys, "other": three}],
+               "top": xs, "nested": [[xs, ys]]}
+    assert cli_mod.canonical_json(payload) == _dumps(payload)
+    # Keys in sorted order: nested (xs, ys at depth 3), records (all at
+    # depth 3, only ``three`` new), top (xs at depth 1).
+    assert list(map(id, joined)) == [id(xs), id(ys), id(three), id(xs)]

@@ -11,6 +11,7 @@ from hypgold.reference import (
     area_quadrature_oracle,
     finite_difference_d1,
     finite_difference_d2,
+    goldbach_partitions_scan,
     hat_AI_quadrature,
 )
 from hypgold.regions import RegionType
@@ -67,13 +68,13 @@ def test_sieve_domain():
 
 def test_partitions_18():
     report = goldbach_partitions_oracle(18)
-    assert report.inside_window == (5, 7)
+    assert report.inside_window == [5, 7]
     assert report.outside_window == ()
 
 
 def test_partitions_16():
     report = goldbach_partitions_oracle(16)
-    assert report.inside_window == (5,)
+    assert report.inside_window == [5]
     assert report.outside_window == (3,)
 
 
@@ -81,14 +82,14 @@ def test_partitions_20():
     # 3 + 17 falls outside the window; 17 = 20 - 3 prime also explains
     # why 20 misses the construction's window set.
     report = goldbach_partitions_oracle(20)
-    assert report.inside_window == (7,)
+    assert report.inside_window == [7]
     assert report.outside_window == (3,)
     assert is_prime(20 - 3)
 
 
 def test_partitions_all_partitions_sorted():
     report = goldbach_partitions_oracle(48)
-    assert tuple(sorted(report.inside_window + report.outside_window)) == (5, 7, 11, 17, 19)
+    assert sorted(report.inside_window + list(report.outside_window)) == [5, 7, 11, 17, 19]
 
 
 def test_partitions_match_the_window_scan():
@@ -97,8 +98,20 @@ def test_partitions_match_the_window_scan():
         table = sieve(alpha)
         hits = [k for k in range(2, alpha // 2 + 1) if table[k] and table[alpha - k]]
         report = goldbach_partitions_oracle(alpha)
-        assert report.inside_window == tuple(k for k in hits if 5 <= k <= alpha // 2 - 1)
+        assert report.inside_window == [k for k in hits if 5 <= k <= alpha // 2 - 1]
         assert report.outside_window == tuple(k for k in hits if not 5 <= k <= alpha // 2 - 1)
+
+
+def test_partition_bitmap_matches_the_prime_scan():
+    # The sieve's paired-window bitmap against the prime-list scan it
+    # replaced: every prime p <= alpha/2 with alpha - p prime, split at the
+    # window {5, ..., alpha/2 - 1}.
+    for alpha in range(4, 20001, 2):
+        report = goldbach_partitions_oracle(alpha)
+        inside, outside = goldbach_partitions_scan(alpha)
+        assert report.inside_window == inside, alpha
+        assert report.outside_window == tuple(outside), alpha
+        assert report.window_bits.bit_length() <= 8 * max(alpha // 2 - 5, 0), alpha
 
 
 def test_prime_lists_one_per_sieve_bound():

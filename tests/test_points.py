@@ -645,10 +645,12 @@ def test_violation_messages_pinned():
 
 
 def test_sieve_mismatch_message_pinned():
-    # A sieve that forgets 7 must make the characterization raise, not agree.
+    # A sieve that forgets 7 must make the characterization raise, not agree:
+    # its bitmap (byte k0 - 5 of a little-endian int) is the datum both
+    # compared and printed.
     def forgetful_oracle(alpha):
         report = goldbach_partitions_oracle(alpha)
-        return report._replace(inside_window=tuple(k for k in report.inside_window if k != 7))
+        return report._replace(window_bits=report.window_bits & ~(1 << 8 * (7 - 5)))
 
     with mock.patch.object(points_mod, "goldbach_partitions_oracle", forgetful_oracle):
         with pytest.raises(TheoremViolationError) as info:
