@@ -6,9 +6,11 @@ For codings that identify primes, the transformed curve is differentiable
 exactly at points with no natural coordinate, so lattice points on the
 curve announce themselves through derivative jumps: the boundary lattice
 point (1, k) witnesses that k is natural, interior lattice points witness
-compositeness.  Every decision reads exact curve points, on the exact twin
-of a float coding.  The curve values themselves and the deformed
-anti-diagonal are statements no command evaluates: they live in
+compositeness.  The jumps read only the slopes of psi either side of each
+coordinate, so a lattice point is decided where it lies, at its exact
+pre-image (d, k/d), on the exact twin of a float coding: classification
+maps no point through psi or psi_inv.  The curve values themselves and the
+deformed anti-diagonal are statements no command evaluates: they live in
 ``hypgold.reference``.
 """
 
@@ -16,6 +18,7 @@ from __future__ import annotations
 
 import math
 from enum import Enum
+from fractions import Fraction
 from typing import NamedTuple
 
 from .coding import PrimeCoding
@@ -65,12 +68,22 @@ def _side_slopes(c: PrimeCoding, t):
     return (s, s)
 
 
-def _curve_one_sided(c: PrimeCoding, pt: CurvePoint) -> tuple:
-    """Exact one-sided derivatives at an exact curve point."""
-    a_x, b_x = _side_slopes(c, pt.x)
-    a_y, b_y = _side_slopes(c, pt.y)
-    factor = -pt.k / (pt.x * pt.x)
+def _one_sided(c: PrimeCoding, k: Fraction, x: Fraction, y: Fraction) -> tuple:
+    """Exact one-sided derivatives of the deformed curve of xy = k at the pre-image (x, y)."""
+    a_x, b_x = _side_slopes(c, x)
+    a_y, b_y = _side_slopes(c, y)
+    factor = -k / (x * x)
     return (factor * b_y / a_x, factor * a_y / b_x)
+
+
+def _jump_kind(c: PrimeCoding, k: Fraction, x: Fraction, y: Fraction) -> PointKind:
+    """The kind of the exact point (x, y) of xy = k, 1 <= x <= y, from its one-sided derivatives."""
+    left, right = _one_sided(c, k, x, y)
+    if left == right:
+        return PointKind.SMOOTH
+    if x == 1 and y.denominator == 1:
+        return PointKind.SEMI_VORTEX
+    return PointKind.VORTEX
 
 
 def classify_point(c: PrimeCoding, k: Number, u: Number) -> PointKind:
@@ -89,23 +102,18 @@ def classify_point(c: PrimeCoding, k: Number, u: Number) -> PointKind:
             f"point ({bounded_str(pt.x)}, {bounded_str(pt.y)}) outside the working quadrant "
             "x >= 1, y >= x"
         )
-    left, right = _curve_one_sided(c, pt)
-    if left == right:
-        return PointKind.SMOOTH
-    if pt.x == 1 and pt.y.denominator == 1:
-        return PointKind.SEMI_VORTEX
-    return PointKind.VORTEX
+    return _jump_kind(c, pt.k, pt.x, pt.y)
 
 
 def lattice_witnesses(c: PrimeCoding, k: Number) -> tuple:
     """The verified lattice points ``(d, k // d, PointKind)`` of xy = k, 1 <= d <= sqrt(k).
 
-    Scans the curve restricted to 1 <= x <= sqrt(k) for lattice points
-    (the only points whose jumps distinguish k: points with exactly one
-    natural coordinate jump on every curve) and verifies each candidate
-    jump on the coding's exact twin.  k is read exactly in both modes, so a
-    float coding never rounds a non-natural k onto an integer.  Returns an
-    empty tuple when k is not natural.
+    Each divisor d <= sqrt(k) gives a lattice point (the only points whose
+    jumps distinguish k: points with exactly one natural coordinate jump on
+    every curve), and its jump is verified at (d, k/d) on the coding's
+    exact twin.  k is read exactly in both modes, so a float coding never
+    rounds a non-natural k onto an integer.  Returns an empty tuple when k
+    is not natural.
     """
     if not c.identifies_primes:
         raise DomainError("number classification needs a coding that identifies primes")
@@ -122,7 +130,8 @@ def lattice_witnesses(c: PrimeCoding, k: Number) -> tuple:
     for d in range(1, math.isqrt(kn) + 1):
         if kn % d:
             continue
-        kind = classify_point(exact, kn, exact.psi(d))
+        x = Fraction(d)
+        kind = _jump_kind(exact, kv, x, kv / x)
         if kind is PointKind.SMOOTH:
             raise TheoremViolationError(
                 f"no derivative jump at lattice point ({d}, {kn // d}) on xy={kn}"

@@ -30,7 +30,7 @@ from .coding import PrimeCoding
 from .construction import GoldbachSpec, build_lower
 from .errors import (ChainViolationError, DomainError, QuadratureError, RangeError,
                      RegionMismatchError, ScalingViolationError)
-from .hyperbola import _curve_one_sided, _exact_point
+from .hyperbola import _exact_point, _one_sided
 from .numeric import (DEFAULT_PRECISION, MODE_RATIONAL, BinaryFloat, Number, _div,
                       _integer_ratio, _mul, _pair, _round_number, bounded_str, round_ratio,
                       to_fraction)
@@ -308,7 +308,8 @@ def hhat_one_sided(c: PrimeCoding, k: Number, u: Number) -> tuple:
     coordinate with no natural value has a_t = b_t = xi_floor(t), so the
     two sides differ only where x or y is natural.
     """
-    return tuple(map(c.rounded, _curve_one_sided(c, _exact_point(c, k, u))))
+    pt = _exact_point(c, k, u)
+    return tuple(map(c.rounded, _one_sided(c, pt.k, pt.x, pt.y)))
 
 
 HOMOGENEITY_REL_TOL = 1e-25  # reduced_form_check's bound on every relative error

@@ -127,13 +127,13 @@ def test_classify_composite(capsys):
 
 def test_classify_walks_each_lattice_point_once(capsys, monkeypatch):
     calls = []
-    original = hyperbola_mod.classify_point
+    original = hyperbola_mod._jump_kind
 
-    def spy(c, k, u, **kwargs):
-        calls.append(u)
-        return original(c, k, u, **kwargs)
+    def spy(c, k, x, y):
+        calls.append((x, y))
+        return original(c, k, x, y)
 
-    monkeypatch.setattr(hyperbola_mod, "classify_point", spy)
+    monkeypatch.setattr(hyperbola_mod, "_jump_kind", spy)
     rc, out, _ = run(capsys, ["classify", "--k", "12"])
     assert rc == 0 and json.loads(out)["kind"] == "composite_natural"
     assert len(calls) == 3  # (1, 12), (2, 6), (3, 4)
@@ -600,16 +600,25 @@ def test_huge_alpha_range_is_refused_before_any_list(tmp_path):
 
 
 def test_running_out_of_memory_exits_1_with_a_payload(tmp_path):
-    # The default coding for k = 10^7 + 1 holds 10^7 + 3 slopes and then
-    # their partial sums, more than a 512 MB address space allows.  The
-    # MemoryError comes back as a payload naming the command, not as a
-    # traceback.
+    # The float default coding for k = 10^7 + 1 holds 10^7 + 3 rational
+    # slopes and then rounds them into a second tuple, more than a 512 MB
+    # address space allows.  The MemoryError comes back as a payload naming
+    # the command, not as a traceback.
     start = time.perf_counter()
-    proc = _cli_with_address_limit(tmp_path, 512 << 20, "classify", "--k", "10000001")
+    proc = _cli_with_address_limit(tmp_path, 512 << 20, "classify", "--k", "10000001",
+                                   "--mode", "float")
     assert time.perf_counter() - start < 30
     assert proc.returncode == 1 and proc.stdout == ""
     assert json.loads(proc.stderr) == {"error": "MemoryError",
                                        "message": "the classify command ran out of memory"}
+
+
+def test_a_rational_k_of_10_to_7_classifies_in_512_mb(tmp_path):
+    # Each lattice point is decided at (d, k/d) from the slopes alone, so
+    # classify keeps the 10^7 + 3 slopes and no table of their partial sums.
+    proc = _cli_with_address_limit(tmp_path, 512 << 20, "classify", "--k", "10000001")
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["kind"] == "composite_natural"
 
 
 @pytest.mark.parametrize("argv, error", [

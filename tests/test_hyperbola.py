@@ -2,6 +2,7 @@
 classification of points and numbers.  The curve values are the paper's
 statements in ``hypgold.reference``; the classification is ``hyperbola``'s."""
 
+import math
 import random
 import time
 from fractions import Fraction
@@ -371,6 +372,37 @@ def test_float_classification_is_linear():
     assert c.identifies_primes
     assert [(x, y) for x, y, _ in lattice_witnesses(c, 1999)] == [(1, 1999)]
     assert time.perf_counter() - started < 2.0
+
+
+def _lattice_by_psi_round_trip(c, k):
+    """Each divisor d <= sqrt(k) sent to u = psi(d) and classified there, on the exact twin."""
+    exact = c.exact
+    return tuple((d, k // d, classify_point(exact, k, exact.psi(d)))
+                 for d in range(1, math.isqrt(k) + 1) if k % d == 0)
+
+
+@pytest.mark.parametrize("make", [
+    pytest.param(lambda: seeded_coding(60, 5), id="strict-rational"),
+    pytest.param(lambda: arith_coding(60), id="arith-rational"),
+    pytest.param(lambda: default_coding(60, mode="float", precision=53), id="default-float"),
+    pytest.param(lambda: PrimeCoding(slopes=seeded_coding(60, 9).slopes, mode="float",
+                                     precision=53), id="seeded-float"),
+    pytest.param(lambda: PrimeCoding(slopes=tuple(Fraction(1, m + 1) for m in range(61))),
+                 id="non-strict-rational"),
+    pytest.param(lambda: PrimeCoding(slopes=tuple(Fraction(1, m + 1) for m in range(61)),
+                                     mode="float", precision=53), id="non-strict-float"),
+])
+def test_lattice_witnesses_decide_where_the_psi_round_trip_decided(make):
+    # Each lattice point is decided at (d, k/d) itself: the same kinds as
+    # classifying it at u = psi(d), and no breakpoint table is built.
+    c = make()
+    assert c.identifies_primes
+    witnesses = {k: lattice_witnesses(c, k) for k in range(2, c.max_index + 1)}
+    assert "_scaled_breakpoints" not in vars(c)
+    assert "_scaled_breakpoints" not in vars(c.exact)
+    for k, got in witnesses.items():
+        assert got == _lattice_by_psi_round_trip(c, k), k
+    assert lattice_witnesses(c, Fraction(59, 2)) == ()
 
 
 def test_classify_number_domain():

@@ -26,7 +26,12 @@ ALLOWED_UNCALLED = {
     "hypgold.points.EssentialPolynomial": "the form lower_essential_poly returns",
     "hypgold.points.lower_value": "perfbench/tracer.py reads its cache_info()",
     "hypgold.hyperbola.classify_number": "tests/test_trace_hooks.py pins it for the tracer",
+    "hypgold.hyperbola.classify_point": "tests/test_trace_hooks.py pins it for the tracer",
+    "hypgold.coding.PrimeCoding.psi": "the coding's documented surface",
+    "hypgold.coding.PrimeCoding.preimage": "the coding's documented surface",
     "hypgold.coding.PrimeCoding.psi_inv": "the coding's documented surface",
+    "hypgold.coding.PrimeCoding.deformed_limit": "the coding's documented surface",
+    "hypgold.coding.PrimeCoding.domain_limit": "the coding's documented surface",
     "hypgold.coding.PrimeCoding.breakpoints": "the coding's documented surface",
     "hypgold.numeric.mantissa_pair": "how the tests' mpmath oracles read an mpf's bits",
 }
