@@ -38,8 +38,7 @@ from .errors import (
 from .hyperbola import lattice_witnesses, number_kind
 from .numeric import (MAX_PRECISION, MIN_PRECISION, MODES, BinaryFloat, format_exact,
                       format_real, parse_exact)
-from .oracles import goldbach_partitions_oracle
-from .points import essential_points, goldbach_characterization
+from .points import essential_points, goldbach_sweep
 from .regions import enumerate_regions
 
 
@@ -270,29 +269,6 @@ def _alpha_range(text: str) -> range:
     return range(max(start, 16), hi + 1, 2)
 
 
-def _sweep_one(coding, alpha, want_timing):
-    t0 = time.perf_counter() if want_timing else None
-    try:
-        # Agreement means R's paired bitmap is the sieve's, so one list is both sides.
-        k0_list = window = goldbach_characterization(coding, alpha)
-        agreement, error = True, None
-    except TheoremViolationError as exc:
-        k0_list, agreement, error = [], False, str(exc)
-        window = goldbach_partitions_oracle(alpha).inside_window
-    record = {
-        "alpha": alpha,
-        "k0_list": k0_list,
-        "sieve_window": window,
-        "sieve_outside_window": list(goldbach_partitions_oracle(alpha).outside_window),
-        "sieve_agreement": agreement,
-    }
-    if error:
-        record["error"] = error
-    if want_timing:
-        record["timing_ms"] = round((time.perf_counter() - t0) * 1000.0, 3)
-    return record
-
-
 def goldbach_check(alpha_range, coding_path, workers, timing, cfg, out):
     """Reconcile the essential-point characterization with the sieve."""
     del workers  # checked (>= 1) and accepted for compatibility; the sweep runs in one process
@@ -300,7 +276,24 @@ def goldbach_check(alpha_range, coding_path, workers, timing, cfg, out):
     if not alphas:
         raise UsageError("no even alpha >= 16 in the requested range")
     coding = _load_coding(coding_path, cfg, fallback_index=max(alphas[-1] - 4, 16))
-    records = [_sweep_one(coding, a, timing) for a in alphas]
+    outcomes = goldbach_sweep(coding, alphas)  # grows the point table all alphas share
+    records, t0 = [], time.perf_counter()
+    for report, error in outcomes:
+        # Agreement means R's paired bitmap is the sieve's, so one list is both sides.
+        window = report.inside_window
+        record = {
+            "alpha": report.alpha,
+            "k0_list": [] if error else window,
+            "sieve_window": window,
+            "sieve_outside_window": list(report.outside_window),
+            "sieve_agreement": error is None,
+        }
+        if error:
+            record["error"] = str(error)
+        if timing:  # this alpha's reconciliation and record
+            record["timing_ms"] = round((time.perf_counter() - t0) * 1000.0, 3)
+        records.append(record)
+        t0 = time.perf_counter()
     all_agree = all(r["sieve_agreement"] for r in records)
     emit("goldbach-check", cfg, out, records, alpha_range=[alphas[0], alphas[-1]],
          all_agree=all_agree, records=records)

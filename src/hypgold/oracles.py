@@ -3,12 +3,14 @@
 The sieve of Eratosthenes, primality and prime lists read off it, and
 every Goldbach partition of alpha.  Each is written against the most
 primitive definition available, so that it shares no code path with the
-essential-point machinery it reconciles.  The in-window partitions are one
-bitmap, the AND of the sieve's window with its mirror, which
-``goldbach_characterization`` compares with the same AND of the repeat
-bitmap R as one int equality; the partition list a record prints is read
-off that bitmap.  The test-only derivations (finite differences, the
-geometric cell oracle, quadrature, the prime-list partition scan) live in
+essential-point machinery it reconciles.  The sieve is also kept one bit
+per index, with a bit-reversed copy, by this module's own packing: the
+in-window partitions are one bitmap, one bit per k0, the AND of the
+sieve's window with its mirror, which ``goldbach_sweep`` compares with the
+same AND of the repeat bitmap R, packed in ``points``, as one int
+equality; the partition list a record prints is read off that bitmap.
+The test-only derivations (finite differences, the geometric cell
+oracle, quadrature, the prime-list partition scan) live in
 ``hypgold.reference``, which no command imports.
 """
 
@@ -52,6 +54,18 @@ def _prime_list(n: int) -> list[int]:
     return list(compress(range(n + 1), sieve(n)))
 
 
+# A table's 0 and 1 bytes as the digits of a base-2 numeral.
+_DIGITS = bytes.maketrans(b"\0\1", b"01")
+
+
+@lru_cache(maxsize=32)
+def _bit_table(n: int) -> tuple[int, int]:
+    """sieve(n) one bit per index, twice: bit p of the first int is set iff
+    p is prime, and bit i of the second iff n - i is."""
+    digits = sieve(n).translate(_DIGITS)
+    return int(digits[::-1], 2), int(digits, 2)
+
+
 def is_prime(n: int) -> bool:
     if n < 2:
         return False
@@ -69,10 +83,10 @@ def primes_in(lo: int, hi: int) -> list[int]:
 class PartitionReport(NamedTuple):
     """All Goldbach partitions of alpha, split by the k0 window {5, ..., alpha/2 - 1}.
 
-    ``window_bits`` is the in-window datum, one byte per k0 read as a
-    little-endian int: byte k0 - 5 is 1 iff k0 and alpha - k0 are both
-    prime.  ``inside_window`` is read off it, so the bitmap a
-    reconciliation compares and the list a record prints are one datum.
+    ``window_bits`` is the in-window datum, one bit per k0: bit k0 - 5 is
+    set iff k0 and alpha - k0 are both prime.  ``inside_window`` is read
+    off it, so the bitmap a reconciliation compares and the list a record
+    prints are one datum.
     """
 
     alpha: int
@@ -82,30 +96,29 @@ class PartitionReport(NamedTuple):
     @property
     def inside_window(self) -> list[int]:
         """The in-window partitions in order, a fresh list read off ``window_bits``."""
-        width = max(self.alpha // 2 - 5, 0)
-        runs = self.window_bits.to_bytes(width, "little").split(b"\x01")
-        runs.pop()  # the zero bytes after the last set one
-        # Set byte j (from 0) follows j set bytes and the zero bytes of runs 0..j.
+        runs = bin(self.window_bits)[:1:-1].split("1")  # the binary digits, lowest first
+        runs.pop()  # the zero bits after the last set one
+        # Set bit j (from 0) follows j set bits and the zero bits of runs 0..j.
         return [5 + j + zeros for j, zeros in enumerate(accumulate(map(len, runs)))]
 
 
-# A sweep asks for each alpha twice in a row: once to reconcile, once for its record.
-@lru_cache(maxsize=1)
 def goldbach_partitions_oracle(alpha: int) -> PartitionReport:
     """Every prime p <= alpha/2 whose complement alpha - p is prime, read off the sieve.
 
-    The table's bytes are 0 or 1, so one big-int AND of the window
-    t[5], ..., t[alpha/2 - 1] with its mirror t[alpha - 5], ..., t[alpha/2 + 1]
-    sets byte k0 - 5 exactly for the partitions k0 in the window.  Outside
-    it only p = 2, 3 and alpha/2 are left to test, 4 being composite.
+    The sieve's bit-reversed copy, shifted right by top - alpha, holds
+    [alpha - k prime] at bit k, so one AND with the sieve's bits, one shift
+    and one mask leave bit k0 - 5 set exactly for the partitions k0 in the
+    window.  Outside it only p = 2, 3 and alpha/2 are left to test, 4 being
+    composite.
     """
     if alpha < 4 or alpha % 2:
         raise DomainError("goldbach partitions need an even alpha >= 4")
     table = _table(alpha)
+    top = len(table) - 1
+    forward, backward = _bit_table(top)
     half = alpha // 2
-    width = max(half - 5, 0)  # the window is empty below alpha = 12
-    window = (int.from_bytes(table[5:5 + width], "little")
-              & int.from_bytes(table[alpha - 5:alpha - 5 - width:-1], "little"))
-    outside = tuple(p for p in ((2, 3, half) if half > 3 else (2, 3))
-                    if p <= half and table[p] and table[alpha - p])
-    return PartitionReport(alpha=alpha, window_bits=window, outside_window=outside)
+    # The window is empty below alpha = 12.
+    window = ((backward >> (top - alpha) & forward) >> 5) & ((1 << max(half - 5, 0)) - 1)
+    outside = tuple([p for p in ((2, 3, half) if half > 3 else (2, 3))
+                     if p <= half and table[p] and table[alpha - p]])
+    return PartitionReport(alpha, window, outside)

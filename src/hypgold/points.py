@@ -26,20 +26,25 @@ definition and the oracle.
 
 ``PointTable`` holds the ints 2*L**2*x_j of a rational coding, or of a
 float coding's exact twin, and compares them directly.  The repetition
-decisions read it, and so do a rational coding's essential points.
+decisions read it, and so do a rational coding's essential points.  It
+keeps the repeat bitmap R one bit per index, with a bit-reversed copy, so
+that ``goldbach_sweep`` reconciles each alpha's paired window, one bit per
+k0, with the sieve's as one int equality.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from fractions import Fraction
 from functools import lru_cache
+from operator import eq
 from typing import NamedTuple
 
 from .coding import PrimeCoding
 from .errors import DomainError, RangeError, TheoremViolationError
 from .numeric import MODE_RATIONAL, BinaryFloat, _add, _round, bounded_str
-from .oracles import goldbach_partitions_oracle, is_prime
+from .oracles import _table, goldbach_partitions_oracle, is_prime
 from .regions import TYPE_COEFFICIENT, _check_k0, enumerate_regions
 
 
@@ -256,22 +261,25 @@ class PointTable:
     so one table serves every alpha <= top + 5.  ``grow`` extends x alone,
     which is all essential points read; ``record``, which the checks run,
     also records the indices j that break the sign condition (x_j <= 0) or
-    the ordering (x_j < x_{j-1}), the repeat bitmap R[j] = [x_{j-1} == x_j],
-    and the indices where R disagrees with is_prime(j).  An alpha's checks
-    then look only for recorded indices inside its window, and at none
-    when nothing is recorded.  The table holds the ints 2*L**2*x_j, one
-    positive scale of the exact values, so every comparison is exact and
-    no Fraction is built but for a message.
+    the ordering (x_j < x_{j-1}), the repeat bitmap R[j] = [x_{j-1} == x_j]
+    one bit per index, with a bit-reversed copy for the mirror, and the
+    indices where R disagrees with the sieve, the set bits of R XOR the
+    sieve's prime bits.  An alpha's checks then look only for recorded
+    indices inside its window, and at none when nothing is recorded.  The
+    table holds the ints 2*L**2*x_j, one positive scale of the exact values,
+    so every comparison is exact and no Fraction is built but for a message.
     """
 
     def __init__(self, c: PrimeCoding):
         self.coding = c
         self.scale = 2 * c.scaled_slopes[1] ** 2
-        self.x = [None] * 4   # 2*L**2*x[k0] for 4 <= k0 <= top
+        self.x = [None] * 4   # 2*L**2*x[k0] for 4 <= k0 < len(x)
+        self.top = 3          # the facts below are recorded through index top
         self.sign_bad = []    # j with not x_j > 0
         self.order_bad = []   # j with x_j < x_{j-1}
-        self.bits = bytearray(4)  # R[j] for 5 <= j < len(bits); bits[4] is 0
-        self.mismatches = []  # j with R[j] != is_prime(j)
+        self.repeats = 0      # bit j is R[j]; R[4] is 0
+        self.mirror = 0       # bit i is R[top + 5 - i]
+        self.mismatches = []  # j with R[j] != [j prime]
 
     def grow(self, top: int) -> None:
         """Extend x through index top."""
@@ -280,31 +288,42 @@ class PointTable:
             x.append(scaled_lower_value(c, j))
 
     def record(self, top: int) -> None:
-        """Grow x through top and record its facts, each R[j] checked once against is_prime(j)."""
+        """Grow x through top and record the facts of each new index, R checked
+        against the sieve's prime bits as one XOR."""
+        lo = self.top + 1
+        if top < lo:
+            return
         self.grow(top)
-        x, bits = self.x, self.bits
-        for j in range(len(bits), top + 1):
-            value, repeat = x[j], False
-            if not value > 0:
-                self.sign_bad.append(j)
-            if j > 4:
-                if value < x[j - 1]:
-                    self.order_bad.append(j)
-                repeat = value == x[j - 1]
-                if repeat != is_prime(j):
-                    self.mismatches.append(j)
-            bits.append(repeat)
+        x = self.x
+        self.sign_bad += [j for j in range(lo, top + 1) if not x[j] > 0]
+        self.order_bad += [j for j in range(max(lo, 5), top + 1) if x[j] < x[j - 1]]
+        # R[lo], ..., R[top] as the digits 0 and 1; x_3 is None, so R[4] is 0.
+        digits = bytes(map(eq, x[lo - 1:top], x[lo:top + 1])).translate(_DIGITS)
+        primes = _table(top)[top:lo - 1:-1].translate(_DIGITS)  # [j prime], j = top .. lo
+        new = int(digits[::-1], 2)  # bit j - lo is R[j]
+        self.repeats |= new << lo
+        self.mirror = self.mirror << (top - self.top) | int(digits, 2) << 5
+        self.mismatches += _set_bits(new ^ int(primes, 2), lo)
+        self.top = top
 
-    def check(self, alpha: int) -> bytearray:
+    def paired_window(self, alpha: int) -> int:
+        """R's paired window: bit k0 - 5 is R[k0] AND R[alpha - k0], for k0 = 5 .. alpha/2 - 1.
+
+        The mirror shifted right by top + 5 - alpha holds R[alpha - k] at
+        bit k, so one AND with R, one shift and one mask pair every k0 in
+        the window with alpha - k0 at once.
+        """
+        both = self.mirror >> (self.top + 5 - alpha) & self.repeats
+        return (both >> 5) & ((1 << (alpha // 2 - 5)) - 1)
+
+    def check(self, alpha: int) -> None:
         """Raise the first sign, ordering or dichotomy failure in alpha's window.
 
         Failures surface in the order a scan over k0 = 4 .. alpha/2 - 1
         meets them: every sign first, then per k0 the ordering before the
-        dichotomy.  Returns the repeat bitmap R.
+        dichotomy.
         """
         self.record(alpha - 5)
-        if not (self.sign_bad or self.order_bad or self.mismatches):
-            return self.bits
         x, scale = self.x, self.scale
         k0 = _first_in_window(self.sign_bad, alpha, alpha - 1)
         if k0 is not None:
@@ -320,11 +339,40 @@ class PointTable:
                 f"essential point ordering violated between k0={unordered - 1} and {unordered}"
             )
         if mismatched is not None:
-            rec = _comparison(self.bits, alpha, mismatched)
+            rec = _comparison(self, alpha, mismatched)
             raise TheoremViolationError(
                 f"repetition dichotomy violated at alpha={alpha}, k0={mismatched}: {rec}"
             )
-        return self.bits
+
+    def reconcile(self, alpha: int) -> tuple:
+        """alpha's sieve report, and the TheoremViolationError its window raises or None.
+
+        ``check`` runs only once the table has recorded a failure.  R's
+        paired window is then compared with the sieve's as one int equality:
+        both are bitmaps over the same k0, so equality is equality of the
+        two partition sets.
+        """
+        report = goldbach_partitions_oracle(alpha)
+        if self.sign_bad or self.order_bad or self.mismatches:
+            try:
+                self.check(alpha)
+            except TheoremViolationError as exc:
+                return report, exc
+        window = self.paired_window(alpha)
+        if window == report.window_bits:
+            return report, None
+        return report, TheoremViolationError(
+            f"characterization/sieve mismatch at alpha={alpha}: "
+            f"points gave {_set_bits(window, 5)}, sieve gives {report.inside_window}")
+
+
+# Bytes 0 and 1, of R or of the sieve, as the digits of a base-2 numeral.
+_DIGITS = bytes.maketrans(b"\0\1", b"01")
+
+
+def _set_bits(n: int, offset: int) -> list:
+    """The indices of n's set bits, lowest first, each plus offset."""
+    return [i for i, digit in enumerate(bin(n)[:1:-1], offset) if digit == "1"]
 
 
 def _point_table(c: PrimeCoding) -> PointTable:
@@ -358,55 +406,43 @@ class IndexComparison(NamedTuple):
     complement_prime: bool  # alpha - k0 prime; expected iff y repeats
 
 
-def _comparison(bits: bytearray, alpha: int, k0: int) -> IndexComparison:
+def _comparison(table: PointTable, alpha: int, k0: int) -> IndexComparison:
     return IndexComparison(
         k0=k0,
-        x_repeats=bool(bits[k0]),
+        x_repeats=bool(table.repeats >> k0 & 1),
         k0_prime=is_prime(k0),
-        y_repeats=bool(bits[alpha - k0]),
+        y_repeats=bool(table.repeats >> (alpha - k0) & 1),
         complement_prime=is_prime(alpha - k0),
     )
 
 
-def _paired_window(bits: bytearray, alpha: int) -> int:
-    """R's window R[5], ..., R[alpha/2 - 1] AND its mirror image
-    R[alpha - 5], ..., R[alpha/2 + 1], each read as a little-endian int.
+def goldbach_sweep(c: PrimeCoding, alphas):
+    """Reconcile each alpha of a non-empty ascending sequence, lazily: (report, error or None).
 
-    R's bytes are 0 or 1, so byte k0 - 5 of the result is 1 iff R[k0] and
-    R[alpha - k0] are both set: one big-int AND pairs every k0 in the
-    window with alpha - k0 at once.
+    Before this returns, the coding is checked for the whole range, raising
+    the error ``_check_coding`` raises first over the alphas, and the point
+    table is recorded through alphas[-1] - 5; each alpha then costs its
+    sieve report and one comparison of paired windows (``PointTable.reconcile``).
     """
-    hi = alpha // 2
-    return (int.from_bytes(bits[5:hi], "little")
-            & int.from_bytes(bits[alpha - 5:alpha - hi:-1], "little"))
-
-
-def _paired_repeats(bits: bytearray, alpha: int) -> list:
-    """k0 in {5, ..., alpha/2 - 1} with R[k0] and R[alpha - k0] both set, in order:
-    bytes.find walks the set bytes of the paired window."""
-    both, found = _paired_window(bits, alpha).to_bytes(alpha // 2 - 5, "little"), []
-    i = both.find(1)
-    while i >= 0:
-        found.append(i + 5)
-        i = both.find(1, i + 1)
-    return found
+    # _check_coding fails every alpha past max_index + 5 or 2*strict_through + 3,
+    # so only the first such alpha is checked in full, and those before it as alphas.
+    fits = bisect_right(alphas, min(c.max_index + 5, 2 * c.strict_through + 3))
+    for alpha in alphas[:fits]:
+        _check_alpha(alpha)
+    if fits < len(alphas):
+        _check_coding(c, alphas[fits])
+    table = _point_table(c.exact)
+    table.record(alphas[-1] - 5)
+    return map(table.reconcile, alphas)
 
 
 def goldbach_characterization(c: PrimeCoding, alpha: int) -> list:
     """All k0 in {5, ..., alpha/2 - 1} whose essential point repeats the previous one.
 
-    R's paired window is reconciled with the sieve's as one int equality:
-    both are bitmaps over the same k0, so equality is equality of the two
-    partition sets.  The list returned is read once off the sieve's bitmap,
-    which is then R's too; a mismatch builds both lists for its
-    TheoremViolationError.
+    The one-alpha ``goldbach_sweep``: its failure is raised, and the list
+    returned is read once off the sieve's bitmap, which is then R's too.
     """
-    _check_coding(c, alpha)
-    bits = _point_table(c.exact).check(alpha)
-    report = goldbach_partitions_oracle(alpha)
-    if _paired_window(bits, alpha) != report.window_bits:
-        raise TheoremViolationError(
-            f"characterization/sieve mismatch at alpha={alpha}: "
-            f"points gave {_paired_repeats(bits, alpha)}, sieve gives {report.inside_window}"
-        )
+    (report, error), = goldbach_sweep(c, (alpha,))
+    if error:
+        raise error
     return report.inside_window

@@ -27,7 +27,7 @@ import hypgold.cli as cli_mod
 import hypgold.hyperbola as hyperbola_mod
 import hypgold.points as points_mod
 from hypgold.cli import main
-from hypgold.coding import coding_from_json, coding_to_json, default_coding
+from hypgold.coding import PrimeCoding, coding_from_json, coding_to_json, default_coding
 from hypgold.config import RunConfig
 from hypgold.construction import GoldbachSpec, build_goldbach, verify_continuity
 from hypgold.errors import TheoremViolationError
@@ -205,14 +205,18 @@ def test_goldbach_check(capsys):
     assert "timing_ms" not in rec18
 
 
-def test_goldbach_check_scans_each_alpha_once(capsys):
-    goldbach_partitions_oracle.cache_clear()
+def test_goldbach_check_scans_each_alpha_once(capsys, monkeypatch):
+    asked = []
+
+    def counted(alpha):
+        asked.append(alpha)
+        return goldbach_partitions_oracle(alpha)
+
+    monkeypatch.setattr(points_mod, "goldbach_partitions_oracle", counted)
     rc, out, _ = run(capsys, ["goldbach-check", "--alpha-range", "16..60"])
     assert rc == 0
-    alphas = len(json.loads(out)["records"])
-    info = goldbach_partitions_oracle.cache_info()
     # One scan per alpha; the record reuses the report the reconciliation used.
-    assert (info.misses, info.hits) == (alphas, alphas) == (23, 23)
+    assert asked == [r["alpha"] for r in json.loads(out)["records"]] == list(range(16, 61, 2))
 
 
 def test_goldbach_check_timing_flag(capsys):
@@ -223,18 +227,18 @@ def test_goldbach_check_timing_flag(capsys):
 
 
 def test_goldbach_check_prints_a_spoiled_repeat_bit(capsys, monkeypatch):
-    # R[7] cleared after the dichotomy checks: each alpha with the partition
-    # 7 + (alpha - 7) disagrees with the sieve and gets its full record, and
-    # the command exits 2.  The digest is of the bytes printed when the
-    # reconciliation compared two partition lists.
-    check = points_mod.PointTable.check
+    # R[7] cleared, in both copies, after the table recorded its facts: each
+    # alpha with the partition 7 + (alpha - 7) disagrees with the sieve and
+    # gets its full record, and the command exits 2.  The digest is of the
+    # bytes printed when the reconciliation compared two partition lists.
+    record = points_mod.PointTable.record
 
-    def spoiled(self, alpha):
-        bits = bytearray(check(self, alpha))
-        bits[7] = 0
-        return bits
+    def spoiled(self, top):
+        record(self, top)
+        self.repeats &= ~(1 << 7)
+        self.mirror &= ~(1 << (self.top + 5 - 7))
 
-    monkeypatch.setattr(points_mod.PointTable, "check", spoiled)
+    monkeypatch.setattr(points_mod.PointTable, "record", spoiled)
     rc, out, err = run(capsys, ["goldbach-check", "--alpha-range", "16..40"])
     assert rc == 2
     assert json.loads(err) == {"error": "TheoremViolationError",
@@ -248,6 +252,38 @@ def test_goldbach_check_prints_a_spoiled_repeat_bit(capsys, monkeypatch):
     }
     assert hashlib.sha256(out.encode()).hexdigest() == (
         "37c698cb30526bbbc17ac80f65f92bc57466abfdbca5056fbf387a59a02f0efc")
+
+
+def _dipped(max_index, at):
+    """The default coding through max_index with xi_at lowered to xi_{at-1}."""
+    slopes = list(default_coding(max_index).slopes)
+    slopes[at] = slopes[at - 1]
+    return PrimeCoding(slopes=tuple(slopes))
+
+
+@pytest.mark.parametrize("coding, alpha_range, payload", [
+    # Each payload is the one the per-alpha loop printed: the error of the
+    # first alpha the coding fails, not of the last.
+    pytest.param(default_coding(40), "16..60",
+                 ("RangeError", "coding defines slopes through 40, need index 41"), id="short"),
+    pytest.param(_dipped(60, 20), "16..60",
+                 ("DomainError", "essential points need slopes strictly increasing through 20"),
+                 id="not-strict"),
+    pytest.param(_dipped(44, 21), "16..60",
+                 ("DomainError", "essential points need slopes strictly increasing through 21"),
+                 id="not-strict-before-short"),
+    pytest.param(_dipped(40, 30), "16..70",
+                 ("RangeError", "coding defines slopes through 40, need index 41"),
+                 id="short-before-not-strict"),
+])
+def test_goldbach_check_prints_the_first_alphas_coding_error(tmp_path, capsys, coding,
+                                                              alpha_range, payload):
+    path = tmp_path / "coding.json"
+    path.write_text(json.dumps(coding_to_json(coding)))
+    rc, out, err = run(capsys, ["goldbach-check", "--alpha-range", alpha_range,
+                                "--coding", str(path)])
+    assert (rc, out) == (1, "")
+    assert json.loads(err) == dict(zip(("error", "message"), payload))
 
 
 @pytest.mark.parametrize("workers", ["2", "5000"])
@@ -720,7 +756,7 @@ def test_verification_error_exit_2(capsys, monkeypatch):
     def explode(*args, **kwargs):
         raise TheoremViolationError("forced failure for the exit-code contract")
 
-    monkeypatch.setattr(cli_mod, "goldbach_characterization", explode)
+    monkeypatch.setattr(cli_mod, "goldbach_sweep", explode)
     rc, out, err = run(capsys, ["goldbach-check", "--alpha-range", "18..18"])
     assert rc == 2
     assert json.loads(err)["error"] == "TheoremViolationError"

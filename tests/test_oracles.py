@@ -111,7 +111,7 @@ def test_partition_bitmap_matches_the_prime_scan():
         inside, outside = goldbach_partitions_scan(alpha)
         assert report.inside_window == inside, alpha
         assert report.outside_window == tuple(outside), alpha
-        assert report.window_bits.bit_length() <= 8 * max(alpha // 2 - 5, 0), alpha
+        assert report.window_bits.bit_length() <= max(alpha // 2 - 5, 0), alpha
 
 
 def test_prime_lists_one_per_sieve_bound():

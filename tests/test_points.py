@@ -9,10 +9,11 @@ from unittest import mock
 
 import mpmath
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from mpmath.libmp import from_man_exp
 
+import hypgold.cli as cli_mod
 import hypgold.numeric as numeric_mod
 import hypgold.points as points_mod
 
@@ -27,9 +28,11 @@ from hypgold.points import (
     IndexComparison,
     essential_points,
     goldbach_characterization,
+    goldbach_sweep,
     lower_essential_poly,
     lower_value,
 )
+from hypgold.reference import goldbach_partitions_scan
 from hypgold.regions import TYPE_COEFFICIENT, enumerate_regions
 
 from conftest import (
@@ -149,9 +152,9 @@ def test_essential_points_preconditions():
 
 
 def test_monotonicity_alpha18():
-    c = default_coding(16)
-    bits = points_mod._point_table(c).check(18)
-    records = {k0: points_mod._comparison(bits, 18, k0) for k0 in range(5, 9)}
+    table = points_mod._point_table(default_coding(16))
+    table.check(18)
+    records = {k0: points_mod._comparison(table, 18, k0) for k0 in range(5, 9)}
     assert records[5].x_repeats and records[5].k0_prime
     assert records[7].x_repeats and records[7].k0_prime
     assert not records[6].x_repeats and not records[6].k0_prime
@@ -486,8 +489,9 @@ def scan_characterization(c, alpha):
 
 def table_records(c, alpha):
     """The point table's verdict on alpha: its check, then the junction records of its R."""
-    bits = points_mod._point_table(c.exact).check(alpha)
-    return [points_mod._comparison(bits, alpha, k0) for k0 in range(5, alpha // 2)]
+    table = points_mod._point_table(c.exact)
+    table.check(alpha)
+    return [points_mod._comparison(table, alpha, k0) for k0 in range(5, alpha // 2)]
 
 
 def outcome(fn, *args):
@@ -550,24 +554,96 @@ def test_table_matches_per_alpha_scan(increments, mode, picks, damage):
                     == outcome(scan_characterization, c.exact, alpha))
 
 
+def sweep_one(c, alpha):
+    """goldbach-check's record of alpha as the per-alpha loop built it before the
+    sweep: the characterization, or its failure, beside the sieve's partitions.
+    The characterization is the scan of lower_value's points, and the
+    partitions are the prime-list scan."""
+    inside, outside = goldbach_partitions_scan(alpha)
+    try:
+        k0_list = window = scan_characterization(c.exact, alpha)
+        agreement, error = True, None
+    except TheoremViolationError as exc:
+        k0_list, agreement, error = [], False, str(exc)
+        window = inside
+    record = {
+        "alpha": alpha,
+        "k0_list": k0_list,
+        "sieve_window": window,
+        "sieve_outside_window": outside,
+        "sieve_agreement": agreement,
+    }
+    if error:
+        record["error"] = error
+    return record
+
+
+@given(
+    increments=st.lists(st.integers(min_value=1, max_value=1000), min_size=12, max_size=60),
+    tail=st.lists(st.integers(min_value=1, max_value=1000), max_size=30),
+    mode=st.sampled_from([MODE_RATIONAL, MODE_FLOAT]),
+    bounds=st.tuples(st.integers(min_value=0, max_value=10 ** 6),
+                     st.integers(min_value=0, max_value=10 ** 6)),
+    damage=st.none() | st.tuples(st.integers(min_value=0, max_value=10 ** 6),
+                                 st.sampled_from(["negate", "repeat", "halve", "bump"])),
+)
+# A spoiled x_11 breaks the sign at alpha 16 (x_4, y_4), a halved x_7 the
+# ordering and a repeated x_8 the dichotomy, in every window that reads them.
+@example(increments=[1] * 40, tail=[], mode=MODE_RATIONAL, bounds=(0, 10 ** 6),
+         damage=(7, "negate"))
+@example(increments=[1] * 40, tail=[], mode=MODE_RATIONAL, bounds=(0, 10 ** 6),
+         damage=(3, "halve"))
+@example(increments=[1] * 40, tail=[], mode=MODE_FLOAT, bounds=(0, 10 ** 6),
+         damage=(4, "repeat"))
+@settings(max_examples=60, deadline=None)
+def test_goldbach_check_records_match_the_per_alpha_loop(increments, tail, mode, bounds, damage):
+    # goldbach-check builds its records from one goldbach_sweep over the
+    # range; they must be, as canonical JSON, the records the per-alpha loop
+    # built.  The codings are strict, or stop increasing above every window
+    # of the range, and an optional spoiled x_j (which lower_value reads too)
+    # makes the table record a sign, ordering or dichotomy failure.
+    slopes = (*accumulate(increments), *tail)
+    c = PrimeCoding(slopes=tuple(Fraction(v, 997) for v in slopes), mode=mode, precision=128)
+    limit = min(c.max_index + 5, 2 * c.strict_through + 3)  # the largest alpha c serves
+    lo = 16 + 2 * (bounds[0] % ((limit - 14) // 2))
+    hi = lo + 2 * (bounds[1] % ((limit - lo) // 2 + 1))
+    spoil = (corrupt(4 + damage[0] % (hi - 8), damage[1]) if damage
+             else points_mod.scaled_lower_value)
+    printed = []
+    with mock.patch.object(points_mod, "scaled_lower_value", spoil), \
+            mock.patch.object(cli_mod, "_load_coding", lambda *args, **kwargs: c), \
+            mock.patch.object(cli_mod, "emit", lambda *args, **fields: printed.append(fields)):
+        rc = cli_mod.main(["goldbach-check", "--alpha-range", f"{lo}..{hi}"])
+        expected = [sweep_one(c, alpha) for alpha in range(lo, hi + 1, 2)]
+    assert rc == (0 if all(r["sieve_agreement"] for r in expected) else 2)
+    assert (cli_mod.canonical_json({"records": printed[0]["records"]})
+            == cli_mod.canonical_json({"records": expected}))
+
+
 def test_a_clean_table_scans_no_window(monkeypatch):
-    # A table that has recorded no sign, ordering or dichotomy failure
-    # returns R right after growing: no window is scanned, and every alpha
-    # is still reconciled with the sieve.
+    # A table that has recorded no sign, ordering or dichotomy failure never
+    # runs its check: no window is scanned, and every alpha is still
+    # reconciled with the sieve.
+    def no_check(self, alpha):
+        raise AssertionError(f"a clean table checked the window of alpha={alpha}")
+
     def no_scan(indices, alpha, mirror):
         raise AssertionError(f"a clean table scanned the window of alpha={alpha}")
 
+    monkeypatch.setattr(points_mod.PointTable, "check", no_check)
     monkeypatch.setattr(points_mod, "_first_in_window", no_scan)
     c = default_coding(200)
     table = points_mod._point_table(c)
     for alpha in (40, 18, 204, 100):
-        assert table.check(alpha) is table.bits
-    assert (table.sign_bad, table.order_bad, table.mismatches) == ([], [], [])
-    assert [j for j in range(5, 200) if table.bits[j]] == [j for j in range(5, 200) if is_prime(j)]
-    for alpha in range(16, 205, 2):
         assert (goldbach_characterization(c, alpha)
                 == list(goldbach_partitions_oracle(alpha).inside_window))
-        assert table.check(alpha) is table.bits
+    assert (table.sign_bad, table.order_bad, table.mismatches) == ([], [], [])
+    assert ([j for j in range(5, 200) if table.repeats >> j & 1]
+            == [j for j in range(5, 200) if is_prime(j)])
+    alphas = range(16, 205, 2)
+    outcomes = list(goldbach_sweep(c, alphas))
+    assert [report.alpha for report, _ in outcomes] == list(alphas)
+    assert all(error is None for _, error in outcomes)
 
 
 def _scan_of_fractions(c, top):
@@ -606,7 +682,9 @@ def test_integer_table_matches_a_scan_of_fractions(values, strict, tops, damage)
             x, sign, order, repeats, mismatches = _scan_of_fractions(c, top)
             assert {j: Fraction(table.x[j], table.scale) for j in x} == x
             assert (table.sign_bad, table.order_bad, table.mismatches) == (sign, order, mismatches)
-            assert list(map(bool, table.bits[5:])) == repeats
+            assert [bool(table.repeats >> j & 1) for j in range(5, top + 1)] == repeats
+            assert [bool(table.mirror >> (top + 5 - j) & 1) for j in range(5, top + 1)] == repeats
+            assert table.repeats >> (top + 1) == 0 and table.mirror.bit_length() <= top + 1
 
 
 def test_violation_messages_pinned():
@@ -646,11 +724,11 @@ def test_violation_messages_pinned():
 
 def test_sieve_mismatch_message_pinned():
     # A sieve that forgets 7 must make the characterization raise, not agree:
-    # its bitmap (byte k0 - 5 of a little-endian int) is the datum both
-    # compared and printed.
+    # its bitmap (bit k0 - 5 of an int) is the datum both compared and
+    # printed.
     def forgetful_oracle(alpha):
         report = goldbach_partitions_oracle(alpha)
-        return report._replace(window_bits=report.window_bits & ~(1 << 8 * (7 - 5)))
+        return report._replace(window_bits=report.window_bits & ~(1 << (7 - 5)))
 
     with mock.patch.object(points_mod, "goldbach_partitions_oracle", forgetful_oracle):
         with pytest.raises(TheoremViolationError) as info:
@@ -661,8 +739,17 @@ def test_sieve_mismatch_message_pinned():
 
 
 def window_comprehension(bits, alpha):
-    """The per-index scan _paired_repeats replaced, kept as its reference."""
+    """The per-index scan the paired window replaced, kept as its reference."""
     return [k for k in range(5, alpha // 2) if bits[k] and bits[alpha - k]]
+
+
+def paired_repeats(bits, alpha):
+    """The k0 of R's paired window, on a point table whose R is bits[5:], recorded through
+    len(bits) - 1: x_4 = 1, and x_j steps up by one unless R[j] is set."""
+    table = points_mod.PointTable(default_coding(16))
+    table.x = [None] * 4 + list(accumulate([1] + [1 - b for b in bits[5:]]))
+    table.record(len(bits) - 1)
+    return points_mod._set_bits(table.paired_window(alpha), 5)
 
 
 @given(data=st.data(), alpha=st.integers(min_value=8, max_value=400).map(lambda h: 2 * h),
@@ -672,14 +759,14 @@ def test_paired_repeats_match_the_comprehension(data, alpha, extra):
     # The table may have grown past alpha - 5 for a larger alpha earlier.
     size = alpha - 4 + extra
     bits = bytearray(b & 1 for b in data.draw(st.binary(min_size=size, max_size=size)))
-    assert points_mod._paired_repeats(bits, alpha) == window_comprehension(bits, alpha)
+    assert paired_repeats(bits, alpha) == window_comprehension(bits, alpha)
 
 
 @pytest.mark.parametrize("alpha", [16, 18, 20, 102, 1000, 2002])
 @pytest.mark.parametrize("fill", [0, 1])
 def test_paired_repeats_on_uniform_bitmaps(alpha, fill):
     bits = bytearray([fill]) * (alpha - 4)
-    found = points_mod._paired_repeats(bits, alpha)
+    found = paired_repeats(bits, alpha)
     assert found == window_comprehension(bits, alpha)
     assert found == (list(range(5, alpha // 2)) if fill else [])
 
@@ -737,21 +824,28 @@ def test_points_and_the_repetition_checks_build_one_table(monkeypatch):
 
 def test_points_ask_is_prime_nothing_until_a_check_runs(monkeypatch):
     # essential_points grows the table's x values alone; the first check on
-    # the same coding records R and tests each R[j] against is_prime(j) once.
+    # the same coding records R and compares it with the sieve's table once,
+    # as one XOR: no index is asked of is_prime.
     top = 300
     c = seeded_coding(top - 5, 17)
-    asked = []
+    asked, tables = [], []
 
     def counted_is_prime(n):
         asked.append(n)
         return is_prime(n)
 
+    def counted_table(n):
+        tables.append(n)
+        return table(n)
+
+    table = points_mod._table
     monkeypatch.setattr(points_mod, "is_prime", counted_is_prime)
+    monkeypatch.setattr(points_mod, "_table", counted_table)
     essential_points(c, top)
-    assert asked == []
+    assert asked == tables == []
     assert (goldbach_characterization(c, top)
             == list(goldbach_partitions_oracle(top).inside_window))
-    assert asked == list(range(5, top - 4))
+    assert asked == [] and tables == [top - 5]
 
 
 @given(
